@@ -43,6 +43,7 @@ from .ishida import (
     ishida_cone,
     ishida_fan,
     lcdef_cone,
+    lcdef_faces,
     lcdef_variety,
     restricted_complex,
 )
@@ -237,19 +238,12 @@ def _need(doc_field, name: str):
 
 def _cmd_lcdef(doc: InputDocument, args) -> dict:
     cone = _need_cone(doc)
-    lat = face_lattice(cone)
-    per_face = []
-    for f in lat.all_faces:
-        if f.dim == 0:
-            per_face.append({"rays": [], "dim": 0, "lcdef": 0})
-            continue
-        sub = cone_from_rays([cone.rays[i] for i in sorted(f.ray_indices)], cone.rank)
-        per_face.append({"rays": sorted(f.ray_indices), "dim": f.dim, "lcdef": lcdef_cone(sub)})
+    faces = lcdef_faces(cone)
     return {
-        "face_counts": list(lat.face_counts()),
-        "lcdef_cone": lcdef_cone(cone),
-        "lcdef_variety": lcdef_variety(cone),
-        "per_face": per_face,
+        "face_counts": list(face_lattice(cone).face_counts()),
+        "lcdef_cone": faces[-1][1],
+        "lcdef_variety": max(v for _, v in faces),
+        "per_face": [{"rays": sorted(f.ray_indices), "dim": f.dim, "lcdef": v} for f, v in faces],
         "simplicial": is_simplicial(cone),
     }
 

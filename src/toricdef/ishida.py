@@ -10,17 +10,23 @@ face, so the normal's ambiguity (an element of the smaller face's span
 lattice) never reaches the matrices; the anticommutation of the two paths
 through any 2-step interval of the face lattice makes the square of the
 differential vanish, and the builder verifies this on every assembly.
+
+One builder, :func:`face_complex`, makes every such complex from the faces
+by dimension, their annihilators and a covering normal: the complexes of a
+cone (intrinsic coordinates), of a fan (ambient coordinates), of the faces
+below a face, and the three complexes of a divisor's lifted sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import exact_linalg as xl
 from .errors import NotAComplex, ValidationError
-from .polyhedral import Cone, Face, Fan, cone_from_rays, face_lattice, normal_generator
+from .polyhedral import Cone, Face, Fan, face_cone, face_lattice
 
 
 @dataclass(frozen=True)
@@ -134,20 +140,39 @@ def cohomology(cx: LabeledComplex) -> tuple[int, ...]:
 # complexes of cones and fans
 
 
-def _intrinsic_normal(lat, mu: Face, tau: Face):
-    memo = getattr(lat, "_in_normal_memo", None)
-    if memo is None:
-        memo = {}
-        lat._in_normal_memo = memo
-    key = (mu.ray_indices, tau.ray_indices)
-    if key not in memo:
-        orient = [lat.ray_coords[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
-        memo[key] = normal_generator(
-            lat.span_in_cone[mu.ray_indices],
-            lat.span_in_cone[tau.ray_indices],
-            orient,
-        )
-    return memo[key]
+def face_complex(
+    label: str, faces_by_dim, level: int, depth: int, width: int, perp, normal
+) -> LabeledComplex:
+    """The level-``level`` complex of a face poset, in degrees ``0..depth-1``.
+
+    Degree ``m <= level`` is the direct sum, over the faces in
+    ``faces_by_dim[m]``, of the ``(level-m)``-th exterior power of the
+    annihilator spanned by the rows ``perp(face)`` (vectors of length
+    ``width``); higher degrees are zero.  The differential contracts along
+    each covering pair ``mu < tau`` with ``normal(mu, tau)``.
+    """
+    faces = {}
+    layers = []
+    for m in range(depth):
+        layer = []
+        for f in faces_by_dim.get(m, ()) if m <= level else ():
+            faces[f.key] = f
+            layer.append((f.key, xl.ExteriorBasis(xl.SubspaceBasis(width, perp(f)), level - m)))
+        layers.append(layer)
+
+    def entry(i, sb, tb):
+        mu, tau = faces[sb.face_key], faces[tb.face_key]
+        if not mu.ray_indices < tau.ray_indices:
+            return None
+        return xl.contraction_matrix(normal(mu, tau), sb.basis, tb.basis)
+
+    return assemble_complex(label, layers, entry)
+
+
+def _overridden(normal, normal_override):
+    if normal_override is None:
+        return normal
+    return lambda mu, tau: normal_override(mu, tau, normal(mu, tau))
 
 
 def ishida_cone(cone: Cone, l: int, normal_override=None) -> LabeledComplex:
@@ -162,38 +187,15 @@ def ishida_cone(cone: Cone, l: int, normal_override=None) -> LabeledComplex:
     if not 0 <= l <= d:
         raise ValidationError(f"level {l} outside 0..{d}")
     lat = face_lattice(cone)
-    bases: dict[frozenset, xl.SubspaceBasis] = {}
-    for f in lat.all_faces:
-        bases[f.ray_indices] = xl.SubspaceBasis(d, lat.perp_in_cone[f.ray_indices])
-    layers = []
-    for m in range(min(l, d) + 1):
-        layers.append(
-            [
-                (f.key, xl.ExteriorBasis(bases[f.ray_indices], l - m))
-                for f in lat.faces_by_dim[m]
-            ]
-        )
-
-    def entry(i, sb, tb):
-        mu = lat.by_key[frozenset(sb.face_key)]
-        tau = lat.by_key[frozenset(tb.face_key)]
-        if not mu.ray_indices < tau.ray_indices:
-            return None
-        n = _intrinsic_normal(lat, mu, tau)
-        if normal_override is not None:
-            n = normal_override(mu, tau, n)
-        return xl.contraction_matrix(n, sb.basis, tb.basis)
-
-    return assemble_complex(f"cone level {l}", layers, entry)
-
-
-def _fan_normal(fan: Fan, mu: Face, tau: Face):
-    memo = fan._normal_memo
-    key = (mu.ray_indices, tau.ray_indices)
-    if key not in memo:
-        orient = [fan.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
-        memo[key] = normal_generator(mu.span_rows, tau.span_rows, orient)
-    return memo[key]
+    return face_complex(
+        f"cone level {l}",
+        lat.faces_by_dim,
+        l,
+        l + 1,
+        d,
+        lambda f: lat.perp_in_cone[f.ray_indices],
+        _overridden(lat.covering_normal, normal_override),
+    )
 
 
 def ishida_fan(fan: Fan, l: int, normal_override=None) -> LabeledComplex:
@@ -201,26 +203,15 @@ def ishida_fan(fan: Fan, l: int, normal_override=None) -> LabeledComplex:
     n = fan.rank
     if not 0 <= l <= n:
         raise ValidationError(f"level {l} outside 0..{n}")
-    top = max(fan.faces_by_dim)
-    layers = []
-    for m in range(min(l, top) + 1):
-        layer = []
-        for f in fan.faces_by_dim.get(m, ()):
-            base = xl.SubspaceBasis(n, f.perp_rows)
-            layer.append((f.key, xl.ExteriorBasis(base, l - m)))
-        layers.append(layer)
-
-    def entry(i, sb, tb):
-        mu = fan.by_key[frozenset(sb.face_key)]
-        tau = fan.by_key[frozenset(tb.face_key)]
-        if not mu.ray_indices < tau.ray_indices:
-            return None
-        nrm = _fan_normal(fan, mu, tau)
-        if normal_override is not None:
-            nrm = normal_override(mu, tau, nrm)
-        return xl.contraction_matrix(nrm, sb.basis, tb.basis)
-
-    return assemble_complex(f"fan level {l}", layers, entry)
+    return face_complex(
+        f"fan level {l}",
+        fan.faces_by_dim,
+        l,
+        min(l, max(fan.faces_by_dim)) + 1,
+        n,
+        lambda f: f.perp_rows,
+        _overridden(fan.covering_normal, normal_override),
+    )
 
 
 def fan_cohomology_table(fan: Fan) -> CohomologyTable:
@@ -275,18 +266,22 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     return max(0, best)
 
 
+def lcdef_faces(cone: Cone, shortcut_simplicial: bool = True) -> list[tuple[Face, int]]:
+    """The cone-level value :func:`lcdef_cone` of every face of a cone, in
+    the order of the face lattice (by dimension, then rays); the last entry
+    is the cone itself.  Faces are taken from the cone without re-running
+    the LPs of :func:`cone_from_rays`."""
+    return [
+        (f, lcdef_cone(face_cone(cone, f), shortcut_simplicial=shortcut_simplicial))
+        for f in face_lattice(cone).all_faces
+    ]
+
+
 def lcdef_variety(cone: Cone, shortcut_simplicial: bool = True) -> int:
     """Local cohomological defect: the maximum of the cone-level value over
     all faces (every point of the associated space has a neighborhood
     modeled on one of the faces)."""
-    lat = face_lattice(cone)
-    best = 0
-    for f in lat.all_faces:
-        if f.dim == 0:
-            continue
-        sub = cone_from_rays([cone.rays[i] for i in sorted(f.ray_indices)], cone.rank)
-        best = max(best, lcdef_cone(sub, shortcut_simplicial=shortcut_simplicial))
-    return best
+    return max(v for _, v in lcdef_faces(cone, shortcut_simplicial=shortcut_simplicial))
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +309,18 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
     if not 0 <= l <= d:
         raise ValidationError(f"level {l} outside 0..{d}")
     face = _resolve_face(cone, tau)
-    sub = cone_from_rays([cone.rays[i] for i in sorted(face.ray_indices)], cone.rank) if face.ray_indices else None
     dt = face.dim
     codim = d - dt
-    if sub is None:
+    if not face.ray_indices:
         # the zero face: the graded piece is a single exterior power in degree 0
         base = xl.SubspaceBasis(d, tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d)))
         layers = [[(("wedge", l), xl.ExteriorBasis(base, l))]]
         return assemble_complex(f"graded piece level {l} at zero face", layers, lambda *a: None)
+    sub = face_cone(cone, face)
 
     pieces: list[tuple[int, int, LabeledComplex]] = []
     for j in range(max(0, l - dt), min(l, codim) + 1):
         inner = ishida_cone(sub, l - j)
-        from math import comb
-
         for copy in range(comb(codim, j)):
             pieces.append((j, copy, inner))
 
@@ -341,28 +334,15 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
                     layer.append(((j, copy, b.face_key), b.basis))
         layers.append(layer)
 
-    index = {}
-    for j, copy, inner in pieces:
-        index[(j, copy)] = inner
+    index = {(j, copy): inner for j, copy, inner in pieces}
 
     def entry(i, sb, tb):
-        (js, cs, fks) = sb.face_key
-        (jt, ct, fkt) = tb.face_key
+        (js, cs, fks), (jt, ct, fkt) = sb.face_key, tb.face_key
         if (js, cs) != (jt, ct):
             return None
         inner = index[(js, cs)]
-        if i + 1 >= len(inner.terms):
-            return None
-        src = inner.block(i, fks)
-        dst = inner.block(i + 1, fkt)
-        if src is None or dst is None or src.size == 0 or dst.size == 0:
-            return None
-        d_in = inner.diffs[i]
-        out = xl.zeros_matrix(dst.size, src.size)
-        for r in range(dst.size):
-            for c in range(src.size):
-                out[r, c] = d_in[dst.offset + r, src.offset + c]
-        return out if not xl.is_zero_matrix(out) else None
+        s, t = inner.block(i, fks), inner.block(i + 1, fkt)
+        return inner.diffs[i][t.offset : t.offset + t.size, s.offset : s.offset + s.size]
 
     return assemble_complex(f"graded piece level {l} at {face.key}", layers, entry)
 
@@ -377,27 +357,16 @@ def restricted_complex(cone: Cone, l: int, tau) -> LabeledComplex:
         raise ValidationError(f"level {l} outside 0..{d}")
     face = _resolve_face(cone, tau)
     lat = face_lattice(cone)
-    below = [f for f in lat.all_faces if f.ray_indices <= face.ray_indices]
-    bases = {
-        f.ray_indices: xl.SubspaceBasis(d, lat.perp_in_cone[f.ray_indices])
-        for f in below
+    below = {
+        m: tuple(f for f in fs if f.ray_indices <= face.ray_indices)
+        for m, fs in lat.faces_by_dim.items()
     }
-    layers = []
-    for m in range(min(l, face.dim) + 1):
-        layers.append(
-            [
-                (f.key, xl.ExteriorBasis(bases[f.ray_indices], l - m))
-                for f in below
-                if f.dim == m
-            ]
-        )
-
-    def entry(i, sb, tb):
-        mu = lat.by_key[frozenset(sb.face_key)]
-        ta = lat.by_key[frozenset(tb.face_key)]
-        if not mu.ray_indices < ta.ray_indices:
-            return None
-        n = _intrinsic_normal(lat, mu, ta)
-        return xl.contraction_matrix(n, sb.basis, tb.basis)
-
-    return assemble_complex(f"restricted level {l} at {face.key}", layers, entry)
+    return face_complex(
+        f"restricted level {l} at {face.key}",
+        below,
+        l,
+        min(l, face.dim) + 1,
+        d,
+        lambda f: lat.perp_in_cone[f.ray_indices],
+        lat.covering_normal,
+    )

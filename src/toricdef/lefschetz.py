@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .ishida import LabeledComplex, assemble_complex, cohomology, ishida_cone, ishida_fan
+from .ishida import LabeledComplex, cohomology, face_complex, ishida_cone, ishida_fan
 from .polyhedral import Cone, Face, Fan, face_lattice, normal_generator, star_quotient
 
 
@@ -46,7 +46,6 @@ class LiftedFace:
     hat_span: tuple[tuple[int, ...], ...]
     hat_perp: tuple[tuple[int, ...], ...]
     tilde_span: tuple[tuple[int, ...], ...]
-    tilde_perp: tuple[tuple[int, ...], ...]
     vertical_index: int  # index of (vertical ray + hat lattice) in the tilde lattice
 
 
@@ -108,13 +107,10 @@ def support_data(fan: Fan, alpha) -> DivisorData:
         hat_perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(hats, n + 1)))
         tilde_gens = list(hat_span) + [vertical]
         tilde_span = tuple(xl.saturation_rows(tilde_gens, n + 1))
-        tilde_perp = tuple(
-            xl.integer_kernel_rows(xl.integer_matrix(list(hats) + [vertical], n + 1))
-        )
         a_idx = xl.lattice_index([vertical] + list(hat_span), tilde_span, n + 1)
         assert isinstance(a_idx, int)
         lifted[key] = LiftedFace(
-            tuple(sorted(key)), tuple(hats), hat_span, hat_perp, tilde_span, tilde_perp, a_idx
+            tuple(sorted(key)), tuple(hats), hat_span, hat_perp, tilde_span, a_idx
         )
     return DivisorData(fan, values, u, denom, lifted)
 
@@ -229,18 +225,15 @@ class LiftedComplexes:
         return self._reduce_to_basis(dst, i, xl.mat_mul(mats[i], reps))
 
 
-def _embed_basis(rows, extra: int = 1) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(r) + (0,) * extra for r in rows)
-
-
 def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     """Build and verify the levelwise short exact sequence at level ``p``.
 
     Degree ``m`` of the middle complex is the sum over ``m``-dimensional fan
     faces of the ``(p+1-m)``-th exterior power of the hat face's annihilator;
-    top and bottom use the tilde annihilators (which are the fan's own
-    annihilators in disguise) at levels ``p+1`` and ``p``.  Chain-map and
-    termwise-exactness properties are checked at build time.
+    top and bottom are the fan's own complexes at levels ``p+1`` and ``p``
+    (the tilde annihilator of a face is the fan face's annihilator with a
+    zero vertical coordinate), padded to the middle's coordinates and depth.
+    Chain-map and termwise-exactness properties are checked at build time.
     """
     n = fan.rank
     if not 0 <= p <= n - 1:
@@ -249,50 +242,29 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
         raise ValidationError("divisor belongs to a different fan")
     if ("lifted", p) in divisor._memo:
         return divisor._memo[("lifted", p)]
-    from .ishida import _fan_normal
 
-    top_dim = max(fan.faces_by_dim)
     vertical = (0,) * n + (1,)
-    depth = min(p + 1, top_dim) + 1
+    depth = min(p + 1, max(fan.faces_by_dim)) + 1
 
-    tilde_bases: dict[frozenset, xl.SubspaceBasis] = {}
-    hat_bases: dict[frozenset, xl.SubspaceBasis] = {}
-    for key, lf in divisor.lifted.items():
-        tilde_bases[key] = xl.SubspaceBasis(n + 1, lf.tilde_perp)
-        hat_bases[key] = xl.SubspaceBasis(n + 1, lf.hat_perp)
+    def tilde(level: int) -> LabeledComplex:
+        return face_complex(
+            f"tilde level {level}",
+            fan.faces_by_dim,
+            level,
+            depth,
+            n + 1,
+            lambda f: tuple(r + (0,) for r in f.perp_rows),
+            lambda mu, tau: fan.covering_normal(mu, tau) + (0,),
+        )
 
-    def layers_for(level: int):
-        out = []
-        for m in range(depth):
-            layer = []
-            if m <= level:
-                for f in fan.faces_by_dim.get(m, ()):
-                    layer.append((f.key, xl.ExteriorBasis(tilde_bases[f.ray_indices], level - m)))
-            out.append(layer)
-        return out
+    top = tilde(p + 1)
+    bottom = tilde(p)
 
-    def tilde_entry(i, sb, tb):
-        mu = fan.by_key[frozenset(sb.face_key)]
-        tau = fan.by_key[frozenset(tb.face_key)]
-        if not mu.ray_indices < tau.ray_indices:
-            return None
-        nrm = _embed_basis([_fan_normal(fan, mu, tau)])[0]
-        return xl.contraction_matrix(nrm, sb.basis, tb.basis)
-
-    top = assemble_complex(f"tilde level {p + 1}", layers_for(p + 1), tilde_entry)
-    bottom = assemble_complex(f"tilde level {p}", layers_for(p), tilde_entry)
-
-    hat_layers = []
-    for m in range(depth):
-        layer = []
-        for f in fan.faces_by_dim.get(m, ()):
-            layer.append((f.key, xl.ExteriorBasis(hat_bases[f.ray_indices], p + 1 - m)))
-        hat_layers.append(layer)
+    hat_normals = divisor._memo.setdefault("hat_normals", {})
 
     def hat_normal(mu: Face, tau: Face):
-        memo = divisor._memo.setdefault("hat_normals", {})
         key = (mu.ray_indices, tau.ray_indices)
-        if key not in memo:
+        if key not in hat_normals:
             lm = divisor.lifted[mu.ray_indices]
             lt = divisor.lifted[tau.ray_indices]
             orient = [
@@ -300,17 +272,18 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
                 for h, i in zip(lt.hat_rays, sorted(tau.ray_indices))
                 if i not in mu.ray_indices
             ]
-            memo[key] = normal_generator(lm.hat_span, lt.hat_span, orient)
-        return memo[key]
+            hat_normals[key] = normal_generator(lm.hat_span, lt.hat_span, orient)
+        return hat_normals[key]
 
-    def hat_entry(i, sb, tb):
-        mu = fan.by_key[frozenset(sb.face_key)]
-        tau = fan.by_key[frozenset(tb.face_key)]
-        if not mu.ray_indices < tau.ray_indices:
-            return None
-        return xl.contraction_matrix(hat_normal(mu, tau), sb.basis, tb.basis)
-
-    middle = assemble_complex(f"hat level {p + 1}", hat_layers, hat_entry)
+    middle = face_complex(
+        f"hat level {p + 1}",
+        fan.faces_by_dim,
+        p + 1,
+        depth,
+        n + 1,
+        lambda f: divisor.lifted[f.ray_indices].hat_perp,
+        hat_normal,
+    )
 
     include: list[np.ndarray] = []
     project: list[np.ndarray] = []
@@ -322,8 +295,6 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
         prj = xl.zeros_matrix(bdims, mdims)
         sign = 1 if m % 2 == 0 else -1
         for f in fan.faces_by_dim.get(m, ()):
-            if m > p + 1:
-                continue
             lf = divisor.lifted[f.ray_indices]
             st = top.block(m, f.key)
             sm = middle.block(m, f.key)

@@ -190,15 +190,7 @@ class FaceLattice:
                 xl.integer_kernel_rows(xl.integer_matrix(cs, d))
             )
 
-        self.covers: dict[frozenset[int], tuple[Face, ...]] = {}
-        for m in range(d):
-            for f in self.faces_by_dim[m]:
-                ups = [
-                    g
-                    for g in self.faces_by_dim[m + 1]
-                    if f.ray_indices < g.ray_indices
-                ]
-                self.covers[f.ray_indices] = tuple(ups)
+        self._normal_memo: dict[tuple, tuple[int, ...]] = {}
         self._below_memo: dict[frozenset[int], tuple[Face, ...]] = {}
         self._shell_memo: dict[tuple, bool] = {}
 
@@ -294,12 +286,32 @@ class FaceLattice:
         orient = [self.cone.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
         return normal_generator(mu.span_rows, tau.span_rows, orient)
 
+    def covering_normal(self, mu: Face, tau: Face) -> tuple[int, ...]:
+        """The canonical normal of a covering pair ``mu < tau`` in intrinsic
+        coordinates, the ones the cone's complexes live in (memoized)."""
+        key = (mu.ray_indices, tau.ray_indices)
+        if key not in self._normal_memo:
+            orient = [self.ray_coords[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
+            self._normal_memo[key] = normal_generator(
+                self.span_in_cone[mu.ray_indices], self.span_in_cone[tau.ray_indices], orient
+            )
+        return self._normal_memo[key]
+
 
 def face_lattice(cone: Cone) -> FaceLattice:
     """The (cached) face lattice of a cone."""
     if cone._lattice is None:
         cone._lattice = FaceLattice(cone)
     return cone._lattice
+
+
+def face_cone(cone: Cone, face: Face) -> Cone:
+    """A face of ``cone`` as a cone of its own, without re-running the LPs of
+    :func:`cone_from_rays`: the face's rays are already primitive, distinct
+    and extreme, in the order of ``cone.rays``.  The top face is ``cone``."""
+    if len(face.ray_indices) == len(cone.rays):
+        return cone
+    return Cone(cone.rank, tuple(cone.rays[i] for i in sorted(face.ray_indices)), face.dim)
 
 
 def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors) -> tuple[int, ...]:
@@ -371,33 +383,22 @@ def pyramid(cone: Cone, apex) -> Cone:
 class Fan:
     """A fan: primitive rays plus maximal cones given by ray-index sets.
 
-    All faces of all maximal cones are enumerated and shared; pairwise
-    compatibility (cones meet in a common face) is verified exactly via a
-    strict separating functional unless ``validate=False``.
+    All faces of all maximal cones are enumerated and shared.
+    :func:`fan_from_cones` builds every fan and verifies exactly, via a
+    strict separating functional, that any two maximal cones meet in a
+    common face.
     """
 
-    __slots__ = (
-        "rank",
-        "rays",
-        "maximal",
-        "by_key",
-        "faces_by_dim",
-        "covers",
-        "max_containing",
-        "_complete",
-        "_normal_memo",
-    )
+    __slots__ = ("rank", "rays", "maximal", "by_key", "faces_by_dim", "_complete", "_normal_memo")
 
-    def __init__(self, rank, rays, maximal, by_key, faces_by_dim, covers, max_containing):
+    def __init__(self, rank, rays, maximal, by_key, faces_by_dim):
         self.rank = rank
         self.rays = rays
         self.maximal = maximal
         self.by_key = by_key
         self.faces_by_dim = faces_by_dim
-        self.covers = covers
-        self.max_containing = max_containing
         self._complete = None
-        self._normal_memo = {}
+        self._normal_memo: dict[tuple, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, maximal={len(self.maximal)})"
@@ -411,33 +412,40 @@ class Fan:
             len(self.faces_by_dim.get(m, ())) for m in range(self.rank + 1)
         )
 
-    def is_complete(self, samples: int = 24) -> bool:
-        """Exact boundary pairing plus randomized coverage sampling."""
-        if self._complete is not None:
-            return self._complete
-        max_keys = [frozenset(k) for k in self.maximal]
-        ok = not any(self.by_key[k].dim != self.rank for k in max_keys)
-        if ok:
-            for wall in self.faces_by_dim.get(self.rank - 1, ()):
-                cnt = sum(1 for k in max_keys if wall.ray_indices <= k)
-                if cnt != 2:
-                    ok = False
-                    break
-        if ok:
-            rng = random.Random(0x5EED)
-            for _ in range(samples):
-                v = tuple(rng.randint(-40, 40) for _ in range(self.rank))
-                if not any(
-                    xl.nonnegative_combination(
-                        [self.rays[i] for i in sorted(k)], v
-                    )
-                    is not None
-                    for k in self.maximal
-                ):
-                    ok = False
-                    break
-        self._complete = ok
-        return ok
+    def covering_normal(self, mu: Face, tau: Face) -> tuple[int, ...]:
+        """The canonical normal of a covering pair ``mu < tau`` in ambient
+        coordinates (memoized)."""
+        key = (mu.ray_indices, tau.ray_indices)
+        if key not in self._normal_memo:
+            orient = [self.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
+            self._normal_memo[key] = normal_generator(mu.span_rows, tau.span_rows, orient)
+        return self._normal_memo[key]
+
+    def is_complete(self) -> bool:
+        """Does the support cover the whole space?  Exact: every maximal cone
+        is full-dimensional and every wall lies in exactly two maximal cones.
+
+        These conditions suffice.  Let ``S`` be the union of the cones of
+        codimension at least two; its complement is connected.  A point of
+        the support outside ``S`` lies in the interior of a maximal cone or
+        in the relative interior of a wall, and the two maximal cones on a
+        wall lie on opposite sides of it, because validated cones meet only
+        in a common face; either way a neighbourhood of the point lies in the
+        support.  So the support minus ``S`` is open and closed in the
+        complement of ``S`` and nonempty, hence all of it, and the support,
+        being closed, is the whole space.  Fan validation rejects a cone
+        listed twice, which would count each of its walls twice.  The
+        conditions are also necessary when no listed cone is a face of
+        another: a wall in one maximal cone has uncovered points right
+        across it.
+        """
+        if self._complete is None:
+            max_keys = [frozenset(k) for k in self.maximal]
+            self._complete = all(self.by_key[k].dim == self.rank for k in max_keys) and all(
+                sum(1 for k in max_keys if wall.ray_indices <= k) == 2
+                for wall in self.faces_by_dim.get(self.rank - 1, ())
+            )
+        return self._complete
 
 
 def _strictly_separable(columns) -> bool:
@@ -452,7 +460,7 @@ def _strictly_separable(columns) -> bool:
     return xl.nonnegative_combination(cols, (0,) * width + (1,)) is None
 
 
-def fan_from_cones(rays, maximal_sets, rank: int | None = None, validate: bool = True) -> Fan:
+def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
     """Assemble a fan from shared rays and maximal cones (ray-index lists)."""
     rays = tuple(_ivec(r) for r in rays)
     if not rays:
@@ -474,6 +482,8 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None, validate: bool =
     for s in maximal:
         if any(i < 0 or i >= len(rays) for i in s):
             raise ValidationError("cone refers to a missing ray")
+    if len(set(maximal)) != len(maximal):
+        raise ValidationError("a maximal cone is listed twice")
 
     by_key: dict[frozenset[int], Face] = {}
     cone_faces: list[set[frozenset[int]]] = []
@@ -491,26 +501,24 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None, validate: bool =
                 by_key[gkey] = Face(gkey, f.dim, f.span_rows, f.perp_rows)
         cone_faces.append(fkeys)
 
-    if validate:
-        for (ia, sa), (ib, sb) in itertools.combinations(enumerate(maximal), 2):
-            common = frozenset(sa) & frozenset(sb)
-            if common not in cone_faces[ia] or common not in cone_faces[ib]:
-                raise ValidationError(
-                    f"cones {sa} and {sb} share rays {sorted(common)} but not a face"
-                )
-            perp = by_key[common].perp_rows
-            proj = xl.integer_matrix(perp, rank) if perp else xl.zeros_matrix(0, rank)
-            cols = []
-            for i in sa:
-                if i not in common:
-                    cols.append(tuple(_dot(p, rays[i]) for p in perp))
-            for i in sb:
-                if i not in common:
-                    cols.append(tuple(-_dot(p, rays[i]) for p in perp))
-            if not _strictly_separable(cols):
-                raise ValidationError(
-                    f"cones {sa} and {sb} overlap beyond their common face"
-                )
+    for (ia, sa), (ib, sb) in itertools.combinations(enumerate(maximal), 2):
+        common = frozenset(sa) & frozenset(sb)
+        if common not in cone_faces[ia] or common not in cone_faces[ib]:
+            raise ValidationError(
+                f"cones {sa} and {sb} share rays {sorted(common)} but not a face"
+            )
+        perp = by_key[common].perp_rows
+        cols = []
+        for i in sa:
+            if i not in common:
+                cols.append(tuple(_dot(p, rays[i]) for p in perp))
+        for i in sb:
+            if i not in common:
+                cols.append(tuple(-_dot(p, rays[i]) for p in perp))
+        if not _strictly_separable(cols):
+            raise ValidationError(
+                f"cones {sa} and {sb} overlap beyond their common face"
+            )
 
     faces_by_dim: dict[int, tuple[Face, ...]] = {}
     top = max(f.dim for f in by_key.values())
@@ -518,18 +526,7 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None, validate: bool =
         fs = [f for f in by_key.values() if f.dim == m]
         fs.sort(key=lambda f: f.key)
         faces_by_dim[m] = tuple(fs)
-    covers: dict[frozenset[int], tuple[Face, ...]] = {}
-    for m in range(top):
-        for f in faces_by_dim[m]:
-            covers[f.ray_indices] = tuple(
-                g
-                for g in faces_by_dim.get(m + 1, ())
-                if f.ray_indices < g.ray_indices
-            )
-    max_containing: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
-    for k in by_key:
-        max_containing[k] = tuple(s for s in maximal if k <= set(s))
-    return Fan(rank, rays, maximal, by_key, faces_by_dim, covers, max_containing)
+    return Fan(rank, rays, maximal, by_key, faces_by_dim)
 
 
 def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:

@@ -198,7 +198,6 @@ def lift_identities(fan, divisor):
     of each face (and covering pair) of a divisor's fan."""
     from toricdef import normal_generator
     from toricdef.exact_linalg import reduce_mod_rows
-    from toricdef.ishida import _fan_normal
 
     n = fan.rank
     vertical = (0,) * n + (1,)
@@ -221,7 +220,7 @@ def lift_identities(fan, divisor):
         n_hat = normal_generator(lm.hat_span, lt.hat_span, orient)
         n_til = normal_generator(lm.tilde_span, lt.tilde_span, orient)
         # the embedded quotient-fan normal agrees with the epigraph normal
-        n_emb = _fan_normal(fan, mu, tau) + (0,)
+        n_emb = fan.covering_normal(mu, tau) + (0,)
         assert reduce_mod_rows(n_emb, lm.tilde_span) == reduce_mod_rows(
             n_til, lm.tilde_span
         )

@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import betti_oracle, interior_vector, lift_identities, random_cone
+from conftest import (
+    betti_oracle,
+    interior_vector,
+    lift_identities,
+    random_complete_simplicial_fan,
+    random_cone,
+)
 from toricdef import (
     NotAmple,
     NotComplete,
@@ -76,6 +82,26 @@ def test_top_complex_matches_plain_fan_complex(cone_a):
     assert len(L.top.diffs) == len(plain.diffs)
     for a, b in zip(L.top.diffs, plain.diffs):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("source", ["star quotient", "stellar fan"])
+def test_tilde_complexes_are_the_fan_complexes(source, cone_13):
+    if source == "star quotient":
+        fan, D = star_quotient(cone_13, interior_vector(cone_13))
+    else:
+        rng = random.Random(5)
+        fan = random_complete_simplicial_fan(rng, 3, 4)
+        alpha = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in fan.rays]
+        D = support_data(fan, alpha)
+    for p in range(fan.rank):
+        L = lifted_complex(fan, D, p)
+        for tilde, level in ((L.top, p + 1), (L.bottom, p)):
+            plain = ishida_fan(fan, level)
+            k = len(plain.terms)
+            # the bottom complex is padded with zero terms to the common depth
+            assert tilde.dims[:k] == plain.dims and not any(tilde.dims[k:])
+            for a, b in zip(tilde.diffs, plain.diffs):
+                assert np.array_equal(a, b)
 
 
 def test_middle_dims_are_sums(p112_fan):

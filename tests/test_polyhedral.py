@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CUBE_RAYS, GLUED_RAYS, random_cone, random_interior
+from conftest import (
+    CUBE_RAYS,
+    GLUED_RAYS,
+    random_apex,
+    random_complete_simplicial_fan,
+    random_cone,
+    random_interior,
+)
 from toricdef import (
     ApexInHyperplane,
     NotAPermutation,
@@ -26,7 +33,8 @@ from toricdef import (
     pyramid,
     star_quotient,
 )
-from toricdef.exact_linalg import reduce_mod_rows
+from toricdef.exact_linalg import nonnegative_combination, reduce_mod_rows
+from toricdef.polyhedral import face_cone
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +91,19 @@ def test_diamond_property_on_fixtures(cone_a, cone_13, cube_cone, glued_cone):
         assert face_lattice(cone).check_diamond()
 
 
+def test_face_cone_matches_cone_from_rays(cone_a, cone_b, cone_13):
+    rng = random.Random(11)
+    pyramids = []
+    for _ in range(3):
+        base = random_cone(rng, rng.choice((3, 4)))
+        pyramids.append(pyramid(base, random_apex(rng, base.rank)))
+    for cone in (cone_a, cone_b, cone_13, *pyramids):
+        for f in face_lattice(cone).all_faces[1:]:
+            sub = face_cone(cone, f)
+            oracle = cone_from_rays([cone.rays[i] for i in sorted(f.ray_indices)], cone.rank)
+            assert (sub.rank, sub.rays, sub.dim) == (oracle.rank, oracle.rays, oracle.dim)
+
+
 def test_meet_and_cover_relations(cube_cone):
     lat = face_lattice(cube_cone)
     top = lat.top()
@@ -135,9 +156,45 @@ def test_p2_fan_complete(p2_fan):
     assert p2_fan.face_counts() == (1, 3, 3)
 
 
+def _uncovered_sample(fan, samples: int = 24):
+    """A seeded random lattice point outside every maximal cone, or None:
+    a randomized coverage probe that cross-checks the exact completeness
+    test."""
+    rng = random.Random(0x5EED)
+    for _ in range(samples):
+        v = tuple(rng.randint(-40, 40) for _ in range(fan.rank))
+        if not any(
+            nonnegative_combination([fan.rays[i] for i in k], v) is not None for k in fan.maximal
+        ):
+            return v
+    return None
+
+
 def test_incomplete_fan():
     fan = fan_from_cones(((1, 0), (0, 1)), ((0, 1),), 2)
     assert not fan.is_complete()
+    assert _uncovered_sample(fan) is not None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_completeness_agrees_with_sampled_coverage(seed):
+    rng = random.Random(seed)
+    fan = random_complete_simplicial_fan(rng, rng.choice((2, 3)), rng.randrange(0, 5))
+    assert fan.is_complete()
+    assert _uncovered_sample(fan) is None
+    # without one maximal cone the fan misses that cone's interior
+    drop = rng.randrange(len(fan.maximal))
+    rest = fan.maximal[:drop] + fan.maximal[drop + 1 :]
+    holed = fan_from_cones(fan.rays, rest, fan.rank)
+    assert not holed.is_complete()
+    inside = tuple(sum(fan.rays[i][c] for i in fan.maximal[drop]) for c in range(fan.rank))
+    assert all(nonnegative_combination([fan.rays[i] for i in k], inside) is None for k in rest)
+
+
+def test_fan_rejects_a_repeated_cone():
+    # a cone listed twice would put each of its walls in two maximal cones
+    with pytest.raises(ValidationError):
+        fan_from_cones(((1, 0), (0, 1)), ((0, 1), (1, 0)), 2)
 
 
 def test_fan_rejects_overlapping_cones():
