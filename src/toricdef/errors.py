@@ -2,8 +2,9 @@
 
 Every failure mode that callers are expected to catch has a stable
 identifier (``.ident``) and a distinct process exit code (``.exit_code``)
-used by the command line driver.  Internal bugs raise plain AssertionError
-and are not part of this vocabulary.
+used by the command line interface.  A broken mathematical invariant raises
+:class:`InvariantViolation`, which a ``python -O`` run keeps; the remaining
+bare ``assert`` statements are internal checks outside this vocabulary.
 """
 
 from __future__ import annotations
@@ -112,6 +113,14 @@ class SizeGuard(ToricError):
     exit_code = 19
 
 
+class InvariantViolation(ToricError):
+    """An identity the mathematics guarantees failed to hold: a bug, not
+    bad input."""
+
+    ident = "INVARIANT_VIOLATION"
+    exit_code = 20
+
+
 ALL_ERRORS = [
     ParseError,
     ValidationError,
@@ -131,4 +140,5 @@ ALL_ERRORS = [
     WrongDimension,
     InvalidShelling,
     SizeGuard,
+    InvariantViolation,
 ]

@@ -1,7 +1,12 @@
 """Exact linear algebra over Q and over integer lattices.
 
-All matrices in this package are numpy arrays with ``dtype=object`` whose
-entries are Python ints or ``fractions.Fraction``.  Nothing here ever touches
+Matrices at the public boundary are numpy arrays with ``dtype=object``
+whose entries are Python ints or ``fractions.Fraction``.  The lattice and
+contraction kernel behind it (Smith and Hermite forms, coordinates by
+back-substitution in echelon bases, Bareiss determinants, compound-minor
+contraction and expansion blocks) runs on plain ``int`` lists;
+``Fraction`` remains in :func:`rref`, :func:`solve_matrix` and the simplex,
+and wherever a caller passes rational vectors.  Nothing here ever touches
 floating point; determinism and exactness are the whole point.
 
 Conventions
@@ -21,12 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 
 import numpy as np
 
-from .errors import NotContained, SpanViolation, ZeroVector
+from .errors import InvariantViolation, NotContained, SpanViolation, ZeroVector
 
 
 class _Infinite:
@@ -242,7 +247,7 @@ def matrix_rank(m: np.ndarray) -> int:
     """Exact rank; integer matrices take the fraction-free path."""
     if m.size == 0:
         return 0
-    if all(isinstance(x, (int, np.integer)) for _, x in np.ndenumerate(m)):
+    if all(isinstance(x, (int, np.integer)) for row in m.tolist() for x in row):
         return integer_rank(m)
     return len(rref(m)[1])
 
@@ -251,15 +256,17 @@ def matrix_rank(m: np.ndarray) -> int:
 # integer lattice computations
 
 
-def smith_normal_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smith normal form by tracked elementary operations.
+def _mul(x: list[list], y: list[list], ncols: int) -> list[list]:
+    """Product of two list matrices; ``ncols`` is the width of ``y``."""
+    cols = [[row[j] for row in y] for j in range(ncols)]
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
-    Returns unimodular ``U`` (rows ops) and ``V`` (column ops) and diagonal
-    ``D`` with ``U @ A @ V = D``, nonnegative diagonal entries and
-    ``D[i,i] | D[i+1,i+1]``.
-    """
-    m, n = a.shape
-    d = [[_as_int(a[i, j]) for j in range(n)] for i in range(m)]
+
+def _smith(a: list[list[int]], n: int) -> tuple[list, list, list]:
+    """Smith normal form of an ``m x n`` integer list matrix by tracked
+    elementary operations: ``(U, D, V)`` with ``U A V = D``, checked."""
+    m = len(a)
+    d = [list(r) for r in a]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -320,11 +327,21 @@ def smith_normal_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    um = integer_matrix(u, m)
-    vm = integer_matrix(v, n)
-    dm = integer_matrix(d, n)
-    assert mat_eq(mat_mul(mat_mul(um, a), vm), dm)
-    return um, dm, vm
+    if _mul(_mul(u, a, n), v, n) != d:
+        raise InvariantViolation("Smith form: U A V differs from D")
+    return u, d, v
+
+
+def smith_normal_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smith normal form by tracked elementary operations.
+
+    Returns unimodular ``U`` (rows ops) and ``V`` (column ops) and diagonal
+    ``D`` with ``U @ A @ V = D``, nonnegative diagonal entries and
+    ``D[i,i] | D[i+1,i+1]``.
+    """
+    m, n = a.shape
+    u, d, v = _smith([[_as_int(x) for x in row] for row in a.tolist()], n)
+    return integer_matrix(u, m), integer_matrix(d, n), integer_matrix(v, n)
 
 
 def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
@@ -362,12 +379,9 @@ def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
 def integer_kernel_rows(a: np.ndarray) -> list[tuple[int, ...]]:
     """Canonical basis of the saturated lattice {x in Z^n : A x = 0}."""
     m, n = a.shape
-    if m == 0:
-        return [tuple(identity_matrix(n)[i]) for i in range(n)]
-    _, d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(m, n)) if d[i, i] != 0)
-    cols = [tuple(int(v[i, j]) for i in range(n)) for j in range(r, n)]
-    return hermite_rows(cols, n)
+    _, d, v = _smith([[_as_int(x) for x in row] for row in a.tolist()], n)
+    r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
+    return hermite_rows([[row[j] for row in v] for j in range(r, n)], n)
 
 
 def saturation_rows(rows, width: int) -> list[tuple[int, ...]]:
@@ -387,26 +401,18 @@ def lattice_index(sub_rows, super_rows, width: int):
     not in the group (the index is not a group order then).
     """
     sub = integer_matrix(sub_rows, width)
-    sup = integer_matrix(super_rows, width)
     basis = hermite_rows(super_rows, width)
-    bmat = integer_matrix(basis, width)
-    coords = solve_matrix(
-        bmat.T if basis else zeros_matrix(width, 0),
-        sub.T,
-    )
+    coords = coordinates(basis, sub.tolist())
     if coords is None:
         raise SpanViolation("sub generators leave the span of the super lattice")
-    rank_sub = matrix_rank(sub)
-    rank_sup = len(basis)
-    if rank_sub < rank_sup:
+    if matrix_rank(sub) < len(basis):
         return INFINITE
-    try:
-        cmat = integer_matrix(coords.T.tolist(), len(basis))
-    except ValueError:
-        raise ValueError("sub generators are not in the super lattice") from None
-    _, d, _ = smith_normal_form(cmat)
-    diag = [int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
-    assert len(diag) == rank_sup
+    if any(not isinstance(x, int) for row in coords for x in row):
+        raise ValueError("sub generators are not in the super lattice")
+    _, d, _ = _smith(coords, len(basis))
+    diag = [d[i][i] for i in range(min(len(d), len(basis))) if d[i][i] != 0]
+    if len(diag) != len(basis):
+        raise InvariantViolation("full-rank sublattice with a zero invariant factor")
     idx = 1
     for x in diag:
         idx *= abs(x)
@@ -429,7 +435,7 @@ def reduce_mod_rows(v, basis_rows) -> tuple[int, ...]:
     Hermite basis: at each pivot column the entry lands in [0, pivot)."""
     w = [_as_int(x) for x in v]
     for row in basis_rows:
-        pc = next(i for i, x in enumerate(row) if x != 0)
+        pc = _pivot(row)
         q = w[pc] // row[pc]
         if q:
             w = [a - q * b for a, b in zip(w, row)]
@@ -467,8 +473,101 @@ def solve_unit_pairing(w) -> tuple[int, ...]:
             break
     if g != 1:
         raise ValueError(f"pairing vector is not primitive (gcd {g})")
-    assert sum(a * _as_int(b) for a, b in zip(coeff, w)) == 1
+    if sum(a * _as_int(b) for a, b in zip(coeff, w)) != 1:
+        raise InvariantViolation("extended Euclid did not reach a unit pairing")
     return tuple(coeff)
+
+
+# ---------------------------------------------------------------------------
+# coordinates and determinants on int lists
+
+
+def _pivot(row) -> int | None:
+    return next((i for i, x in enumerate(row) if x != 0), None)
+
+
+def is_echelon(rows) -> bool:
+    """Does each row start (first nonzero entry) strictly right of the one
+    before?  Hermite bases do."""
+    last = -1
+    for row in rows:
+        c = _pivot(row)
+        if c is None or c <= last:
+            return False
+        last = c
+    return True
+
+
+def _div(a, b):
+    """Exact ``a / b``: an int when it divides, else a Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return _norm_scalar(Fraction(a) / b)
+
+
+def coordinates(basis_rows, vectors) -> list[list] | None:
+    """Coordinates of each vector in the independent ``basis_rows``, or None
+    when some vector leaves their span.
+
+    An echelon basis is solved by back-substitution along its pivots: at
+    the pivot of row ``i`` every later row is zero, so the coefficient of
+    row ``i`` is the remaining entry there over the pivot.  Coordinates are
+    ints where they are integral.  A basis not in echelon form costs one
+    rational solve.
+    """
+    basis = [tuple(r) for r in basis_rows]
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return []
+    if not is_echelon(basis):
+        x = solve_matrix(object_matrix(basis, len(vectors[0])).T, object_matrix(vectors).T)
+        return None if x is None else x.T.tolist()
+    pivots = [_pivot(row) for row in basis]
+    out = []
+    for v in vectors:
+        w = list(v)
+        coords = []
+        for row, c in zip(basis, pivots):
+            q = _div(w[c], row[c]) if w[c] else 0
+            if q:
+                w = [x - q * y for x, y in zip(w, row)]
+            coords.append(q)
+        if any(w):
+            return None
+        out.append(coords)
+    return out
+
+
+def integer_det(mat) -> int:
+    """Determinant of a square int matrix by fraction-free elimination
+    (Bareiss 1968): every division in the update is exact."""
+    m = [list(r) for r in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pk, rk = m[k][k], m[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pk * ri[j] - f * rk[j]) // prev
+        prev = pk
+    return sign * m[n - 1][n - 1]
+
+
+def _scaled_to_int(rows) -> tuple[list[list[int]], int]:
+    """``(L * rows, L)`` with ``L`` the least common denominator."""
+    scale = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[(x * scale).numerator for x in row] for row in rows], scale
 
 
 # ---------------------------------------------------------------------------
@@ -595,63 +694,23 @@ class ExteriorBasis:
         return comb(self.base.dim, self.degree) if self.degree <= self.base.dim else 0
 
 
-def _det(mat: list[list]) -> Fraction:
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
-@lru_cache(maxsize=None)
-def _wedge_coordinates(eb: ExteriorBasis) -> np.ndarray:
-    """Coordinates of the wedge basis inside Wedge^k(Q^m), as columns."""
-    m = eb.base.ambient_dim
-    k = eb.degree
-    amb = list(itertools.combinations(range(m), k))
-    out = zeros_matrix(len(amb), eb.size)
-    for col, js in enumerate(eb.subsets):
-        vecs = [eb.base.vectors[j] for j in js]
-        for rowi, s in enumerate(amb):
-            out[rowi, col] = _norm_scalar(_det([[v[c] for c in s] for v in vecs]))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _ambient_contraction(n: tuple, m: int, k: int) -> np.ndarray:
-    """Contraction by ``n`` on Wedge^k(Q^m) in coordinate bases."""
-    src = list(itertools.combinations(range(m), k))
-    dst = {s: i for i, s in enumerate(itertools.combinations(range(m), k - 1))}
-    out = zeros_matrix(len(dst), len(src))
-    for col, s in enumerate(src):
-        for pos, idx in enumerate(s):
-            row = dst[s[:pos] + s[pos + 1:]]
-            val = out[row, col] + (n[idx] if pos % 2 == 0 else -n[idx])
-            out[row, col] = _norm_scalar(val)
-    return out
-
-
 def contraction_matrix(n, source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray:
     """Matrix of contraction by the vector ``n`` from ``source`` to ``target``.
 
     On a wedge of basis covectors a_1 ^ ... ^ a_k the contraction is
     ``sum_i (-1)^(i+1) <n, a_i> a_1 ^ ... ^ (omit a_i) ^ ... ^ a_k``.
     Raises NOT_CONTAINED when the image leaves the span of the target basis.
+
+    With ``p_i = <n, a_i>`` and any ``a`` with ``<n, a> = 1``, the rows
+    ``g_i = a_i - p_i a`` lie in the kernel of ``n``, and expanding
+    ``a_I = ^(p_i a + g_i)`` gives ``i_n(a_I) = sum_r (-1)^r p_(I_r)
+    g_(I - I_r)``, so by Cauchy-Binet the block entry at ``(J, I)`` is
+    ``sum_r (-1)^r p_(I_r) det G[I - I_r, J]``, ``G`` being the coordinates
+    of the ``g_i`` in the target basis.  The choice of ``a`` cancels.  Here
+    ``a = a_j / p_j`` with ``|p_j|`` least, and the rows ``p_j g_i = p_j a_i
+    - p_i a_j`` are used instead, so integral bases give integral
+    coordinates; each minor then carries a factor ``p_j^(k-1)``, divided
+    out exactly at the end.
     """
     if source.base.ambient_dim != target.base.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -659,25 +718,60 @@ def contraction_matrix(n, source: ExteriorBasis, target: ExteriorBasis) -> np.nd
         raise ValueError("target degree must be source degree - 1")
     if len(n) != source.base.ambient_dim:
         raise ValueError("vector length mismatch")
-    amb = _ambient_contraction(tuple(n), source.base.ambient_dim, source.degree)
-    image = mat_mul(amb, _wedge_coordinates(source))
-    x = solve_matrix(_wedge_coordinates(target), image)
-    if x is None:
+    src, dst = source.subsets, target.subsets
+    rows = source.base.vectors
+    p = [_norm_scalar(sum(x * y for x, y in zip(n, a))) for a in rows]
+    if not src or not any(p):
+        return zeros_matrix(len(dst), len(src))
+    if source.degree == 1:
+        return object_matrix([p])
+    j = min((i for i, x in enumerate(p) if x), key=lambda i: abs(p[i]))
+    pj, aj = p[j], rows[j]
+    g = coordinates(
+        target.base.vectors, [[pj * x - pi * y for x, y in zip(row, aj)] for row, pi in zip(rows, p)]
+    )
+    if g is None:
         raise NotContained("contracted forms leave the target exterior basis span")
-    for idx, val in np.ndenumerate(x):
-        x[idx] = _norm_scalar(val)
-    return x
+    g, scale = _scaled_to_int(g)
+    scale *= pj
+    minors = {
+        rs: [integer_det([[g[r][c] for c in cs] for r in rs]) for cs in dst]
+        for rs in itertools.combinations(range(len(rows)), source.degree - 1)
+    }
+    out = zeros_matrix(len(dst), len(src))
+    scale **= source.degree - 1
+    for col, idx in enumerate(src):
+        acc = [0] * len(dst)
+        for r, i in enumerate(idx):
+            if p[i]:
+                c = p[i] if r % 2 == 0 else -p[i]
+                acc = [x + c * y for x, y in zip(acc, minors[idx[:r] + idx[r + 1:]])]
+        for row, x in enumerate(acc):
+            out[row, col] = _div(x, scale)
+    return out
 
 
 def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray:
-    """Matrix of the identity inclusion of one exterior basis into another."""
+    """Matrix of the identity inclusion of one exterior basis into another.
+
+    With ``E`` the coordinates of the source vectors in the target basis,
+    the entry at ``(J, I)`` is the minor ``det E[I, J]``.
+    """
     if source.base.ambient_dim != target.base.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if source.degree != target.degree:
         raise ValueError("degree mismatch")
-    x = solve_matrix(_wedge_coordinates(target), _wedge_coordinates(source))
-    if x is None:
+    src, dst = source.subsets, target.subsets
+    if source.degree == 0:
+        return identity_matrix(1)
+    if not src:
+        return zeros_matrix(len(dst), 0)
+    e = coordinates(target.base.vectors, source.base.vectors)
+    if e is None:
         raise NotContained("source wedge space is not inside the target span")
-    for idx, val in np.ndenumerate(x):
-        x[idx] = _norm_scalar(val)
-    return x
+    e, scale = _scaled_to_int(e)
+    scale **= source.degree
+    return object_matrix(
+        [[_div(integer_det([[e[r][c] for c in cs] for r in rs]), scale) for rs in src] for cs in dst],
+        len(src),
+    )

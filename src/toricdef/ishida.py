@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from . import exact_linalg as xl
-from .errors import NotAComplex, ValidationError
+from .errors import InvariantViolation, NotAComplex, ValidationError
 from .polyhedral import Cone, Face, Fan, face_cone, face_lattice
 
 
@@ -109,10 +109,14 @@ def assemble_complex(label: str, layers, entry_fn, check: bool = True) -> Labele
                 m = entry_fn(i, sb, tb)
                 if m is None:
                     continue
-                assert m.shape == (tb.size, sb.size)
-                for (r, c), v in np.ndenumerate(m):
-                    if v != 0:
-                        d[tb.offset + r, sb.offset + c] = xl._as_int(v)
+                if m.shape != (tb.size, sb.size):
+                    raise InvariantViolation(
+                        f"{label}: block of shape {m.shape} between blocks of sizes {sb.size} and {tb.size}"
+                    )
+                for r, row in enumerate(m.tolist(), start=tb.offset):
+                    for c, v in enumerate(row, start=sb.offset):
+                        if v != 0:
+                            d[r, c] = xl._as_int(v)
         diffs.append(d)
     if check:
         for i in range(len(diffs) - 1):

@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import exact_linalg as xl
 from .errors import (
     ApexInHyperplane,
+    InvariantViolation,
     InvalidShelling,
     NotAPermutation,
     NotCovering,
@@ -145,13 +146,10 @@ class FaceLattice:
         self.cone = cone
         n, d = cone.rank, cone.dim
         self.span_rows = tuple(xl.saturation_rows(cone.rays, n)) if cone.rays else ()
-        bmat = xl.integer_matrix(self.span_rows, n)
-        coords = []
-        for r in cone.rays:
-            x = xl.solve_matrix(bmat.T, xl.integer_matrix([r], n).T)
-            assert x is not None
-            coords.append(tuple(xl._as_int(x[i, 0]) for i in range(d)))
-        self.ray_coords = tuple(coords)
+        coords = xl.coordinates(self.span_rows, cone.rays)
+        if coords is None:
+            raise InvariantViolation("a ray leaves the saturated span of the rays")
+        self.ray_coords = tuple(tuple(x) for x in coords)
 
         facet_sets, facet_normals = self._enumerate_facets()
         self.facet_normals = facet_normals  # key -> intrinsic inner normal
@@ -267,11 +265,8 @@ class FaceLattice:
 
     def interior_coords(self, v) -> list[Fraction] | None:
         """Intrinsic coordinates of ``v`` if it lies in the cone's span."""
-        bmat = xl.integer_matrix(self.span_rows, self.cone.rank)
-        x = xl.solve_matrix(bmat.T, xl.rational_matrix([v], self.cone.rank).T)
-        if x is None:
-            return None
-        return [x[i, 0] for i in range(self.cone.dim)]
+        x = xl.coordinates(self.span_rows, [v])
+        return None if x is None else x[0]
 
     def is_interior(self, v) -> bool:
         """Strict relative interiority of an ambient vector."""
@@ -329,33 +324,24 @@ def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors) -> tuple[
         raise NotCovering("lattices do not differ in rank by one")
     width = len(tau_span_rows[0])
     dt = len(tau_span_rows)
-    bt = xl.integer_matrix(tau_span_rows, width)
-    if mu_span_rows:
-        bm = xl.integer_matrix(mu_span_rows, width)
-        cm = xl.solve_matrix(bt.T, bm.T)
-        if cm is None:
-            raise NotCovering("mu lattice is not inside tau lattice")
-        cmat = xl.integer_matrix(cm.T.tolist(), dt)
-    else:
-        cmat = xl.zeros_matrix(0, dt)
-    kern = xl.integer_kernel_rows(cmat)
-    if len(kern) != 1:
+    cm = xl.coordinates(tau_span_rows, mu_span_rows)
+    if cm is None or not all(isinstance(x, int) for row in cm for x in row):
+        raise NotCovering("mu lattice is not inside tau lattice")
+    # the kernel of the r x (r+1) matrix cm is spanned by its signed maximal minors
+    w = [(-1) ** j * xl.integer_det([row[:j] + row[j + 1:] for row in cm]) for j in range(dt)]
+    if not any(w):
         raise NotCovering("quotient is not of rank one")
-    w = kern[0]
-    signs = []
-    for r in orientation_vectors:
-        x = xl.solve_matrix(bt.T, xl.integer_matrix([r], width).T)
-        if x is None:
-            raise NotCovering("orientation vector outside the tau lattice span")
-        signs.append(_dot(w, (xl._as_int(x[i, 0]) for i in range(dt))))
+    w = xl.primitive_vector(w)
+    coords = xl.coordinates(tau_span_rows, orientation_vectors)
+    if coords is None:
+        raise NotCovering("orientation vector outside the tau lattice span")
+    signs = [_dot(w, x) for x in coords]
     if not signs or 0 in signs or (min(signs) < 0 < max(signs)):
         raise NotCovering("orientation vectors do not fix a positive side")
     if signs[0] < 0:
         w = tuple(-x for x in w)
     y = xl.solve_unit_pairing(w)
-    lift = tuple(
-        sum(y[i] * tau_span_rows[i][j] for i in range(dt)) for j in range(width)
-    )
+    lift = tuple(sum(y[i] * tau_span_rows[i][j] for i in range(dt)) for j in range(width))
     return xl.reduce_mod_rows(lift, mu_span_rows)
 
 
@@ -433,11 +419,10 @@ class Fan:
         in a common face; either way a neighbourhood of the point lies in the
         support.  So the support minus ``S`` is open and closed in the
         complement of ``S`` and nonempty, hence all of it, and the support,
-        being closed, is the whole space.  Fan validation rejects a cone
-        listed twice, which would count each of its walls twice.  The
-        conditions are also necessary when no listed cone is a face of
-        another: a wall in one maximal cone has uncovered points right
-        across it.
+        being closed, is the whole space.  Fan validation rejects a listed
+        cone that is a face of another, a cone listed twice included (its
+        walls would count twice), so the conditions are necessary as well: a
+        wall in only one maximal cone has uncovered points right across it.
         """
         if self._complete is None:
             max_keys = [frozenset(k) for k in self.maximal]
@@ -482,8 +467,6 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
     for s in maximal:
         if any(i < 0 or i >= len(rays) for i in s):
             raise ValidationError("cone refers to a missing ray")
-    if len(set(maximal)) != len(maximal):
-        raise ValidationError("a maximal cone is listed twice")
 
     by_key: dict[frozenset[int], Face] = {}
     cone_faces: list[set[frozenset[int]]] = []
@@ -507,6 +490,8 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
             raise ValidationError(
                 f"cones {sa} and {sb} share rays {sorted(common)} but not a face"
             )
+        if common == frozenset(sa) or common == frozenset(sb):
+            raise ValidationError(f"cones {sa} and {sb}: one is a face of the other")
         perp = by_key[common].perp_rows
         cols = []
         for i in sa:

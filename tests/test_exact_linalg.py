@@ -1,8 +1,14 @@
 """Exact linear algebra: cross-checks against sympy and structural
 properties of the lattice and exterior-algebra helpers."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricdef import exact_linalg as xl
-from toricdef.errors import SpanViolation, ZeroVector
+from toricdef.errors import NotContained, SpanViolation, ZeroVector
 
 # ---------------------------------------------------------------------------
 # rank / kernel / solve against sympy
@@ -225,3 +231,324 @@ def test_expansion_then_contraction_subspace():
 def test_subspace_basis_validates_independence():
     with pytest.raises(Exception):
         xl.SubspaceBasis(3, ((1, 0, 0), (2, 0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against sympy references of the textbook definitions
+#
+# The case builders and ``*_mismatch`` helpers use no ``assert``, so the
+# ``python -O`` subprocess test below can run them unchanged.
+
+
+def _exact(x):
+    """A sympy number as the package represents it: int when integral."""
+    x = sympy.Rational(x)
+    return int(x) if x.q == 1 else Fraction(int(x.p), int(x.q))
+
+
+def _sympy_rank(rows):
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+def _wedge_columns(vectors, k, m):
+    """Coordinates in Wedge^k(Q^m) of the wedges of ``k`` of the vectors:
+    one column per index subset, one row per ambient subset (sympy minors)."""
+    amb = list(itertools.combinations(range(m), k))
+    subsets = list(itertools.combinations(range(len(vectors)), k))
+    out = sympy.zeros(len(amb), len(subsets))
+    for c, js in enumerate(subsets):
+        for r, cols in enumerate(amb):
+            out[r, c] = sympy.Matrix(k, k, [vectors[j][col] for j in js for col in cols]).det() if k else 1
+    return out
+
+
+def _sympy_solve(a, b):
+    """The unique X with A X = B (A of full column rank), or None."""
+    if a.cols == 0:
+        return sympy.zeros(0, b.cols) if b.is_zero_matrix else None
+    try:
+        x, params = a.gauss_jordan_solve(b)
+    except ValueError:
+        return None
+    return x if not params else None
+
+
+def _reference_contraction(n, source, target):
+    """The old definition: contract in ambient wedge coordinates, then solve
+    against the target's wedge coordinates."""
+    m, k = source.base.ambient_dim, source.degree
+    src = list(itertools.combinations(range(m), k))
+    dst = {s: i for i, s in enumerate(itertools.combinations(range(m), k - 1))}
+    amb = sympy.zeros(len(dst), len(src))
+    for col, s in enumerate(src):
+        for pos, idx in enumerate(s):
+            amb[dst[s[:pos] + s[pos + 1:]], col] += (-1) ** pos * sympy.Rational(n[idx])
+    image = amb * _wedge_columns(source.base.vectors, k, m)
+    x = _sympy_solve(_wedge_columns(target.base.vectors, k - 1, m), image)
+    return None if x is None else [[_exact(v) for v in x.row(r)] for r in range(x.rows)]
+
+
+def _reference_expansion(source, target):
+    m, k = source.base.ambient_dim, source.degree
+    x = _sympy_solve(_wedge_columns(target.base.vectors, k, m), _wedge_columns(source.base.vectors, k, m))
+    return None if x is None else [[_exact(v) for v in x.row(r)] for r in range(x.rows)]
+
+
+def _independent_rows(rng, count, width, bound=3):
+    while True:
+        rows = _random_int_matrix(rng, count, width, bound)
+        if _sympy_rank(rows) == count:
+            return [tuple(r) for r in rows]
+
+
+def _integral(rows):
+    """Rational rows scaled to primitive integer rows."""
+    out = []
+    for r in rows:
+        q = sympy.ilcm(1, *(sympy.Rational(x).q for x in r))
+        out.append(xl.primitive_vector([int(sympy.Rational(x) * q) for x in r]))
+    return out
+
+
+def _present(rows, kind, width):
+    """The span of ``rows`` in a basis of the given kind."""
+    if kind == "echelon":
+        return xl.hermite_rows(_integral(rows), width)
+    if kind == "rational":
+        # the reduced echelon basis over Q, with a second row mixed in
+        red = sympy.Matrix(rows).rref()[0]
+        out = [[_exact(x) for x in red.row(i)] for i in range(len(rows))]
+        if len(out) > 1:
+            out[-1] = [x + Fraction(1, 2) * y for x, y in zip(out[-1], out[0])]
+        return [tuple(r) for r in out]
+    out = [list(r) for r in reversed(_integral(rows))]
+    if len(out) > 1:
+        out[0] = [x + 2 * y for x, y in zip(out[0], out[1])]
+    return [tuple(r) for r in out]
+
+
+BASIS_KINDS = ("echelon", "non-echelon", "rational")
+
+
+def contraction_case(seed):
+    """A seeded (n, source, target, reference) with the target spanning the
+    kernel of n inside the source, one ambient space bigger, or (for
+    ``seed % 7 == 6``) a different subspace that misses the image."""
+    rng = random.Random(900 + seed)
+    m = rng.randrange(3, 6)
+    s = rng.randrange(2, m + 1)
+    k = rng.randrange(1, s + 1)
+    a = _independent_rows(rng, s, m)
+    while True:
+        n = [rng.randrange(-3, 4) for _ in range(m)]
+        p = [sum(x * y for x, y in zip(n, r)) for r in a]
+        if any(p):
+            break
+    if seed % 3 == 2:
+        n = [rng.choice((2, 3)) * x for x in n]  # a pairing that is not a unit
+    source = _present(a, BASIS_KINDS[seed % 3], m)
+    ps = [sum(x * y for x, y in zip(n, r)) for r in source]
+    kernel = [
+        [sum(c[i] * sympy.Rational(source[i][j]) for i in range(s)) for j in range(m)]
+        for c in sympy.Matrix([ps]).nullspace()
+    ]
+    if seed % 7 == 6:
+        target = _independent_rows(rng, s - 1, m)
+        if _sympy_rank(target + kernel) == s - 1:
+            target = [tuple(1 if i == j else 0 for j in range(m)) for i in range(s - 1)]
+    elif seed % 5 == 4:
+        target = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
+    else:
+        target = _present(kernel, BASIS_KINDS[(seed // 3) % 3], m)
+    src = xl.ExteriorBasis(xl.SubspaceBasis(m, source), k)
+    dst = xl.ExteriorBasis(xl.SubspaceBasis(m, target), k - 1)
+    return tuple(n), src, dst, _reference_contraction(n, src, dst)
+
+
+def expansion_case(seed):
+    """A seeded (source, target, reference): the source a subspace of the
+    target, or (for ``seed % 5 == 4``) one that leaves it."""
+    rng = random.Random(1900 + seed)
+    m = rng.randrange(2, 6)
+    t = rng.randrange(1, m + 1)
+    b = _independent_rows(rng, t, m)
+    s = rng.randrange(1, t + 1)
+    if seed % 5 == 4 and t < m:
+        a = _independent_rows(rng, s, m)
+        while _sympy_rank(a + b) == t:
+            a = _independent_rows(rng, s, m)
+    else:
+        while True:
+            coeff = _random_int_matrix(rng, s, t, 2)
+            a = [tuple(sum(c * r[j] for c, r in zip(row, b)) for j in range(m)) for row in coeff]
+            if _sympy_rank(a) == s:
+                break
+    k = rng.randrange(0, s + 1)
+    src = xl.ExteriorBasis(xl.SubspaceBasis(m, _present(a, BASIS_KINDS[seed % 3], m)), k)
+    dst = xl.ExteriorBasis(xl.SubspaceBasis(m, _present(b, BASIS_KINDS[(seed // 3) % 3], m)), k)
+    return src, dst, _reference_expansion(src, dst)
+
+
+def _block_mismatch(compute, expected):
+    """None when ``compute()`` equals the reference (values and int/Fraction
+    types) or raises NOT_CONTAINED exactly when there is none."""
+    try:
+        got = compute()
+    except NotContained:
+        return None if expected is None else "NotContained raised, reference exists"
+    if expected is None:
+        return f"expected NotContained, got {got.tolist()!r}"
+    if repr(got.tolist()) != repr(expected):
+        return f"{got.tolist()!r} != {expected!r}"
+    return None
+
+
+def contraction_mismatch(seed):
+    n, src, dst, ref = contraction_case(seed)
+    return _block_mismatch(lambda: xl.contraction_matrix(n, src, dst), ref)
+
+
+def expansion_mismatch(seed):
+    src, dst, ref = expansion_case(seed)
+    return _block_mismatch(lambda: xl.expansion_matrix(src, dst), ref)
+
+
+def det_mismatch(seed):
+    rng = random.Random(2900 + seed)
+    size = seed % 7
+    rows = _random_int_matrix(rng, size, size, 9)
+    if size > 1 and seed % 3 == 0:
+        rows[-1] = list(rows[0])  # singular
+    if size > 1 and seed % 4 == 1:
+        rows[0][0] = 0  # a pivot search at the first step
+    expected = int(sympy.Matrix(size, size, [x for r in rows for x in r]).det()) if size else 1
+    got = xl.integer_det(rows)
+    return None if got == expected else f"{rows}: {got} != {expected}"
+
+
+def _reference_normal(mu_rows, tau_rows, orientation):
+    """The old definition: the kernel of the coordinate matrix by sympy's
+    nullspace, made primitive and oriented, lifted by a unit pairing and
+    reduced modulo the smaller lattice."""
+    tau = sympy.Matrix(tau_rows).T
+    coords = [_sympy_solve(tau, sympy.Matrix(r)) for r in mu_rows]
+    cm = sympy.Matrix([[c[i] for i in range(len(tau_rows))] for c in coords]) if coords else sympy.zeros(0, len(tau_rows))
+    (kern,) = cm.nullspace()
+    w = _integral([list(kern)])[0]
+    if sum(x * _sympy_solve(tau, sympy.Matrix(orientation[0]))[i] for i, x in enumerate(w)) < 0:
+        w = tuple(-x for x in w)
+    y = xl.solve_unit_pairing(w)
+    lift = tuple(sum(y[i] * tau_rows[i][j] for i in range(len(tau_rows))) for j in range(len(tau_rows[0])))
+    return xl.reduce_mod_rows(lift, mu_rows)
+
+
+def normal_mismatch(seed):
+    """Every covering pair of a seeded random cone, once with the Hermite
+    span of the bigger face and once with a non-echelon basis of it."""
+    from conftest import random_cone
+
+    from toricdef.polyhedral import face_lattice, normal_generator
+
+    rng = random.Random(3900 + seed)
+    cone = random_cone(rng, 3 + seed % 3)
+    lat = face_lattice(cone)
+    for faces in lat.faces_by_dim.values():
+        for tau in faces:
+            for mu in lat.covered_by(tau):
+                orient = [cone.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
+                ref = _reference_normal(mu.span_rows, tau.span_rows, orient)
+                shuffled = _present(tau.span_rows, "non-echelon", cone.rank)
+                for rows in (tau.span_rows, shuffled):
+                    got = normal_generator(mu.span_rows, rows, orient)
+                    if got != ref:
+                        return f"{mu.key} < {tau.key}: {got} != {ref}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_contraction_matches_the_wedge_coordinate_definition(seed):
+    assert contraction_mismatch(seed) is None
+
+
+def test_contraction_cases_cover_every_branch():
+    cases = [contraction_case(seed) for seed in range(21)]
+    assert any(ref is None for *_, ref in cases)
+    assert any(src.degree >= 2 and ref is not None for _, src, _, ref in cases)
+    assert any(
+        any(isinstance(x, Fraction) for v in src.base.vectors for x in v) for _, src, _, _ in cases
+    )
+    # a normal whose pairing with the source is not a unit
+    assert any(
+        all(isinstance(x, int) for v in src.base.vectors for x in v)
+        and gcd(*(sum(a * b for a, b in zip(n, v)) for v in src.base.vectors)) > 1
+        for n, src, _, _ in cases
+    )
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_expansion_matches_the_wedge_coordinate_definition(seed):
+    assert expansion_mismatch(seed) is None
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_integer_det_matches_sympy(seed):
+    assert det_mismatch(seed) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_normal_generator_matches_sympy_nullspace(seed):
+    assert normal_mismatch(seed) is None
+
+
+def test_contraction_leaving_the_target_is_not_contained():
+    b = xl.SubspaceBasis(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # contraction by e1 lands in span(e2, e3), which span(e1, e2) misses
+    target = xl.ExteriorBasis(xl.SubspaceBasis(3, ((1, 0, 0), (0, 1, 0))), 1)
+    with pytest.raises(NotContained):
+        xl.contraction_matrix((1, 0, 0), xl.ExteriorBasis(b, 2), target)
+    with pytest.raises(NotContained):
+        xl.expansion_matrix(xl.ExteriorBasis(b, 1), target)
+
+
+def test_coordinates_by_back_substitution():
+    basis = [(2, 1, 0), (0, 3, 1)]
+    assert xl.coordinates(basis, [(2, 4, 1), (1, 2, Fraction(1, 2))]) == [[1, 1], [Fraction(1, 2), Fraction(1, 2)]]
+    assert xl.coordinates(basis, [(0, 0, 1)]) is None
+    # a basis not in echelon form takes the rational solve
+    assert xl.coordinates(list(reversed(basis)), [(2, 4, 1)]) == [[1, 1]]
+
+
+_OPTIMIZED_RUN = """
+import sys
+sys.path[:0] = [{tests!r}]
+import test_exact_linalg as t
+from toricdef import InvariantViolation, assemble_complex
+from toricdef import exact_linalg as xl
+
+if __debug__:
+    sys.exit("not running under -O")
+for check, seeds in ((t.contraction_mismatch, range(21)), (t.expansion_mismatch, range(15)),
+                     (t.det_mismatch, range(21)), (t.normal_mismatch, range(3))):
+    for seed in seeds:
+        problem = check(seed)
+        if problem is not None:
+            sys.exit(f"{{check.__name__}}({{seed}}): {{problem}}")
+# a 2x1 block between blocks of sizes 1 and 1 is a broken invariant
+base = xl.ExteriorBasis(xl.SubspaceBasis(1, ((1,),)), 1)
+try:
+    assemble_complex("bad", [[("a", base)], [("b", base)]], lambda *a: xl.zeros_matrix(2, 1))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
+"""
+
+
+def test_kernel_and_invariants_under_python_O():
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(tests).parent / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_RUN.format(tests=tests)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"]

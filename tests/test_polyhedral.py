@@ -197,6 +197,13 @@ def test_fan_rejects_a_repeated_cone():
         fan_from_cones(((1, 0), (0, 1)), ((0, 1), (1, 0)), 2)
 
 
+def test_fan_rejects_a_cone_that_is_a_face_of_another():
+    # the P^2 fan with its ray (0,) listed as a fourth cone: accepted, the
+    # exact completeness test would answer False for a complete support
+    with pytest.raises(ValidationError, match="face of the other"):
+        fan_from_cones(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0), (0,)), 2)
+
+
 def test_fan_rejects_overlapping_cones():
     with pytest.raises(ValidationError):
         fan_from_cones(((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)), 2)
