@@ -384,7 +384,7 @@ def _cmd_verify(doc: InputDocument, args) -> dict:
             val == lcdef_cone(cone, shortcut_simplicial=False),
         )
         if cone.dim == 4:
-            euler_criterion(cone)  # asserts the Euler characteristic identity
+            euler_criterion(cone)  # raises INVARIANT_VIOLATION if the identity fails
             record("Euler characteristic identity", True)
         sample = lat.faces_by_dim.get(cone.dim - 1, ())[:2]
         graded_ok = True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact_linalg as xl
-from .errors import InvalidShelling, WrongDimension
+from .errors import InvalidShelling, InvariantViolation, WrongDimension
 from .ishida import LabeledComplex, assemble_complex, cohomology, ishida_cone
 from .polyhedral import (
     Cone,
@@ -58,15 +58,18 @@ def euler_criterion(cone: Cone) -> CriterionVerdict:
     The level-3 complex of a full 4-cone has cohomology only in degrees 1
     and 2, and its Euler characteristic works out to (#facets - #rays); a
     positive value therefore forces a nonzero degree-2 group.  The identity
-    is asserted against the complex on every call.
+    is checked against the complex on every call (INVARIANT_VIOLATION).
     """
     _require_dim4(cone)
     counts = face_lattice(cone).face_counts()
     v, e, f = counts[1], counts[2], counts[3]
-    assert v - e + f == 2, "face counts of a 4-cone must satisfy v - e + f = 2"
+    if v - e + f != 2:
+        raise InvariantViolation("face counts of a 4-cone must satisfy v - e + f = 2")
     coh = cohomology(ishida_cone(cone, 3))
-    assert coh[0] == 0 and coh[3] == 0, "level-3 cohomology concentrated in degrees 1, 2"
-    assert coh[2] - coh[1] == f - v, "Euler characteristic identity failed"
+    if coh[0] != 0 or coh[3] != 0:
+        raise InvariantViolation("level-3 cohomology is not concentrated in degrees 1, 2")
+    if coh[2] - coh[1] != f - v:
+        raise InvariantViolation("Euler characteristic identity failed")
     verdict = FORCES_LCDEF_1 if f > v else INCONCLUSIVE
     return CriterionVerdict("euler", verdict, (v, e, f))
 

@@ -1,13 +1,18 @@
 """Exact linear algebra over Q and over integer lattices.
 
 Matrices at the public boundary are numpy arrays with ``dtype=object``
-whose entries are Python ints or ``fractions.Fraction``.  The lattice and
-contraction kernel behind it (Smith and Hermite forms, coordinates by
+whose entries are Python ints or ``fractions.Fraction``.  The kernel behind
+it runs on plain ``int`` lists: Smith and Hermite forms, coordinates by
 back-substitution in echelon bases, Bareiss determinants, compound-minor
-contraction and expansion blocks) runs on plain ``int`` lists;
-``Fraction`` remains in :func:`rref`, :func:`solve_matrix` and the simplex,
-and wherever a caller passes rational vectors.  Nothing here ever touches
-floating point; determinism and exactness are the whole point.
+contraction and expansion blocks, and one fraction-free elimination
+(:func:`_eliminate`) behind :func:`rref`, :func:`rank_and_kernel`,
+:func:`solve_matrix`, :func:`matrix_rank` and :func:`pivot_columns`.  A
+rational matrix enters it with each row scaled by its common denominator,
+which changes neither the row space nor the pivots, and an entry is divided
+by its pivot only when a reduced form, kernel or solution is written out.
+``Fraction`` remains at that boundary, in the simplex, and wherever a
+caller passes rational vectors.  Nothing here ever touches floating point;
+determinism and exactness are the whole point.
 
 Conventions
 -----------
@@ -132,35 +137,90 @@ def is_zero_matrix(a: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# elimination over Q
+# elimination over Q, on int rows
+
+
+def _int_rows(rows) -> list[list[int]]:
+    """Rows of a rational matrix as int lists, each row scaled by the least
+    common denominator of its entries.  Scaling a row by a nonzero number
+    changes neither the row space nor the pivot columns."""
+    out = []
+    for row in rows:
+        if all(isinstance(x, int) for x in row):
+            out.append(row)
+            continue
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        scale = lcm(1, *(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(rows: list[list[int]], ncols: int, jordan: bool) -> list[int]:
+    """Fraction-free elimination of int ``rows`` in place over the first
+    ``ncols`` columns; returns the pivot columns.
+
+    Row ``k`` ends with its leading entry at the ``k``-th pivot column, and
+    the rows after the last pivot row are zero in those columns.  Each step combines a
+    row with the pivot row as ``a * row - b * pivot_row`` (``a``, ``b``
+    coprime) and divides the result by the gcd of its entries, which keeps
+    entries near the size of the inputs.  With ``jordan`` the rows above the
+    pivot are cleared too, so dividing each pivot row by its pivot gives the
+    reduced row echelon form; without it only the pivot columns are wanted.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = None
+        best = None
+        for i in range(rank, nrows):
+            v = rows[i][col]
+            if v != 0 and (best is None or abs(v) < best):
+                piv, best = i, abs(v)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        pval = prow[col]
+        for i in range(0 if jordan else rank + 1, nrows):
+            v = rows[i][col]
+            if v == 0 or i == rank:
+                continue
+            g = gcd(v, pval)
+            a, b = pval // g, v // g
+            new = [a * x - b * y for x, y in zip(rows[i], prow)]
+            h = 0
+            for x in new:
+                h = gcd(h, x)
+                if h == 1:
+                    break
+            if h > 1:
+                new = [x // h for x in new]
+            rows[i] = new
+        pivots.append(col)
+    return pivots
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Q.  Returns (R, pivot columns)."""
-    r = np.array(m, dtype=object)
-    nrows, ncols = r.shape
-    for idx, x in np.ndenumerate(r):
-        if not isinstance(x, (int, Fraction)):
-            r[idx] = Fraction(x)
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        piv = next((i for i in range(row, nrows) if r[i, col] != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        inv = Fraction(1, 1) / r[row, col]
-        r[row] = [_norm_scalar(x * inv) for x in r[row]]
-        for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                factor = r[i, col]
-                r[i] = [_norm_scalar(a - factor * b) for a, b in zip(r[i], r[row])]
-        pivots.append(col)
-        row += 1
+    nrows, ncols = m.shape
+    rows = _int_rows(m.tolist())
+    pivots = _eliminate(rows, ncols, True)
+    r = zeros_matrix(nrows, ncols)
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        for j, x in enumerate(rows[i]):
+            if x:
+                r[i, j] = _div(x, p)
     return r, pivots
+
+
+def pivot_columns(m: np.ndarray) -> list[int]:
+    """Pivot columns of ``m`` over Q: each column that is independent of
+    the columns before it."""
+    return _eliminate(_int_rows(m.tolist()), m.shape[1], False)
 
 
 def rank_and_kernel(m: np.ndarray) -> tuple[int, np.ndarray]:
@@ -170,86 +230,48 @@ def rank_and_kernel(m: np.ndarray) -> tuple[int, np.ndarray]:
     one column per free variable, with substituted pivot entries.  This makes
     the output canonical for a given input matrix.
     """
-    r, pivots = rref(m)
     ncols = m.shape[1]
+    rows = _int_rows(m.tolist())
+    pivots = _eliminate(rows, ncols, True)
     free = [c for c in range(ncols) if c not in pivots]
     kern = zeros_matrix(ncols, len(free))
     for j, fc in enumerate(free):
         kern[fc, j] = 1
         for i, pc in enumerate(pivots):
-            kern[pc, j] = _norm_scalar(-r[i, fc])
+            if rows[i][fc]:
+                kern[pc, j] = _div(-rows[i][fc], rows[i][pc])
     return len(pivots), kern
 
 
 def solve_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One exact solution X of A X = B, or None if the system is insolvable."""
+    """One exact solution X of A X = B, or None if the system is insolvable.
+
+    The solution is the one read off the reduced echelon form of ``[A | B]``:
+    free variables are zero.
+    """
     if a.shape[0] != b.shape[0]:
         raise ValueError("shape mismatch in solve")
-    aug = np.concatenate([a, b], axis=1) if a.size or b.size else zeros_matrix(a.shape[0], a.shape[1] + b.shape[1])
-    r, pivots = rref(aug)
     n = a.shape[1]
-    if any(p >= n for p in pivots):
+    rows = _int_rows(x + y for x, y in zip(a.tolist(), b.tolist()))
+    pivots = _eliminate(rows, n, True)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
         return None
     x = zeros_matrix(n, b.shape[1])
-    for i, p in enumerate(pivots):
-        for j in range(b.shape[1]):
-            x[p, j] = r[i, n + j]
+    for row, p in zip(rows, pivots):
+        for j, v in enumerate(row[n:]):
+            if v:
+                x[p, j] = _div(v, row[p])
     return x
 
 
 def integer_rank(m: np.ndarray) -> int:
-    """Rank of an integer matrix via fraction-free elimination.
-
-    Rows are renormalized by their gcd after each elimination step, which
-    keeps entries near the size of the structured inputs this package
-    produces.  Only the rank is computed, so the gcd scaling is harmless.
-    """
-    rows = [list(map(int, m[i])) for i in range(m.shape[0])]
-    ncols = m.shape[1]
-    rank = 0
-    col = 0
-    nrows = len(rows)
-    while rank < nrows and col < ncols:
-        piv = None
-        best = None
-        for i in range(rank, nrows):
-            v = rows[i][col]
-            if v != 0 and (best is None or abs(v) < best):
-                piv, best = i, abs(v)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for i in range(rank + 1, nrows):
-            v = rows[i][col]
-            if v == 0:
-                continue
-            ri = rows[i]
-            g = gcd(v, pval)
-            a, b = pval // g, v // g
-            new = [a * x - b * y for x, y in zip(ri, prow)]
-            h = 0
-            for x in new:
-                h = gcd(h, x)
-                if h == 1:
-                    break
-            if h > 1:
-                new = [x // h for x in new]
-            rows[i] = new
-        rank += 1
-        col += 1
-    return rank
+    """Rank of an integer matrix via fraction-free elimination."""
+    return len(_eliminate([list(map(_as_int, row)) for row in m.tolist()], m.shape[1], False))
 
 
 def matrix_rank(m: np.ndarray) -> int:
-    """Exact rank; integer matrices take the fraction-free path."""
-    if m.size == 0:
-        return 0
-    if all(isinstance(x, (int, np.integer)) for row in m.tolist() for x in row):
-        return integer_rank(m)
-    return len(rref(m)[1])
+    """Exact rank over Q, by fraction-free elimination."""
+    return len(pivot_columns(m))
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +640,7 @@ def nonnegative_combination(columns, target) -> list[Fraction] | None:
                     best = (ratio, i)
         if best is None:
             # unbounded phase-I cannot happen (objective bounded below by 0)
-            raise AssertionError("phase-I simplex unbounded")
+            raise InvariantViolation("phase-I simplex unbounded")
         _, row = best
         piv = tab[row][enter]
         tab[row] = [x / piv for x in tab[row]]

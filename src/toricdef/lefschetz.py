@@ -26,6 +26,7 @@ import numpy as np
 
 from . import exact_linalg as xl
 from .errors import (
+    InvariantViolation,
     NotAmple,
     NotComplete,
     NotQCartier,
@@ -108,7 +109,8 @@ def support_data(fan: Fan, alpha) -> DivisorData:
         tilde_gens = list(hat_span) + [vertical]
         tilde_span = tuple(xl.saturation_rows(tilde_gens, n + 1))
         a_idx = xl.lattice_index([vertical] + list(hat_span), tilde_span, n + 1)
-        assert isinstance(a_idx, int)
+        if not isinstance(a_idx, int):
+            raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")
         lifted[key] = LiftedFace(
             tuple(sorted(key)), tuple(hats), hat_span, hat_perp, tilde_span, a_idx
         )
@@ -157,22 +159,15 @@ class LiftedComplexes:
         _, kern = xl.rank_and_kernel(d_out)
         if i > 0:
             d_in = cx.diffs[i - 1]
-            _, pivots = xl.rref(d_in)
-            img_cols = [[d_in[r, c] for c in pivots] for r in range(d_in.shape[0])]
-            img = xl.object_matrix(img_cols, len(pivots))
+            img = d_in[:, xl.pivot_columns(d_in)]
         else:
             img = xl.zeros_matrix(dims[i], 0)
-        chosen: list[int] = []
-        stack = img
-        rank = xl.matrix_rank(img)
-        for j in range(kern.shape[1]):
-            cand = np.concatenate([stack, kern[:, j : j + 1]], axis=1)
-            r = xl.matrix_rank(cand)
-            if r > rank:
-                chosen.append(j)
-                stack = cand
-                rank = r
-        reps = kern[:, chosen] if chosen else xl.zeros_matrix(dims[i], 0)
+        # The image columns are independent, so they are the first pivot
+        # columns of [img | kern]; the kernel columns that are pivots are
+        # those that raise the rank of the image plus the columns before.
+        w = img.shape[1]
+        chosen = [c - w for c in xl.pivot_columns(np.concatenate([img, kern], axis=1)) if c >= w]
+        reps = kern[:, chosen]
         self._memo[key] = (reps, img, reps.shape[1])
         return self._memo[key]
 
@@ -186,7 +181,8 @@ class LiftedComplexes:
             return xl.zeros_matrix(0, vecs.shape[1])
         basis = np.concatenate([reps, img], axis=1) if img.shape[1] else reps
         sol = xl.solve_matrix(basis, vecs)
-        assert sol is not None, "cocycle not in span of cohomology basis + boundaries"
+        if sol is None:
+            raise InvariantViolation("cocycle not in span of cohomology basis + boundaries")
         out = xl.zeros_matrix(h, vecs.shape[1])
         for r in range(h):
             for c in range(vecs.shape[1]):
@@ -206,12 +202,15 @@ class LiftedComplexes:
             return out
         proj = self.project[l]
         lift = xl.solve_matrix(proj, reps_b)
-        assert lift is not None, "projection is not surjective"
+        if lift is None:
+            raise InvariantViolation("projection is not surjective")
         dz = xl.mat_mul(self._diff(self.middle, l), lift)
         inc = self.include[l + 1]
         pre = xl.solve_matrix(inc, dz)
-        assert pre is not None, "snake step left the image of the inclusion"
-        assert xl.is_zero_matrix(xl.mat_mul(self._diff(self.top, l + 1), pre))
+        if pre is None:
+            raise InvariantViolation("snake step left the image of the inclusion")
+        if not xl.is_zero_matrix(xl.mat_mul(self._diff(self.top, l + 1), pre)):
+            raise InvariantViolation("snake step did not give a cocycle")
         out = self._reduce_to_basis("top", l + 1, pre)
         self._memo[key] = out
         return out
@@ -323,17 +322,23 @@ def _verify_ses(L: LiftedComplexes) -> None:
     depth = len(L.top.terms)
     for m in range(depth):
         inc, prj = L.include[m], L.project[m]
-        assert xl.is_zero_matrix(xl.mat_mul(prj, inc)), "projection o inclusion != 0"
-        assert xl.matrix_rank(inc) == L.top.dims[m], "inclusion not injective"
-        assert xl.matrix_rank(prj) == L.bottom.dims[m], "projection not surjective"
-        assert L.middle.dims[m] == L.top.dims[m] + L.bottom.dims[m], "term dims do not add up"
+        if not xl.is_zero_matrix(xl.mat_mul(prj, inc)):
+            raise InvariantViolation(f"projection o inclusion != 0 in degree {m}")
+        if xl.matrix_rank(inc) != L.top.dims[m]:
+            raise InvariantViolation(f"inclusion not injective in degree {m}")
+        if xl.matrix_rank(prj) != L.bottom.dims[m]:
+            raise InvariantViolation(f"projection not surjective in degree {m}")
+        if L.middle.dims[m] != L.top.dims[m] + L.bottom.dims[m]:
+            raise InvariantViolation(f"term dims do not add up in degree {m}")
         if m + 1 < depth:
             lhs = xl.mat_mul(L.include[m + 1], L._diff(L.top, m))
             rhs = xl.mat_mul(L._diff(L.middle, m), inc)
-            assert xl.mat_eq(lhs, rhs), "inclusion is not a chain map"
+            if not xl.mat_eq(lhs, rhs):
+                raise InvariantViolation(f"inclusion is not a chain map in degree {m}")
             lhs = xl.mat_mul(L.project[m + 1], L._diff(L.middle, m))
             rhs = xl.mat_mul(L._diff(L.bottom, m), prj)
-            assert xl.mat_eq(lhs, rhs), "projection is not a chain map"
+            if not xl.mat_eq(lhs, rhs):
+                raise InvariantViolation(f"projection is not a chain map in degree {m}")
 
 
 def connecting_map(fan: Fan, divisor: DivisorData, p: int, l: int) -> np.ndarray:
@@ -435,7 +440,8 @@ def lefschetz_equivalence_check(cone: Cone, p: int, l: int, rho=None) -> Equival
         delta_prev = L.connecting(l - 1)
         surj = xl.matrix_rank(delta_prev) == L.coh_dim("top", l)
     report = EquivalenceReport(d, p, l, h, inj, surj, True)
-    assert report.agree, "equivalence of vanishing and connecting-map conditions failed"
+    if not report.agree:
+        raise InvariantViolation("equivalence of vanishing and connecting-map conditions failed")
     return report
 
 
@@ -487,7 +493,8 @@ def les_theorem(cone: Cone, rho) -> LesReport:
             continue
         L = lifted_complex(fan, divisor, l - 1)
         h_mid = tuple(L.coh_dim("middle", i) for i in range(len(L.middle.terms)))
-        assert h_mid == h_cone, "middle complex does not compute the cone's cohomology"
+        if h_mid != h_cone:
+            raise InvariantViolation("middle complex does not compute the cone's cohomology")
         h_top = tuple(L.coh_dim("top", i) for i in range(len(L.top.terms)))
         h_bot = tuple(L.coh_dim("bottom", i) for i in range(len(L.bottom.terms)))
         exact = _les_exact(L)
@@ -503,23 +510,21 @@ def _les_exact(L: LiftedComplexes) -> bool:
     f = {i: L.induced("top", "middle", L.include, i) for i in range(depth)}
     g = {i: L.induced("middle", "bottom", L.project, i) for i in range(depth)}
     dl = {i: L.connecting(i) for i in range(-1, depth)}
-
-    def rank(m):
-        return xl.matrix_rank(m)
+    rf, rg, rdl = ({i: xl.matrix_rank(m) for i, m in maps.items()} for maps in (f, g, dl))
 
     for i in range(depth):
         # node H^i(top): incoming delta^(i-1), outgoing f_i
-        if rank(dl[i - 1]) + rank(f[i]) != L.coh_dim("top", i):
+        if rdl[i - 1] + rf[i] != L.coh_dim("top", i):
             return False
         if not xl.is_zero_matrix(xl.mat_mul(f[i], dl[i - 1])):
             return False
         # node H^i(middle): incoming f_i, outgoing g_i
-        if rank(f[i]) + rank(g[i]) != L.coh_dim("middle", i):
+        if rf[i] + rg[i] != L.coh_dim("middle", i):
             return False
         if not xl.is_zero_matrix(xl.mat_mul(g[i], f[i])):
             return False
         # node H^i(bottom): incoming g_i, outgoing delta^i
-        if rank(g[i]) + rank(dl[i]) != L.coh_dim("bottom", i):
+        if rg[i] + rdl[i] != L.coh_dim("bottom", i):
             return False
         if not xl.is_zero_matrix(xl.mat_mul(dl[i], g[i])):
             return False
@@ -566,7 +571,8 @@ def hard_lefschetz_injectivity_check(fan: Fan, divisor: DivisorData) -> HardLefs
         for i, r in enumerate(fan.rays):
             val = _dot(uu, r)
             if i in inside:
-                assert val == divisor.alpha[i]
+                if val != divisor.alpha[i]:
+                    raise InvariantViolation(f"the linear form of cone {cone_key} misses ray {i}")
             elif not val < divisor.alpha[i]:
                 raise NotAmple(
                     f"support function is not strictly convex across cone {cone_key} at ray {i}"
@@ -577,5 +583,6 @@ def hard_lefschetz_injectivity_check(fan: Fan, divisor: DivisorData) -> HardLefs
         L = lifted_complex(fan, divisor, n - p - 1)
         delta = L.connecting(n - p - 1)
         target = L.coh_dim("top", n - p)
-        checks.append((p, xl.matrix_rank(delta), target, xl.matrix_rank(delta) == target))
+        rank = xl.matrix_rank(delta)
+        checks.append((p, rank, target, rank == target))
     return HardLefschetzReport(n, tuple(checks))

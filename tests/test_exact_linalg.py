@@ -69,6 +69,107 @@ def test_solve_matrix_detects_inconsistency():
     assert xl.solve_matrix(a, b) is None
 
 
+# rational inputs: canonical values against sympy's reduced echelon form
+
+SHAPES = ("wide", "tall", "square")
+
+
+def _random_rational_matrix(rng, seed):
+    """A seeded rational matrix of the seed's shape with a zero row, a row
+    that is a combination of two others, and zero entries mixed in."""
+    kind = SHAPES[seed % 3]
+    small, big = rng.randrange(2, 4), rng.randrange(4, 7)
+    rows, cols = {"wide": (small, big), "tall": (big, small), "square": (small + 1, small + 1)}[kind]
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    zero = rng.randrange(rows)
+    data[zero] = [0] * cols
+    i, j = rng.randrange(rows), rng.randrange(rows)
+    k = rng.choice([r for r in range(rows) if r != zero])
+    c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+    data[k] = [x + c * y for x, y in zip(data[i], data[j])]
+    return [[_exact(x) for x in row] for row in data]
+
+
+def _typed(rows):
+    """Entries with their types, so an integral Fraction fails to match an int."""
+    return [[(type(x).__name__, x) for x in row] for row in rows]
+
+
+def _sympy_rref(data, width):
+    red, pivots = sympy.Matrix(data).rref() if data else (sympy.zeros(0, width), ())
+    return [[_exact(x) for x in red.row(i)] for i in range(red.rows)], list(pivots)
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_rational_rref_and_rank_match_sympy(seed):
+    data = _random_rational_matrix(random.Random(600 + seed), seed)
+    m = xl.object_matrix(data)
+    red, pivots = _sympy_rref(data, m.shape[1])
+    r, got_pivots = xl.rref(m)
+    assert got_pivots == pivots
+    assert _typed(r.tolist()) == _typed(red)
+    assert xl.matrix_rank(m) == sympy.Matrix(data).rank() == len(pivots)
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_rational_kernel_is_the_free_variable_basis(seed):
+    data = _random_rational_matrix(random.Random(700 + seed), seed)
+    width = len(data[0])
+    red, pivots = _sympy_rref(data, width)
+    free = [c for c in range(width) if c not in pivots]
+    expected = [[0] * len(free) for _ in range(width)]
+    for j, fc in enumerate(free):
+        expected[fc][j] = 1
+        for i, pc in enumerate(pivots):
+            expected[pc][j] = -red[i][fc]
+    rank, kern = xl.rank_and_kernel(xl.object_matrix(data))
+    assert rank == len(pivots)
+    assert kern.shape == (width, len(free))
+    assert _typed(kern.tolist()) == _typed(expected)
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_rational_solve_is_the_pivot_solution(seed):
+    rng = random.Random(800 + seed)
+    data = _random_rational_matrix(rng, seed)
+    n = len(data[0])
+    x = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(2)] for _ in range(n)]
+    rhs = [[_exact(sum(a * b for a, b in zip(row, col))) for col in zip(*x)] for row in data]
+    if seed % 2:
+        # the zero row of A meets a nonzero right-hand side: no solution
+        z = next(i for i, row in enumerate(data) if not any(row))
+        rhs[z][rng.randrange(2)] = Fraction(1, 3)
+    red, pivots = _sympy_rref([a + b for a, b in zip(data, rhs)], n + 2)
+    sol = xl.solve_matrix(xl.object_matrix(data), xl.object_matrix(rhs))
+    if any(p >= n for p in pivots):
+        assert seed % 2 and sol is None
+        return
+    assert not seed % 2
+    expected = [[0, 0] for _ in range(n)]
+    for i, p in enumerate(pivots):
+        expected[p] = red[i][n:]
+    assert _typed(sol.tolist()) == _typed(expected)
+
+
+def test_rational_elimination_on_empty_and_zero_matrices():
+    empty = xl.zeros_matrix(0, 3)
+    assert xl.rref(empty)[1] == [] and xl.rref(empty)[0].shape == (0, 3)
+    assert xl.matrix_rank(empty) == 0
+    rank, kern = xl.rank_and_kernel(empty)
+    assert rank == 0 and kern.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    zero = xl.object_matrix([[Fraction(0), 0], [0, 0]])
+    assert xl.rref(zero)[0].tolist() == [[0, 0], [0, 0]]
+    assert xl.solve_matrix(zero, xl.object_matrix([[0], [0]])).tolist() == [[0], [0]]
+    assert xl.solve_matrix(zero, xl.object_matrix([[0], [Fraction(1, 2)]])) is None
+    assert xl.solve_matrix(xl.zeros_matrix(2, 0), xl.object_matrix([[1], [0]])) is None
+
+
 # ---------------------------------------------------------------------------
 # Smith and Hermite forms
 
@@ -548,6 +649,41 @@ def test_kernel_and_invariants_under_python_O():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(tests).parent / "src"), env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_RUN.format(tests=tests)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"]
+
+
+_CORRUPTED_PROJECTION_RUN = """
+import dataclasses
+import sys
+
+import numpy as np
+from toricdef import InvariantViolation, fan_from_cones, lifted_complex, support_data
+from toricdef.lefschetz import _verify_ses
+
+if __debug__:
+    sys.exit("not running under -O")
+fan = fan_from_cones([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], 2)
+L = lifted_complex(fan, support_data(fan, [1, 0, 0]), 1)
+project = [m.copy() for m in L.project]
+m = next(i for i, p in enumerate(project) if p.any())
+r, c = next(idx for idx, x in np.ndenumerate(project[m]) if x)
+project[m][r, c] += 1
+try:
+    _verify_ses(dataclasses.replace(L, project=tuple(project)))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
+"""
+
+
+def test_corrupted_projection_fails_under_python_O():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_PROJECTION_RUN],
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
