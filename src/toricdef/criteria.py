@@ -152,7 +152,8 @@ def shelling_ray_criterion(cone: Cone, search_budget: int = 2048) -> CriterionVe
 
     order = _search_shelling(lat, facets, allow, search_budget)
     if order is not None:
-        assert is_shelling(cone, order) and _ray_condition(order, r)
+        if not (is_shelling(cone, order) and _ray_condition(order, r)):
+            raise InvariantViolation("the searched facet order is not a new-ray shelling")
         return CriterionVerdict("shelling_ray", FORCES_LCDEF_0, tuple(f.key for f in order))
     return CriterionVerdict("shelling_ray", INCONCLUSIVE, ())
 
@@ -191,7 +192,8 @@ def find_shelling(cone: Cone, prefix_keys=(), budget: int = 4096):
     order = _search_shelling(lat, facets, allow, budget)
     if order is None:
         return None
-    assert is_shelling(cone, order)
+    if not is_shelling(cone, order):
+        raise InvariantViolation("the searched facet order is not a shelling")
     return Shelling(cone, order)
 
 
@@ -262,7 +264,8 @@ class ShellingFiltration:
                     if keep(tb.face_key) or tb.size == 0:
                         continue
                     block = d[tb.offset : tb.offset + tb.size, sb.offset : sb.offset + sb.size]
-                    assert xl.is_zero_matrix(block), "filtration stage is not a subcomplex"
+                    if not xl.is_zero_matrix(block):
+                        raise InvariantViolation("filtration stage is not a subcomplex")
 
     @property
     def depth(self) -> int:

@@ -3,8 +3,8 @@
 Every failure mode that callers are expected to catch has a stable
 identifier (``.ident``) and a distinct process exit code (``.exit_code``)
 used by the command line interface.  A broken mathematical invariant raises
-:class:`InvariantViolation`, which a ``python -O`` run keeps; the remaining
-bare ``assert`` statements are internal checks outside this vocabulary.
+:class:`InvariantViolation`, which a ``python -O`` run keeps; the package
+has no bare ``assert``.
 """
 
 from __future__ import annotations

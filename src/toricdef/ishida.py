@@ -266,7 +266,8 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
                 c = i - j
                 if best is None or c > best:
                     best = c
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("the level-0 complex has no cohomology")
     return max(0, best)
 
 

@@ -104,10 +104,11 @@ def support_data(fan: Fan, alpha) -> DivisorData:
             q = values[i].denominator
             p = values[i].numerator
             hats.append(tuple(q * c for c in fan.rays[i]) + (p,))
-        hat_span = tuple(xl.saturation_rows(hats, n + 1)) if hats else ()
         hat_perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(hats, n + 1)))
-        tilde_gens = list(hat_span) + [vertical]
-        tilde_span = tuple(xl.saturation_rows(tilde_gens, n + 1))
+        hat_span = tuple(xl.integer_kernel_rows(xl.integer_matrix(hat_perp, n + 1)))
+        # span(hat) + Q vertical = span(face) x Q, so the tilde lattice is the
+        # face's lattice times Z, and this is already its Hermite basis
+        tilde_span = tuple(r + (0,) for r in face.span_rows) + (vertical,)
         a_idx = xl.lattice_index([vertical] + list(hat_span), tilde_span, n + 1)
         if not isinstance(a_idx, int):
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")

@@ -6,10 +6,19 @@ exact rational feasibility via :func:`toricdef.exact_linalg.nonnegative_combinat
 so no floating point is involved anywhere.
 
 Face enumeration is deliberately unsophisticated: candidate facets come from
-(d-1)-subsets of rays and are validated as supporting hyperplanes, and the
-remaining faces are intersections of facets.  This is quadratic-ish in the
-number of faces, which is the right trade at the scale this package targets
-(tens of rays).
+(d-1)-subsets of rays, whose hyperplane is read off signed maximal minors and
+validated as supporting, and the remaining faces are intersections of facets.
+This is quadratic-ish in the number of faces, which is the right trade at the
+scale this package targets (tens of rays).
+
+Lattice data is computed once per face.  A face's annihilator is one
+Smith-form kernel of its rays and its span lattice the kernel of that, since
+the saturation of a set of vectors is the kernel of their kernel; a fan
+computes these once per face, however many maximal cones share it.  The
+intrinsic rows of :class:`FaceLattice` are coordinates and restrictions of
+the ambient ones, with no further Smith form (the two saturation facts are in
+its docstring), and a cone made by :func:`face_cone` takes its whole lattice
+from the parent's lower interval.
 """
 
 from __future__ import annotations
@@ -55,18 +64,23 @@ def _ivec(v) -> tuple[int, ...]:
 class Cone:
     """A strongly convex rational polyhedral cone, by extreme rays.
 
-    Instances come out of :func:`cone_from_rays`; the constructor trusts its
-    input.  ``rays`` keeps the order in which surviving input rays appeared,
-    and all face bookkeeping refers to rays by index into this tuple.
+    Instances come out of :func:`cone_from_rays` and :func:`face_cone`; the
+    constructor trusts its input.  ``rays`` keeps the order in which
+    surviving input rays appeared, and all face bookkeeping refers to rays
+    by index into this tuple.  A cone made by :func:`face_cone` remembers
+    its parent and the face, so its lattice is the parent's lower interval;
+    star quotients are memoized by their primitive interior ray.
     """
 
-    __slots__ = ("rank", "rays", "dim", "_lattice")
+    __slots__ = ("rank", "rays", "dim", "_lattice", "_parent", "_quotients")
 
     def __init__(self, rank: int, rays: tuple[tuple[int, ...], ...], dim: int):
         self.rank = rank
         self.rays = rays
         self.dim = dim
         self._lattice = None
+        self._parent = None
+        self._quotients: dict[tuple[int, ...], tuple] = {}
 
     def __repr__(self) -> str:
         return f"Cone(rank={self.rank}, dim={self.dim}, rays={len(self.rays)})"
@@ -133,6 +147,80 @@ class Face:
         return tuple(sorted(self.ray_indices))
 
 
+def _ray_coords(span_rows, rays) -> tuple[tuple, ...]:
+    coords = xl.coordinates(span_rows, rays)
+    if coords is None:
+        raise InvariantViolation("a ray leaves the saturated span of the rays")
+    return tuple(tuple(x) for x in coords)
+
+
+def _face_keys(ray_coords, d: int) -> set[frozenset[int]]:
+    """Ray sets of all faces of a cone that is full-dimensional in ``Z^d``:
+    the facets, found among the hyperplanes through ``d - 1`` rays, their
+    intersections, the cone itself and the zero face."""
+    m = len(ray_coords)
+    facets: list[frozenset[int]] = []
+    if d > 0:
+        for sub in itertools.combinations(range(m), d - 1):
+            if any(set(sub) <= s for s in facets):
+                continue
+            rows = [ray_coords[i] for i in sub]
+            # the kernel of the (d-1) x d matrix is spanned by its signed maximal minors
+            u = [(-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+            if not any(u):
+                continue
+            vals = [_dot(u, c) for c in ray_coords]
+            if min(vals) < 0 < max(vals):
+                continue
+            fs = frozenset(i for i, v in enumerate(vals) if v == 0)
+            if fs not in facets:
+                facets.append(fs)
+    keys = {frozenset(range(m)), frozenset()}
+    keys.update(facets)
+    queue = list(facets)
+    while queue:
+        a = queue.pop()
+        for b in facets:
+            c = a & b
+            if c not in keys:
+                keys.add(c)
+                queue.append(c)
+    return keys
+
+
+def _cone_faces(rays, d: int, n: int, labels, known: dict) -> tuple:
+    """``(span_rows, ray_coords, faces)`` of the cone over ``rays`` (of
+    dimension ``d`` in ``Z^n``).  A face is keyed by the ``labels`` of its
+    rays and looked up in, or added to, ``known``; a new face costs two
+    Smith forms, its annihilator and the kernel of that."""
+
+    def face(local) -> Face:
+        key = frozenset(labels[i] for i in local)
+        if key not in known:
+            gens = [rays[i] for i in sorted(local)]
+            perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(gens, n)))
+            span = tuple(xl.integer_kernel_rows(xl.integer_matrix(perp, n)))
+            known[key] = Face(key, len(span), span, perp)
+        return known[key]
+
+    span_rows = face(range(len(rays))).span_rows
+    ray_coords = _ray_coords(span_rows, rays)
+    return span_rows, ray_coords, [face(k) for k in _face_keys(ray_coords, d)]
+
+
+def _lower_interval(parent: "FaceLattice", key: frozenset[int]) -> tuple:
+    """``(span_rows, faces)`` of the face ``key`` of ``parent`` as a cone of
+    its own: the faces below it, re-keyed to the positions of their rays in
+    the face, sharing the parent's ambient rows."""
+    local = {g: i for i, g in enumerate(sorted(key))}
+    faces = [
+        Face(frozenset(local[i] for i in f.ray_indices), f.dim, f.span_rows, f.perp_rows)
+        for f in parent.by_key.values()
+        if f.ray_indices <= key
+    ]
+    return parent.by_key[key].span_rows, faces
+
+
 class FaceLattice:
     """All faces of a cone, graded by dimension, with covering relations.
 
@@ -140,88 +228,66 @@ class FaceLattice:
     an intrinsic coordinate system (a lattice basis of the cone's span) in
     which the cone is full-dimensional; facet inequalities, interiority
     tests and shellings live there.
+
+    Where each row comes from:
+
+    * ``Face.perp_rows`` is one Smith-form kernel of the face's rays and
+      ``Face.span_rows`` the kernel of that, which is the saturation of the
+      rays; ``span_rows`` of the lattice is the top face's span.  A cone
+      made by :func:`face_cone` takes both from its parent's faces below it.
+    * ``ray_coords`` are the rays' coordinates in ``span_rows``.
+    * ``span_in_cone`` is the Hermite basis of the coordinates of a face's
+      ``span_rows``.  A saturated sublattice of a saturated lattice has
+      integral coordinates, and their lattice is saturated.
+    * ``perp_in_cone`` is the Hermite basis of the face's ``perp_rows``
+      restricted to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)``
+      is onto because the span lattice ``L`` is saturated, and a functional
+      on ``L`` vanishing on the face extends to one on ``Z^n`` that still
+      vanishes on it, so the restrictions generate the whole annihilator.
+    * ``facet_normals`` maps each facet to its one ``perp_in_cone`` row,
+      signed to be positive on the rays.
     """
 
     def __init__(self, cone: Cone):
         self.cone = cone
-        n, d = cone.rank, cone.dim
-        self.span_rows = tuple(xl.saturation_rows(cone.rays, n)) if cone.rays else ()
-        coords = xl.coordinates(self.span_rows, cone.rays)
-        if coords is None:
-            raise InvariantViolation("a ray leaves the saturated span of the rays")
-        self.ray_coords = tuple(tuple(x) for x in coords)
+        d = cone.dim
+        if cone._parent is None:
+            span_rows, ray_coords, faces = _cone_faces(
+                cone.rays, d, cone.rank, range(len(cone.rays)), {}
+            )
+        else:
+            parent, key = cone._parent
+            span_rows, faces = _lower_interval(face_lattice(parent), key)
+            ray_coords = _ray_coords(span_rows, cone.rays)
+        self.span_rows = span_rows
+        self.ray_coords = ray_coords
 
-        facet_sets, facet_normals = self._enumerate_facets()
-        self.facet_normals = facet_normals  # key -> intrinsic inner normal
-
-        keys: set[frozenset[int]] = {frozenset(range(len(cone.rays)))}
-        keys.update(facet_sets)
-        queue = list(facet_sets)
-        while queue:
-            a = queue.pop()
-            for b in facet_sets:
-                c = a & b
-                if c not in keys:
-                    keys.add(c)
-                    queue.append(c)
-        keys.add(frozenset())
-
-        self.by_key: dict[frozenset[int], Face] = {}
-        for k in keys:
-            rays = [cone.rays[i] for i in sorted(k)]
-            span = tuple(xl.saturation_rows(rays, n)) if rays else ()
-            perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(rays, n)))
-            self.by_key[k] = Face(k, len(span), span, perp)
-        self.faces_by_dim: dict[int, tuple[Face, ...]] = {}
-        for m in range(d + 1):
-            fs = [f for f in self.by_key.values() if f.dim == m]
-            fs.sort(key=lambda f: f.key)
-            self.faces_by_dim[m] = tuple(fs)
+        faces.sort(key=lambda f: (f.dim, f.key))
+        self.by_key: dict[frozenset[int], Face] = {f.ray_indices: f for f in faces}
+        self.faces_by_dim: dict[int, tuple[Face, ...]] = {
+            m: tuple(f for f in faces if f.dim == m) for m in range(d + 1)
+        }
 
         # intrinsic span/perp per face (coordinates w.r.t. span_rows)
         self.span_in_cone: dict[frozenset[int], tuple] = {}
         self.perp_in_cone: dict[frozenset[int], tuple] = {}
-        for k in keys:
-            cs = [self.ray_coords[i] for i in sorted(k)]
-            self.span_in_cone[k] = tuple(xl.saturation_rows(cs, d)) if cs else ()
-            self.perp_in_cone[k] = tuple(
-                xl.integer_kernel_rows(xl.integer_matrix(cs, d))
+        for f in faces:
+            self.span_in_cone[f.ray_indices] = tuple(
+                xl.hermite_rows(xl.coordinates(span_rows, f.span_rows), d)
             )
+            self.perp_in_cone[f.ray_indices] = tuple(
+                xl.hermite_rows([[_dot(p, b) for b in span_rows] for p in f.perp_rows], d)
+            )
+        self.facet_normals: dict[frozenset[int], tuple[int, ...]] = {}
+        for f in self.faces_by_dim.get(d - 1, ()):
+            (u,) = self.perp_in_cone[f.ray_indices]
+            if any(_dot(u, c) < 0 for c in ray_coords):
+                u = tuple(-x for x in u)
+            self.facet_normals[f.ray_indices] = u
 
         self._normal_memo: dict[tuple, tuple[int, ...]] = {}
         self._below_memo: dict[frozenset[int], tuple[Face, ...]] = {}
         self._shell_memo: dict[tuple, bool] = {}
-
-    def _enumerate_facets(self):
-        cone = self.cone
-        d = cone.dim
-        coords = self.ray_coords
-        m = len(coords)
-        facet_sets: list[frozenset[int]] = []
-        normals: dict[frozenset[int], tuple[int, ...]] = {}
-        if d == 0:
-            return facet_sets, normals
-        for sub in itertools.combinations(range(m), d - 1):
-            if any(set(sub) <= s for s in facet_sets):
-                continue
-            mat = xl.integer_matrix([coords[i] for i in sub], d)
-            kern = xl.integer_kernel_rows(mat)
-            if len(kern) != 1:
-                continue
-            u = kern[0]
-            vals = [_dot(u, c) for c in coords]
-            if all(v >= 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals):
-                u = tuple(-x for x in u)
-                vals = [-v for v in vals]
-            else:
-                continue
-            fs = frozenset(i for i, v in enumerate(vals) if v == 0)
-            if fs not in normals:
-                facet_sets.append(fs)
-                normals[fs] = u
-        return facet_sets, normals
 
     # -- queries ----------------------------------------------------------
 
@@ -303,10 +369,14 @@ def face_lattice(cone: Cone) -> FaceLattice:
 def face_cone(cone: Cone, face: Face) -> Cone:
     """A face of ``cone`` as a cone of its own, without re-running the LPs of
     :func:`cone_from_rays`: the face's rays are already primitive, distinct
-    and extreme, in the order of ``cone.rays``.  The top face is ``cone``."""
+    and extreme, in the order of ``cone.rays``.  Its face lattice is the
+    lower interval of the parent's, with no facet search and no Smith form.
+    The top face is ``cone``."""
     if len(face.ray_indices) == len(cone.rays):
         return cone
-    return Cone(cone.rank, tuple(cone.rays[i] for i in sorted(face.ray_indices)), face.dim)
+    sub = Cone(cone.rank, tuple(cone.rays[i] for i in sorted(face.ray_indices)), face.dim)
+    sub._parent = (cone, face.ray_indices)
+    return sub
 
 
 def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors) -> tuple[int, ...]:
@@ -357,8 +427,10 @@ def pyramid(cone: Cone, apex) -> Cone:
         raise ZeroVector("zero apex")
     rays = [r + (0,) for r in cone.rays] + [xl.primitive_vector(apex)]
     out = cone_from_rays(rays, cone.rank + 1)
-    assert len(out.rays) == len(cone.rays) + 1
-    assert out.dim == cone.dim + 1
+    if len(out.rays) != len(cone.rays) + 1:
+        raise InvariantViolation("a ray of the pyramid is not extreme")
+    if out.dim != cone.dim + 1:
+        raise InvariantViolation("the apex does not raise the dimension")
     return out
 
 
@@ -468,21 +540,19 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
         if any(i < 0 or i >= len(rays) for i in s):
             raise ValidationError("cone refers to a missing ray")
 
+    # each fan face's rows are computed once, by the first cone that has it
+    known: dict[frozenset[int], Face] = {}
     by_key: dict[frozenset[int], Face] = {}
     cone_faces: list[set[frozenset[int]]] = []
     for s in maximal:
         sub = cone_from_rays([rays[i] for i in s], rank)
         if len(sub.rays) != len(s):
             raise ValidationError(f"cone {s} is not generated by extreme rays")
-        lat = face_lattice(sub)
-        local = sorted(s)
-        fkeys: set[frozenset[int]] = set()
-        for f in lat.all_faces:
-            gkey = frozenset(local[i] for i in f.ray_indices)
-            fkeys.add(gkey)
-            if gkey not in by_key:
-                by_key[gkey] = Face(gkey, f.dim, f.span_rows, f.perp_rows)
-        cone_faces.append(fkeys)
+        _, _, faces = _cone_faces(sub.rays, sub.dim, rank, s, known)
+        faces.sort(key=lambda f: (f.dim, f.key))  # by_key keeps the order of the cones' lattices
+        for f in faces:
+            by_key.setdefault(f.ray_indices, f)
+        cone_faces.append({f.ray_indices for f in faces})
 
     for (ia, sa), (ib, sb) in itertools.combinations(enumerate(maximal), 2):
         common = frozenset(sa) & frozenset(sb)
@@ -522,6 +592,7 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     height function: after a unimodular change of coordinates taking ``rho``
     to the last basis vector, the boundary of the cone is the graph of a
     piecewise linear function on ``E``, and the divisor is its class.
+    The result is memoized on the cone by the primitive ray.
     """
     n = cone.rank
     if cone.dim != n:
@@ -529,19 +600,23 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     if n < 2:
         raise WrongDimension("star quotient needs dimension at least two")
     rho = xl.primitive_vector(_ivec(rho))
+    if rho in cone._quotients:
+        return cone._quotients[rho]
     lat = face_lattice(cone)
     if not lat.is_interior(rho):
         raise NotInterior(f"{rho} is not interior to the cone")
 
     rho_col = xl.integer_matrix([rho], n).T
     u, d, _ = xl.smith_normal_form(rho_col)
-    assert d[0, 0] == 1
+    if d[0, 0] != 1:
+        raise InvariantViolation("a primitive ray has a Smith invariant other than one")
     perm = list(range(1, n)) + [0]
     t_rows = [tuple(int(u[i, j]) for j in range(n)) for i in perm]
     if sum(a * b for a, b in zip(t_rows[-1], rho)) < 0:
         t_rows[-1] = tuple(-x for x in t_rows[-1])
     tmat = xl.integer_matrix(t_rows, n)
-    assert tuple(int(x) for x in xl.mat_mul(tmat, rho_col).T[0]) == (0,) * (n - 1) + (1,)
+    if tuple(int(x) for x in xl.mat_mul(tmat, rho_col).T[0]) != (0,) * (n - 1) + (1,):
+        raise InvariantViolation("the change of coordinates does not take rho to the last basis vector")
 
     heights = []
     projected = []
@@ -549,7 +624,8 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     for r in cone.rays:
         img = tuple(int(x) for x in xl.mat_mul(tmat, xl.integer_matrix([r], n).T).T[0])
         base, h = img[:-1], img[-1]
-        assert any(base), "a ray projects to zero; rho was not interior"
+        if not any(base):
+            raise InvariantViolation("a ray projects to zero; rho was not interior")
         p = xl.primitive_vector(base)
         g = next(b // pb for b, pb in zip(base, p) if pb != 0)
         heights.append(h)
@@ -558,13 +634,15 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
 
     maximal = [tuple(sorted(f.ray_indices)) for f in lat.faces_by_dim[n - 1]]
     fan = fan_from_cones(projected, maximal, n - 1)
-    assert fan.is_complete()
-    assert fan.face_counts() == lat.face_counts()[:-1]
+    if not fan.is_complete():
+        raise InvariantViolation("the quotient fan of an interior ray is not complete")
+    if fan.face_counts() != lat.face_counts()[:-1]:
+        raise InvariantViolation("the quotient fan's face counts differ from the cone's")
 
     from .lefschetz import support_data
 
-    divisor = support_data(fan, alphas)
-    return fan, divisor
+    cone._quotients[rho] = fan, support_data(fan, alphas)
+    return cone._quotients[rho]
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +750,8 @@ def line_shelling(cone: Cone, seed: int = 0) -> Shelling:
     facets = lat.faces_by_dim[d - 1]
     normals = {f.ray_indices: lat.facet_normals[f.ray_indices] for f in facets}
     w = tuple(sum(g[i] for g in normals.values()) for i in range(d))
-    assert all(_dot(w, c) > 0 for c in lat.ray_coords)
+    if not all(_dot(w, c) > 0 for c in lat.ray_coords):
+        raise InvariantViolation("the sum of the facet normals is not positive on the rays")
     centre_raw = tuple(sum(c[i] for c in lat.ray_coords) for i in range(d))
     scale = Fraction(1, _dot(w, centre_raw))
     centre = tuple(scale * x for x in centre_raw)

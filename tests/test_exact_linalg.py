@@ -688,3 +688,31 @@ def test_corrupted_projection_fails_under_python_O():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"]
+
+
+_CORRUPTED_QUOTIENT_RUN = """
+import sys
+
+from toricdef.cli import main
+from toricdef.polyhedral import Fan
+
+if __debug__:
+    sys.exit("not running under -O")
+# star_quotient checks that the quotient fan of an interior ray is complete
+Fan.is_complete = lambda self: False
+sys.argv = ["toricdef", "subdivide", "-"]
+main()
+"""
+
+
+def test_corrupted_quotient_check_fails_under_python_O():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    doc = "rank: 3\nrays:\n  1 0 1\n  0 1 1\n  -1 0 1\n  0 -1 1\ninterior_ray: 0 0 1\n"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_QUOTIENT_RUN],
+        input=doc, capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert run.returncode == 20, run.stderr
+    assert run.stderr.startswith("INVARIANT_VIOLATION")

@@ -1,14 +1,19 @@
 """Cones, face lattices, fans, quotients, pyramids, and shellings."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    A_RAYS,
+    B_RAYS,
     CUBE_RAYS,
     GLUED_RAYS,
+    T13_RAYS,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
@@ -33,8 +38,10 @@ from toricdef import (
     pyramid,
     star_quotient,
 )
+from toricdef import exact_linalg as xl
 from toricdef.exact_linalg import nonnegative_combination, reduce_mod_rows
-from toricdef.polyhedral import face_cone
+from toricdef.lefschetz import support_data
+from toricdef.polyhedral import Cone, FaceLattice, face_cone
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +331,189 @@ def test_random_cone_structure(seed):
             g = gcd(g, c)
         assert g == 1
     assert lat.is_interior(random_interior(rng, cone))
+
+
+# ---------------------------------------------------------------------------
+# lattice data against the Smith-form definitions
+
+
+def _saturation(rows, width):
+    """span_Q(rows) cap Z^width, by its definition: a kernel of a kernel."""
+    perp = xl.integer_kernel_rows(xl.integer_matrix(rows, width))
+    return tuple(xl.integer_kernel_rows(xl.integer_matrix(perp, width)))
+
+
+def _kernel(rows, width):
+    return tuple(xl.integer_kernel_rows(xl.integer_matrix(rows, width)))
+
+
+def reference_lattice(cone):
+    """The lattice data of a cone computed from scratch by Smith forms: the
+    span as a saturation, facet normals from the kernel of d - 1 rays, and
+    every face's ambient and intrinsic rows as saturations and kernels."""
+    n, d = cone.rank, cone.dim
+    span_rows = _saturation(cone.rays, n) if cone.rays else ()
+    ray_coords = tuple(tuple(x) for x in xl.coordinates(span_rows, cone.rays))
+    facets, normals = [], {}
+    for sub in itertools.combinations(range(len(ray_coords)), d - 1) if d else ():
+        kern = _kernel([ray_coords[i] for i in sub], d)
+        if len(kern) != 1:
+            continue
+        u = kern[0]
+        vals = [sum(a * b for a, b in zip(u, c)) for c in ray_coords]
+        if all(v <= 0 for v in vals):
+            u, vals = tuple(-x for x in u), [-v for v in vals]
+        elif not all(v >= 0 for v in vals):
+            continue
+        fs = frozenset(i for i, v in enumerate(vals) if v == 0)
+        if fs not in normals:
+            facets.append(fs)
+            normals[fs] = u
+    keys = {frozenset(range(len(cone.rays))), frozenset(), *facets}
+    grown = True
+    while grown:
+        new = {a & b for a in keys for b in facets} - keys
+        keys |= new
+        grown = bool(new)
+    faces = {}
+    for k in keys:
+        rays = [cone.rays[i] for i in sorted(k)]
+        cs = [ray_coords[i] for i in sorted(k)]
+        span = _saturation(rays, n) if rays else ()
+        faces[k] = (len(span), span, _kernel(rays, n), _saturation(cs, d) if cs else (), _kernel(cs, d))
+    return span_rows, ray_coords, normals, faces
+
+
+def lattice_mismatch(lat, ref):
+    """The first field in which a :class:`FaceLattice` differs from
+    :func:`reference_lattice`, or None."""
+    span_rows, ray_coords, normals, faces = ref
+    if lat.span_rows != span_rows:
+        return "span_rows"
+    if lat.ray_coords != ray_coords:
+        return "ray_coords"
+    if lat.facet_normals != normals:
+        return "facet_normals"
+    by_dim = {m: sorted(tuple(sorted(k)) for k, f in faces.items() if f[0] == m) for m in range(lat.cone.dim + 1)}
+    if {m: [f.key for f in fs] for m, fs in lat.faces_by_dim.items()} != by_dim:
+        return "faces_by_dim"
+    for k, (dim, span, perp, span_in, perp_in) in faces.items():
+        f = lat.by_key[k]
+        if (f.dim, f.span_rows, f.perp_rows) != (dim, span, perp):
+            return f"ambient rows of face {sorted(k)}"
+        if (lat.span_in_cone[k], lat.perp_in_cone[k]) != (span_in, perp_in):
+            return f"intrinsic rows of face {sorted(k)}"
+    return None
+
+
+def _seed77_cones():
+    """The first nine cones of the acceptance test's seed-77 pyramid family
+    and their pyramids."""
+    rng = random.Random(77)
+    out = []
+    for i in range(9):
+        d = 3 + i % 3
+        cone = random_cone(rng, d)
+        out += [cone, pyramid(cone, random_apex(rng, d))]
+    return out
+
+
+def _lattice_cases():
+    return [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + _seed77_cones()
+
+
+def test_face_lattice_matches_smith_definitions():
+    for cone in _lattice_cases():
+        assert lattice_mismatch(face_lattice(cone), reference_lattice(cone)) is None, cone
+
+
+def test_face_cone_lattice_is_the_lower_interval():
+    for cone in _lattice_cases():
+        for f in face_lattice(cone).all_faces:
+            sub = face_cone(cone, f)
+            lat = face_lattice(sub)
+            fresh = Cone(sub.rank, sub.rays, sub.dim)
+            assert lattice_mismatch(lat, reference_lattice(fresh)) is None, (cone, f.key)
+            scratch = FaceLattice(fresh)
+            assert lat.by_key == scratch.by_key
+            assert lat.faces_by_dim == scratch.faces_by_dim
+            assert lat.span_in_cone == scratch.span_in_cone
+            assert lat.perp_in_cone == scratch.perp_in_cone
+            assert lat.facet_normals == scratch.facet_normals
+
+
+def _star_quotients():
+    """(fan, divisor) of the ray-sum quotient of each full rank-4 case."""
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)]
+    cones += [c for c in _seed77_cones() if c.rank == c.dim == 4]
+    return [star_quotient(c, tuple(map(sum, zip(*c.rays)))) for c in cones]
+
+
+def _stellar_fan():
+    """The benchmark's stellar fan: ten stellar splits of the rank-4 simplex
+    fan drawn from ``random.Random("stellar")``."""
+    return random_complete_simplicial_fan(random.Random("stellar"), 4, 10)
+
+
+def test_fan_faces_match_each_maximal_cone():
+    for fan in [fan for fan, _ in _star_quotients()] + [_stellar_fan()]:
+        seen = set()
+        for s in fan.maximal:
+            cone = cone_from_rays([fan.rays[i] for i in s], fan.rank)
+            _, _, _, faces = reference_lattice(cone)
+            for k, (dim, span, perp, _, _) in faces.items():
+                f = fan.by_key[frozenset(s[i] for i in k)]
+                assert (f.dim, f.span_rows, f.perp_rows) == (dim, span, perp)
+                seen.add(f.ray_indices)
+        assert seen == set(fan.by_key)
+
+
+def test_support_data_rows_match_saturations():
+    stellar = _stellar_fan()
+    rng = random.Random(3)
+    values = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in stellar.rays]
+    for fan, divisor in _star_quotients() + [(stellar, support_data(stellar, values))]:
+        n = fan.rank
+        vertical = (0,) * n + (1,)
+        for key, lf in divisor.lifted.items():
+            hats = list(lf.hat_rays)
+            hat_span = _saturation(hats, n + 1) if hats else ()
+            assert lf.hat_span == hat_span
+            assert lf.hat_perp == _kernel(hats, n + 1)
+            assert lf.tilde_span == _saturation(list(hat_span) + [vertical], n + 1)
+
+
+# ---------------------------------------------------------------------------
+# work counts: Smith forms per face
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    calls = []
+    smith = xl._smith
+
+    def counted(a, n):
+        calls.append(n)
+        return smith(a, n)
+
+    monkeypatch.setattr(xl, "_smith", counted)
+    return calls
+
+
+def test_face_lattice_takes_at_most_two_smith_forms_per_face(smith_calls):
+    for rays in (A_RAYS, B_RAYS, T13_RAYS):
+        cone = cone_from_rays(rays, 4)
+        smith_calls.clear()
+        lat = face_lattice(cone)
+        assert len(smith_calls) <= 2 * len(lat.by_key)
+        smith_calls.clear()
+        for f in lat.all_faces:
+            face_lattice(face_cone(cone, f))
+        assert smith_calls == []
+
+
+def test_fan_takes_at_most_two_smith_forms_per_fan_face(smith_calls):
+    rays, maximal = _stellar_fan().rays, _stellar_fan().maximal
+    smith_calls.clear()
+    fan = fan_from_cones(rays, maximal, 4)
+    assert len(smith_calls) <= 2 * len(fan.by_key)
