@@ -264,11 +264,6 @@ def solve_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def integer_rank(m: np.ndarray) -> int:
-    """Rank of an integer matrix via fraction-free elimination."""
-    return len(_eliminate([list(map(_as_int, row)) for row in m.tolist()], m.shape[1], False))
-
-
 def matrix_rank(m: np.ndarray) -> int:
     """Exact rank over Q, by fraction-free elimination."""
     return len(pivot_columns(m))

@@ -11,10 +11,10 @@ lattice) never reaches the matrices; the anticommutation of the two paths
 through any 2-step interval of the face lattice makes the square of the
 differential vanish, and the builder verifies this on every assembly.
 
-One builder, :func:`face_complex`, makes every such complex from the faces
-by dimension, their annihilators and a covering normal: the complexes of a
-cone (intrinsic coordinates), of a fan (ambient coordinates), of the faces
-below a face, and the three complexes of a divisor's lifted sequence.
+One builder, :func:`face_complex`, makes every such complex from a
+:class:`~toricdef.polyhedral.FacePoset`: the complexes of a cone (intrinsic
+coordinates), of a fan (ambient coordinates), of the faces below a face, and
+the three complexes of a divisor's lifted sequence.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import exact_linalg as xl
 from .errors import InvariantViolation, NotAComplex, ValidationError
-from .polyhedral import Cone, Face, Fan, face_cone, face_lattice
+from .polyhedral import Cone, Face, FacePoset, Fan, face_cone, face_lattice
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class CohomologyTable:
         raise KeyError(l)
 
 
-def assemble_complex(label: str, layers, entry_fn, check: bool = True) -> LabeledComplex:
+def assemble_complex(label: str, layers, entry_fn) -> LabeledComplex:
     """Assemble a labeled complex from per-degree block lists and a block
     entry callback ``entry_fn(degree, src_block, dst_block) -> matrix|None``.
 
@@ -118,10 +118,9 @@ def assemble_complex(label: str, layers, entry_fn, check: bool = True) -> Labele
                         if v != 0:
                             d[r, c] = xl._as_int(v)
         diffs.append(d)
-    if check:
-        for i in range(len(diffs) - 1):
-            if not xl.is_zero_matrix(xl.mat_mul(diffs[i + 1], diffs[i])):
-                raise NotAComplex(f"{label}: differential does not square to zero at degree {i}")
+    for i in range(len(diffs) - 1):
+        if not xl.is_zero_matrix(xl.mat_mul(diffs[i + 1], diffs[i])):
+            raise NotAComplex(f"{label}: differential does not square to zero at degree {i}")
     return LabeledComplex(label, tuple(terms), tuple(diffs))
 
 
@@ -144,78 +143,52 @@ def cohomology(cx: LabeledComplex) -> tuple[int, ...]:
 # complexes of cones and fans
 
 
-def face_complex(
-    label: str, faces_by_dim, level: int, depth: int, width: int, perp, normal
-) -> LabeledComplex:
+def face_complex(label: str, poset: FacePoset, level: int, depth: int) -> LabeledComplex:
     """The level-``level`` complex of a face poset, in degrees ``0..depth-1``.
 
     Degree ``m <= level`` is the direct sum, over the faces in
-    ``faces_by_dim[m]``, of the ``(level-m)``-th exterior power of the
-    annihilator spanned by the rows ``perp(face)`` (vectors of length
-    ``width``); higher degrees are zero.  The differential contracts along
-    each covering pair ``mu < tau`` with ``normal(mu, tau)``.
+    ``poset.faces_by_dim[m]``, of the ``(level-m)``-th exterior power of the
+    annihilator spanned by the face's ``poset.perps`` rows; higher degrees
+    are zero.  The differential contracts along each covering pair
+    ``mu < tau`` with ``poset.covering_normal(mu, tau)``.
     """
     faces = {}
     layers = []
     for m in range(depth):
         layer = []
-        for f in faces_by_dim.get(m, ()) if m <= level else ():
+        for f in poset.faces_by_dim.get(m, ()) if m <= level else ():
             faces[f.key] = f
-            layer.append((f.key, xl.ExteriorBasis(xl.SubspaceBasis(width, perp(f)), level - m)))
+            basis = xl.SubspaceBasis(poset.width, poset.perps[f.ray_indices])
+            layer.append((f.key, xl.ExteriorBasis(basis, level - m)))
         layers.append(layer)
 
     def entry(i, sb, tb):
         mu, tau = faces[sb.face_key], faces[tb.face_key]
         if not mu.ray_indices < tau.ray_indices:
             return None
-        return xl.contraction_matrix(normal(mu, tau), sb.basis, tb.basis)
+        return xl.contraction_matrix(poset.covering_normal(mu, tau), sb.basis, tb.basis)
 
     return assemble_complex(label, layers, entry)
 
 
-def _overridden(normal, normal_override):
-    if normal_override is None:
-        return normal
-    return lambda mu, tau: normal_override(mu, tau, normal(mu, tau))
-
-
-def ishida_cone(cone: Cone, l: int, normal_override=None) -> LabeledComplex:
+def ishida_cone(cone: Cone, l: int) -> LabeledComplex:
     """The level-``l`` complex of a cone, in intrinsic coordinates.
 
     The cone is treated as full-dimensional inside its own span lattice, so
     the annihilator of a face of dimension ``m`` has dimension ``dim - m``.
-    ``normal_override(mu, tau, normal) -> normal'`` lets callers retarget the
-    normal representatives (used to demonstrate representative independence).
     """
     d = cone.dim
     if not 0 <= l <= d:
         raise ValidationError(f"level {l} outside 0..{d}")
-    lat = face_lattice(cone)
-    return face_complex(
-        f"cone level {l}",
-        lat.faces_by_dim,
-        l,
-        l + 1,
-        d,
-        lambda f: lat.perp_in_cone[f.ray_indices],
-        _overridden(lat.covering_normal, normal_override),
-    )
+    return face_complex(f"cone level {l}", face_lattice(cone), l, l + 1)
 
 
-def ishida_fan(fan: Fan, l: int, normal_override=None) -> LabeledComplex:
+def ishida_fan(fan: Fan, l: int) -> LabeledComplex:
     """The level-``l`` complex of a fan in its ambient coordinates."""
     n = fan.rank
     if not 0 <= l <= n:
         raise ValidationError(f"level {l} outside 0..{n}")
-    return face_complex(
-        f"fan level {l}",
-        fan.faces_by_dim,
-        l,
-        min(l, max(fan.faces_by_dim)) + 1,
-        n,
-        lambda f: f.perp_rows,
-        _overridden(fan.covering_normal, normal_override),
-    )
+    return face_complex(f"fan level {l}", fan, l, min(l, max(fan.faces_by_dim)) + 1)
 
 
 def fan_cohomology_table(fan: Fan) -> CohomologyTable:
@@ -294,10 +267,11 @@ def lcdef_variety(cone: Cone, shortcut_simplicial: bool = True) -> int:
 
 
 def _resolve_face(cone: Cone, tau) -> Face:
-    lat = face_lattice(cone)
-    if isinstance(tau, Face):
-        return lat.by_key[tau.ray_indices]
-    return lat.by_key[frozenset(tau)]
+    key = tau.ray_indices if isinstance(tau, Face) else frozenset(tau)
+    face = face_lattice(cone).by_key.get(key)
+    if face is None:
+        raise ValidationError(f"rays {sorted(key)} are not a face of the cone")
+    return face
 
 
 def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
@@ -361,17 +335,9 @@ def restricted_complex(cone: Cone, l: int, tau) -> LabeledComplex:
     if not 0 <= l <= d:
         raise ValidationError(f"level {l} outside 0..{d}")
     face = _resolve_face(cone, tau)
-    lat = face_lattice(cone)
-    below = {
-        m: tuple(f for f in fs if f.ray_indices <= face.ray_indices)
-        for m, fs in lat.faces_by_dim.items()
-    }
     return face_complex(
         f"restricted level {l} at {face.key}",
-        below,
+        face_lattice(cone).below(face.ray_indices),
         l,
         min(l, face.dim) + 1,
-        d,
-        lambda f: lat.perp_in_cone[f.ray_indices],
-        lat.covering_normal,
     )

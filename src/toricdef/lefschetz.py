@@ -34,7 +34,7 @@ from .errors import (
     WrongDimension,
 )
 from .ishida import LabeledComplex, cohomology, face_complex, ishida_cone, ishida_fan
-from .polyhedral import Cone, Face, Fan, face_lattice, normal_generator, star_quotient
+from .polyhedral import Cone, FacePoset, Fan, normal_generator, star_quotient
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,9 @@ class DivisorData:
     ``alpha`` are the values on the primitive rays, ``u`` the local linear
     forms per maximal cone, ``cartier_denominator`` the least positive C
     with all C*u integral, and ``lifted`` the per-face lift lattice data.
+    ``hat`` and ``tilde`` are the fan's faces as posets in one more
+    coordinate: the hat rows with the hats as rays, and the fan's own rows
+    padded by a zero.
     """
 
     fan: Fan
@@ -64,6 +67,8 @@ class DivisorData:
     u: dict[tuple[int, ...], tuple[Fraction, ...]]
     cartier_denominator: int
     lifted: dict[frozenset, LiftedFace]
+    hat: FacePoset = field(repr=False)
+    tilde: FacePoset = field(repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
 
     def vertical_index(self, face_key) -> int:
@@ -97,14 +102,11 @@ def support_data(fan: Fan, alpha) -> DivisorData:
     denom = lcm(1, *(x.denominator for f in u.values() for x in f))
 
     vertical = (0,) * n + (1,)
+    hats = tuple(tuple(v.denominator * c for c in r) + (v.numerator,) for v, r in zip(values, fan.rays))
     lifted: dict[frozenset, LiftedFace] = {}
     for key, face in fan.by_key.items():
-        hats = []
-        for i in sorted(key):
-            q = values[i].denominator
-            p = values[i].numerator
-            hats.append(tuple(q * c for c in fan.rays[i]) + (p,))
-        hat_perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(hats, n + 1)))
+        hat_rays = tuple(hats[i] for i in sorted(key))
+        hat_perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(hat_rays, n + 1)))
         hat_span = tuple(xl.integer_kernel_rows(xl.integer_matrix(hat_perp, n + 1)))
         # span(hat) + Q vertical = span(face) x Q, so the tilde lattice is the
         # face's lattice times Z, and this is already its Hermite basis
@@ -112,10 +114,15 @@ def support_data(fan: Fan, alpha) -> DivisorData:
         a_idx = xl.lattice_index([vertical] + list(hat_span), tilde_span, n + 1)
         if not isinstance(a_idx, int):
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")
-        lifted[key] = LiftedFace(
-            tuple(sorted(key)), tuple(hats), hat_span, hat_perp, tilde_span, a_idx
-        )
-    return DivisorData(fan, values, u, denom, lifted)
+        lifted[key] = LiftedFace(tuple(sorted(key)), hat_rays, hat_span, hat_perp, tilde_span, a_idx)
+    hat = FacePoset(
+        n + 1,
+        fan.by_key.values(),
+        {k: lf.hat_span for k, lf in lifted.items()},
+        {k: lf.hat_perp for k, lf in lifted.items()},
+        hats,
+    )
+    return DivisorData(fan, values, u, denom, lifted, hat, fan.padded())
 
 
 # ---------------------------------------------------------------------------
@@ -245,45 +252,9 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
 
     vertical = (0,) * n + (1,)
     depth = min(p + 1, max(fan.faces_by_dim)) + 1
-
-    def tilde(level: int) -> LabeledComplex:
-        return face_complex(
-            f"tilde level {level}",
-            fan.faces_by_dim,
-            level,
-            depth,
-            n + 1,
-            lambda f: tuple(r + (0,) for r in f.perp_rows),
-            lambda mu, tau: fan.covering_normal(mu, tau) + (0,),
-        )
-
-    top = tilde(p + 1)
-    bottom = tilde(p)
-
-    hat_normals = divisor._memo.setdefault("hat_normals", {})
-
-    def hat_normal(mu: Face, tau: Face):
-        key = (mu.ray_indices, tau.ray_indices)
-        if key not in hat_normals:
-            lm = divisor.lifted[mu.ray_indices]
-            lt = divisor.lifted[tau.ray_indices]
-            orient = [
-                h
-                for h, i in zip(lt.hat_rays, sorted(tau.ray_indices))
-                if i not in mu.ray_indices
-            ]
-            hat_normals[key] = normal_generator(lm.hat_span, lt.hat_span, orient)
-        return hat_normals[key]
-
-    middle = face_complex(
-        f"hat level {p + 1}",
-        fan.faces_by_dim,
-        p + 1,
-        depth,
-        n + 1,
-        lambda f: divisor.lifted[f.ray_indices].hat_perp,
-        hat_normal,
-    )
+    top = face_complex(f"tilde level {p + 1}", divisor.tilde, p + 1, depth)
+    bottom = face_complex(f"tilde level {p}", divisor.tilde, p, depth)
+    middle = face_complex(f"hat level {p + 1}", divisor.hat, p + 1, depth)
 
     include: list[np.ndarray] = []
     project: list[np.ndarray] = []

@@ -19,6 +19,10 @@ intrinsic rows of :class:`FaceLattice` are coordinates and restrictions of
 the ambient ones, with no further Smith form (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone` takes its whole lattice
 from the parent's lower interval.
+
+Cone lattices, fans and divisor lifts are all one :class:`FacePoset`.
+:func:`fan_from_cones` validates a fan with exact LPs; :func:`star_quotient`
+reads the quotient fan of an interior ray off the cone's faces, with no LP.
 """
 
 from __future__ import annotations
@@ -51,9 +55,7 @@ def _dot(u, v):
 def _ivec(v) -> tuple[int, ...]:
     out = []
     for x in v:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValidationError(f"expected an integer vector, got {v!r}")
+        if isinstance(x, Fraction) and x.denominator == 1:
             x = x.numerator
         if not isinstance(x, int):
             raise ValidationError(f"expected an integer vector, got {v!r}")
@@ -84,9 +86,6 @@ class Cone:
 
     def __repr__(self) -> str:
         return f"Cone(rank={self.rank}, dim={self.dim}, rays={len(self.rays)})"
-
-    def face_lattice(self) -> "FaceLattice":
-        return face_lattice(self)
 
 
 def cone_from_rays(vectors, rank: int | None = None) -> Cone:
@@ -188,19 +187,23 @@ def _face_keys(ray_coords, d: int) -> set[frozenset[int]]:
     return keys
 
 
+def _lattice_face(key: frozenset[int], gens, n: int) -> Face:
+    """The face ``key`` spanned by ``gens`` in ``Z^n``: its annihilator is one
+    Smith-form kernel of the rays and its span lattice the kernel of that."""
+    perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(gens, n)))
+    span = tuple(xl.integer_kernel_rows(xl.integer_matrix(perp, n)))
+    return Face(key, len(span), span, perp)
+
+
 def _cone_faces(rays, d: int, n: int, labels, known: dict) -> tuple:
     """``(span_rows, ray_coords, faces)`` of the cone over ``rays`` (of
     dimension ``d`` in ``Z^n``).  A face is keyed by the ``labels`` of its
-    rays and looked up in, or added to, ``known``; a new face costs two
-    Smith forms, its annihilator and the kernel of that."""
+    rays and looked up in, or added to, ``known``."""
 
     def face(local) -> Face:
         key = frozenset(labels[i] for i in local)
         if key not in known:
-            gens = [rays[i] for i in sorted(local)]
-            perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(gens, n)))
-            span = tuple(xl.integer_kernel_rows(xl.integer_matrix(perp, n)))
-            known[key] = Face(key, len(span), span, perp)
+            known[key] = _lattice_face(key, [rays[i] for i in sorted(local)], n)
         return known[key]
 
     span_rows = face(range(len(rays))).span_rows
@@ -221,13 +224,79 @@ def _lower_interval(parent: "FaceLattice", key: frozenset[int]) -> tuple:
     return parent.by_key[key].span_rows, faces
 
 
-class FaceLattice:
+def _padded(rows) -> tuple:
+    return tuple(r + (0,) for r in rows)
+
+
+class FacePoset:
+    """Faces graded by dimension, with lattice data in ``width`` coordinates.
+
+    ``by_key`` maps a face's ray set to its :class:`Face`, in the order given;
+    ``faces_by_dim`` lists each dimension's faces by key.  ``spans`` and
+    ``perps`` map a ray set to the Hermite bases of the face's span lattice
+    and annihilator, and ``rays`` holds the ray vectors, all in the poset's
+    coordinates.  A cone's lattice (intrinsic), a fan (ambient), the faces
+    below a face and a divisor's two lifts (one coordinate more) are posets,
+    and :func:`toricdef.ishida.face_complex` builds the complex of any one.
+    """
+
+    def __init__(self, width: int, faces, spans, perps, rays):
+        self.width = width
+        self.by_key: dict[frozenset[int], Face] = {f.ray_indices: f for f in faces}
+        ordered = sorted(self.by_key.values(), key=lambda f: (f.dim, f.key))
+        self.faces_by_dim: dict[int, tuple[Face, ...]] = {
+            m: tuple(f for f in ordered if f.dim == m) for m in range(ordered[-1].dim + 1)
+        }
+        self.spans: dict[frozenset[int], tuple] = spans
+        self.perps: dict[frozenset[int], tuple] = perps
+        self.rays = rays
+        self._normals: dict[tuple, tuple[int, ...]] = {}
+
+    @property
+    def all_faces(self) -> list[Face]:
+        return [f for fs in self.faces_by_dim.values() for f in fs]
+
+    def face_counts(self) -> tuple[int, ...]:
+        return tuple(len(self.faces_by_dim.get(m, ())) for m in range(self.width + 1))
+
+    def covering_normal(self, mu: Face, tau: Face) -> tuple[int, ...]:
+        """The canonical normal of a covering pair ``mu < tau`` in the
+        poset's coordinates, oriented by the rays of ``tau`` not in ``mu``
+        (memoized)."""
+        key = (mu.ray_indices, tau.ray_indices)
+        if key not in self._normals:
+            orient = [self.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
+            self._normals[key] = normal_generator(
+                self.spans[mu.ray_indices], self.spans[tau.ray_indices], orient
+            )
+        return self._normals[key]
+
+    def below(self, key: frozenset[int]) -> "FacePoset":
+        """The faces contained in the face ``key``, with this poset's rows
+        and covering normals."""
+        faces = [f for f in self.by_key.values() if f.ray_indices <= key]
+        out = FacePoset(self.width, faces, self.spans, self.perps, self.rays)
+        out.covering_normal = self.covering_normal
+        return out
+
+    def padded(self) -> "FacePoset":
+        """This poset in one more coordinate, every row padded by a zero.
+        Padding commutes with :func:`normal_generator`, so the covering
+        normals are this poset's, padded, and are computed once for both."""
+        spans = {k: _padded(v) for k, v in self.spans.items()}
+        perps = {k: _padded(v) for k, v in self.perps.items()}
+        out = FacePoset(self.width + 1, self.by_key.values(), spans, perps, _padded(self.rays))
+        out.covering_normal = lambda mu, tau: self.covering_normal(mu, tau) + (0,)
+        return out
+
+
+class FaceLattice(FacePoset):
     """All faces of a cone, graded by dimension, with covering relations.
 
     Besides the ambient data stored on each :class:`Face`, the lattice keeps
-    an intrinsic coordinate system (a lattice basis of the cone's span) in
-    which the cone is full-dimensional; facet inequalities, interiority
-    tests and shellings live there.
+    an intrinsic coordinate system (a lattice basis ``span_rows`` of the
+    cone's span) in which the cone is full-dimensional; the poset's rows,
+    facet inequalities, interiority tests and shellings live there.
 
     Where each row comes from:
 
@@ -235,17 +304,17 @@ class FaceLattice:
       ``Face.span_rows`` the kernel of that, which is the saturation of the
       rays; ``span_rows`` of the lattice is the top face's span.  A cone
       made by :func:`face_cone` takes both from its parent's faces below it.
-    * ``ray_coords`` are the rays' coordinates in ``span_rows``.
-    * ``span_in_cone`` is the Hermite basis of the coordinates of a face's
+    * ``rays`` are the rays' coordinates in ``span_rows``.
+    * ``spans`` are Hermite bases of the coordinates of each face's
       ``span_rows``.  A saturated sublattice of a saturated lattice has
       integral coordinates, and their lattice is saturated.
-    * ``perp_in_cone`` is the Hermite basis of the face's ``perp_rows``
-      restricted to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)``
+    * ``perps`` are Hermite bases of each face's ``perp_rows`` restricted
+      to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)``
       is onto because the span lattice ``L`` is saturated, and a functional
       on ``L`` vanishing on the face extends to one on ``Z^n`` that still
       vanishes on it, so the restrictions generate the whole annihilator.
-    * ``facet_normals`` maps each facet to its one ``perp_in_cone`` row,
-      signed to be positive on the rays.
+    * ``facet_normals`` maps each facet to its one ``perps`` row, signed to
+      be positive on the rays.
     """
 
     def __init__(self, cone: Cone):
@@ -260,43 +329,24 @@ class FaceLattice:
             span_rows, faces = _lower_interval(face_lattice(parent), key)
             ray_coords = _ray_coords(span_rows, cone.rays)
         self.span_rows = span_rows
-        self.ray_coords = ray_coords
-
         faces.sort(key=lambda f: (f.dim, f.key))
-        self.by_key: dict[frozenset[int], Face] = {f.ray_indices: f for f in faces}
-        self.faces_by_dim: dict[int, tuple[Face, ...]] = {
-            m: tuple(f for f in faces if f.dim == m) for m in range(d + 1)
-        }
-
-        # intrinsic span/perp per face (coordinates w.r.t. span_rows)
-        self.span_in_cone: dict[frozenset[int], tuple] = {}
-        self.perp_in_cone: dict[frozenset[int], tuple] = {}
+        super().__init__(d, faces, {}, {}, ray_coords)
         for f in faces:
-            self.span_in_cone[f.ray_indices] = tuple(
-                xl.hermite_rows(xl.coordinates(span_rows, f.span_rows), d)
-            )
-            self.perp_in_cone[f.ray_indices] = tuple(
-                xl.hermite_rows([[_dot(p, b) for b in span_rows] for p in f.perp_rows], d)
-            )
+            coords = xl.coordinates(span_rows, f.span_rows)
+            self.spans[f.ray_indices] = tuple(xl.hermite_rows(coords, d))
+            restricted = [[_dot(p, b) for b in span_rows] for p in f.perp_rows]
+            self.perps[f.ray_indices] = tuple(xl.hermite_rows(restricted, d))
         self.facet_normals: dict[frozenset[int], tuple[int, ...]] = {}
         for f in self.faces_by_dim.get(d - 1, ()):
-            (u,) = self.perp_in_cone[f.ray_indices]
+            (u,) = self.perps[f.ray_indices]
             if any(_dot(u, c) < 0 for c in ray_coords):
                 u = tuple(-x for x in u)
             self.facet_normals[f.ray_indices] = u
 
-        self._normal_memo: dict[tuple, tuple[int, ...]] = {}
         self._below_memo: dict[frozenset[int], tuple[Face, ...]] = {}
         self._shell_memo: dict[tuple, bool] = {}
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def all_faces(self) -> list[Face]:
-        return [f for m in sorted(self.faces_by_dim) for f in self.faces_by_dim[m]]
-
-    def face_counts(self) -> tuple[int, ...]:
-        return tuple(len(self.faces_by_dim[m]) for m in sorted(self.faces_by_dim))
 
     def top(self) -> Face:
         return self.by_key[frozenset(range(len(self.cone.rays)))]
@@ -317,17 +367,13 @@ class FaceLattice:
 
     def check_diamond(self) -> bool:
         """Every 2-step interval in the lattice has exactly two midpoints."""
-        for lo in self.all_faces:
-            for hi in self.all_faces:
-                if hi.dim == lo.dim + 2 and lo.ray_indices <= hi.ray_indices:
-                    mids = [
-                        g
-                        for g in self.faces_by_dim[lo.dim + 1]
-                        if lo.ray_indices <= g.ray_indices <= hi.ray_indices
-                    ]
-                    if len(mids) != 2:
-                        return False
-        return True
+        return all(
+            sum(lo.ray_indices <= g.ray_indices <= hi.ray_indices for g in self.faces_by_dim[lo.dim + 1])
+            == 2
+            for lo in self.all_faces
+            for hi in self.faces_by_dim.get(lo.dim + 2, ())
+            if lo.ray_indices <= hi.ray_indices
+        )
 
     def interior_coords(self, v) -> list[Fraction] | None:
         """Intrinsic coordinates of ``v`` if it lies in the cone's span."""
@@ -342,21 +388,6 @@ class FaceLattice:
         if self.cone.dim == 0:
             return all(x == 0 for x in v)
         return all(_dot(g, cs) > 0 for g in self.facet_normals.values())
-
-    def normal_generator(self, mu: Face, tau: Face) -> tuple[int, ...]:
-        orient = [self.cone.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
-        return normal_generator(mu.span_rows, tau.span_rows, orient)
-
-    def covering_normal(self, mu: Face, tau: Face) -> tuple[int, ...]:
-        """The canonical normal of a covering pair ``mu < tau`` in intrinsic
-        coordinates, the ones the cone's complexes live in (memoized)."""
-        key = (mu.ray_indices, tau.ray_indices)
-        if key not in self._normal_memo:
-            orient = [self.ray_coords[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
-            self._normal_memo[key] = normal_generator(
-                self.span_in_cone[mu.ray_indices], self.span_in_cone[tau.ray_indices], orient
-            )
-        return self._normal_memo[key]
 
 
 def face_lattice(cone: Cone) -> FaceLattice:
@@ -423,8 +454,6 @@ def pyramid(cone: Cone, apex) -> Cone:
         raise ValidationError("apex must live in one more coordinate")
     if apex[-1] == 0:
         raise ApexInHyperplane("apex lies in the original hyperplane")
-    if not any(apex):
-        raise ZeroVector("zero apex")
     rays = [r + (0,) for r in cone.rays] + [xl.primitive_vector(apex)]
     out = cone_from_rays(rays, cone.rank + 1)
     if len(out.rays) != len(cone.rays) + 1:
@@ -438,46 +467,25 @@ def pyramid(cone: Cone, apex) -> Cone:
 # fans
 
 
-class Fan:
-    """A fan: primitive rays plus maximal cones given by ray-index sets.
+class Fan(FacePoset):
+    """A fan: primitive rays plus maximal cones given by ray-index sets, and
+    the faces of all maximal cones as one poset in ambient coordinates.
 
-    All faces of all maximal cones are enumerated and shared.
-    :func:`fan_from_cones` builds every fan and verifies exactly, via a
-    strict separating functional, that any two maximal cones meet in a
-    common face.
+    :func:`fan_from_cones` builds a fan from its maximal cones and verifies
+    exactly, via a strict separating functional, that any two of them meet
+    in a common face; :func:`star_quotient` builds the quotient fan of an
+    interior ray from the cone's own faces, a fan by construction.
     """
 
-    __slots__ = ("rank", "rays", "maximal", "by_key", "faces_by_dim", "_complete", "_normal_memo")
-
-    def __init__(self, rank, rays, maximal, by_key, faces_by_dim):
+    def __init__(self, rank, rays, maximal, faces):
+        spans = {f.ray_indices: f.span_rows for f in faces}
+        super().__init__(rank, faces, spans, {f.ray_indices: f.perp_rows for f in faces}, rays)
         self.rank = rank
-        self.rays = rays
         self.maximal = maximal
-        self.by_key = by_key
-        self.faces_by_dim = faces_by_dim
         self._complete = None
-        self._normal_memo: dict[tuple, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, maximal={len(self.maximal)})"
-
-    @property
-    def all_faces(self) -> list[Face]:
-        return [f for m in sorted(self.faces_by_dim) for f in self.faces_by_dim[m]]
-
-    def face_counts(self) -> tuple[int, ...]:
-        return tuple(
-            len(self.faces_by_dim.get(m, ())) for m in range(self.rank + 1)
-        )
-
-    def covering_normal(self, mu: Face, tau: Face) -> tuple[int, ...]:
-        """The canonical normal of a covering pair ``mu < tau`` in ambient
-        coordinates (memoized)."""
-        key = (mu.ray_indices, tau.ray_indices)
-        if key not in self._normal_memo:
-            orient = [self.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
-            self._normal_memo[key] = normal_generator(mu.span_rows, tau.span_rows, orient)
-        return self._normal_memo[key]
 
     def is_complete(self) -> bool:
         """Does the support cover the whole space?  Exact: every maximal cone
@@ -487,13 +495,14 @@ class Fan:
         codimension at least two; its complement is connected.  A point of
         the support outside ``S`` lies in the interior of a maximal cone or
         in the relative interior of a wall, and the two maximal cones on a
-        wall lie on opposite sides of it, because validated cones meet only
-        in a common face; either way a neighbourhood of the point lies in the
-        support.  So the support minus ``S`` is open and closed in the
+        wall lie on opposite sides of it, because the cones of a fan meet
+        only in a common face; either way a neighbourhood of the point lies
+        in the support.  So the support minus ``S`` is open and closed in the
         complement of ``S`` and nonempty, hence all of it, and the support,
         being closed, is the whole space.  Fan validation rejects a listed
         cone that is a face of another, a cone listed twice included (its
-        walls would count twice), so the conditions are necessary as well: a
+        walls would count twice), and a quotient fan's maximal cones are the
+        cone's distinct facets, so the conditions are necessary as well: a
         wall in only one maximal cone has uncovered points right across it.
         """
         if self._complete is None:
@@ -505,20 +514,9 @@ class Fan:
         return self._complete
 
 
-def _strictly_separable(columns) -> bool:
-    """Is there u with <u, c> > 0 for every column?  (Equivalently the
-    positive hull of the columns is strongly convex and misses zero.)"""
-    if any(not any(c) for c in columns):
-        return False
-    if not columns:
-        return True
-    width = len(columns[0])
-    cols = [tuple(c) + (1,) for c in columns]
-    return xl.nonnegative_combination(cols, (0,) * width + (1,)) is None
-
-
 def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
-    """Assemble a fan from shared rays and maximal cones (ray-index lists)."""
+    """Assemble a fan from shared rays and maximal cones (ray-index lists),
+    validating each cone and each pair of cones exactly."""
     rays = tuple(_ivec(r) for r in rays)
     if not rays:
         raise ValidationError("a fan needs at least one ray")
@@ -562,26 +560,19 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
             )
         if common == frozenset(sa) or common == frozenset(sb):
             raise ValidationError(f"cones {sa} and {sb}: one is a face of the other")
+        # the cones meet only in the common face iff some u is positive on the
+        # images of the other rays of one and negative on those of the other,
+        # modulo the face's span: iff no nonnegative combination of the
+        # columns (+-image, 1) is (0, ..., 0, 1)
         perp = by_key[common].perp_rows
-        cols = []
-        for i in sa:
-            if i not in common:
-                cols.append(tuple(_dot(p, rays[i]) for p in perp))
-        for i in sb:
-            if i not in common:
-                cols.append(tuple(-_dot(p, rays[i]) for p in perp))
-        if not _strictly_separable(cols):
+        cols = [tuple(_dot(p, rays[i]) for p in perp) + (1,) for i in sa if i not in common]
+        cols += [tuple(-_dot(p, rays[i]) for p in perp) + (1,) for i in sb if i not in common]
+        if xl.nonnegative_combination(cols, (0,) * len(perp) + (1,)) is not None:
             raise ValidationError(
                 f"cones {sa} and {sb} overlap beyond their common face"
             )
 
-    faces_by_dim: dict[int, tuple[Face, ...]] = {}
-    top = max(f.dim for f in by_key.values())
-    for m in range(top + 1):
-        fs = [f for f in by_key.values() if f.dim == m]
-        fs.sort(key=lambda f: f.key)
-        faces_by_dim[m] = tuple(fs)
-    return Fan(rank, rays, maximal, by_key, faces_by_dim)
+    return Fan(rank, rays, maximal, list(by_key.values()))
 
 
 def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
@@ -593,47 +584,58 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     to the last basis vector, the boundary of the cone is the graph of a
     piecewise linear function on ``E``, and the divisor is its class.
     The result is memoized on the cone by the primitive ray.
+
+    ``E`` is read off the cone's faces, with no LP.  A proper face lies in a
+    facet hyperplane on which ``rho`` is positive, so the projection ``p``
+    along ``rho`` is injective on its span and maps its faces onto the faces
+    of its image.  A line ``x + Q rho`` meets the cone in a half-line
+    (``rho`` is interior, the cone strongly convex) whose end point is its
+    only boundary point, so ``p`` maps the boundary one to one onto the
+    quotient space.  Images of two proper faces thus meet in the image of
+    their intersection, and the images cover the space: the proper faces
+    make a complete fan with distinct rays.  Only the rows are computed, from
+    the projected rays, as in :func:`fan_from_cones`.
     """
     n = cone.rank
     if cone.dim != n:
         raise NotFullDim("star quotient needs a full-dimensional cone")
     if n < 2:
         raise WrongDimension("star quotient needs dimension at least two")
-    rho = xl.primitive_vector(_ivec(rho))
+    rho = _ivec(rho)
+    if len(rho) != n:
+        raise ValidationError(f"the interior ray {rho} needs {n} coordinates")
+    rho = xl.primitive_vector(rho)
     if rho in cone._quotients:
         return cone._quotients[rho]
     lat = face_lattice(cone)
     if not lat.is_interior(rho):
         raise NotInterior(f"{rho} is not interior to the cone")
 
-    rho_col = xl.integer_matrix([rho], n).T
-    u, d, _ = xl.smith_normal_form(rho_col)
-    if d[0, 0] != 1:
+    # U rho = (1, 0, ..., 0) for the Smith form of the column rho; the rows
+    # of U with the first moved last take rho to the last basis vector
+    u, d, _ = xl._smith([[x] for x in rho], 1)
+    if d[0][0] != 1:
         raise InvariantViolation("a primitive ray has a Smith invariant other than one")
-    perm = list(range(1, n)) + [0]
-    t_rows = [tuple(int(u[i, j]) for j in range(n)) for i in perm]
-    if sum(a * b for a, b in zip(t_rows[-1], rho)) < 0:
-        t_rows[-1] = tuple(-x for x in t_rows[-1])
-    tmat = xl.integer_matrix(t_rows, n)
-    if tuple(int(x) for x in xl.mat_mul(tmat, rho_col).T[0]) != (0,) * (n - 1) + (1,):
+    t_rows = u[1:] + u[:1]
+    if [_dot(t, rho) for t in t_rows] != [0] * (n - 1) + [1]:
         raise InvariantViolation("the change of coordinates does not take rho to the last basis vector")
 
-    heights = []
     projected = []
     alphas = []
     for r in cone.rays:
-        img = tuple(int(x) for x in xl.mat_mul(tmat, xl.integer_matrix([r], n).T).T[0])
-        base, h = img[:-1], img[-1]
+        *base, h = (_dot(t, r) for t in t_rows)
         if not any(base):
             raise InvariantViolation("a ray projects to zero; rho was not interior")
         p = xl.primitive_vector(base)
         g = next(b // pb for b, pb in zip(base, p) if pb != 0)
-        heights.append(h)
         projected.append(p)
         alphas.append(Fraction(h, g))
 
-    maximal = [tuple(sorted(f.ray_indices)) for f in lat.faces_by_dim[n - 1]]
-    fan = fan_from_cones(projected, maximal, n - 1)
+    faces = [
+        _lattice_face(f.ray_indices, [projected[i] for i in f.key], n - 1)
+        for f in lat.all_faces[:-1]
+    ]
+    fan = Fan(n - 1, tuple(projected), tuple(f.key for f in lat.faces_by_dim[n - 1]), faces)
     if not fan.is_complete():
         raise InvariantViolation("the quotient fan of an interior ray is not complete")
     if fan.face_counts() != lat.face_counts()[:-1]:
@@ -750,9 +752,9 @@ def line_shelling(cone: Cone, seed: int = 0) -> Shelling:
     facets = lat.faces_by_dim[d - 1]
     normals = {f.ray_indices: lat.facet_normals[f.ray_indices] for f in facets}
     w = tuple(sum(g[i] for g in normals.values()) for i in range(d))
-    if not all(_dot(w, c) > 0 for c in lat.ray_coords):
+    if not all(_dot(w, c) > 0 for c in lat.rays):
         raise InvariantViolation("the sum of the facet normals is not positive on the rays")
-    centre_raw = tuple(sum(c[i] for c in lat.ray_coords) for i in range(d))
+    centre_raw = tuple(sum(c[i] for c in lat.rays) for i in range(d))
     scale = Fraction(1, _dot(w, centre_raw))
     centre = tuple(scale * x for x in centre_raw)
 

@@ -161,7 +161,7 @@ def _assert_diamonds_anticommute(cx):
 
 def test_structural_identities(
     cone_a, cone_b, cone_13, glued_cone, cube_cone, orthant4,
-    p2_fan, p1p1_fan, p112_fan,
+    p2_fan, p1p1_fan, p112_fan, monkeypatch,
 ):
     cones = _cone_fixtures(cone_a, cone_b, cone_13, glued_cone, cube_cone, orthant4)
     quotients = [star_quotient(c, interior_vector(c)) for c in (cone_a, glued_cone)]
@@ -212,11 +212,14 @@ def test_structural_identities(
     lat13 = face_lattice(cone_13)
 
     def shift(mu, tau, n):
-        rows = lat13.span_in_cone[mu.ray_indices]
+        rows = lat13.spans[mu.ray_indices]
         return n if not rows else tuple(a + 2 * b for a, b in zip(n, rows[0]))
 
     plain = ishida_cone(cone_13, 2)
-    moved = ishida_cone(cone_13, 2, normal_override=shift)
+    normal = lat13.covering_normal
+    with monkeypatch.context() as mp:
+        mp.setattr(lat13, "covering_normal", lambda mu, tau: shift(mu, tau, normal(mu, tau)))
+        moved = ishida_cone(cone_13, 2)
     assert all(np.array_equal(a, b) for a, b in zip(plain.diffs, moved.diffs))
 
     # lattice identities of the graph and epigraph lifts

@@ -48,7 +48,7 @@ def test_integer_rank_matches_sympy(seed):
     rng = random.Random(100 + seed)
     rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
     data = _random_int_matrix(rng, rows, cols, bound=9)
-    assert xl.integer_rank(xl.integer_matrix(data, cols)) == sympy.Matrix(data).rank()
+    assert xl.matrix_rank(xl.integer_matrix(data, cols)) == sympy.Matrix(data).rank()
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -108,34 +108,49 @@ def test_is_simplicial(orthant4, cube_cone, cone_a):
 # representative independence of the differential
 
 
-def test_normal_shift_leaves_matrices_unchanged(cone_13):
+def override_normals(mp, poset, change):
+    """Replace the poset's covering normals by ``change(mu, tau, normal)``."""
+    normal = poset.covering_normal
+    mp.setattr(poset, "covering_normal", lambda mu, tau: change(mu, tau, normal(mu, tau)))
+
+
+def test_normal_shift_leaves_matrices_unchanged(cone_13, monkeypatch):
     lat = face_lattice(cone_13)
+    moved = []
 
     def shift(mu, tau, n):
-        rows = lat.span_in_cone[mu.ray_indices]
+        rows = lat.spans[mu.ray_indices]
         if not rows:
             return n
+        moved.append(mu.key)
         return tuple(a + 2 * b for a, b in zip(n, rows[0]))
 
     plain = ishida_cone(cone_13, 2)
-    shifted = ishida_cone(cone_13, 2, normal_override=shift)
+    override_normals(monkeypatch, lat, shift)
+    shifted = ishida_cone(cone_13, 2)
+    assert moved
     assert plain.dims == shifted.dims
     assert mats_equal(plain.diffs, shifted.diffs)
 
 
-def test_fan_normal_shift_leaves_matrices_unchanged(p112_fan):
+def test_fan_normal_shift_leaves_matrices_unchanged(p112_fan, monkeypatch):
+    moved = []
+
     def shift(mu, tau, n):
         rows = mu.span_rows
         if not rows:
             return n
+        moved.append(mu.key)
         return tuple(a - 3 * b for a, b in zip(n, rows[0]))
 
     plain = ishida_fan(p112_fan, 2)
-    shifted = ishida_fan(p112_fan, 2, normal_override=shift)
+    override_normals(monkeypatch, p112_fan, shift)
+    shifted = ishida_fan(p112_fan, 2)
+    assert moved
     assert mats_equal(plain.diffs, shifted.diffs)
 
 
-def test_invalid_normals_are_rejected():
+def test_invalid_normals_are_rejected(monkeypatch):
     c = cone_from_rays(((1, 0), (0, 1)), 2)
 
     def corrupt(mu, tau, n):
@@ -143,8 +158,9 @@ def test_invalid_normals_are_rejected():
             return tuple(3 * x for x in n)
         return n
 
+    override_normals(monkeypatch, face_lattice(c), corrupt)
     with pytest.raises(NotAComplex):
-        ishida_cone(c, 2, normal_override=corrupt)
+        ishida_cone(c, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +175,12 @@ def test_graded_matches_restricted_on_facets(cone_a):
             g = graded_piece(cone_a, l, tau.key)
             r = restricted_complex(cone_a, l, tau.key)
             assert cohomology(g) == cohomology(r)
+
+
+def test_non_face_ray_set_is_rejected(square_cone):
+    for build in (graded_piece, restricted_complex):
+        with pytest.raises(ValidationError, match=r"rays \[0, 2\] are not a face"):
+            build(square_cone, 1, (0, 2))
 
 
 def test_restricted_complex_of_top_is_whole_complex(cone_13):

@@ -34,6 +34,7 @@ from toricdef import (
     star_quotient,
     support_data,
 )
+from toricdef import normal_generator, polyhedral
 from toricdef.exact_linalg import matrix_rank
 
 
@@ -102,6 +103,31 @@ def test_tilde_complexes_are_the_fan_complexes(source, cone_13):
             assert tilde.dims[:k] == plain.dims and not any(tilde.dims[k:])
             for a, b in zip(tilde.diffs, plain.diffs):
                 assert np.array_equal(a, b)
+
+
+def test_tilde_poset_is_the_fan_padded(monkeypatch):
+    fan = random_complete_simplicial_fan(random.Random(5), 3, 4)
+    tilde = support_data(fan, [1] * len(fan.rays)).tilde
+    assert tilde.width == fan.rank + 1 and tilde.faces_by_dim == fan.faces_by_dim
+    for key in fan.by_key:
+        assert tilde.perps[key] == tuple(r + (0,) for r in fan.perps[key])
+    pairs = [
+        (mu, tau)
+        for tau in fan.all_faces
+        for mu in fan.all_faces
+        if mu.dim + 1 == tau.dim and mu.ray_indices < tau.ray_indices
+    ]
+    padded = {(mu.key, tau.key): fan.covering_normal(mu, tau) + (0,) for mu, tau in pairs}
+    # the padded normals are the fan's own, computed once for both posets
+    calls = []
+    with monkeypatch.context() as mp:
+        mp.setattr(polyhedral, "normal_generator", lambda *a: calls.append(a))
+        got = {(mu.key, tau.key): tilde.covering_normal(mu, tau) for mu, tau in pairs}
+    assert calls == [] and got == padded
+    for mu, tau in pairs:
+        orient = [tilde.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
+        direct = normal_generator(tilde.spans[mu.ray_indices], tilde.spans[tau.ray_indices], orient)
+        assert direct == padded[mu.key, tau.key]
 
 
 def test_middle_dims_are_sums(p112_fan):
@@ -253,6 +279,17 @@ def test_equivalence_on_simplicial_cone(orthant4):
 def test_equivalence_trivial_range(orthant4):
     rep = lefschetz_equivalence_check(orthant4, 4, 1)
     assert not rep.theorem_applicable and rep.h_cone == 0
+
+
+@pytest.mark.parametrize("rho", [(1, 1, 1), (0, 0, 0, 1, 0)])
+def test_interior_ray_needs_rank_coordinates(cone_a, rho):
+    for call in (
+        lambda: star_quotient(cone_a, rho),
+        lambda: les_theorem(cone_a, rho),
+        lambda: lefschetz_equivalence_check(cone_a, 0, 0, rho),
+    ):
+        with pytest.raises(ValidationError, match="needs 4 coordinates"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from toricdef import (
 from toricdef import exact_linalg as xl
 from toricdef.exact_linalg import nonnegative_combination, reduce_mod_rows
 from toricdef.lefschetz import support_data
+from toricdef import polyhedral
 from toricdef.polyhedral import Cone, FaceLattice, face_cone
 
 
@@ -136,7 +137,7 @@ def test_normal_generator_orthant(orthant3):
     lat = face_lattice(orthant3)
     mu = lat.by_key[frozenset({0})]
     tau = lat.by_key[frozenset({0, 1})]
-    n = lat.normal_generator(mu, tau)
+    n = normal_generator(mu.span_rows, tau.span_rows, [orthant3.rays[1]])
     assert n == (0, 1, 0)
     # already reduced mod the smaller lattice
     assert reduce_mod_rows(n, mu.span_rows) == n
@@ -390,8 +391,8 @@ def lattice_mismatch(lat, ref):
     span_rows, ray_coords, normals, faces = ref
     if lat.span_rows != span_rows:
         return "span_rows"
-    if lat.ray_coords != ray_coords:
-        return "ray_coords"
+    if lat.rays != ray_coords:
+        return "rays"
     if lat.facet_normals != normals:
         return "facet_normals"
     by_dim = {m: sorted(tuple(sorted(k)) for k, f in faces.items() if f[0] == m) for m in range(lat.cone.dim + 1)}
@@ -401,7 +402,7 @@ def lattice_mismatch(lat, ref):
         f = lat.by_key[k]
         if (f.dim, f.span_rows, f.perp_rows) != (dim, span, perp):
             return f"ambient rows of face {sorted(k)}"
-        if (lat.span_in_cone[k], lat.perp_in_cone[k]) != (span_in, perp_in):
+        if (lat.spans[k], lat.perps[k]) != (span_in, perp_in):
             return f"intrinsic rows of face {sorted(k)}"
     return None
 
@@ -437,8 +438,8 @@ def test_face_cone_lattice_is_the_lower_interval():
             scratch = FaceLattice(fresh)
             assert lat.by_key == scratch.by_key
             assert lat.faces_by_dim == scratch.faces_by_dim
-            assert lat.span_in_cone == scratch.span_in_cone
-            assert lat.perp_in_cone == scratch.perp_in_cone
+            assert lat.spans == scratch.spans
+            assert lat.perps == scratch.perps
             assert lat.facet_normals == scratch.facet_normals
 
 
@@ -466,6 +467,47 @@ def test_fan_faces_match_each_maximal_cone():
                 assert (f.dim, f.span_rows, f.perp_rows) == (dim, span, perp)
                 seen.add(f.ray_indices)
         assert seen == set(fan.by_key)
+
+
+def _cyclic_cone(params, rank):
+    """The cone over the cyclic polytope with the given moment-curve parameters."""
+    return cone_from_rays([tuple(t**k for k in range(1, rank)) + (1,) for t in params], rank)
+
+
+def _quotient_cones():
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)]
+    cones += [c for c in _seed77_cones() if c.rank == c.dim == 4]
+    return cones + [
+        _cyclic_cone(range(-4, 5), 5),
+        _cyclic_cone(range(-5, 6), 5),
+        _cyclic_cone(range(-4, 5), 6),
+    ]
+
+
+def test_star_quotient_equals_the_validated_fan():
+    """The quotient fan read off the cone's lattice is, field by field, the
+    fan that full validation builds from its rays and maximal cones."""
+    for cone in _quotient_cones():
+        fan, _ = star_quotient(cone, tuple(map(sum, zip(*cone.rays))))
+        ref = fan_from_cones(fan.rays, fan.maximal, cone.rank - 1)
+        assert (fan.rank, fan.rays, fan.maximal) == (ref.rank, ref.rays, ref.maximal)
+        assert fan.faces_by_dim == ref.faces_by_dim
+        assert set(fan.by_key) == set(ref.by_key)
+        for k, f in ref.by_key.items():
+            assert (fan.by_key[k].span_rows, fan.by_key[k].perp_rows) == (f.span_rows, f.perp_rows)
+
+
+def test_star_quotient_runs_no_lp(monkeypatch):
+    cones = [cone_from_rays(A_RAYS, 4), _cyclic_cone(range(-4, 5), 5)]
+    calls = []
+    lp = xl.nonnegative_combination
+    monkeypatch.setattr(xl, "nonnegative_combination", lambda *a: calls.append("lp") or lp(*a))
+    for name in ("cone_from_rays", "fan_from_cones"):
+        monkeypatch.setattr(polyhedral, name, lambda *a, name=name, **k: calls.append(name))
+    for cone in cones:
+        fan, _ = star_quotient(cone, tuple(map(sum, zip(*cone.rays))))
+        assert fan.is_complete()
+    assert calls == []
 
 
 def test_support_data_rows_match_saturations():
