@@ -10,6 +10,13 @@ contraction and expansion blocks, and one fraction-free elimination
 rational matrix enters it with each row scaled by its common denominator,
 which changes neither the row space nor the pivots, and an entry is divided
 by its pivot only when a reduced form, kernel or solution is written out.
+
+The elimination and the matrix product run on sparse rows, one
+``{column: entry}`` dict of nonzeros per row: the differentials of face
+complexes are a few percent nonzero.  :func:`_sparse_rows` and
+:func:`_dense` convert at the numpy boundary, the latter in one flat
+assignment; :func:`_sparse_product` is both :func:`mat_mul` and the
+``d^2 = 0`` check of :func:`toricdef.ishida.assemble_complex`.
 ``Fraction`` remains at that boundary, in the simplex, and wherever a
 caller passes rational vectors.  Nothing here ever touches floating point;
 determinism and exactness are the whole point.
@@ -117,110 +124,156 @@ def _as_int(x) -> int:
     raise ValueError(f"not an integer entry: {x!r}")
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product that keeps object dtype even for empty factors."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return zeros_matrix(a.shape[0], b.shape[1])
-    return np.dot(a, b)
+def _sparse_rows(m: np.ndarray) -> list[dict]:
+    """The rows of a matrix as ``{column: entry}`` dicts of its nonzeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.tolist()]
 
 
-def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and all(
-        a[idx] == b[idx] for idx in np.ndindex(a.shape)
-    )
-
-
-def is_zero_matrix(a: np.ndarray) -> bool:
-    return all(a[idx] == 0 for idx in np.ndindex(a.shape))
-
-
-# ---------------------------------------------------------------------------
-# elimination over Q, on int rows
-
-
-def _int_rows(rows) -> list[list[int]]:
-    """Rows of a rational matrix as int lists, each row scaled by the least
-    common denominator of its entries.  Scaling a row by a nonzero number
-    changes neither the row space nor the pivot columns."""
-    out = []
-    for row in rows:
-        if all(isinstance(x, int) for x in row):
-            out.append(row)
-            continue
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        scale = lcm(1, *(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+def _dense(rows, ncols: int) -> np.ndarray:
+    """The object matrix with the given ``{column: entry}`` rows, written in
+    one flat assignment."""
+    out = zeros_matrix(len(rows), ncols)
+    idx = [r * ncols + c for r, row in enumerate(rows) for c in row]
+    if idx:
+        vals = np.empty(len(idx), dtype=object)
+        vals[:] = [x for row in rows for x in row.values()]
+        out.reshape(-1)[idx] = vals
     return out
 
 
-def _eliminate(rows: list[list[int]], ncols: int, jordan: bool) -> list[int]:
-    """Fraction-free elimination of int ``rows`` in place over the first
-    ``ncols`` columns; returns the pivot columns.
+def _sparse_product(a: list[dict], b: list[dict]) -> list[dict]:
+    """Row-sparse product of ``{column: entry}`` rows; row ``k`` of ``b`` is
+    scaled by the entry in column ``k`` of each row of ``a``.  Entries that
+    cancel are dropped."""
+    out = []
+    for arow in a:
+        acc: dict = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: z for j, z in acc.items() if z})
+    return out
 
-    Row ``k`` ends with its leading entry at the ``k``-th pivot column, and
-    the rows after the last pivot row are zero in those columns.  Each step combines a
-    row with the pivot row as ``a * row - b * pivot_row`` (``a``, ``b``
-    coprime) and divides the result by the gcd of its entries, which keeps
-    entries near the size of the inputs.  With ``jordan`` the rows above the
-    pivot are cleared too, so dividing each pivot row by its pivot gives the
-    reduced row echelon form; without it only the pivot columns are wanted.
+
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product by :func:`_sparse_product`; object dtype in and out,
+    also for empty factors."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    return _dense(_sparse_product(_sparse_rows(a), _sparse_rows(b)), b.shape[1])
+
+
+def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.ravel().tolist() == b.ravel().tolist()
+
+
+def is_zero_matrix(a: np.ndarray) -> bool:
+    return not any(a.ravel().tolist())
+
+
+# ---------------------------------------------------------------------------
+# elimination over Q, on sparse int rows
+
+
+def _int_rows(rows) -> list[dict[int, int]]:
+    """Sparse rows of a rational matrix with int entries, each row scaled by
+    the least common denominator of its entries.  Scaling a row by a
+    nonzero number changes neither the row space nor the pivot columns."""
+    out = []
+    for row in rows:
+        if not all(type(x) is int for x in row.values()):
+            row = {j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in row.items()}
+            scale = lcm(1, *(x.denominator for x in row.values()))
+            row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        out.append(row)
+    return out
+
+
+def _combine(row: dict, prow: dict, col: int) -> dict:
+    """``a * row - b * prow`` with ``a``, ``b`` coprime, so that column
+    ``col`` cancels, divided by the gcd of its entries."""
+    v, p = row[col], prow[col]
+    g = gcd(v, p)
+    a, b = p // g, v // g
+    new = dict(row) if a == 1 else {j: a * x for j, x in row.items()}
+    for j, y in prow.items():
+        z = new.get(j, 0) - b * y
+        if z:
+            new[j] = z
+        else:
+            del new[j]
+    h = gcd(*new.values())
+    if h > 1:
+        new = {j: x // h for j, x in new.items()}
+    return new
+
+
+def _eliminate(rows: list[dict[int, int]], ncols: int, jordan: bool) -> tuple[list[int], list[dict]]:
+    """Fraction-free elimination of sparse int ``rows`` over the first
+    ``ncols`` columns.  Returns the pivot columns and the reduced rows: row
+    ``k`` has its leading entry at the ``k``-th pivot column, and the rows
+    after the last pivot row are the nonzero rows left with no entry in the
+    first ``ncols`` columns.
+
+    Columns are taken in order.  Each row waits in the bucket of its leading
+    column; at a column, the waiting row with the fewest nonzeros, then the
+    smallest entry there, becomes the pivot row, and every other waiting row
+    is combined with it as ``a * row - b * pivot_row`` (``a``, ``b``
+    coprime) and divided by the gcd of its entries, which keeps entries near
+    the size of the inputs.  With ``jordan`` the entries above each pivot
+    are then cleared from the last pivot up, so dividing each pivot row by
+    its pivot gives the reduced row echelon form; without it only the pivot
+    columns are wanted.  The pivot columns are the columns independent of
+    those before them, and the reduced form is unique, so neither depends on
+    which waiting row is chosen.
     """
-    nrows = len(rows)
+    buckets: dict[int, list[dict]] = {}
+    rest: list[dict] = []
+
+    def place(row):
+        if row:
+            lead = min(row)
+            if lead < ncols:
+                buckets.setdefault(lead, []).append(row)
+            else:
+                rest.append(row)
+
+    for row in rows:
+        place(row)
     pivots: list[int] = []
+    prows: list[dict] = []
     for col in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
+        if not buckets:
             break
-        piv = None
-        best = None
-        for i in range(rank, nrows):
-            v = rows[i][col]
-            if v != 0 and (best is None or abs(v) < best):
-                piv, best = i, abs(v)
-        if piv is None:
+        wait = buckets.pop(col, None)
+        if wait is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for i in range(0 if jordan else rank + 1, nrows):
-            v = rows[i][col]
-            if v == 0 or i == rank:
-                continue
-            g = gcd(v, pval)
-            a, b = pval // g, v // g
-            new = [a * x - b * y for x, y in zip(rows[i], prow)]
-            h = 0
-            for x in new:
-                h = gcd(h, x)
-                if h == 1:
-                    break
-            if h > 1:
-                new = [x // h for x in new]
-            rows[i] = new
+        prow = min(wait, key=lambda r: (len(r), abs(r[col])))
+        for row in wait:
+            if row is not prow:
+                place(_combine(row, prow, col))
         pivots.append(col)
-    return pivots
+        prows.append(prow)
+    if jordan:
+        for k in range(len(pivots) - 1, 0, -1):
+            col, prow = pivots[k], prows[k]
+            for i in range(k):
+                if col in prows[i]:
+                    prows[i] = _combine(prows[i], prow, col)
+    return pivots, prows + rest
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Q.  Returns (R, pivot columns)."""
-    nrows, ncols = m.shape
-    rows = _int_rows(m.tolist())
-    pivots = _eliminate(rows, ncols, True)
-    r = zeros_matrix(nrows, ncols)
-    for i, c in enumerate(pivots):
-        p = rows[i][c]
-        for j, x in enumerate(rows[i]):
-            if x:
-                r[i, j] = _div(x, p)
-    return r, pivots
+    pivots, rows = _eliminate(_int_rows(_sparse_rows(m)), m.shape[1], True)
+    out = [{j: _div(x, row[c]) for j, x in row.items()} for row, c in zip(rows, pivots)]
+    return _dense(out + [{}] * (m.shape[0] - len(out)), m.shape[1]), pivots
 
 
 def pivot_columns(m: np.ndarray) -> list[int]:
     """Pivot columns of ``m`` over Q: each column that is independent of
     the columns before it."""
-    return _eliminate(_int_rows(m.tolist()), m.shape[1], False)
+    return _eliminate(_int_rows(_sparse_rows(m)), m.shape[1], False)[0]
 
 
 def rank_and_kernel(m: np.ndarray) -> tuple[int, np.ndarray]:
@@ -231,16 +284,14 @@ def rank_and_kernel(m: np.ndarray) -> tuple[int, np.ndarray]:
     the output canonical for a given input matrix.
     """
     ncols = m.shape[1]
-    rows = _int_rows(m.tolist())
-    pivots = _eliminate(rows, ncols, True)
-    free = [c for c in range(ncols) if c not in pivots]
-    kern = zeros_matrix(ncols, len(free))
-    for j, fc in enumerate(free):
-        kern[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            if rows[i][fc]:
-                kern[pc, j] = _div(-rows[i][fc], rows[i][pc])
-    return len(pivots), kern
+    pivots, rows = _eliminate(_int_rows(_sparse_rows(m)), ncols, True)
+    taken = set(pivots)
+    free = {c: j for j, c in enumerate(c for c in range(ncols) if c not in taken)}
+    kern = [{free[c]: 1} if c in free else {} for c in range(ncols)]
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        kern[pc] = {free[c]: _div(-x, p) for c, x in row.items() if c != pc}
+    return len(pivots), _dense(kern, len(free))
 
 
 def solve_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -252,16 +303,15 @@ def solve_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if a.shape[0] != b.shape[0]:
         raise ValueError("shape mismatch in solve")
     n = a.shape[1]
-    rows = _int_rows(x + y for x, y in zip(a.tolist(), b.tolist()))
-    pivots = _eliminate(rows, n, True)
-    if any(any(row[n:]) for row in rows[len(pivots):]):
+    aug = [ra | {n + j: x for j, x in rb.items()} for ra, rb in zip(_sparse_rows(a), _sparse_rows(b))]
+    pivots, rows = _eliminate(_int_rows(aug), n, True)
+    if len(rows) > len(pivots):
         return None
-    x = zeros_matrix(n, b.shape[1])
-    for row, p in zip(rows, pivots):
-        for j, v in enumerate(row[n:]):
-            if v:
-                x[p, j] = _div(v, row[p])
-    return x
+    x = [{}] * n
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        x[pc] = {j - n: _div(v, p) for j, v in row.items() if j >= n}
+    return _dense(x, b.shape[1])
 
 
 def matrix_rank(m: np.ndarray) -> int:

@@ -9,12 +9,17 @@ inside the bigger one.  Contraction kills forms that vanish on the smaller
 face, so the normal's ambiguity (an element of the smaller face's span
 lattice) never reaches the matrices; the anticommutation of the two paths
 through any 2-step interval of the face lattice makes the square of the
-differential vanish, and the builder verifies this on every assembly.
+differential vanish, and the builder verifies this on every assembly by an
+exact product of the sparse rows it assembles the differentials in.
 
 One builder, :func:`face_complex`, makes every such complex from a
 :class:`~toricdef.polyhedral.FacePoset`: the complexes of a cone (intrinsic
 coordinates), of a fan (ambient coordinates), of the faces below a face, and
 the three complexes of a divisor's lifted sequence.
+
+:func:`lcdef_cone` computes only the cohomology the defect needs: it scans
+the candidate values from the top, builds a level when one of its cells is
+first needed, and stops at the first nonzero cell.
 """
 
 from __future__ import annotations
@@ -83,8 +88,10 @@ def assemble_complex(label: str, layers, entry_fn) -> LabeledComplex:
     """Assemble a labeled complex from per-degree block lists and a block
     entry callback ``entry_fn(degree, src_block, dst_block) -> matrix|None``.
 
-    Verifies that consecutive differentials compose to zero and raises
-    NOT_A_COMPLEX otherwise.
+    Each block's nonzeros go into sparse ``{column: entry}`` rows, which
+    become the public object matrices in one assignment each.  Every pair of
+    consecutive differentials is multiplied exactly on those rows, and a
+    nonzero product raises NOT_A_COMPLEX.
     """
     terms: list[tuple[Block, ...]] = []
     for layer in layers:
@@ -95,17 +102,12 @@ def assemble_complex(label: str, layers, entry_fn) -> LabeledComplex:
             row.append(b)
             off += b.size
         terms.append(tuple(row))
-    diffs: list[np.ndarray] = []
+    live = [[b for b in layer if b.size] for layer in terms]
+    sparse: list[list[dict]] = []
     for i in range(len(terms) - 1):
-        ncols = sum(b.size for b in terms[i])
-        nrows = sum(b.size for b in terms[i + 1])
-        d = xl.zeros_matrix(nrows, ncols)
-        for sb in terms[i]:
-            if sb.size == 0:
-                continue
-            for tb in terms[i + 1]:
-                if tb.size == 0:
-                    continue
+        rows: list[dict] = [{} for _ in range(sum(b.size for b in live[i + 1]))]
+        for sb in live[i]:
+            for tb in live[i + 1]:
                 m = entry_fn(i, sb, tb)
                 if m is None:
                     continue
@@ -113,30 +115,34 @@ def assemble_complex(label: str, layers, entry_fn) -> LabeledComplex:
                     raise InvariantViolation(
                         f"{label}: block of shape {m.shape} between blocks of sizes {sb.size} and {tb.size}"
                     )
-                for r, row in enumerate(m.tolist(), start=tb.offset):
+                for out, row in zip(rows[tb.offset :], m.tolist()):
                     for c, v in enumerate(row, start=sb.offset):
-                        if v != 0:
-                            d[r, c] = xl._as_int(v)
-        diffs.append(d)
-    for i in range(len(diffs) - 1):
-        if not xl.is_zero_matrix(xl.mat_mul(diffs[i + 1], diffs[i])):
+                        if v:
+                            out[c] = v if type(v) is int else xl._as_int(v)
+        sparse.append(rows)
+    for i in range(len(sparse) - 1):
+        if any(xl._sparse_product(sparse[i + 1], sparse[i])):
             raise NotAComplex(f"{label}: differential does not square to zero at degree {i}")
-    return LabeledComplex(label, tuple(terms), tuple(diffs))
+    diffs = tuple(xl._dense(rows, sum(b.size for b in terms[i])) for i, rows in enumerate(sparse))
+    return LabeledComplex(label, tuple(terms), diffs)
+
+
+def _cell(cx: LabeledComplex, i: int, rank) -> int:
+    """Dimension of the degree-``i`` cohomology of ``cx``, given ``rank(k)``,
+    the rank of the differential out of degree ``k`` (0 outside the
+    complex); NOT_A_COMPLEX if it comes out negative."""
+    h = cx.dims[i] - rank(i) - rank(i - 1)
+    if h < 0:
+        raise NotAComplex(f"{cx.label}: negative cohomology dimension at degree {i}")
+    return h
 
 
 def cohomology(cx: LabeledComplex) -> tuple[int, ...]:
     """Cohomology dimensions of a labeled complex, degree by degree."""
-    dims = cx.dims
     ranks = [xl.matrix_rank(d) for d in cx.diffs]
-    out = []
-    for i, n in enumerate(dims):
-        rin = ranks[i - 1] if i > 0 else 0
-        rout = ranks[i] if i < len(ranks) else 0
-        h = n - rout - rin
-        if h < 0:
-            raise NotAComplex(f"{cx.label}: negative cohomology dimension at degree {i}")
-        out.append(h)
-    return tuple(out)
+    return tuple(
+        _cell(cx, i, lambda k: ranks[k] if 0 <= k < len(ranks) else 0) for i in range(len(cx.terms))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +230,45 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     is 0 (finite quotients of smooth affine charts have no defect);
     ``shortcut_simplicial`` returns that without computing, which the test
     suite cross-validates against the full computation.
+
+    Only the cells that decide the value are computed.  Cell ``(l, i)``,
+    degree ``i`` of the level-``l`` complex with ``0 <= i <= l <= d``, has
+    value ``c = i + l - d <= d``.  The candidates ``c = d, d - 1, ..., 1``
+    are tried in turn, each over its cells from ``l = d`` down; a level's
+    complex is built when one of its cells is first needed, and each
+    differential is ranked at most once.  The first cell with nonzero
+    cohomology has the largest value of all nonzero cells, since every cell
+    of a larger value has been found zero, so it is the answer.  When none
+    of the cells with ``c >= 1`` is nonzero, the inner maximum is at most 0
+    and the answer is 0.  Either way the value is the one the formula gives.
     """
     d = cone.dim
     if d == 0:
         return 0
     if shortcut_simplicial and is_simplicial(cone):
         return 0
-    best = None
-    for l in range(d + 1):
-        coh = cohomology(ishida_cone(cone, l))
-        j = d - l
-        for i, h in enumerate(coh):
-            if h:
-                c = i - j
-                if best is None or c > best:
-                    best = c
-    if best is None:
+    if not any(cohomology(ishida_cone(cone, 0))):
         raise InvariantViolation("the level-0 complex has no cohomology")
-    return max(0, best)
+    levels: dict[int, LabeledComplex] = {}
+    ranks: dict[tuple[int, int], int] = {}
+
+    def rank(l: int, k: int) -> int:
+        """Rank of the differential out of degree ``k`` at level ``l``."""
+        diffs = levels[l].diffs
+        if not 0 <= k < len(diffs):
+            return 0
+        if (l, k) not in ranks:
+            ranks[l, k] = xl.matrix_rank(diffs[k])
+        return ranks[l, k]
+
+    for c in range(d, 0, -1):
+        for l in range(d, (c + d - 1) // 2, -1):
+            i = c + d - l
+            if l not in levels:
+                levels[l] = ishida_cone(cone, l)
+            if levels[l].dims[i] and _cell(levels[l], i, lambda k: rank(l, k)):
+                return c
+    return 0
 
 
 def lcdef_faces(cone: Cone, shortcut_simplicial: bool = True) -> list[tuple[Face, int]]:
@@ -267,10 +294,14 @@ def lcdef_variety(cone: Cone, shortcut_simplicial: bool = True) -> int:
 
 
 def _resolve_face(cone: Cone, tau) -> Face:
+    """This cone's face with the ray indices ``tau``, or the given
+    :class:`Face` itself when it is a face of this cone."""
     key = tau.ray_indices if isinstance(tau, Face) else frozenset(tau)
     face = face_lattice(cone).by_key.get(key)
     if face is None:
         raise ValidationError(f"rays {sorted(key)} are not a face of the cone")
+    if isinstance(tau, Face) and tau != face:
+        raise ValidationError(f"the face on rays {sorted(key)} belongs to another cone")
     return face
 
 

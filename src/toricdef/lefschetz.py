@@ -396,11 +396,11 @@ def lefschetz_equivalence_check(cone: Cone, p: int, l: int, rho=None) -> Equival
         raise ValidationError("negative indices")
     if p + 1 > d:
         return EquivalenceReport(d, p, l, 0, True, True, False)
-    cohs = cohomology(ishida_cone(cone, p + 1))
-    h = cohs[l] if l < len(cohs) else 0
     if rho is None:
         rho = tuple(sum(r[i] for r in cone.rays) for i in range(cone.rank))
     fan, divisor = star_quotient(cone, rho)
+    cohs = cohomology(ishida_cone(cone, p + 1))
+    h = cohs[l] if l < len(cohs) else 0
     if p > d - 2:
         return EquivalenceReport(d, p, l, h, False, False, False)
     L = lifted_complex(fan, divisor, p)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from toricdef import cone_from_rays, fan_from_cones
+from toricdef import cone_from_rays, fan_from_cones, pyramid
 
 # ---------------------------------------------------------------------------
 # frozen ray lists
@@ -146,6 +146,23 @@ def random_apex(rng: random.Random, rank: int):
     """An apex for a pyramid over a rank-``rank`` cone: last coordinate nonzero."""
     head = [rng.randrange(-2, 3) for _ in range(rank)]
     return tuple(head) + (rng.choice((-2, -1, 1, 2)),)
+
+
+def seed77_cones():
+    """The first nine cones of the acceptance test's seed-77 pyramid family
+    and their pyramids."""
+    rng = random.Random(77)
+    out = []
+    for i in range(9):
+        d = 3 + i % 3
+        cone = random_cone(rng, d)
+        out += [cone, pyramid(cone, random_apex(rng, d))]
+    return out
+
+
+def cyclic_cone(params, rank):
+    """The cone over the cyclic polytope with the given moment-curve parameters."""
+    return cone_from_rays([tuple(t**k for k in range(1, rank)) + (1,) for t in params], rank)
 
 
 def _primitive(v):

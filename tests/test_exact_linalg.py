@@ -170,6 +170,86 @@ def test_rational_elimination_on_empty_and_zero_matrices():
     assert xl.solve_matrix(xl.zeros_matrix(2, 0), xl.object_matrix([[1], [0]])) is None
 
 
+# sparse matrices like the differentials of face complexes, with empty
+# shapes, zero rows and duplicate rows
+
+SPARSE_SHAPES = ((0, 5), (5, 0), (0, 0), (1, 7), (7, 1), (9, 12), (12, 9), (10, 10))
+
+
+def _random_sparse_matrix(rng, rows, cols, rational):
+    """About one entry in five nonzero; with three rows or more, one row is
+    zero and one row repeats another."""
+
+    def entry():
+        if rng.random() >= 0.2:
+            return 0
+        x = rng.randrange(1, 8) * rng.choice((-1, 1))
+        return _exact(Fraction(x, rng.randrange(1, 4))) if rational else x
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3:
+        zero, src, dup = rng.sample(range(rows), 3)
+        data[zero] = [0] * cols
+        data[dup] = list(data[src])
+    return data
+
+
+def _sympy_matrix(data, rows, cols):
+    return sympy.Matrix(rows, cols, [x for row in data for x in row])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sparse_elimination_matches_sympy(seed):
+    rng = random.Random(900 + seed)
+    rows, cols = SPARSE_SHAPES[seed % len(SPARSE_SHAPES)]
+    data = _random_sparse_matrix(rng, rows, cols, rational=seed >= 8)
+    m = xl.object_matrix(data, cols)
+    smp = _sympy_matrix(data, rows, cols)
+    red, pivots = smp.rref()
+    red = [[_exact(x) for x in red.row(i)] for i in range(red.rows)]
+    assert xl.matrix_rank(m) == smp.rank() == len(pivots)
+    assert xl.pivot_columns(m) == list(pivots)
+
+    free = [c for c in range(cols) if c not in pivots]
+    expected = [[0] * len(free) for _ in range(cols)]
+    for j, fc in enumerate(free):
+        expected[fc][j] = 1
+        for i, pc in enumerate(pivots):
+            expected[pc][j] = -red[i][fc]
+    rank, kern = xl.rank_and_kernel(m)
+    assert rank == len(pivots)
+    assert kern.shape == (cols, len(free))
+    assert _typed(kern.tolist()) == _typed(expected)
+
+    x = [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(cols)]
+    rhs = smp * sympy.Matrix(cols, 2, [v for row in x for v in row])
+    b = xl.object_matrix([[_exact(v) for v in rhs.row(i)] for i in range(rows)], 2)
+    assert xl.mat_mul(m, xl.object_matrix(x, 2)).tolist() == b.tolist()
+    aug, aug_pivots = smp.row_join(rhs).rref()
+    want = [[0, 0] for _ in range(cols)]
+    for i, p in enumerate(aug_pivots):
+        want[p] = [_exact(v) for v in aug.row(i)[cols:]]
+    assert _typed(xl.solve_matrix(m, b).tolist()) == _typed(want)
+    zero = next((i for i, row in enumerate(data) if not any(row)), None)
+    if zero is not None:
+        b[zero, 0] += 1
+        assert xl.solve_matrix(m, b) is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_product_matches_sympy(seed):
+    rng = random.Random(950 + seed)
+    rows, inner = SPARSE_SHAPES[seed]
+    cols = rng.randrange(0, 6)
+    a = _random_sparse_matrix(rng, rows, inner, rational=seed % 2 == 1)
+    b = _random_sparse_matrix(rng, inner, cols, rational=seed % 4 == 3)
+    got = xl.mat_mul(xl.object_matrix(a, inner), xl.object_matrix(b, cols))
+    want = _sympy_matrix(a, rows, inner) * _sympy_matrix(b, inner, cols)
+    assert got.shape == (rows, cols) and got.dtype == object
+    assert got.tolist() == [[_exact(x) for x in want.row(i)] for i in range(rows)]
+    assert xl.is_zero_matrix(got) == all(x == 0 for x in want)
+
+
 # ---------------------------------------------------------------------------
 # Smith and Hermite forms
 
@@ -688,6 +768,44 @@ def test_corrupted_projection_fails_under_python_O():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"]
+
+
+_FLIPPED_BLOCK_RUN = """
+import sys
+
+from toricdef import NotAComplex, cone_from_rays, ishida_cone
+from toricdef import exact_linalg as xl
+
+if __debug__:
+    sys.exit("not running under -O")
+contraction = xl.contraction_matrix
+calls = []
+
+
+def flipped(n, source, target):
+    block = contraction(n, source, target)
+    calls.append(n)
+    return -block if len(calls) == 1 else block
+
+
+xl.contraction_matrix = flipped
+try:
+    ishida_cone(cone_from_rays(((1, 0), (0, 1)), 2), 2)
+except NotAComplex as exc:
+    print(exc.ident, exc.exit_code)
+"""
+
+
+def test_flipped_block_fails_under_python_O():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _FLIPPED_BLOCK_RUN],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["NOT_A_COMPLEX", "13"]
 
 
 _CORRUPTED_QUOTIENT_RUN = """

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cone
+from conftest import A_RAYS, B_RAYS, T13_RAYS, cyclic_cone, random_cone, seed77_cones
 from toricdef import (
     NotAComplex,
     ValidationError,
@@ -26,6 +26,8 @@ from toricdef import (
     lcdef_variety,
     restricted_complex,
 )
+from toricdef import exact_linalg as xl
+from toricdef import ishida
 
 
 def mats_equal(a, b):
@@ -102,6 +104,62 @@ def test_is_simplicial(orthant4, cube_cone, cone_a):
     assert is_simplicial(orthant4)
     assert not is_simplicial(cube_cone)
     assert not is_simplicial(cone_a)
+
+
+def full_scan_lcdef(cone):
+    """The cone-level defect as the maximum of ``i - j`` over every nonzero
+    cell ``H^i`` of every level ``d - j``: the definition that the scan of
+    :func:`lcdef_cone` stops early on."""
+    d = cone.dim
+    cells = [
+        i - (d - l)
+        for l in range(d + 1)
+        for i, h in enumerate(cohomology(ishida_cone(cone, l)))
+        if h
+    ]
+    return max(0, *cells)
+
+
+def _scan_cases():
+    return (
+        [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)]
+        + seed77_cones()
+        + [cyclic_cone(range(-4, 5), 5), cyclic_cone(range(-5, 6), 5), cyclic_cone(range(-4, 5), 6)]
+    )
+
+
+def test_demand_driven_defect_matches_full_scan():
+    for cone in _scan_cases():
+        want = full_scan_lcdef(cone)
+        assert lcdef_cone(cone, shortcut_simplicial=False) == want, cone.rays
+        assert lcdef_cone(cone) == want, cone.rays
+
+
+def test_defect_scan_builds_and_ranks_only_what_it_needs(monkeypatch):
+    cone = cyclic_cone(range(-4, 5), 6)
+    built, diffs, ranked = [], {}, []
+    build, rank = ishida.ishida_cone, xl.matrix_rank
+
+    def build_level(c, l):
+        built.append(l)
+        cx = build(c, l)
+        diffs.update((id(m), m) for m in cx.diffs)
+        return cx
+
+    def rank_diff(m):
+        if id(m) in diffs:
+            ranked.append(id(m))
+        return rank(m)
+
+    monkeypatch.setattr(ishida, "ishida_cone", build_level)
+    monkeypatch.setattr(xl, "matrix_rank", rank_diff)
+    assert lcdef_cone(cone) == 3
+    assert sorted(built) == [0, 5, 6]
+    assert ranked and len(set(ranked)) == len(ranked)
+
+
+def test_defect_of_the_rank_seven_cyclic_cone():
+    assert lcdef_cone(cyclic_cone(range(-5, 5), 7)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +239,18 @@ def test_non_face_ray_set_is_rejected(square_cone):
     for build in (graded_piece, restricted_complex):
         with pytest.raises(ValidationError, match=r"rays \[0, 2\] are not a face"):
             build(square_cone, 1, (0, 2))
+
+
+def test_face_of_another_cone_is_rejected(cone_a, cone_b):
+    own = face_lattice(cone_a).by_key
+    face = next(
+        f for f in face_lattice(cone_b).all_faces
+        if f.dim >= 2 and f.ray_indices in own and own[f.ray_indices] != f
+    )
+    for build in (graded_piece, restricted_complex):
+        with pytest.raises(ValidationError, match="belongs to another cone"):
+            build(cone_a, 1, face)
+        assert build(cone_a, 1, own[face.ray_indices]).dims == build(cone_a, 1, face.key).dims
 
 
 def test_restricted_complex_of_top_is_whole_complex(cone_13):

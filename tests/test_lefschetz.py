@@ -292,6 +292,17 @@ def test_interior_ray_needs_rank_coordinates(cone_a, rho):
             call()
 
 
+def test_boundary_rho_is_refused_before_any_complex(cone_a, monkeypatch):
+    from toricdef import NotInterior, lefschetz
+
+    built = []
+    build = lefschetz.ishida_cone
+    monkeypatch.setattr(lefschetz, "ishida_cone", lambda cone, l: built.append(l) or build(cone, l))
+    with pytest.raises(NotInterior):
+        lefschetz_equivalence_check(cone_a, 1, 1, cone_a.rays[0])
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # dimension-four defect via the exceptional route
 

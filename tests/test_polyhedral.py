@@ -14,10 +14,12 @@ from conftest import (
     CUBE_RAYS,
     GLUED_RAYS,
     T13_RAYS,
+    cyclic_cone,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
     random_interior,
+    seed77_cones,
 )
 from toricdef import (
     ApexInHyperplane,
@@ -407,20 +409,8 @@ def lattice_mismatch(lat, ref):
     return None
 
 
-def _seed77_cones():
-    """The first nine cones of the acceptance test's seed-77 pyramid family
-    and their pyramids."""
-    rng = random.Random(77)
-    out = []
-    for i in range(9):
-        d = 3 + i % 3
-        cone = random_cone(rng, d)
-        out += [cone, pyramid(cone, random_apex(rng, d))]
-    return out
-
-
 def _lattice_cases():
-    return [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + _seed77_cones()
+    return [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + seed77_cones()
 
 
 def test_face_lattice_matches_smith_definitions():
@@ -446,7 +436,7 @@ def test_face_cone_lattice_is_the_lower_interval():
 def _star_quotients():
     """(fan, divisor) of the ray-sum quotient of each full rank-4 case."""
     cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)]
-    cones += [c for c in _seed77_cones() if c.rank == c.dim == 4]
+    cones += [c for c in seed77_cones() if c.rank == c.dim == 4]
     return [star_quotient(c, tuple(map(sum, zip(*c.rays)))) for c in cones]
 
 
@@ -469,18 +459,13 @@ def test_fan_faces_match_each_maximal_cone():
         assert seen == set(fan.by_key)
 
 
-def _cyclic_cone(params, rank):
-    """The cone over the cyclic polytope with the given moment-curve parameters."""
-    return cone_from_rays([tuple(t**k for k in range(1, rank)) + (1,) for t in params], rank)
-
-
 def _quotient_cones():
     cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)]
-    cones += [c for c in _seed77_cones() if c.rank == c.dim == 4]
+    cones += [c for c in seed77_cones() if c.rank == c.dim == 4]
     return cones + [
-        _cyclic_cone(range(-4, 5), 5),
-        _cyclic_cone(range(-5, 6), 5),
-        _cyclic_cone(range(-4, 5), 6),
+        cyclic_cone(range(-4, 5), 5),
+        cyclic_cone(range(-5, 6), 5),
+        cyclic_cone(range(-4, 5), 6),
     ]
 
 
@@ -498,7 +483,7 @@ def test_star_quotient_equals_the_validated_fan():
 
 
 def test_star_quotient_runs_no_lp(monkeypatch):
-    cones = [cone_from_rays(A_RAYS, 4), _cyclic_cone(range(-4, 5), 5)]
+    cones = [cone_from_rays(A_RAYS, 4), cyclic_cone(range(-4, 5), 5)]
     calls = []
     lp = xl.nonnegative_combination
     monkeypatch.setattr(xl, "nonnegative_combination", lambda *a: calls.append("lp") or lp(*a))
