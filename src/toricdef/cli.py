@@ -212,10 +212,6 @@ def _jsonable(x):
     return str(x)
 
 
-def _matrix_json(m) -> list:
-    return [[_jsonable(m[r, c]) for c in range(m.shape[1])] for r in range(m.shape[0])]
-
-
 def _need_cone(doc: InputDocument):
     return cone_from_rays(doc.rays, doc.rank)
 
@@ -287,7 +283,7 @@ def _cmd_lefschetz(doc: InputDocument, args) -> dict:
         "source_dim": L.coh_dim("bottom", args.l),
         "target_dim": L.coh_dim("top", args.l + 1),
         "rank": xl.matrix_rank(delta),
-        "matrix": _matrix_json(delta),
+        "matrix": delta,
     }
 
 
@@ -417,10 +413,7 @@ def _cmd_verify(doc: InputDocument, args) -> dict:
             p = l = fan.rank - 1
             one = connecting_map(fan, divisor, p, l)
             two = connecting_map(fan, divisor.scaled(2), p, l)
-            doubled = xl.mat_eq(
-                two, xl.object_matrix([[2 * one[r, c] for c in range(one.shape[1])] for r in range(one.shape[0])], one.shape[1])
-            )
-            record("connecting map scales linearly with the divisor", doubled)
+            record("connecting map scales linearly with the divisor", xl.mat_eq(two, 2 * one))
 
     ok = all(c["ok"] for c in checks)
     return {"checks": checks, "all_ok": ok}

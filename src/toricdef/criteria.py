@@ -204,15 +204,9 @@ def find_shelling(cone: Cone, prefix_keys=(), budget: int = 4096):
 def _slice_complex(cx: LabeledComplex, keep, label: str) -> LabeledComplex:
     """The complex spanned by the blocks whose face key satisfies ``keep``,
     with the induced differentials."""
-    orig = [{b.face_key: b for b in layer} for layer in cx.terms]
     layers = [[(b.face_key, b.basis) for b in layer if keep(b.face_key)] for layer in cx.terms]
-
-    def entry(i, sb, tb):
-        ob = orig[i][sb.face_key]
-        nb = orig[i + 1][tb.face_key]
-        return cx.diffs[i][nb.offset : nb.offset + nb.size, ob.offset : ob.offset + ob.size]
-
-    return assemble_complex(label, layers, entry)
+    blocks = ((i, s, t, cx.block_matrix(i, s, t)) for i, s, t in cx.pairs if keep(s) and keep(t))
+    return assemble_complex(label, layers, blocks)
 
 
 @dataclass(eq=False)
@@ -256,16 +250,10 @@ class ShellingFiltration:
 
     def _assert_closed(self, keep) -> None:
         """The differential must not map a kept block into a dropped block."""
-        for i, d in enumerate(self.full.diffs):
-            for sb in self.full.terms[i]:
-                if not keep(sb.face_key) or sb.size == 0:
-                    continue
-                for tb in self.full.terms[i + 1]:
-                    if keep(tb.face_key) or tb.size == 0:
-                        continue
-                    block = d[tb.offset : tb.offset + tb.size, sb.offset : sb.offset + sb.size]
-                    if not xl.is_zero_matrix(block):
-                        raise InvariantViolation("filtration stage is not a subcomplex")
+        full = self.full
+        for i, s, t in full.pairs:
+            if keep(s) and not keep(t) and not xl.is_zero_matrix(full.block_matrix(i, s, t)):
+                raise InvariantViolation("filtration stage is not a subcomplex")
 
     @property
     def depth(self) -> int:

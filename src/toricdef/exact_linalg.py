@@ -5,8 +5,8 @@ whose entries are Python ints or ``fractions.Fraction``.  The kernel behind
 it runs on plain ``int`` lists: Smith and Hermite forms, coordinates by
 back-substitution in echelon bases, Bareiss determinants, compound-minor
 contraction and expansion blocks, and one fraction-free elimination
-(:func:`_eliminate`) behind :func:`rref`, :func:`rank_and_kernel`,
-:func:`solve_matrix`, :func:`matrix_rank` and :func:`pivot_columns`.  A
+(:func:`_eliminate`) behind :func:`rank_and_kernel`, :func:`solve_matrix`,
+:func:`matrix_rank` and :func:`pivot_columns`.  A
 rational matrix enters it with each row scaled by its common denominator,
 which changes neither the row space nor the pivots, and an entry is divided
 by its pivot only when a reduced form, kernel or solution is written out.
@@ -15,8 +15,10 @@ The elimination and the matrix product run on sparse rows, one
 ``{column: entry}`` dict of nonzeros per row: the differentials of face
 complexes are a few percent nonzero.  :func:`_sparse_rows` and
 :func:`_dense` convert at the numpy boundary, the latter in one flat
-assignment; :func:`_sparse_product` is both :func:`mat_mul` and the
-``d^2 = 0`` check of :func:`toricdef.ishida.assemble_complex`.
+assignment; :func:`_write_block` puts a block into such rows, for the
+differentials and the chain maps alike; :func:`_sparse_product` is both
+:func:`mat_mul` and the ``d^2 = 0`` check of
+:func:`toricdef.ishida.assemble_complex`.
 ``Fraction`` remains at that boundary, in the simplex, and wherever a
 caller passes rational vectors.  Nothing here ever touches floating point;
 determinism and exactness are the whole point.
@@ -83,17 +85,11 @@ def object_matrix(rows, width: int | None = None) -> np.ndarray:
 
 
 def rational_matrix(rows, width: int | None = None) -> np.ndarray:
-    out = object_matrix(rows, width)
-    for idx, x in np.ndenumerate(out):
-        out[idx] = _norm_scalar(Fraction(x))
-    return out
+    return object_matrix(([_norm_scalar(Fraction(x)) for x in r] for r in rows), width)
 
 
 def integer_matrix(rows, width: int | None = None) -> np.ndarray:
-    out = object_matrix(rows, width)
-    for idx, x in np.ndenumerate(out):
-        out[idx] = _as_int(x)
-    return out
+    return object_matrix(([_as_int(x) for x in r] for r in rows), width)
 
 
 def zeros_matrix(nrows: int, ncols: int) -> np.ndarray:
@@ -139,6 +135,17 @@ def _dense(rows, ncols: int) -> np.ndarray:
         vals[:] = [x for row in rows for x in row.values()]
         out.reshape(-1)[idx] = vals
     return out
+
+
+def _write_block(rows: list[dict], r0: int, c0: int, m: np.ndarray, scale=1) -> None:
+    """Write the nonzeros of ``scale * m``, which must be integers, into the
+    ``{column: entry}`` rows with its top left corner at ``(r0, c0)``."""
+    for r, row in enumerate(m.tolist(), start=r0):
+        out = rows[r]
+        for c, v in enumerate(row, start=c0):
+            if v:
+                v *= scale
+                out[c] = v if type(v) is int else _as_int(v)
 
 
 def _sparse_product(a: list[dict], b: list[dict]) -> list[dict]:
@@ -261,13 +268,6 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, jordan: bool) -> tuple[li
                 if col in prows[i]:
                     prows[i] = _combine(prows[i], prow, col)
     return pivots, prows + rest
-
-
-def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Q.  Returns (R, pivot columns)."""
-    pivots, rows = _eliminate(_int_rows(_sparse_rows(m)), m.shape[1], True)
-    out = [{j: _div(x, row[c]) for j, x in row.items()} for row, c in zip(rows, pivots)]
-    return _dense(out + [{}] * (m.shape[0] - len(out)), m.shape[1]), pivots
 
 
 def pivot_columns(m: np.ndarray) -> list[int]:
@@ -399,18 +399,6 @@ def _smith(a: list[list[int]], n: int) -> tuple[list, list, list]:
     return u, d, v
 
 
-def smith_normal_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smith normal form by tracked elementary operations.
-
-    Returns unimodular ``U`` (rows ops) and ``V`` (column ops) and diagonal
-    ``D`` with ``U @ A @ V = D``, nonnegative diagonal entries and
-    ``D[i,i] | D[i+1,i+1]``.
-    """
-    m, n = a.shape
-    u, d, v = _smith([[_as_int(x) for x in row] for row in a.tolist()], n)
-    return integer_matrix(u, m), integer_matrix(d, n), integer_matrix(v, n)
-
-
 def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
     """Canonical row Hermite basis of the lattice generated by ``rows``."""
     work = [list(map(_as_int, r)) for r in rows]
@@ -443,19 +431,13 @@ def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in basis]
 
 
-def integer_kernel_rows(a: np.ndarray) -> list[tuple[int, ...]]:
-    """Canonical basis of the saturated lattice {x in Z^n : A x = 0}."""
-    m, n = a.shape
-    _, d, v = _smith([[_as_int(x) for x in row] for row in a.tolist()], n)
-    r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    return hermite_rows([[row[j] for row in v] for j in range(r, n)], n)
-
-
-def saturation_rows(rows, width: int) -> list[tuple[int, ...]]:
-    """Canonical basis of span_Q(rows) intersected with Z^width."""
-    mat = integer_matrix(rows, width)
-    perp = integer_kernel_rows(mat)
-    return integer_kernel_rows(integer_matrix(perp, width))
+def integer_kernel_rows(rows, width: int) -> list[tuple[int, ...]]:
+    """Canonical basis of the saturated lattice {x in Z^width : A x = 0},
+    ``A`` having the integer ``rows``."""
+    a = [[_as_int(x) for x in row] for row in rows]
+    _, d, v = _smith(a, width)
+    r = sum(1 for i in range(min(len(a), width)) if d[i][i] != 0)
+    return hermite_rows([[row[j] for row in v] for j in range(r, width)], width)
 
 
 def lattice_index(sub_rows, super_rows, width: int):
@@ -728,7 +710,8 @@ class SubspaceBasis:
         for v in self.vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        if self.vectors:
+        # echelon rows (every Hermite basis) are independent by their pivots
+        if self.vectors and not is_echelon(self.vectors):
             if matrix_rank(object_matrix(self.vectors, self.ambient_dim)) != len(self.vectors):
                 raise ValueError("vectors are dependent")
 

@@ -15,7 +15,10 @@ exact product of the sparse rows it assembles the differentials in.
 One builder, :func:`face_complex`, makes every such complex from a
 :class:`~toricdef.polyhedral.FacePoset`: the complexes of a cone (intrinsic
 coordinates), of a fan (ambient coordinates), of the faces below a face, and
-the three complexes of a divisor's lifted sequence.
+the three complexes of a divisor's lifted sequence.  It hands
+:func:`assemble_complex` one contraction block per covering pair and
+nothing else; the complex records those pairs, and graded pieces and the
+stages of a filtration are re-assembled from them.
 
 :func:`lcdef_cone` computes only the cohomology the defect needs: it scans
 the candidate values from the top, builds a level when one of its cells is
@@ -25,6 +28,7 @@ first needed, and stops at the first nonzero cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -50,11 +54,16 @@ class Block:
 
 @dataclass(frozen=True)
 class LabeledComplex:
-    """A cochain complex in nonnegative degrees with block-labeled terms."""
+    """A cochain complex in nonnegative degrees with block-labeled terms.
+
+    ``pairs`` lists the ``(degree, src_key, dst_key)`` block pairs the
+    differentials were assembled from; every entry outside them is zero.
+    """
 
     label: str
     terms: tuple[tuple[Block, ...], ...]
     diffs: tuple[np.ndarray, ...]
+    pairs: tuple[tuple, ...]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -62,11 +71,18 @@ class LabeledComplex:
             (sum(b.size for b in layer)) for layer in self.terms
         )
 
+    @cached_property
+    def _index(self) -> list[dict]:
+        return [{b.face_key: b for b in layer} for layer in self.terms]
+
     def block(self, degree: int, face_key) -> Block | None:
-        for b in self.terms[degree]:
-            if b.face_key == face_key:
-                return b
-        return None
+        return self._index[degree].get(face_key)
+
+    def block_matrix(self, degree: int, src_key, dst_key) -> np.ndarray:
+        """The block of the differential out of ``degree`` from the block
+        ``src_key`` to the block ``dst_key`` of the next degree."""
+        s, t = self.block(degree, src_key), self.block(degree + 1, dst_key)
+        return self.diffs[degree][t.offset : t.offset + t.size, s.offset : s.offset + s.size]
 
 
 @dataclass(frozen=True)
@@ -84,13 +100,18 @@ class CohomologyTable:
         raise KeyError(l)
 
 
-def assemble_complex(label: str, layers, entry_fn) -> LabeledComplex:
-    """Assemble a labeled complex from per-degree block lists and a block
-    entry callback ``entry_fn(degree, src_block, dst_block) -> matrix|None``.
+def assemble_complex(label: str, layers, blocks) -> LabeledComplex:
+    """Assemble a labeled complex from per-degree ``(face_key, basis)`` lists
+    and its nonzero blocks.
 
-    Each block's nonzeros go into sparse ``{column: entry}`` rows, which
-    become the public object matrices in one assignment each.  Every pair of
-    consecutive differentials is multiplied exactly on those rows, and a
+    ``blocks`` yields ``(degree, src_key, dst_key, matrix)``: the block of
+    the differential out of ``degree`` from the block ``src_key`` to the
+    block ``dst_key`` of the next degree.  A key that names no block of its
+    degree, or a matrix of the wrong shape, raises INVARIANT_VIOLATION.  The
+    blocks' nonzeros go into sparse ``{column: entry}`` rows, which become
+    the public object matrices in one assignment each; every other entry is
+    zero, and the result records the given pairs as ``pairs``.  Every pair
+    of consecutive differentials is multiplied exactly on those rows, and a
     nonzero product raises NOT_A_COMPLEX.
     """
     terms: list[tuple[Block, ...]] = []
@@ -102,29 +123,25 @@ def assemble_complex(label: str, layers, entry_fn) -> LabeledComplex:
             row.append(b)
             off += b.size
         terms.append(tuple(row))
-    live = [[b for b in layer if b.size] for layer in terms]
-    sparse: list[list[dict]] = []
-    for i in range(len(terms) - 1):
-        rows: list[dict] = [{} for _ in range(sum(b.size for b in live[i + 1]))]
-        for sb in live[i]:
-            for tb in live[i + 1]:
-                m = entry_fn(i, sb, tb)
-                if m is None:
-                    continue
-                if m.shape != (tb.size, sb.size):
-                    raise InvariantViolation(
-                        f"{label}: block of shape {m.shape} between blocks of sizes {sb.size} and {tb.size}"
-                    )
-                for out, row in zip(rows[tb.offset :], m.tolist()):
-                    for c, v in enumerate(row, start=sb.offset):
-                        if v:
-                            out[c] = v if type(v) is int else xl._as_int(v)
-        sparse.append(rows)
+    index = [{b.face_key: b for b in layer} for layer in terms]
+    sparse = [[{} for _ in range(sum(b.size for b in layer))] for layer in terms[1:]]
+    pairs = []
+    for i, src, dst, m in blocks:
+        sb = index[i].get(src) if 0 <= i < len(sparse) else None
+        tb = index[i + 1].get(dst) if sb is not None else None
+        if tb is None:
+            raise InvariantViolation(f"{label}: no blocks {src!r} -> {dst!r} out of degree {i}")
+        if m.shape != (tb.size, sb.size):
+            raise InvariantViolation(
+                f"{label}: block of shape {m.shape} between blocks of sizes {sb.size} and {tb.size}"
+            )
+        xl._write_block(sparse[i], tb.offset, sb.offset, m)
+        pairs.append((i, src, dst))
     for i in range(len(sparse) - 1):
         if any(xl._sparse_product(sparse[i + 1], sparse[i])):
             raise NotAComplex(f"{label}: differential does not square to zero at degree {i}")
     diffs = tuple(xl._dense(rows, sum(b.size for b in terms[i])) for i, rows in enumerate(sparse))
-    return LabeledComplex(label, tuple(terms), diffs)
+    return LabeledComplex(label, tuple(terms), diffs, tuple(pairs))
 
 
 def _cell(cx: LabeledComplex, i: int, rank) -> int:
@@ -156,25 +173,30 @@ def face_complex(label: str, poset: FacePoset, level: int, depth: int) -> Labele
     ``poset.faces_by_dim[m]``, of the ``(level-m)``-th exterior power of the
     annihilator spanned by the face's ``poset.perps`` rows; higher degrees
     are zero.  The differential contracts along each covering pair
-    ``mu < tau`` with ``poset.covering_normal(mu, tau)``.
+    ``mu < tau`` with ``poset.covering_normal(mu, tau)``; a pair with a
+    zero-size block has no block, and no contraction is computed for it.
     """
-    faces = {}
-    layers = []
-    for m in range(depth):
-        layer = []
-        for f in poset.faces_by_dim.get(m, ()) if m <= level else ():
-            faces[f.key] = f
-            basis = xl.SubspaceBasis(poset.width, poset.perps[f.ray_indices])
-            layer.append((f.key, xl.ExteriorBasis(basis, level - m)))
-        layers.append(layer)
+    faces = [poset.faces_by_dim.get(m, ()) if m <= level else () for m in range(depth)]
+    bases = {
+        f.ray_indices: xl.ExteriorBasis(
+            xl.SubspaceBasis(poset.width, poset.perps[f.ray_indices]), level - m
+        )
+        for m, layer in enumerate(faces)
+        for f in layer
+    }
 
-    def entry(i, sb, tb):
-        mu, tau = faces[sb.face_key], faces[tb.face_key]
-        if not mu.ray_indices < tau.ray_indices:
-            return None
-        return xl.contraction_matrix(poset.covering_normal(mu, tau), sb.basis, tb.basis)
+    def blocks():
+        for m in range(depth - 1):
+            for tau in faces[m + 1]:
+                dst = bases[tau.ray_indices]
+                for mu in poset.covered_by(tau):
+                    src = bases[mu.ray_indices]
+                    if src.size and dst.size:
+                        normal = poset.covering_normal(mu, tau)
+                        yield m, mu.key, tau.key, xl.contraction_matrix(normal, src, dst)
 
-    return assemble_complex(label, layers, entry)
+    layers = [[(f.key, bases[f.ray_indices]) for f in layer] for layer in faces]
+    return assemble_complex(label, layers, blocks())
 
 
 def ishida_cone(cone: Cone, l: int) -> LabeledComplex:
@@ -325,7 +347,7 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
         # the zero face: the graded piece is a single exterior power in degree 0
         base = xl.SubspaceBasis(d, tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d)))
         layers = [[(("wedge", l), xl.ExteriorBasis(base, l))]]
-        return assemble_complex(f"graded piece level {l} at zero face", layers, lambda *a: None)
+        return assemble_complex(f"graded piece level {l} at zero face", layers, ())
     sub = face_cone(cone, face)
 
     pieces: list[tuple[int, int, LabeledComplex]] = []
@@ -344,17 +366,12 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
                     layer.append(((j, copy, b.face_key), b.basis))
         layers.append(layer)
 
-    index = {(j, copy): inner for j, copy, inner in pieces}
-
-    def entry(i, sb, tb):
-        (js, cs, fks), (jt, ct, fkt) = sb.face_key, tb.face_key
-        if (js, cs) != (jt, ct):
-            return None
-        inner = index[(js, cs)]
-        s, t = inner.block(i, fks), inner.block(i + 1, fkt)
-        return inner.diffs[i][t.offset : t.offset + t.size, s.offset : s.offset + s.size]
-
-    return assemble_complex(f"graded piece level {l} at {face.key}", layers, entry)
+    blocks = (
+        (i, (j, copy, s), (j, copy, t), inner.block_matrix(i, s, t))
+        for j, copy, inner in pieces
+        for i, s, t in inner.pairs
+    )
+    return assemble_complex(f"graded piece level {l} at {face.key}", layers, blocks)
 
 
 def restricted_complex(cone: Cone, l: int, tau) -> LabeledComplex:

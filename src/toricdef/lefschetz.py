@@ -106,8 +106,8 @@ def support_data(fan: Fan, alpha) -> DivisorData:
     lifted: dict[frozenset, LiftedFace] = {}
     for key, face in fan.by_key.items():
         hat_rays = tuple(hats[i] for i in sorted(key))
-        hat_perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(hat_rays, n + 1)))
-        hat_span = tuple(xl.integer_kernel_rows(xl.integer_matrix(hat_perp, n + 1)))
+        hat_perp = tuple(xl.integer_kernel_rows(hat_rays, n + 1))
+        hat_span = tuple(xl.integer_kernel_rows(hat_perp, n + 1))
         # span(hat) + Q vertical = span(face) x Q, so the tilde lattice is the
         # face's lattice times Z, and this is already its Hermite basis
         tilde_span = tuple(r + (0,) for r in face.span_rows) + (vertical,)
@@ -191,11 +191,7 @@ class LiftedComplexes:
         sol = xl.solve_matrix(basis, vecs)
         if sol is None:
             raise InvariantViolation("cocycle not in span of cohomology basis + boundaries")
-        out = xl.zeros_matrix(h, vecs.shape[1])
-        for r in range(h):
-            for c in range(vecs.shape[1]):
-                out[r, c] = sol[r, c]
-        return out
+        return sol[:h]
 
     def connecting(self, l: int) -> np.ndarray:
         """Snake-lemma connecting map H^l(bottom) -> H^(l+1)(top)."""
@@ -259,11 +255,8 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     include: list[np.ndarray] = []
     project: list[np.ndarray] = []
     for m in range(depth):
-        tdims = top.dims[m]
-        mdims = middle.dims[m]
-        bdims = bottom.dims[m]
-        inc = xl.zeros_matrix(mdims, tdims)
-        prj = xl.zeros_matrix(bdims, mdims)
+        inc: list[dict] = [{} for _ in range(middle.dims[m])]
+        prj: list[dict] = [{} for _ in range(bottom.dims[m])]
         sign = 1 if m % 2 == 0 else -1
         for f in fan.faces_by_dim.get(m, ()):
             lf = divisor.lifted[f.ray_indices]
@@ -271,18 +264,14 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
             sm = middle.block(m, f.key)
             if st is not None and sm is not None and st.size and sm.size:
                 exp = xl.expansion_matrix(st.basis, sm.basis)
-                for (r, c), v in np.ndenumerate(exp):
-                    if v != 0:
-                        inc[sm.offset + r, st.offset + c] = xl._as_int(lf.vertical_index * v)
+                xl._write_block(inc, sm.offset, st.offset, exp, lf.vertical_index)
             sbm = bottom.block(m, f.key)
             if sm is not None and sbm is not None and sm.size and sbm.size:
                 vn = normal_generator(lf.hat_span, lf.tilde_span, [vertical])
                 con = xl.contraction_matrix(vn, sm.basis, sbm.basis)
-                for (r, c), v in np.ndenumerate(con):
-                    if v != 0:
-                        prj[sbm.offset + r, sm.offset + c] = xl._as_int(sign * v)
-        include.append(inc)
-        project.append(prj)
+                xl._write_block(prj, sbm.offset, sm.offset, con, sign)
+        include.append(xl._dense(inc, top.dims[m]))
+        project.append(xl._dense(prj, middle.dims[m]))
 
     out = LiftedComplexes(fan, divisor, p, top, middle, bottom, tuple(include), tuple(project))
     _verify_ses(out)

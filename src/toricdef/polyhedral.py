@@ -190,8 +190,8 @@ def _face_keys(ray_coords, d: int) -> set[frozenset[int]]:
 def _lattice_face(key: frozenset[int], gens, n: int) -> Face:
     """The face ``key`` spanned by ``gens`` in ``Z^n``: its annihilator is one
     Smith-form kernel of the rays and its span lattice the kernel of that."""
-    perp = tuple(xl.integer_kernel_rows(xl.integer_matrix(gens, n)))
-    span = tuple(xl.integer_kernel_rows(xl.integer_matrix(perp, n)))
+    perp = tuple(xl.integer_kernel_rows(gens, n))
+    span = tuple(xl.integer_kernel_rows(perp, n))
     return Face(key, len(span), span, perp)
 
 
@@ -251,6 +251,7 @@ class FacePoset:
         self.perps: dict[frozenset[int], tuple] = perps
         self.rays = rays
         self._normals: dict[tuple, tuple[int, ...]] = {}
+        self._covered: dict[frozenset[int], tuple[Face, ...]] = {}
 
     @property
     def all_faces(self) -> list[Face]:
@@ -258,6 +259,15 @@ class FacePoset:
 
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(self.faces_by_dim.get(m, ())) for m in range(self.width + 1))
+
+    def covered_by(self, f: Face) -> tuple[Face, ...]:
+        """Faces of one dimension less contained in ``f`` (memoized)."""
+        key = f.ray_indices
+        if key not in self._covered:
+            self._covered[key] = tuple(
+                g for g in self.faces_by_dim.get(f.dim - 1, ()) if g.ray_indices < key
+            )
+        return self._covered[key]
 
     def covering_normal(self, mu: Face, tau: Face) -> tuple[int, ...]:
         """The canonical normal of a covering pair ``mu < tau`` in the
@@ -272,20 +282,23 @@ class FacePoset:
         return self._normals[key]
 
     def below(self, key: frozenset[int]) -> "FacePoset":
-        """The faces contained in the face ``key``, with this poset's rows
-        and covering normals."""
+        """The faces contained in the face ``key``, with this poset's rows,
+        covering pairs and covering normals."""
         faces = [f for f in self.by_key.values() if f.ray_indices <= key]
         out = FacePoset(self.width, faces, self.spans, self.perps, self.rays)
+        out._covered = self._covered
         out.covering_normal = self.covering_normal
         return out
 
     def padded(self) -> "FacePoset":
-        """This poset in one more coordinate, every row padded by a zero.
-        Padding commutes with :func:`normal_generator`, so the covering
-        normals are this poset's, padded, and are computed once for both."""
+        """This poset in one more coordinate, every row padded by a zero,
+        with this poset's covering pairs.  Padding commutes with
+        :func:`normal_generator`, so the covering normals are this poset's,
+        padded, and are computed once for both."""
         spans = {k: _padded(v) for k, v in self.spans.items()}
         perps = {k: _padded(v) for k, v in self.perps.items()}
         out = FacePoset(self.width + 1, self.by_key.values(), spans, perps, _padded(self.rays))
+        out._covered = self._covered
         out.covering_normal = lambda mu, tau: self.covering_normal(mu, tau) + (0,)
         return out
 
@@ -343,7 +356,6 @@ class FaceLattice(FacePoset):
                 u = tuple(-x for x in u)
             self.facet_normals[f.ray_indices] = u
 
-        self._below_memo: dict[frozenset[int], tuple[Face, ...]] = {}
         self._shell_memo: dict[tuple, bool] = {}
 
     # -- queries ----------------------------------------------------------
@@ -353,17 +365,6 @@ class FaceLattice(FacePoset):
 
     def meet(self, f: Face, g: Face) -> Face:
         return self.by_key[f.ray_indices & g.ray_indices]
-
-    def covered_by(self, f: Face) -> tuple[Face, ...]:
-        """Faces of one dimension less contained in ``f``."""
-        key = f.ray_indices
-        if key not in self._below_memo:
-            self._below_memo[key] = tuple(
-                g
-                for g in self.faces_by_dim.get(f.dim - 1, ())
-                if g.ray_indices < key
-            )
-        return self._below_memo[key]
 
     def check_diamond(self) -> bool:
         """Every 2-step interval in the lattice has exactly two midpoints."""

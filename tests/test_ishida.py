@@ -222,6 +222,114 @@ def test_invalid_normals_are_rejected(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# assembly from covering pairs
+
+
+def test_cone_complex_has_one_block_per_covering_pair(cone_13, monkeypatch):
+    lat = face_lattice(cone_13)
+    d = cone_13.dim
+    contraction, calls = xl.contraction_matrix, []
+
+    def counted(n, source, target):
+        calls.append((source, target))
+        return contraction(n, source, target)
+
+    monkeypatch.setattr(xl, "contraction_matrix", counted)
+    for l in range(d + 1):
+        calls.clear()
+        cx = ishida_cone(cone_13, l)
+        # sizes of the exterior powers of the annihilators, dimension d - m
+        expected = {
+            (mu.dim, mu.key, tau.key)
+            for mu in lat.all_faces
+            for tau in lat.all_faces
+            if mu.dim + 1 == tau.dim <= l
+            and mu.ray_indices < tau.ray_indices
+            and comb(d - mu.dim, l - mu.dim) and comb(d - tau.dim, l - tau.dim)
+        }
+        assert len(calls) == len(expected)
+        assert len(cx.pairs) == len(expected) and set(cx.pairs) == expected
+        assert all(s.size and t.size for s, t in calls)
+
+
+def test_cone_complex_proves_bases_independent_without_ranks(cone_13, p112_fan, monkeypatch):
+    face_lattice(cone_13)
+    rank, ranked = xl.matrix_rank, []
+
+    def counted(m):
+        ranked.append(m.shape)
+        return rank(m)
+
+    monkeypatch.setattr(xl, "matrix_rank", counted)
+    for l in range(cone_13.dim + 1):
+        ishida_cone(cone_13, l)
+    for l in range(p112_fan.rank + 1):
+        ishida_fan(p112_fan, l)
+    assert ranked == []
+
+
+def _all_pairs_diffs(cx, entry):
+    """The old assembly as an oracle: every (source block, target block) pair
+    of consecutive degrees of ``cx``'s terms is asked ``entry(i, src_key,
+    dst_key)`` for its block, ``None`` meaning zero."""
+    out = []
+    for i in range(len(cx.terms) - 1):
+        d = xl.zeros_matrix(cx.dims[i + 1], cx.dims[i])
+        for sb in cx.terms[i]:
+            for tb in cx.terms[i + 1]:
+                if sb.size and tb.size:
+                    block = entry(i, sb.face_key, tb.face_key)
+                    if block is not None:
+                        d[tb.offset : tb.offset + tb.size, sb.offset : sb.offset + sb.size] = block
+        out.append(d.tolist())
+    return out
+
+
+def _old_slice(cx, i, src_key, dst_key):
+    s = next(b for b in cx.terms[i] if b.face_key == src_key)
+    t = next(b for b in cx.terms[i + 1] if b.face_key == dst_key)
+    return cx.diffs[i][t.offset : t.offset + t.size, s.offset : s.offset + s.size]
+
+
+def test_graded_pieces_match_the_all_pairs_assembly(cone_13):
+    from toricdef.polyhedral import face_cone
+
+    lat = face_lattice(cone_13)
+    for tau in lat.all_faces[1:]:
+        sub = face_cone(cone_13, tau)
+        for l in range(cone_13.dim + 1):
+            g = graded_piece(cone_13, l, tau)
+            inner = {}
+
+            def entry(i, src, dst):
+                (js, cs, fs), (jt, ct, ft) = src, dst
+                if (js, cs) != (jt, ct):
+                    return None
+                if js not in inner:
+                    inner[js] = ishida_cone(sub, l - js)
+                return _old_slice(inner[js], i, fs, ft)
+
+            assert [d.tolist() for d in g.diffs] == _all_pairs_diffs(g, entry), (tau.key, l)
+
+
+def test_filtration_stages_match_the_all_pairs_assembly(cone_13, cube_cone):
+    from toricdef.criteria import shelling_filtration
+    from toricdef.polyhedral import line_shelling
+
+    for cone in (cone_13, cube_cone):
+        filt = shelling_filtration(cone, line_shelling(cone))
+        full = filt.full
+        for k in range(filt.depth + 1):
+            keep = filt._keep_sub(k)
+            for cx, kept in ((filt.sub(k), keep), (filt.quotient(k), lambda key: not keep(key))):
+                assert [[b.face_key for b in layer] for layer in cx.terms] == [
+                    [b.face_key for b in layer if kept(b.face_key)] for layer in full.terms
+                ]
+                want = _all_pairs_diffs(cx, lambda i, s, t: _old_slice(full, i, s, t))
+                assert [d.tolist() for d in cx.diffs] == want, k
+
+
+# ---------------------------------------------------------------------------
 # graded pieces vs restricted complexes
 
 

@@ -342,12 +342,11 @@ def test_random_cone_structure(seed):
 
 def _saturation(rows, width):
     """span_Q(rows) cap Z^width, by its definition: a kernel of a kernel."""
-    perp = xl.integer_kernel_rows(xl.integer_matrix(rows, width))
-    return tuple(xl.integer_kernel_rows(xl.integer_matrix(perp, width)))
+    return tuple(xl.integer_kernel_rows(xl.integer_kernel_rows(rows, width), width))
 
 
 def _kernel(rows, width):
-    return tuple(xl.integer_kernel_rows(xl.integer_matrix(rows, width)))
+    return tuple(xl.integer_kernel_rows(rows, width))
 
 
 def reference_lattice(cone):
