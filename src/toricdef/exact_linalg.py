@@ -3,13 +3,18 @@
 Matrices at the public boundary are numpy arrays with ``dtype=object``
 whose entries are Python ints or ``fractions.Fraction``.  The kernel behind
 it runs on plain ``int`` lists: Smith and Hermite forms, coordinates by
-back-substitution in echelon bases, Bareiss determinants, compound-minor
-contraction and expansion blocks, and one fraction-free elimination
-(:func:`_eliminate`) behind :func:`rank_and_kernel`, :func:`solve_matrix`,
-:func:`matrix_rank` and :func:`pivot_columns`.  A
-rational matrix enters it with each row scaled by its common denominator,
-which changes neither the row space nor the pivots, and an entry is divided
-by its pivot only when a reduced form, kernel or solution is written out.
+back-substitution in echelon bases, Bareiss determinants, and one
+fraction-free elimination (:func:`_eliminate`) behind
+:func:`rank_and_kernel`, :func:`solve_matrix`, :func:`matrix_rank` and
+:func:`pivot_columns`.  A rational matrix enters it with each row scaled
+by its common denominator, which changes neither the row space nor the
+pivots, and an entry is divided by its pivot only when a reduced form,
+kernel or solution is written out.
+Contraction and expansion blocks are compound minors, each order built from
+the one below by Laplace expansion (:func:`_compound_minors`).  A
+contraction is given by a :class:`Pairing`: the pairings of the contracting
+vector with the source rows, which are all of the vector that the block
+sees, and the coordinates that every exterior degree shares.
 
 The elimination and the matrix product run on sparse rows, one
 ``{column: entry}`` dict of nonzeros per row: the differentials of face
@@ -40,8 +45,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -735,17 +742,79 @@ class ExteriorBasis:
         if self.degree < 0:
             raise ValueError("negative exterior degree")
 
-    @property
+    @cached_property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(itertools.combinations(range(self.base.dim), self.degree))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return comb(self.base.dim, self.degree) if self.degree <= self.base.dim else 0
 
 
-def contraction_matrix(n, source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray:
-    """Matrix of contraction by the vector ``n`` from ``source`` to ``target``.
+def _compound_minors(m: list[list[int]], rows, ncols: int, order: int) -> dict[tuple, list[int]]:
+    """The order-``order`` minors of the int matrix ``m`` on row sets drawn
+    from ``rows``: ``{rs: [det m[rs, cs] for cs in combinations(range(ncols),
+    order)]}``.  Each order comes from the one before by Laplace expansion
+    along the first row of the row set, so no determinant is taken twice."""
+    table: dict[tuple, list[int]] = {(): [1]}
+    index = {(): 0}
+    for q in range(1, order + 1):
+        cols = list(itertools.combinations(range(ncols), q))
+        expand = [[(c, index[cs[:t] + cs[t + 1:]], t % 2) for t, c in enumerate(cs)] for cs in cols]
+        nxt = {}
+        for rs in itertools.combinations(rows, q):
+            row, sub = m[rs[0]], table[rs[1:]]
+            out = []
+            for terms in expand:
+                acc = 0
+                for c, k, odd in terms:
+                    x = row[c]
+                    if x:
+                        y = sub[k]
+                        if y:
+                            acc = acc - x * y if odd else acc + x * y
+                out.append(acc)
+            nxt[rs] = out
+        table = nxt
+        index = {cs: k for k, cs in enumerate(cols)}
+    return table
+
+
+class Pairing(NamedTuple):
+    """Contraction by a vector ``n`` from the exterior powers of the source
+    rows ``a_i`` to those of a target basis, at every degree at once.
+
+    ``values`` are the pairings ``p_i = <n, a_i>``, which are all of ``n``
+    that the contraction sees.  ``pivot`` is an index ``j`` of least nonzero
+    ``|p_j|``, ``coords`` the int coordinates, scaled by ``scale``, of the
+    rows ``p_j a_i - p_i a_j`` in the target basis (None when one of them
+    leaves its span), and ``scale`` the common denominator times ``p_j``.
+    None of these depends on the exterior degree."""
+
+    values: tuple
+    pivot: int | None
+    coords: list[list[int]] | None
+    scale: int
+
+
+def pairing(values, rows, target_rows) -> Pairing:
+    """The :class:`Pairing` with the given ``values`` on the source ``rows``
+    into the span of ``target_rows``."""
+    p = tuple(_norm_scalar(x) for x in values)
+    if not any(p):
+        return Pairing(p, None, None, 1)
+    j = min((i for i, x in enumerate(p) if x), key=lambda i: abs(p[i]))
+    pj, aj = p[j], rows[j]
+    g = coordinates(target_rows, [[pj * x - pi * y for x, y in zip(row, aj)] for row, pi in zip(rows, p)])
+    if g is None:
+        return Pairing(p, j, None, pj)
+    g, scale = _scaled_to_int(g)
+    return Pairing(p, j, g, scale * pj)
+
+
+def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray:
+    """Matrix of contraction by a vector ``n`` from ``source`` to ``target``,
+    given by its :class:`Pairing` with the source rows.
 
     On a wedge of basis covectors a_1 ^ ... ^ a_k the contraction is
     ``sum_i (-1)^(i+1) <n, a_i> a_1 ^ ... ^ (omit a_i) ^ ... ^ a_k``.
@@ -760,52 +829,51 @@ def contraction_matrix(n, source: ExteriorBasis, target: ExteriorBasis) -> np.nd
     ``a = a_j / p_j`` with ``|p_j|`` least, and the rows ``p_j g_i = p_j a_i
     - p_i a_j`` are used instead, so integral bases give integral
     coordinates; each minor then carries a factor ``p_j^(k-1)``, divided
-    out exactly at the end.
+    out exactly at the end.  Row ``j`` of ``G`` is zero, so only the row
+    sets without ``j`` have nonzero minors: a column ``I`` that contains
+    ``j`` has the one term ``r`` with ``I_r = j``.  The minors of each order
+    come from those of the order below (:func:`_compound_minors`).
     """
     if source.base.ambient_dim != target.base.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if target.degree != source.degree - 1:
         raise ValueError("target degree must be source degree - 1")
-    if len(n) != source.base.ambient_dim:
-        raise ValueError("vector length mismatch")
+    p = pairing.values
+    if len(p) != source.base.dim:
+        raise ValueError("pairing length mismatch")
     src, dst = source.subsets, target.subsets
-    rows = source.base.vectors
-    p = [_norm_scalar(sum(x * y for x, y in zip(n, a))) for a in rows]
     if not src or not any(p):
         return zeros_matrix(len(dst), len(src))
     if source.degree == 1:
         return object_matrix([p])
-    j = min((i for i, x in enumerate(p) if x), key=lambda i: abs(p[i]))
-    pj, aj = p[j], rows[j]
-    g = coordinates(
-        target.base.vectors, [[pj * x - pi * y for x, y in zip(row, aj)] for row, pi in zip(rows, p)]
-    )
+    j, g = pairing.pivot, pairing.coords
     if g is None:
         raise NotContained("contracted forms leave the target exterior basis span")
-    g, scale = _scaled_to_int(g)
-    scale *= pj
-    minors = {
-        rs: [integer_det([[g[r][c] for c in cs] for r in rs]) for cs in dst]
-        for rs in itertools.combinations(range(len(rows)), source.degree - 1)
-    }
-    out = zeros_matrix(len(dst), len(src))
-    scale **= source.degree - 1
+    k = source.degree - 1
+    minors = _compound_minors(g, [i for i in range(len(p)) if i != j], target.base.dim, k)
+    scale = pairing.scale**k
+    out = np.empty((len(src), len(dst)), dtype=object)
     for col, idx in enumerate(src):
-        acc = [0] * len(dst)
-        for r, i in enumerate(idx):
-            if p[i]:
-                c = p[i] if r % 2 == 0 else -p[i]
-                acc = [x + c * y for x, y in zip(acc, minors[idx[:r] + idx[r + 1:]])]
-        for row, x in enumerate(acc):
-            out[row, col] = _div(x, scale)
-    return out
+        if j in idx:
+            r = idx.index(j)
+            c = p[j] if r % 2 == 0 else -p[j]
+            acc = [c * y for y in minors[idx[:r] + idx[r + 1:]]]
+        else:
+            acc = [0] * len(dst)
+            for r, i in enumerate(idx):
+                if p[i]:
+                    c = p[i] if r % 2 == 0 else -p[i]
+                    acc = [x + c * y for x, y in zip(acc, minors[idx[:r] + idx[r + 1:]])]
+        out[col] = acc if scale == 1 else [_div(x, scale) for x in acc]
+    return out.T.copy()
 
 
 def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray:
     """Matrix of the identity inclusion of one exterior basis into another.
 
     With ``E`` the coordinates of the source vectors in the target basis,
-    the entry at ``(J, I)`` is the minor ``det E[I, J]``.
+    the entry at ``(J, I)`` is the minor ``det E[I, J]``
+    (:func:`_compound_minors`).
     """
     if source.base.ambient_dim != target.base.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -821,7 +889,7 @@ def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray
         raise NotContained("source wedge space is not inside the target span")
     e, scale = _scaled_to_int(e)
     scale **= source.degree
+    minors = _compound_minors(e, range(len(e)), target.base.dim, source.degree)
     return object_matrix(
-        [[_div(integer_det([[e[r][c] for c in cs] for r in rs]), scale) for rs in src] for cs in dst],
-        len(src),
+        [[_div(minors[rs][c], scale) for rs in src] for c in range(len(dst))], len(src)
     )

@@ -5,9 +5,11 @@ The degree-``m`` term of the level-``l`` complex of a cone is the direct sum,
 over faces of dimension ``m``, of the ``(l-m)``-th exterior power of the
 face's annihilator in the dual space; the differential is the sum over
 covering pairs of contraction with a lattice normal of the smaller face
-inside the bigger one.  Contraction kills forms that vanish on the smaller
-face, so the normal's ambiguity (an element of the smaller face's span
-lattice) never reaches the matrices; the anticommutation of the two paths
+inside the bigger one.  The contraction sees the normal only through its
+pairings with the smaller face's annihilator rows, which kill the normal's
+ambiguity (an element of the smaller face's span lattice), so the poset
+hands over those pairings, read off one ray of the bigger face, and no
+normal is built; the anticommutation of the two paths
 through any 2-step interval of the face lattice makes the square of the
 differential vanish, and the builder verifies this on every assembly by an
 exact product of the sparse rows it assembles the differentials in.
@@ -65,11 +67,9 @@ class LabeledComplex:
     diffs: tuple[np.ndarray, ...]
     pairs: tuple[tuple, ...]
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
-        return tuple(
-            (sum(b.size for b in layer)) for layer in self.terms
-        )
+        return tuple(sum(b.size for b in layer) for layer in self.terms)
 
     @cached_property
     def _index(self) -> list[dict]:
@@ -173,8 +173,9 @@ def face_complex(label: str, poset: FacePoset, level: int, depth: int) -> Labele
     ``poset.faces_by_dim[m]``, of the ``(level-m)``-th exterior power of the
     annihilator spanned by the face's ``poset.perps`` rows; higher degrees
     are zero.  The differential contracts along each covering pair
-    ``mu < tau`` with ``poset.covering_normal(mu, tau)``; a pair with a
-    zero-size block has no block, and no contraction is computed for it.
+    ``mu < tau`` with the pairing ``poset.covering_pairing(mu, tau)``, which
+    every level shares; a pair with a zero-size block has no block, and no
+    contraction is computed for it.
     """
     faces = [poset.faces_by_dim.get(m, ()) if m <= level else () for m in range(depth)]
     bases = {
@@ -192,8 +193,8 @@ def face_complex(label: str, poset: FacePoset, level: int, depth: int) -> Labele
                 for mu in poset.covered_by(tau):
                     src = bases[mu.ray_indices]
                     if src.size and dst.size:
-                        normal = poset.covering_normal(mu, tau)
-                        yield m, mu.key, tau.key, xl.contraction_matrix(normal, src, dst)
+                        pairing = poset.covering_pairing(mu, tau)
+                        yield m, mu.key, tau.key, xl.contraction_matrix(pairing, src, dst)
 
     layers = [[(f.key, bases[f.ray_indices]) for f in layer] for layer in faces]
     return assemble_complex(label, layers, blocks())

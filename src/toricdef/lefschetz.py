@@ -34,7 +34,7 @@ from .errors import (
     WrongDimension,
 )
 from .ishida import LabeledComplex, cohomology, face_complex, ishida_cone, ishida_fan
-from .polyhedral import Cone, FacePoset, Fan, normal_generator, star_quotient
+from .polyhedral import Cone, Face, FacePoset, Fan, star_quotient
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,7 @@ def support_data(fan: Fan, alpha) -> DivisorData:
         if not isinstance(a_idx, int):
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")
         lifted[key] = LiftedFace(tuple(sorted(key)), hat_rays, hat_span, hat_perp, tilde_span, a_idx)
-    hat = FacePoset(
-        n + 1,
-        fan.by_key.values(),
-        {k: lf.hat_span for k, lf in lifted.items()},
-        {k: lf.hat_perp for k, lf in lifted.items()},
-        hats,
-    )
+    hat = FacePoset(n + 1, fan.by_key.values(), {k: lf.hat_perp for k, lf in lifted.items()}, hats)
     return DivisorData(fan, values, u, denom, lifted, hat, fan.padded())
 
 
@@ -246,7 +240,6 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     if ("lifted", p) in divisor._memo:
         return divisor._memo[("lifted", p)]
 
-    vertical = (0,) * n + (1,)
     depth = min(p + 1, max(fan.faces_by_dim)) + 1
     top = face_complex(f"tilde level {p + 1}", divisor.tilde, p + 1, depth)
     bottom = face_complex(f"tilde level {p}", divisor.tilde, p, depth)
@@ -267,8 +260,7 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
                 xl._write_block(inc, sm.offset, st.offset, exp, lf.vertical_index)
             sbm = bottom.block(m, f.key)
             if sm is not None and sbm is not None and sm.size and sbm.size:
-                vn = normal_generator(lf.hat_span, lf.tilde_span, [vertical])
-                con = xl.contraction_matrix(vn, sm.basis, sbm.basis)
+                con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, sbm.basis)
                 xl._write_block(prj, sbm.offset, sm.offset, con, sign)
         include.append(xl._dense(inc, top.dims[m]))
         project.append(xl._dense(prj, middle.dims[m]))
@@ -277,6 +269,24 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     _verify_ses(out)
     divisor._memo[("lifted", p)] = out
     return out
+
+
+def _vertical_pairing(divisor: DivisorData, face: Face) -> xl.Pairing:
+    """The pairing of the normal of a hat face inside its tilde face with
+    the hat annihilator rows, into the tilde annihilator (memoized per face).
+
+    The vertical ray lies in the tilde face on the positive side of the hat,
+    so it is ``c n + s`` with ``c > 0`` and ``s`` in the hat span, and its
+    pairings, the last coordinates of the hat annihilator rows, are ``c``
+    times those of the normal ``n``; these have gcd 1 (see
+    :meth:`~toricdef.polyhedral.FacePoset.covering_pairing`), so they are
+    the primitive vector of the last coordinates."""
+    key = ("vertical", face.ray_indices)
+    if key not in divisor._memo:
+        hat_perp = divisor.hat.perps[face.ray_indices]
+        p = xl.primitive_vector([a[-1] for a in hat_perp])
+        divisor._memo[key] = xl.pairing(p, hat_perp, divisor.tilde.perps[face.ray_indices])
+    return divisor._memo[key]
 
 
 def _verify_ses(L: LiftedComplexes) -> None:

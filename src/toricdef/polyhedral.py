@@ -232,25 +232,25 @@ class FacePoset:
     """Faces graded by dimension, with lattice data in ``width`` coordinates.
 
     ``by_key`` maps a face's ray set to its :class:`Face`, in the order given;
-    ``faces_by_dim`` lists each dimension's faces by key.  ``spans`` and
-    ``perps`` map a ray set to the Hermite bases of the face's span lattice
-    and annihilator, and ``rays`` holds the ray vectors, all in the poset's
-    coordinates.  A cone's lattice (intrinsic), a fan (ambient), the faces
+    ``faces_by_dim`` lists each dimension's faces by key.  ``perps`` maps a
+    ray set to the Hermite basis of the face's annihilator, and ``rays``
+    holds the ray vectors, both in the poset's coordinates.  Nothing reads a
+    face's span lattice in these coordinates; it is the kernel of its
+    ``perps`` rows.  A cone's lattice (intrinsic), a fan (ambient), the faces
     below a face and a divisor's two lifts (one coordinate more) are posets,
     and :func:`toricdef.ishida.face_complex` builds the complex of any one.
     """
 
-    def __init__(self, width: int, faces, spans, perps, rays):
+    def __init__(self, width: int, faces, perps, rays):
         self.width = width
         self.by_key: dict[frozenset[int], Face] = {f.ray_indices: f for f in faces}
         ordered = sorted(self.by_key.values(), key=lambda f: (f.dim, f.key))
         self.faces_by_dim: dict[int, tuple[Face, ...]] = {
             m: tuple(f for f in ordered if f.dim == m) for m in range(ordered[-1].dim + 1)
         }
-        self.spans: dict[frozenset[int], tuple] = spans
         self.perps: dict[frozenset[int], tuple] = perps
         self.rays = rays
-        self._normals: dict[tuple, tuple[int, ...]] = {}
+        self._pairings: dict[tuple, xl.Pairing] = {}
         self._covered: dict[frozenset[int], tuple[Face, ...]] = {}
 
     @property
@@ -269,37 +269,55 @@ class FacePoset:
             )
         return self._covered[key]
 
-    def covering_normal(self, mu: Face, tau: Face) -> tuple[int, ...]:
-        """The canonical normal of a covering pair ``mu < tau`` in the
-        poset's coordinates, oriented by the rays of ``tau`` not in ``mu``
-        (memoized)."""
+    def covering_pairing(self, mu: Face, tau: Face) -> xl.Pairing:
+        """The contraction data of a covering pair ``mu < tau``: the
+        pairings ``p_i = <n, a_i>`` of a normal ``n`` of ``mu`` in ``tau``
+        with the rows ``a_i`` of ``perps[mu]``, as an
+        :class:`~toricdef.exact_linalg.Pairing` into ``perps[tau]``
+        (memoized, shared by :meth:`below` and :meth:`padded`).
+
+        ``p`` is read off one ray ``v`` of ``tau`` not in ``mu``, as the
+        primitive vector of the ``<v, a_i>``.  The span lattice of ``tau``
+        is that of ``mu`` plus ``Z n``, and ``v`` lies on the positive side,
+        so ``v = c n + s`` with ``c > 0`` and ``s`` in the span of ``mu``,
+        which every ``a_i`` kills: ``<v, a_i> = c p_i``.  The ``p_i`` have
+        gcd 1: the span lattice of ``mu`` is saturated, so the ``a_i``, a
+        basis of its annihilator, are coordinates on the free quotient by
+        it, in which ``n`` is primitive because the span lattice of ``tau``
+        is saturated too.  So ``p`` is the primitive vector, whichever
+        normal ``n`` (defined modulo the span of ``mu``) is taken.  Every
+        other ray of ``tau`` not in ``mu`` must give a positive multiple of
+        ``p``, that is the same primitive vector, else NOT_COVERING.
+        """
         key = (mu.ray_indices, tau.ray_indices)
-        if key not in self._normals:
-            orient = [self.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
-            self._normals[key] = normal_generator(
-                self.spans[mu.ray_indices], self.spans[tau.ray_indices], orient
-            )
-        return self._normals[key]
+        if key not in self._pairings:
+            perp = self.perps[mu.ray_indices]
+            rays = (self.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices))
+            qs = ([_dot(v, a) for a in perp] for v in rays)
+            ps = {xl.primitive_vector(q) if any(q) else None for q in qs}
+            if len(ps) != 1 or None in ps:
+                raise NotCovering(f"the rays of {tau.key} outside {mu.key} fix no positive side of it")
+            self._pairings[key] = xl.pairing(ps.pop(), perp, self.perps[tau.ray_indices])
+        return self._pairings[key]
 
     def below(self, key: frozenset[int]) -> "FacePoset":
         """The faces contained in the face ``key``, with this poset's rows,
-        covering pairs and covering normals."""
+        covering pairs and covering pairings."""
         faces = [f for f in self.by_key.values() if f.ray_indices <= key]
-        out = FacePoset(self.width, faces, self.spans, self.perps, self.rays)
+        out = FacePoset(self.width, faces, self.perps, self.rays)
         out._covered = self._covered
-        out.covering_normal = self.covering_normal
+        out._pairings = self._pairings
         return out
 
     def padded(self) -> "FacePoset":
         """This poset in one more coordinate, every row padded by a zero,
-        with this poset's covering pairs.  Padding commutes with
-        :func:`normal_generator`, so the covering normals are this poset's,
-        padded, and are computed once for both."""
-        spans = {k: _padded(v) for k, v in self.spans.items()}
+        with this poset's covering pairs.  Padding changes no pairing and no
+        coordinate in an echelon basis, so the covering pairings are this
+        poset's, and are computed once for both."""
         perps = {k: _padded(v) for k, v in self.perps.items()}
-        out = FacePoset(self.width + 1, self.by_key.values(), spans, perps, _padded(self.rays))
+        out = FacePoset(self.width + 1, self.by_key.values(), perps, _padded(self.rays))
         out._covered = self._covered
-        out.covering_normal = lambda mu, tau: self.covering_normal(mu, tau) + (0,)
+        out._pairings = self._pairings
         return out
 
 
@@ -318,9 +336,6 @@ class FaceLattice(FacePoset):
       rays; ``span_rows`` of the lattice is the top face's span.  A cone
       made by :func:`face_cone` takes both from its parent's faces below it.
     * ``rays`` are the rays' coordinates in ``span_rows``.
-    * ``spans`` are Hermite bases of the coordinates of each face's
-      ``span_rows``.  A saturated sublattice of a saturated lattice has
-      integral coordinates, and their lattice is saturated.
     * ``perps`` are Hermite bases of each face's ``perp_rows`` restricted
       to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)``
       is onto because the span lattice ``L`` is saturated, and a functional
@@ -343,10 +358,8 @@ class FaceLattice(FacePoset):
             ray_coords = _ray_coords(span_rows, cone.rays)
         self.span_rows = span_rows
         faces.sort(key=lambda f: (f.dim, f.key))
-        super().__init__(d, faces, {}, {}, ray_coords)
+        super().__init__(d, faces, {}, ray_coords)
         for f in faces:
-            coords = xl.coordinates(span_rows, f.span_rows)
-            self.spans[f.ray_indices] = tuple(xl.hermite_rows(coords, d))
             restricted = [[_dot(p, b) for b in span_rows] for p in f.perp_rows]
             self.perps[f.ray_indices] = tuple(xl.hermite_rows(restricted, d))
         self.facet_normals: dict[frozenset[int], tuple[int, ...]] = {}
@@ -420,7 +433,9 @@ def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors) -> tuple[
     are lattice elements (e.g. rays of the bigger face not in the smaller)
     whose quotient images must come out positive.  The result is reduced
     modulo the mu lattice, so it is a canonical representative; any other
-    valid representative differs by a mu-lattice element.
+    valid representative differs by a mu-lattice element.  Face complexes
+    need only its pairings with the annihilator of mu, which
+    :meth:`FacePoset.covering_pairing` reads off a ray without it.
     """
     if len(tau_span_rows) != len(mu_span_rows) + 1:
         raise NotCovering("lattices do not differ in rank by one")
@@ -479,8 +494,7 @@ class Fan(FacePoset):
     """
 
     def __init__(self, rank, rays, maximal, faces):
-        spans = {f.ray_indices: f.span_rows for f in faces}
-        super().__init__(rank, faces, spans, {f.ray_indices: f.perp_rows for f in faces}, rays)
+        super().__init__(rank, faces, {f.ray_indices: f.perp_rows for f in faces}, rays)
         self.rank = rank
         self.maximal = maximal
         self._complete = None

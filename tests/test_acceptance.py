@@ -17,10 +17,13 @@ from conftest import (
     betti_oracle,
     interior_vector,
     lift_identities,
+    normal_of,
+    pairing_of_normal,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
     random_interior,
+    span_of,
 )
 from toricdef import (
     INCONCLUSIVE,
@@ -211,14 +214,15 @@ def test_structural_identities(
     # the differential does not depend on the normal representatives
     lat13 = face_lattice(cone_13)
 
-    def shift(mu, tau, n):
-        rows = lat13.spans[mu.ray_indices]
-        return n if not rows else tuple(a + 2 * b for a, b in zip(n, rows[0]))
+    def shifted(mu, tau):
+        n = normal_of(lat13, mu, tau)
+        rows = span_of(lat13, mu)
+        n = n if not rows else tuple(a + 2 * b for a, b in zip(n, rows[0]))
+        return pairing_of_normal(lat13, mu, tau, n)
 
     plain = ishida_cone(cone_13, 2)
-    normal = lat13.covering_normal
     with monkeypatch.context() as mp:
-        mp.setattr(lat13, "covering_normal", lambda mu, tau: shift(mu, tau, normal(mu, tau)))
+        mp.setattr(lat13, "covering_pairing", shifted)
         moved = ishida_cone(cone_13, 2)
     assert all(np.array_equal(a, b) for a, b in zip(plain.diffs, moved.diffs))
 

@@ -359,12 +359,19 @@ def _full_basis(n):
     return xl.SubspaceBasis(n, rows)
 
 
+def contract(n, source, target):
+    """Contraction by the vector ``n``: its pairing with the source rows."""
+    rows = source.base.vectors
+    pairing = xl.pairing([sum(x * y for x, y in zip(n, a)) for a in rows], rows, target.base.vectors)
+    return xl.contraction_matrix(pairing, source, target)
+
+
 def test_contraction_known_values():
     b3 = _full_basis(3)
     two = xl.ExteriorBasis(b3, 2)
     one = xl.ExteriorBasis(b3, 1)
     # contract dx^dy, dx^dz, dy^dz with e1: gives dy, dz, 0
-    m = xl.contraction_matrix((1, 0, 0), two, one)
+    m = contract((1, 0, 0), two, one)
     assert m.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
@@ -376,10 +383,10 @@ def test_contractions_anticommute():
     v = tuple(rng.randrange(-3, 4) for _ in range(n))
     w = tuple(rng.randrange(-3, 4) for _ in range(n))
     vw = xl.mat_mul(
-        xl.contraction_matrix(v, eb[2], eb[1]), xl.contraction_matrix(w, eb[3], eb[2])
+        contract(v, eb[2], eb[1]), contract(w, eb[3], eb[2])
     )
     wv = xl.mat_mul(
-        xl.contraction_matrix(w, eb[2], eb[1]), xl.contraction_matrix(v, eb[3], eb[2])
+        contract(w, eb[2], eb[1]), contract(v, eb[3], eb[2])
     )
     neg = xl.object_matrix(
         [[-wv[r, c] for c in range(wv.shape[1])] for r in range(wv.shape[0])], wv.shape[1]
@@ -392,7 +399,7 @@ def test_contraction_same_vector_squares_to_zero():
     eb = {k: xl.ExteriorBasis(b, k) for k in range(4)}
     v = (2, -1, 3, 5)
     sq = xl.mat_mul(
-        xl.contraction_matrix(v, eb[2], eb[1]), xl.contraction_matrix(v, eb[3], eb[2])
+        contract(v, eb[2], eb[1]), contract(v, eb[3], eb[2])
     )
     assert xl.is_zero_matrix(sq)
 
@@ -589,7 +596,7 @@ def _block_mismatch(compute, expected):
 
 def contraction_mismatch(seed):
     n, src, dst, ref = contraction_case(seed)
-    return _block_mismatch(lambda: xl.contraction_matrix(n, src, dst), ref)
+    return _block_mismatch(lambda: contract(n, src, dst), ref)
 
 
 def expansion_mismatch(seed):
@@ -679,6 +686,41 @@ def test_integer_det_matches_sympy(seed):
     assert det_mismatch(seed) is None
 
 
+def minors_mismatch(seed):
+    """Every order of the compound minors of a seeded int matrix of up to
+    6 x 6, on all its rows and on the rows without one, against
+    :func:`integer_det` and sympy; seeds 0-2 are 6 x 6, every third seed
+    has a zero row and every third a repeated row."""
+    rng = random.Random(4900 + seed)
+    m, n = (6, 6) if seed < 3 else (rng.randrange(1, 7), rng.randrange(1, 7))
+    rows = _random_int_matrix(rng, m, n, 9)
+    if m > 1 and seed % 3 == 0:
+        rows[rng.randrange(m)] = [0] * n
+    if m > 2 and seed % 3 == 1:
+        rows[-1] = list(rows[rng.randrange(m - 1)])
+    skip = rng.randrange(m)
+    for order in range(min(m, n) + 1):
+        cols = list(itertools.combinations(range(n), order))
+        for pick in (range(m), [r for r in range(m) if r != skip]):
+            table = xl._compound_minors(rows, pick, n, order)
+            if set(table) != set(itertools.combinations(pick, order)):
+                return f"order {order}: row sets {sorted(table)}"
+            for rs, vals in table.items():
+                if len(vals) != len(cols):
+                    return f"order {order}: {len(vals)} minors for {len(cols)} column sets"
+                for cs, got in zip(cols, vals):
+                    sub = [[rows[r][c] for c in cs] for r in rs]
+                    det = int(sympy.Matrix(sub).det()) if order else 1
+                    if not got == xl.integer_det(sub) == det:
+                        return f"{rows} at {rs} x {cs}: {got} != {det}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_compound_minors_match_integer_det_and_sympy(seed):
+    assert minors_mismatch(seed) is None
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_normal_generator_matches_sympy_nullspace(seed):
     assert normal_mismatch(seed) is None
@@ -689,7 +731,7 @@ def test_contraction_leaving_the_target_is_not_contained():
     # contraction by e1 lands in span(e2, e3), which span(e1, e2) misses
     target = xl.ExteriorBasis(xl.SubspaceBasis(3, ((1, 0, 0), (0, 1, 0))), 1)
     with pytest.raises(NotContained):
-        xl.contraction_matrix((1, 0, 0), xl.ExteriorBasis(b, 2), target)
+        contract((1, 0, 0), xl.ExteriorBasis(b, 2), target)
     with pytest.raises(NotContained):
         xl.expansion_matrix(xl.ExteriorBasis(b, 1), target)
 
@@ -712,7 +754,8 @@ from toricdef import exact_linalg as xl
 if __debug__:
     sys.exit("not running under -O")
 for check, seeds in ((t.contraction_mismatch, range(21)), (t.expansion_mismatch, range(15)),
-                     (t.det_mismatch, range(21)), (t.normal_mismatch, range(3))):
+                     (t.det_mismatch, range(21)), (t.minors_mismatch, range(9)),
+                     (t.normal_mismatch, range(3))):
     for seed in seeds:
         problem = check(seed)
         if problem is not None:
@@ -788,9 +831,9 @@ contraction = xl.contraction_matrix
 calls = []
 
 
-def flipped(n, source, target):
-    block = contraction(n, source, target)
-    calls.append(n)
+def flipped(pairing, source, target):
+    block = contraction(pairing, source, target)
+    calls.append(pairing)
     return -block if len(calls) == 1 else block
 
 

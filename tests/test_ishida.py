@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A_RAYS, B_RAYS, T13_RAYS, cyclic_cone, random_cone, seed77_cones
+from conftest import (
+    A_RAYS,
+    B_RAYS,
+    T13_RAYS,
+    cyclic_cone,
+    normal_of,
+    pairing_of_normal,
+    random_cone,
+    seed77_cones,
+    span_of,
+)
 from toricdef import (
     NotAComplex,
     ValidationError,
@@ -167,9 +177,13 @@ def test_defect_of_the_rank_seven_cyclic_cone():
 
 
 def override_normals(mp, poset, change):
-    """Replace the poset's covering normals by ``change(mu, tau, normal)``."""
-    normal = poset.covering_normal
-    mp.setattr(poset, "covering_normal", lambda mu, tau: change(mu, tau, normal(mu, tau)))
+    """Build the poset's contraction blocks from the canonical normals of
+    :func:`normal_generator`, replaced by ``change(mu, tau, normal)``."""
+
+    def pairing(mu, tau):
+        return pairing_of_normal(poset, mu, tau, change(mu, tau, normal_of(poset, mu, tau)))
+
+    mp.setattr(poset, "covering_pairing", pairing)
 
 
 def test_normal_shift_leaves_matrices_unchanged(cone_13, monkeypatch):
@@ -177,16 +191,23 @@ def test_normal_shift_leaves_matrices_unchanged(cone_13, monkeypatch):
     moved = []
 
     def shift(mu, tau, n):
-        rows = lat.spans[mu.ray_indices]
+        rows = span_of(lat, mu)
         if not rows:
             return n
         moved.append(mu.key)
         return tuple(a + 2 * b for a, b in zip(n, rows[0]))
 
     plain = ishida_cone(cone_13, 2)
+    pairings = {key: p.values for key, p in lat._pairings.items()}
     override_normals(monkeypatch, lat, shift)
     shifted = ishida_cone(cone_13, 2)
     assert moved
+    # the shifted normal gives the same pairing as the one read off a ray
+    for tau in lat.all_faces:
+        for mu in lat.covered_by(tau):
+            key = (mu.ray_indices, tau.ray_indices)
+            if key in pairings:
+                assert lat.covering_pairing(mu, tau).values == pairings[key]
     assert plain.dims == shifted.dims
     assert mats_equal(plain.diffs, shifted.diffs)
 
@@ -202,23 +223,32 @@ def test_fan_normal_shift_leaves_matrices_unchanged(p112_fan, monkeypatch):
         return tuple(a - 3 * b for a, b in zip(n, rows[0]))
 
     plain = ishida_fan(p112_fan, 2)
+    pairings = {key: p.values for key, p in p112_fan._pairings.items()}
     override_normals(monkeypatch, p112_fan, shift)
     shifted = ishida_fan(p112_fan, 2)
     assert moved
+    for (mu, tau), values in pairings.items():
+        assert p112_fan.covering_pairing(p112_fan.by_key[mu], p112_fan.by_key[tau]).values == values
     assert mats_equal(plain.diffs, shifted.diffs)
 
 
 def test_invalid_normals_are_rejected(monkeypatch):
     c = cone_from_rays(((1, 0), (0, 1)), 2)
+    lat = face_lattice(c)
+    pairing, scaled = lat.covering_pairing, []
 
-    def corrupt(mu, tau, n):
+    def corrupt(mu, tau):
+        good = pairing(mu, tau)
         if mu.dim == 0 and tau.ray_indices == frozenset({0}):
-            return tuple(3 * x for x in n)
-        return n
+            scaled.append(good.values)
+            perp = lat.perps[mu.ray_indices]
+            return xl.pairing([3 * x for x in good.values], perp, lat.perps[tau.ray_indices])
+        return good
 
-    override_normals(monkeypatch, face_lattice(c), corrupt)
+    monkeypatch.setattr(lat, "covering_pairing", corrupt)
     with pytest.raises(NotAComplex):
         ishida_cone(c, 2)
+    assert scaled
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +260,9 @@ def test_cone_complex_has_one_block_per_covering_pair(cone_13, monkeypatch):
     d = cone_13.dim
     contraction, calls = xl.contraction_matrix, []
 
-    def counted(n, source, target):
+    def counted(pairing, source, target):
         calls.append((source, target))
-        return contraction(n, source, target)
+        return contraction(pairing, source, target)
 
     monkeypatch.setattr(xl, "contraction_matrix", counted)
     for l in range(d + 1):
@@ -250,6 +280,18 @@ def test_cone_complex_has_one_block_per_covering_pair(cone_13, monkeypatch):
         assert len(calls) == len(expected)
         assert len(cx.pairs) == len(expected) and set(cx.pairs) == expected
         assert all(s.size and t.size for s, t in calls)
+
+
+def test_dims_and_exterior_subsets_are_computed_once(cone_13, monkeypatch):
+    cx = ishida_cone(cone_13, 2)
+    size, calls = ishida.Block.size, []
+    monkeypatch.setattr(ishida.Block, "size", property(lambda b: calls.append(b) or size.fget(b)))
+    first = cx.dims
+    assert calls and sum(first) == sum(b.basis.size for layer in cx.terms for b in layer)
+    calls.clear()
+    assert cx.dims is first and calls == []
+    basis = cx.terms[1][0].basis
+    assert basis.subsets is basis.subsets and len(basis.subsets) == basis.size
 
 
 def test_cone_complex_proves_bases_independent_without_ranks(cone_13, p112_fan, monkeypatch):

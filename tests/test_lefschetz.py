@@ -3,14 +3,18 @@ Hodge tables, and the Lefschetz-type checks built on them."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assert_pairings_match_normals,
     betti_oracle,
     interior_vector,
     lift_identities,
+    normal_of,
+    pairing_of_normal,
     random_complete_simplicial_fan,
     random_cone,
 )
@@ -34,8 +38,10 @@ from toricdef import (
     star_quotient,
     support_data,
 )
-from toricdef import normal_generator, polyhedral
+from toricdef import exact_linalg as xl
+from toricdef import normal_generator
 from toricdef.exact_linalg import matrix_rank
+from toricdef.lefschetz import _vertical_pairing
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +123,33 @@ def test_tilde_poset_is_the_fan_padded(monkeypatch):
         for mu in fan.all_faces
         if mu.dim + 1 == tau.dim and mu.ray_indices < tau.ray_indices
     ]
-    padded = {(mu.key, tau.key): fan.covering_normal(mu, tau) + (0,) for mu, tau in pairs}
-    # the padded normals are the fan's own, computed once for both posets
+    own = {(mu.key, tau.key): fan.covering_pairing(mu, tau) for mu, tau in pairs}
+    # the padded pairings are the fan's own, computed once for both posets
     calls = []
     with monkeypatch.context() as mp:
-        mp.setattr(polyhedral, "normal_generator", lambda *a: calls.append(a))
-        got = {(mu.key, tau.key): tilde.covering_normal(mu, tau) for mu, tau in pairs}
-    assert calls == [] and got == padded
+        mp.setattr(xl, "pairing", lambda *a: calls.append(a))
+        got = {(mu.key, tau.key): tilde.covering_pairing(mu, tau) for mu, tau in pairs}
+    assert calls == [] and all(got[k] is own[k] for k in own)
     for mu, tau in pairs:
-        orient = [tilde.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
-        direct = normal_generator(tilde.spans[mu.ray_indices], tilde.spans[tau.ray_indices], orient)
-        assert direct == padded[mu.key, tau.key]
+        direct = normal_of(tilde, mu, tau)
+        assert pairing_of_normal(tilde, mu, tau, direct) == own[mu.key, tau.key]
+        assert direct == normal_of(fan, mu, tau) + (0,)
+
+
+def test_lift_pairings_are_the_pairings_of_the_normals():
+    fan = random_complete_simplicial_fan(random.Random("stellar"), 4, 10)
+    rng = random.Random(3)
+    divisor = support_data(fan, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in fan.rays])
+    assert assert_pairings_match_normals(divisor.hat) > 0
+    assert assert_pairings_match_normals(divisor.tilde) > 0
+    vertical = (0,) * fan.rank + (1,)
+    for f in fan.all_faces:
+        lf = divisor.lifted[f.ray_indices]
+        n = normal_generator(lf.hat_span, lf.tilde_span, [vertical])
+        got = _vertical_pairing(divisor, f)
+        values = [sum(x * y for x, y in zip(n, a)) for a in lf.hat_perp]
+        assert got == xl.pairing(values, lf.hat_perp, divisor.tilde.perps[f.ray_indices])
+        assert gcd(*got.values) == 1 and _vertical_pairing(divisor, f) is got
 
 
 def test_middle_dims_are_sums(p112_fan):

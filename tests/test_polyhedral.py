@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     A_RAYS,
+    assert_pairings_match_normals,
     B_RAYS,
     CUBE_RAYS,
     GLUED_RAYS,
     T13_RAYS,
     cyclic_cone,
+    make_p112,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
@@ -44,7 +46,7 @@ from toricdef import exact_linalg as xl
 from toricdef.exact_linalg import nonnegative_combination, reduce_mod_rows
 from toricdef.lefschetz import support_data
 from toricdef import polyhedral
-from toricdef.polyhedral import Cone, FaceLattice, face_cone
+from toricdef.polyhedral import Cone, Face, FaceLattice, FacePoset, face_cone
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,48 @@ def test_normal_generator_canonical_representative():
     n1 = normal_generator(((1, 0),), ((1, 0), (0, 1)), [(0, 1)])
     n2 = normal_generator(((1, 0),), ((0, 1), (1, 0)), [(3, 1)])
     assert n1 == n2
+
+
+# ---------------------------------------------------------------------------
+# covering pairings
+
+
+def test_covering_pairings_are_the_pairings_of_the_normals():
+    cones = [cone_from_rays(rays, 4) for rays in (A_RAYS, B_RAYS, T13_RAYS)]
+    cones += seed77_cones() + [cyclic_cone(range(-4, 5), 5)]
+    for cone in cones:
+        assert assert_pairings_match_normals(face_lattice(cone)) > 0
+
+
+def test_below_posets_share_the_covering_pairings(cone_13):
+    lat = face_lattice(cone_13)
+    for tau in lat.faces_by_dim[3]:
+        below = lat.below(tau.ray_indices)
+        assert below._pairings is lat._pairings
+        assert assert_pairings_match_normals(below) > 0
+    for key, pairing in lat._pairings.items():
+        assert lat.covering_pairing(lat.by_key[key[0]], lat.by_key[key[1]]) is pairing
+
+
+def test_fan_covering_pairings_are_the_pairings_of_the_normals():
+    for fan in (make_p112(), _stellar_fan()):
+        assert assert_pairings_match_normals(fan) > 0
+
+
+def test_covering_pairing_checks_the_rays_outside_the_smaller_face():
+    def poset(rays):
+        zero = Face(frozenset(), 0, (), ((1, 0), (0, 1)))
+        line = Face(frozenset({0, 1}), 1, ((1, 0),), ((0, 1),))
+        perps = {f.ray_indices: f.perp_rows for f in (zero, line)}
+        return FacePoset(2, (zero, line), perps, rays), zero, line
+
+    p, zero, line = poset(((1, 0), (2, 0)))
+    assert p.covering_pairing(zero, line).values == (1, 0)
+    # opposite rays fix no positive side; independent rays span two dimensions
+    for rays in (((1, 0), (-1, 0)), ((1, 0), (0, 1)), ((0, 0), (1, 0))):
+        p, zero, line = poset(rays)
+        with pytest.raises(NotCovering):
+            p.covering_pairing(zero, line)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +447,8 @@ def lattice_mismatch(lat, ref):
         f = lat.by_key[k]
         if (f.dim, f.span_rows, f.perp_rows) != (dim, span, perp):
             return f"ambient rows of face {sorted(k)}"
-        if (lat.spans[k], lat.perps[k]) != (span_in, perp_in):
+        span = tuple(xl.integer_kernel_rows(lat.perps[k], lat.width))
+        if (span, lat.perps[k]) != (span_in, perp_in):
             return f"intrinsic rows of face {sorted(k)}"
     return None
 
@@ -427,7 +472,6 @@ def test_face_cone_lattice_is_the_lower_interval():
             scratch = FaceLattice(fresh)
             assert lat.by_key == scratch.by_key
             assert lat.faces_by_dim == scratch.faces_by_dim
-            assert lat.spans == scratch.spans
             assert lat.perps == scratch.perps
             assert lat.facet_normals == scratch.facet_normals
 
