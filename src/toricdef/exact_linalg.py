@@ -2,9 +2,11 @@
 
 Matrices at the public boundary are numpy arrays with ``dtype=object``
 whose entries are Python ints or ``fractions.Fraction``.  The kernel behind
-it runs on plain ``int`` lists: Smith and Hermite forms, coordinates by
-back-substitution in echelon bases, Bareiss determinants, and one
-fraction-free elimination (:func:`_eliminate`) behind
+it runs on plain ``int`` lists: Hermite forms, integer kernels by one
+unimodular row elimination, a Smith form (for the unimodular completion of
+a primitive ray), coordinates by back-substitution in echelon bases,
+Bareiss determinants, and one fraction-free elimination
+(:func:`_eliminate`) behind
 :func:`rank_and_kernel`, :func:`solve_matrix`, :func:`matrix_rank` and
 :func:`pivot_columns`.  A rational matrix enters it with each row scaled
 by its common denominator, which changes neither the row space nor the
@@ -52,19 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation, NotContained, SpanViolation, ZeroVector
-
-
-class _Infinite:
-    """Sentinel for an infinite lattice index (rank drop)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
+from .errors import InvariantViolation, NotContained, ZeroVector
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +396,29 @@ def _smith(a: list[list[int]], n: int) -> tuple[list, list, list]:
     return u, d, v
 
 
+def _gcd_pivot(live: list[list[int]], col: int) -> list[int]:
+    """Reduce the rows of ``live``, all nonzero at ``col``, in place by
+    integer row operations (the Euclidean algorithm on that column) until
+    one is nonzero there; return it.  The operations are unimodular."""
+    while len(live) > 1:
+        live.sort(key=lambda r: abs(r[col]))
+        small = live[0]
+        for r in live[1:]:
+            q = r[col] // small[col]
+            r[:] = [x - q * y for x, y in zip(r, small)]
+        live = [r for r in live if r[col] != 0]
+    return live[0]
+
+
 def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
     """Canonical row Hermite basis of the lattice generated by ``rows``."""
     work = [list(map(_as_int, r)) for r in rows]
     basis: list[list[int]] = []
-    col = 0
-    while col < width:
+    for col in range(width):
         live = [r for r in work if r[col] != 0]
         if not live:
-            col += 1
             continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            small = live[0]
-            for r in live[1:]:
-                q = r[col] // small[col]
-                for k in range(width):
-                    r[k] -= q * small[k]
-            live = [r for r in live if r[col] != 0]
-        pivot_row = live[0]
+        pivot_row = _gcd_pivot(live, col)
         work = [r for r in work if r is not pivot_row and any(r)]
         if pivot_row[col] < 0:
             pivot_row = [-x for x in pivot_row]
@@ -434,45 +428,39 @@ def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
                 for k in range(width):
                     b[k] -= q * pivot_row[k]
         basis.append(list(pivot_row))
-        col += 1
     return [tuple(r) for r in basis]
 
 
 def integer_kernel_rows(rows, width: int) -> list[tuple[int, ...]]:
     """Canonical basis of the saturated lattice {x in Z^width : A x = 0},
-    ``A`` having the integer ``rows``."""
-    a = [[_as_int(x) for x in row] for row in rows]
-    _, d, v = _smith(a, width)
-    r = sum(1 for i in range(min(len(a), width)) if d[i][i] != 0)
-    return hermite_rows([[row[j] for row in v] for j in range(r, width)], width)
+    ``A`` having the integer ``rows`` (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4.3).
 
-
-def lattice_index(sub_rows, super_rows, width: int):
-    """Index of the group generated by ``sub_rows`` inside the one generated
-    by ``super_rows``.
-
-    Returns a positive int, or :data:`INFINITE` when the ranks differ.
-    Raises SPAN_VIOLATION if the sub generators leave the rational span of
-    the super generators, and a plain ValueError if they are in the span but
-    not in the group (the index is not a group order then).
+    One unimodular row elimination of the ``width x (m + width)`` matrix
+    ``[A^T | I]``, by :func:`_gcd_pivot` on the left ``m`` columns, turns it
+    into ``[H | U]`` with ``U`` unimodular, ``U A^T = H`` and ``H`` in echelon
+    form.  The rows of ``U`` beside the zero rows of ``H`` are a Z-basis of
+    the kernel: they lie in it, and an integer ``x`` with ``x^T A^T = 0`` is
+    ``y^T U`` for an integer ``y`` (``U`` is unimodular) with ``y^T H = 0``,
+    so ``y`` vanishes on the independent nonzero rows of ``H``.  Being part
+    of a basis of ``Z^width``, they span a saturated lattice.  The result is
+    their Hermite basis.  Checked: the left part of every row outside the
+    pivots is zero, and ``A k = 0`` for every returned ``k``.
     """
-    sub = integer_matrix(sub_rows, width)
-    basis = hermite_rows(super_rows, width)
-    coords = coordinates(basis, sub.tolist())
-    if coords is None:
-        raise SpanViolation("sub generators leave the span of the super lattice")
-    if matrix_rank(sub) < len(basis):
-        return INFINITE
-    if any(not isinstance(x, int) for row in coords for x in row):
-        raise ValueError("sub generators are not in the super lattice")
-    _, d, _ = _smith(coords, len(basis))
-    diag = [d[i][i] for i in range(min(len(d), len(basis))) if d[i][i] != 0]
-    if len(diag) != len(basis):
-        raise InvariantViolation("full-rank sublattice with a zero invariant factor")
-    idx = 1
-    for x in diag:
-        idx *= abs(x)
-    return idx
+    a = [[_as_int(x) for x in row] for row in rows]
+    m = len(a)
+    work = [[row[j] for row in a] + [int(i == j) for i in range(width)] for j in range(width)]
+    for col in range(m):
+        live = [r for r in work if r[col] != 0]
+        if live:
+            pivot_row = _gcd_pivot(live, col)
+            work = [r for r in work if r is not pivot_row]
+    if any(r[i] for r in work for i in range(m)):
+        raise InvariantViolation("integer kernel: a row outside the pivots has a nonzero left part")
+    kernel = hermite_rows([r[m:] for r in work], width)
+    if any(sum(map(mul, row, k)) for row in a for k in kernel):
+        raise InvariantViolation("integer kernel: a basis row is not in the kernel")
+    return kernel
 
 
 def primitive_vector(v) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -40,13 +40,15 @@ from .polyhedral import Cone, Face, FacePoset, Fan, star_quotient
 @dataclass(frozen=True)
 class LiftedFace:
     """Lattice data of the graph ("hat") and epigraph ("tilde") lifts of a
-    fan face under a support function."""
+    fan face under a support function: the hat rays, the Hermite basis of
+    the hat annihilator, and the index of the vertical ray over the hat
+    lattice inside the tilde lattice, read off that annihilator (see
+    :func:`support_data`).  Neither lift's span lattice is stored; nothing
+    reads it."""
 
     key: tuple[int, ...]
     hat_rays: tuple[tuple[int, ...], ...]
-    hat_span: tuple[tuple[int, ...], ...]
     hat_perp: tuple[tuple[int, ...], ...]
-    tilde_span: tuple[tuple[int, ...], ...]
     vertical_index: int  # index of (vertical ray + hat lattice) in the tilde lattice
 
 
@@ -86,7 +88,22 @@ def _dot(u, v):
 def support_data(fan: Fan, alpha) -> DivisorData:
     """Validate a ray-value assignment as a rational Cartier support function
     and compute all lift data.  Raises NOT_Q_CARTIER when some maximal cone
-    admits no linear form matching the prescribed ray values."""
+    admits no linear form matching the prescribed ray values.
+
+    Each fan face costs one integer kernel, its hat annihilator
+    ``hat_perp``.  The vertical index is the gcd of the last coordinates of
+    the ``hat_perp`` rows.  Proof: let ``H`` be the saturated span of the hat
+    rays and ``T = H + Q e`` (``e`` the vertical ray) meet ``Z^{n+1}`` in
+    the tilde lattice.  ``T / H`` is a saturated rank-1 subgroup of
+    ``Z^{n+1} / H``, generated by the class of some ``g``, and
+    ``e = c g + h`` with ``h`` in ``H``; the index is ``|c|``.  The
+    ``hat_perp`` rows are a basis of the functionals vanishing on ``H``,
+    that is of coordinates on ``Z^{n+1} / H``.  Each pairs ``e`` to ``c``
+    times its value on ``g``, and because ``H + Z g`` is saturated some
+    integer functional vanishes on ``H`` and is 1 on ``g``.  So the pairings
+    with ``e``, the last coordinates, generate ``c Z``.  A gcd of 0 means
+    ``e`` is in ``H``, so the two lifts have the same rank: an
+    INVARIANT_VIOLATION."""
     values = tuple(Fraction(a) for a in alpha)
     if len(values) != len(fan.rays):
         raise ValidationError("need exactly one value per ray")
@@ -101,20 +118,15 @@ def support_data(fan: Fan, alpha) -> DivisorData:
         u[cone_key] = tuple(Fraction(sol[i, 0]) for i in range(n))
     denom = lcm(1, *(x.denominator for f in u.values() for x in f))
 
-    vertical = (0,) * n + (1,)
     hats = tuple(tuple(v.denominator * c for c in r) + (v.numerator,) for v, r in zip(values, fan.rays))
     lifted: dict[frozenset, LiftedFace] = {}
-    for key, face in fan.by_key.items():
+    for key in fan.by_key:
         hat_rays = tuple(hats[i] for i in sorted(key))
         hat_perp = tuple(xl.integer_kernel_rows(hat_rays, n + 1))
-        hat_span = tuple(xl.integer_kernel_rows(hat_perp, n + 1))
-        # span(hat) + Q vertical = span(face) x Q, so the tilde lattice is the
-        # face's lattice times Z, and this is already its Hermite basis
-        tilde_span = tuple(r + (0,) for r in face.span_rows) + (vertical,)
-        a_idx = xl.lattice_index([vertical] + list(hat_span), tilde_span, n + 1)
-        if not isinstance(a_idx, int):
+        a_idx = gcd(*(p[-1] for p in hat_perp))
+        if a_idx == 0:
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")
-        lifted[key] = LiftedFace(tuple(sorted(key)), hat_rays, hat_span, hat_perp, tilde_span, a_idx)
+        lifted[key] = LiftedFace(tuple(sorted(key)), hat_rays, hat_perp, a_idx)
     hat = FacePoset(n + 1, fan.by_key.values(), {k: lf.hat_perp for k, lf in lifted.items()}, hats)
     return DivisorData(fan, values, u, denom, lifted, hat, fan.padded())
 

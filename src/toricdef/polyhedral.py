@@ -12,13 +12,14 @@ This is quadratic-ish in the number of faces, which is the right trade at the
 scale this package targets (tens of rays).
 
 Lattice data is computed once per face.  A face's annihilator is one
-Smith-form kernel of its rays and its span lattice the kernel of that, since
-the saturation of a set of vectors is the kernel of their kernel; a fan
-computes these once per face, however many maximal cones share it.  The
-intrinsic rows of :class:`FaceLattice` are coordinates and restrictions of
-the ambient ones, with no further Smith form (the two saturation facts are in
+integer kernel of its rays (:func:`toricdef.exact_linalg.integer_kernel_rows`,
+a one-sided unimodular row elimination) and its span lattice the kernel of
+that, since the saturation of a set of vectors is the kernel of their kernel;
+a fan computes these once per face, however many maximal cones share it.
+The intrinsic rows of :class:`FaceLattice` are coordinates and restrictions
+of the ambient ones, with no further kernel (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone` takes its whole lattice
-from the parent's lower interval.
+from the parent's lower interval.  No Smith form is taken.
 
 Cone lattices, fans and divisor lifts are all one :class:`FacePoset`.
 :func:`fan_from_cones` validates a fan with exact LPs; :func:`star_quotient`
@@ -189,7 +190,7 @@ def _face_keys(ray_coords, d: int) -> set[frozenset[int]]:
 
 def _lattice_face(key: frozenset[int], gens, n: int) -> Face:
     """The face ``key`` spanned by ``gens`` in ``Z^n``: its annihilator is one
-    Smith-form kernel of the rays and its span lattice the kernel of that."""
+    integer kernel of the rays and its span lattice the kernel of that."""
     perp = tuple(xl.integer_kernel_rows(gens, n))
     span = tuple(xl.integer_kernel_rows(perp, n))
     return Face(key, len(span), span, perp)
@@ -331,7 +332,7 @@ class FaceLattice(FacePoset):
 
     Where each row comes from:
 
-    * ``Face.perp_rows`` is one Smith-form kernel of the face's rays and
+    * ``Face.perp_rows`` is one integer kernel of the face's rays and
       ``Face.span_rows`` the kernel of that, which is the saturation of the
       rays; ``span_rows`` of the lattice is the top face's span.  A cone
       made by :func:`face_cone` takes both from its parent's faces below it.
@@ -415,7 +416,7 @@ def face_cone(cone: Cone, face: Face) -> Cone:
     """A face of ``cone`` as a cone of its own, without re-running the LPs of
     :func:`cone_from_rays`: the face's rays are already primitive, distinct
     and extreme, in the order of ``cone.rays``.  Its face lattice is the
-    lower interval of the parent's, with no facet search and no Smith form.
+    lower interval of the parent's, with no facet search and no kernel.
     The top face is ``cone``."""
     if len(face.ray_indices) == len(cone.rays):
         return cone

@@ -1,6 +1,7 @@
 """Shared fixtures: frozen ray lists, standard fans, seeded random generators,
 and independent oracles used across the test suite."""
 
+import math
 import random
 from math import comb
 
@@ -210,13 +211,59 @@ def betti_oracle(fan):
     return out
 
 
+def smith_kernel_rows(rows, width):
+    """The saturated integer kernel ``{x in Z^width : A x = 0}`` read off a
+    Smith form ``U A V = D``: the columns of ``V`` past the rank, in Hermite
+    form.  An oracle for :func:`~toricdef.exact_linalg.integer_kernel_rows`,
+    which does not use it."""
+    from toricdef import exact_linalg as xl
+
+    a = [[int(x) for x in row] for row in rows]
+    _, d, v = xl._smith(a, width)
+    r = sum(1 for i in range(min(len(a), width)) if d[i][i] != 0)
+    return tuple(xl.hermite_rows([[row[j] for row in v] for j in range(r, width)], width))
+
+
+INFINITE = math.inf
+
+
+def lattice_index(sub_rows, super_rows, width):
+    """Index of the group generated by ``sub_rows`` inside the one generated
+    by ``super_rows``, from the Smith form of the sub generators' coordinates:
+    a positive int, or :data:`INFINITE` when the ranks differ.  Raises
+    SPAN_VIOLATION if the sub generators leave the rational span of the super
+    generators, and a plain ValueError if they are in the span but not in the
+    group."""
+    from toricdef import InvariantViolation, SpanViolation
+    from toricdef import exact_linalg as xl
+
+    basis = xl.hermite_rows(super_rows, width)
+    coords = xl.coordinates(basis, [tuple(r) for r in sub_rows])
+    if coords is None:
+        raise SpanViolation("sub generators leave the span of the super lattice")
+    if xl.matrix_rank(xl.integer_matrix(sub_rows, width)) < len(basis):
+        return INFINITE
+    if any(not isinstance(x, int) for row in coords for x in row):
+        raise ValueError("sub generators are not in the super lattice")
+    _, d, _ = xl._smith(coords, len(basis))
+    diag = [d[i][i] for i in range(min(len(d), len(basis))) if d[i][i] != 0]
+    if len(diag) != len(basis):
+        raise InvariantViolation("full-rank sublattice with a zero invariant factor")
+    return math.prod(abs(x) for x in diag)
+
+
 def span_of(poset, face):
     """The span lattice of a face in a poset's coordinates: the saturated
     kernel of its annihilator rows (in the padded tilde poset, the face's
-    span plus the vertical axis)."""
-    from toricdef.exact_linalg import integer_kernel_rows
+    span plus the vertical axis), by :func:`smith_kernel_rows`."""
+    return smith_kernel_rows(poset.perps[face.ray_indices], poset.width)
 
-    return tuple(integer_kernel_rows(poset.perps[face.ray_indices], poset.width))
+
+def lift_spans(divisor, face):
+    """The span lattices of the hat and tilde lifts of a fan face, by the
+    Smith reference: the kernels of the face's annihilator rows in the
+    divisor's hat and tilde posets."""
+    return span_of(divisor.hat, face), span_of(divisor.tilde, face)
 
 
 def normal_of(poset, mu, tau):
@@ -282,28 +329,30 @@ def lift_identities(fan, divisor):
     for mu, tau in pairs:
         lm = divisor.lifted[mu.ray_indices]
         lt = divisor.lifted[tau.ray_indices]
+        (lm_hat, lm_tilde), (lt_hat, lt_tilde) = lift_spans(divisor, mu), lift_spans(divisor, tau)
         orient = [
             lt.hat_rays[i]
             for i, ridx in enumerate(sorted(tau.ray_indices))
             if ridx not in mu.ray_indices
         ]
-        n_hat = normal_generator(lm.hat_span, lt.hat_span, orient)
-        n_til = normal_generator(lm.tilde_span, lt.tilde_span, orient)
+        n_hat = normal_generator(lm_hat, lt_hat, orient)
+        n_til = normal_generator(lm_tilde, lt_tilde, orient)
         # the embedded quotient-fan normal agrees with the epigraph normal
         n_emb = normal_of(fan, mu, tau) + (0,)
-        assert reduce_mod_rows(n_emb, lm.tilde_span) == reduce_mod_rows(
-            n_til, lm.tilde_span
+        assert reduce_mod_rows(n_emb, lm_tilde) == reduce_mod_rows(
+            n_til, lm_tilde
         )
         # graph and epigraph normals agree after clearing the vertical indices
         left = tuple(lm.vertical_index * x for x in n_hat)
         right = tuple(lt.vertical_index * x for x in n_til)
-        assert reduce_mod_rows(left, lm.tilde_span) == reduce_mod_rows(
-            right, lm.tilde_span
+        assert reduce_mod_rows(left, lm_tilde) == reduce_mod_rows(
+            right, lm_tilde
         )
     for face in faces:
         lf = divisor.lifted[face.ray_indices]
-        n_vert = normal_generator(lf.hat_span, lf.tilde_span, [vertical])
+        hat_span, tilde_span = lift_spans(divisor, face)
+        n_vert = normal_generator(hat_span, tilde_span, [vertical])
         scaled = tuple(lf.vertical_index * x for x in n_vert)
-        assert reduce_mod_rows(scaled, lf.hat_span) == reduce_mod_rows(
-            vertical, lf.hat_span
+        assert reduce_mod_rows(scaled, hat_span) == reduce_mod_rows(
+            vertical, hat_span
         )

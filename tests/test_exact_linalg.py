@@ -16,6 +16,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    A_RAYS,
+    B_RAYS,
+    INFINITE,
+    T13_RAYS,
+    cyclic_cone,
+    lattice_index,
+    seed77_cones,
+    smith_kernel_rows,
+)
+from toricdef import cone_from_rays, face_lattice
 from toricdef import exact_linalg as xl
 from toricdef.errors import NotContained, SpanViolation, ZeroVector
 
@@ -303,21 +314,88 @@ def test_integer_kernel_is_saturated(seed):
     # saturation: the kernel lattice equals its own saturation, the kernel
     # of its kernel
     if ker:
-        sat = xl.integer_kernel_rows(xl.integer_kernel_rows(ker, cols), cols)
+        sat = smith_kernel_rows(smith_kernel_rows(ker, cols), cols)
         assert xl.hermite_rows(list(ker), cols) == xl.hermite_rows(list(sat), cols)
 
 
+def kernel_mismatch(rows, width):
+    """How :func:`integer_kernel_rows` differs from the Smith-form kernel or
+    from the saturation of sympy's nullspace, or None.  The basis is the
+    saturated kernel when it has the nullspace's size, lies in the kernel
+    and has invariant factors all 1."""
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    got = tuple(xl.integer_kernel_rows(rows, width))
+    if got != smith_kernel_rows(rows, width):
+        return "differs from the Smith kernel"
+    if list(got) != xl.hermite_rows(got, width):
+        return "not in Hermite form"
+    a = sympy.Matrix(len(rows), width, [x for r in rows for x in r])
+    if len(got) != len(a.nullspace()):
+        return "rank differs from the nullspace's"
+    if got:
+        k = sympy.Matrix(got)
+        if not (a * k.T).is_zero_matrix:
+            return "a row is not in the kernel"
+        if any(abs(x) != 1 for x in sympy_snf(k, domain=sympy.ZZ).diagonal()):
+            return "not saturated"
+    return None
+
+
+def _kernel_edge_cases(seed):
+    """No rows, zero rows, a repeated row, more rows than columns, and one
+    column, with seeded entries."""
+    rng = random.Random(900 + seed)
+    width = rng.randrange(2, 6)
+    rows = _random_int_matrix(rng, rng.randrange(1, 4), width)
+    return [
+        ([], width),
+        ([[0] * width] * 2, width),
+        ([[0] * width] + rows, width),
+        (rows + rows[:1], width),
+        (_random_int_matrix(rng, width + rng.randrange(1, 3), width), width),
+        (_random_int_matrix(rng, rng.randrange(0, 4), 1), 1),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_kernel_matches_smith_and_sympy_on_edge_cases(seed):
+    for rows, width in _kernel_edge_cases(seed):
+        assert kernel_mismatch(rows, width) is None, (rows, width)
+
+
+def test_integer_kernel_matches_smith_and_sympy_on_face_data():
+    """Every face of the three fixtures, the nine seed-77 cones and their
+    pyramids and the cyclic (5, 9) cone: the kernels of its rays and of its
+    annihilator, ambient and intrinsic."""
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)]
+    cones += seed77_cones() + [cyclic_cone(range(-4, 5), 5)]
+    cases = 0
+    for cone in cones:
+        lat = face_lattice(cone)
+        for f in lat.all_faces:
+            for rows, width in (
+                ([cone.rays[i] for i in sorted(f.ray_indices)], cone.rank),
+                (f.perp_rows, cone.rank),
+                ([lat.rays[i] for i in sorted(f.ray_indices)], lat.width),
+                (lat.perps[f.ray_indices], lat.width),
+            ):
+                assert kernel_mismatch([list(r) for r in rows], width) is None, (cone, f.key)
+                cases += 1
+    assert cases > 2000
+
+
 def test_lattice_index_values():
-    assert xl.lattice_index([(2, 0), (0, 3)], [(1, 0), (0, 1)], 2) == 6
-    assert xl.lattice_index([(1, 1)], [(1, 1)], 2) == 1
-    assert xl.lattice_index([(2, 2)], [(1, 1)], 2) == 2
+    assert lattice_index([(2, 0), (0, 3)], [(1, 0), (0, 1)], 2) == 6
+    assert lattice_index([(1, 1)], [(1, 1)], 2) == 1
+    assert lattice_index([(2, 2)], [(1, 1)], 2) == 2
     # smaller-rank sublattice: infinite index
-    assert xl.lattice_index([(1, 0)], [(1, 0), (0, 1)], 2) is xl.INFINITE
+    assert lattice_index([(1, 0)], [(1, 0), (0, 1)], 2) is INFINITE
     with pytest.raises(SpanViolation):
-        xl.lattice_index([(1, 0)], [(0, 1)], 2)
+        lattice_index([(1, 0)], [(0, 1)], 2)
     # inside the span but not inside the subgroup
     with pytest.raises(ValueError):
-        xl.lattice_index([(1, 0)], [(2, 0)], 2)
+        lattice_index([(1, 0)], [(2, 0)], 2)
 
 
 def test_primitive_vector():
@@ -748,7 +826,7 @@ _OPTIMIZED_RUN = """
 import sys
 sys.path[:0] = [{tests!r}]
 import test_exact_linalg as t
-from toricdef import InvariantViolation, assemble_complex
+from toricdef import InvariantViolation, assemble_complex, fan_from_cones, support_data
 from toricdef import exact_linalg as xl
 
 if __debug__:
@@ -769,6 +847,35 @@ for block in ((0, "a", "b", xl.zeros_matrix(2, 1)), (0, "a", "c", xl.zeros_matri
         assemble_complex("bad", layers, [block])
     except InvariantViolation as exc:
         print(exc.ident, exc.exit_code)
+# a kernel elimination that leaves a row nonzero on a pivot column, and one
+# that moves a row off the kernel
+pivot = xl._gcd_pivot
+
+
+def shifted(live, col):
+    row = pivot(live, col)
+    for r in live:
+        if r is not row:
+            r[-1] += 1
+    return row
+
+
+for corrupted in (lambda live, col: live[0], shifted):
+    xl._gcd_pivot = corrupted
+    try:
+        xl.integer_kernel_rows([[1, 1]], 2)
+    except InvariantViolation as exc:
+        print(exc.ident, exc.exit_code)
+xl._gcd_pivot = pivot
+# hat annihilator rows whose last coordinates are all 0
+fan = fan_from_cones(((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (2, 0)), 2)
+kernel = xl.integer_kernel_rows
+xl.integer_kernel_rows = lambda rows, width: [r[:-1] + (0,) for r in kernel(rows, width)]
+try:
+    support_data(fan, (0, 0, 1))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
+xl.integer_kernel_rows = kernel
 """
 
 
@@ -781,7 +888,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 2
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 5
 
 
 _CORRUPTED_PROJECTION_RUN = """

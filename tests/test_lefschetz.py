@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    A_RAYS,
+    B_RAYS,
+    T13_RAYS,
     assert_pairings_match_normals,
     betti_oracle,
+    cyclic_cone,
     interior_vector,
+    lattice_index,
     lift_identities,
+    lift_spans,
     normal_of,
     pairing_of_normal,
     random_complete_simplicial_fan,
@@ -55,6 +61,29 @@ def test_weighted_plane_support_data(p112_fan):
     for key in p112_fan.by_key:
         expected = 2 if key == frozenset({0, 2}) else 1
         assert D.vertical_index(key) == expected
+
+
+def test_vertical_index_is_the_smith_lattice_index(p112_fan):
+    """The vertical index read off the hat annihilator is the index of the
+    vertical ray plus the hat lattice in the tilde lattice, by Smith forms
+    of the Smith-reference spans, on P(1,1,2), the stellar fan with seeded
+    rational values, and the star quotients of the fixtures and cyclic
+    (5, 9)."""
+    stellar = random_complete_simplicial_fan(random.Random("stellar"), 4, 10)
+    rng = random.Random(3)
+    values = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in stellar.rays]
+    cases = [(p112_fan, support_data(p112_fan, (0, 0, 1))), (stellar, support_data(stellar, values))]
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + [cyclic_cone(range(-4, 5), 5)]
+    cases += [star_quotient(c, tuple(map(sum, zip(*c.rays)))) for c in cones]
+    indices = []
+    for fan, divisor in cases:
+        vertical = (0,) * fan.rank + (1,)
+        for f in fan.all_faces:
+            hat_span, tilde_span = lift_spans(divisor, f)
+            index = lattice_index([vertical, *hat_span], tilde_span, fan.rank + 1)
+            assert divisor.vertical_index(f.ray_indices) == index, (fan.rays, f.key)
+            indices.append(index)
+    assert max(indices) > 1
 
 
 def test_support_data_validates_length(p2_fan):
@@ -145,7 +174,7 @@ def test_lift_pairings_are_the_pairings_of_the_normals():
     vertical = (0,) * fan.rank + (1,)
     for f in fan.all_faces:
         lf = divisor.lifted[f.ray_indices]
-        n = normal_generator(lf.hat_span, lf.tilde_span, [vertical])
+        n = normal_generator(*lift_spans(divisor, f), [vertical])
         got = _vertical_pairing(divisor, f)
         values = [sum(x * y for x, y in zip(n, a)) for a in lf.hat_perp]
         assert got == xl.pairing(values, lf.hat_perp, divisor.tilde.perps[f.ray_indices])

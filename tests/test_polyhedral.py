@@ -16,12 +16,14 @@ from conftest import (
     GLUED_RAYS,
     T13_RAYS,
     cyclic_cone,
+    lift_spans,
     make_p112,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
     random_interior,
     seed77_cones,
+    smith_kernel_rows,
 )
 from toricdef import (
     ApexInHyperplane,
@@ -386,11 +388,11 @@ def test_random_cone_structure(seed):
 
 def _saturation(rows, width):
     """span_Q(rows) cap Z^width, by its definition: a kernel of a kernel."""
-    return tuple(xl.integer_kernel_rows(xl.integer_kernel_rows(rows, width), width))
+    return smith_kernel_rows(smith_kernel_rows(rows, width), width)
 
 
 def _kernel(rows, width):
-    return tuple(xl.integer_kernel_rows(rows, width))
+    return smith_kernel_rows(rows, width)
 
 
 def reference_lattice(cone):
@@ -447,7 +449,7 @@ def lattice_mismatch(lat, ref):
         f = lat.by_key[k]
         if (f.dim, f.span_rows, f.perp_rows) != (dim, span, perp):
             return f"ambient rows of face {sorted(k)}"
-        span = tuple(xl.integer_kernel_rows(lat.perps[k], lat.width))
+        span = _kernel(lat.perps[k], lat.width)
         if (span, lat.perps[k]) != (span_in, perp_in):
             return f"intrinsic rows of face {sorted(k)}"
     return None
@@ -548,9 +550,10 @@ def test_support_data_rows_match_saturations():
         for key, lf in divisor.lifted.items():
             hats = list(lf.hat_rays)
             hat_span = _saturation(hats, n + 1) if hats else ()
-            assert lf.hat_span == hat_span
+            lift_hat, lift_tilde = lift_spans(divisor, fan.by_key[key])
+            assert lift_hat == hat_span
             assert lf.hat_perp == _kernel(hats, n + 1)
-            assert lf.tilde_span == _saturation(list(hat_span) + [vertical], n + 1)
+            assert lift_tilde == _saturation(list(hat_span) + [vertical], n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -587,3 +590,38 @@ def test_fan_takes_at_most_two_smith_forms_per_fan_face(smith_calls):
     smith_calls.clear()
     fan = fan_from_cones(rays, maximal, 4)
     assert len(smith_calls) <= 2 * len(fan.by_key)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = xl.integer_kernel_rows
+
+    def counted(rows, width):
+        calls.append(width)
+        return kernel(rows, width)
+
+    monkeypatch.setattr(xl, "integer_kernel_rows", counted)
+    return calls
+
+
+def test_lattice_data_takes_no_smith_form_and_one_kernel_per_fan_face(smith_calls, kernel_calls):
+    """Face lattices and fans take at most two integer kernels per face and
+    no Smith form; support data takes exactly one kernel per fan face."""
+    for cone in [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + [cyclic_cone(range(-4, 5), 5)]:
+        kernel_calls.clear()
+        lat = face_lattice(cone)
+        assert 0 < len(kernel_calls) <= 2 * len(lat.by_key)
+    stellar = _stellar_fan()
+    kernel_calls.clear()
+    built = fan_from_cones(stellar.rays, stellar.maximal, 4)
+    assert 0 < len(kernel_calls) <= 2 * len(built.by_key)
+    rng = random.Random(3)
+    for fan, values in [
+        (built, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in built.rays]),
+        (make_p112(), (0, 0, 1)),
+    ]:
+        kernel_calls.clear()
+        support_data(fan, values)
+        assert kernel_calls == [fan.rank + 1] * len(fan.by_key)
+    assert smith_calls == []
