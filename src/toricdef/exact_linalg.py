@@ -26,8 +26,9 @@ assignment; :func:`_write_block` puts a block into such rows, for the
 differentials and the chain maps alike; :func:`_sparse_product` is both
 :func:`mat_mul` and the ``d^2 = 0`` check of
 :func:`toricdef.ishida.assemble_complex`.
-``Fraction`` remains at that boundary, in the simplex, and wherever a
-caller passes rational vectors.  Nothing here ever touches floating point;
+``Fraction`` remains at that boundary, in the simplex (whose every answer
+is checked by its certificate), and wherever a caller passes rational
+vectors.  Nothing here ever touches floating point;
 determinism and exactness are the whole point.
 
 Conventions
@@ -412,7 +413,7 @@ def _gcd_pivot(live: list[list[int]], col: int) -> list[int]:
 
 def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
     """Canonical row Hermite basis of the lattice generated by ``rows``."""
-    work = [list(map(_as_int, r)) for r in rows]
+    work = [list(r) if all(type(x) is int for x in r) else list(map(_as_int, r)) for r in rows]
     basis: list[list[int]] = []
     for col in range(width):
         live = [r for r in work if r[col] != 0]
@@ -615,28 +616,64 @@ def _scaled_to_int(rows) -> tuple[list[list[int]], int]:
 
 
 # ---------------------------------------------------------------------------
-# strict rational feasibility (phase-I simplex)
+# nonnegative combinations (certified phase-I simplex)
 
 
 def nonnegative_combination(columns, target) -> list[Fraction] | None:
     """Solve ``sum_j lam_j columns[j] = target`` with ``lam >= 0`` exactly.
 
-    Phase-I simplex with Bland's rule over Fractions; returns one feasible
-    coefficient vector or None.  Intended for the small systems that cone
-    geometry produces (dozens of columns, single-digit rows).
+    Returns one feasible coefficient vector, or None when there is none.
+    Intended for the small systems that cone geometry produces (dozens of
+    columns, single-digit rows).  :func:`_phase_one` answers with a
+    certificate either way, and the answer is returned only once it is
+    checked, whatever the interpreter's optimisation level: ``lam >= 0``
+    with ``sum_j lam_j columns[j] = target`` exactly, or an integer Farkas
+    vector ``y`` with ``y . columns[j] >= 0`` for every ``j`` and ``y .
+    target < 0``, which rules every solution out (Farkas' lemma: a
+    solution would give ``0 <= sum_j lam_j y . columns[j] = y . target <
+    0``).  A failed check raises INVARIANT_VIOLATION.
     """
     cols = [list(map(Fraction, c)) for c in columns]
     b = [Fraction(x) for x in target]
-    m = len(b)
-    k = len(cols)
-    if any(len(c) != m for c in cols):
+    if any(len(c) != len(b) for c in cols):
         raise ValueError("column length mismatch")
-    # rows with negative rhs get negated so artificial start is feasible
+    lam, y = _phase_one(cols, b)
+    if lam is not None:
+        if (
+            len(lam) != len(cols)
+            or any(x < 0 for x in lam)
+            or [sum(x * c[i] for x, c in zip(lam, cols)) for i in range(len(b))] != b
+        ):
+            raise InvariantViolation("simplex: the coefficients are not a nonnegative solution")
+        return lam
+    if len(y) != len(b) or any(sum(map(mul, y, c)) < 0 for c in cols) or sum(map(mul, y, b)) >= 0:
+        raise InvariantViolation("simplex: the Farkas vector does not rule a solution out")
+    return None
+
+
+def _phase_one(cols: list[list[Fraction]], target: list[Fraction]) -> tuple:
+    """Phase-I simplex with Bland's rule over Fractions for ``A lam = b``,
+    ``lam >= 0``, with an artificial variable per row: ``(lam, None)`` for a
+    feasible system, ``(None, y)`` with an integer Farkas vector ``y``
+    otherwise.
+
+    Rows with a negative right-hand side are negated first (signs ``s_i``).
+    The objective row holds the reduced costs ``c - pi^T [A' | I]`` of the
+    current basis, ``c`` being 0 on ``lam`` and 1 on the artificials, so its
+    artificial entries are ``1 - pi_i``.  At an optimum of positive value
+    every reduced cost is ``>= 0`` and ``pi^T b' > 0``; so ``y_i = s_i (z_i -
+    1)``, ``z_i`` the objective entry of artificial ``i``, has ``y^T A >=
+    0`` and ``y^T b < 0``, and is scaled to integers."""
+    m = len(target)
+    k = len(cols)
+    b = list(target)
     tab = [[cols[j][i] for j in range(k)] for i in range(m)]
+    signs = [1] * m
     for i in range(m):
         if b[i] < 0:
             tab[i] = [-x for x in tab[i]]
             b[i] = -b[i]
+            signs[i] = -1
     # append artificial identity
     for i in range(m):
         tab[i] += [Fraction(1) if i == j else Fraction(0) for j in range(m)]
@@ -679,14 +716,14 @@ def nonnegative_combination(columns, target) -> list[Fraction] | None:
         basis[row] = enter
 
     if zrhs != 0:
-        return None
+        y, _ = _scaled_to_int([[s * (z[k + i] - 1) for i, s in enumerate(signs)]])
+        return None, y[0]
+    # a zero optimum leaves every artificial at zero
     lam = [Fraction(0)] * k
     for i, var in enumerate(basis):
         if var < k:
             lam[var] = b[i]
-        elif b[i] != 0:
-            return None
-    return lam
+    return lam, None
 
 
 # ---------------------------------------------------------------------------

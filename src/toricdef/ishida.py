@@ -298,7 +298,7 @@ def lcdef_faces(cone: Cone, shortcut_simplicial: bool = True) -> list[tuple[Face
     """The cone-level value :func:`lcdef_cone` of every face of a cone, in
     the order of the face lattice (by dimension, then rays); the last entry
     is the cone itself.  Faces are taken from the cone without re-running
-    the LPs of :func:`cone_from_rays`."""
+    the facet search of :func:`cone_from_rays`."""
     return [
         (f, lcdef_cone(face_cone(cone, f), shortcut_simplicial=shortcut_simplicial))
         for f in face_lattice(cone).all_faces

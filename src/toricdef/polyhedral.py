@@ -1,15 +1,14 @@
 """Rational polyhedral cones, face lattices, fans, and shellings.
 
-Cones are given by extreme rays (primitive integer vectors); all convexity
-questions (strong convexity, redundancy, membership, separation) reduce to
-exact rational feasibility via :func:`toricdef.exact_linalg.nonnegative_combination`,
-so no floating point is involved anywhere.
-
-Face enumeration is deliberately unsophisticated: candidate facets come from
-(d-1)-subsets of rays, whose hyperplane is read off signed maximal minors and
-validated as supporting, and the remaining faces are intersections of facets.
-This is quadratic-ish in the number of faces, which is the right trade at the
-scale this package targets (tens of rays).
+Cones are given by extreme rays (primitive integer vectors), and no floating
+point is involved anywhere.  A cone is built from its facets:
+:func:`cone_from_rays` finds them once, among the (d-1)-subsets of the
+generators, whose hyperplane is read off signed maximal minors and validated
+as supporting, and reads strong convexity and the extreme generators off the
+ranks of the facet normals, with no LP (the proof is in its docstring).  The
+remaining faces are intersections of facets.  This is quadratic-ish in the
+number of faces, which is the right trade at the scale this package targets
+(tens of rays).
 
 Lattice data is computed once per face.  A face's annihilator is one
 integer kernel of its rays (:func:`toricdef.exact_linalg.integer_kernel_rows`,
@@ -22,7 +21,10 @@ its docstring), and a cone made by :func:`face_cone` takes its whole lattice
 from the parent's lower interval.  No Smith form is taken.
 
 Cone lattices, fans and divisor lifts are all one :class:`FacePoset`.
-:func:`fan_from_cones` validates a fan with exact LPs; :func:`star_quotient`
+:func:`fan_from_cones` validates a fan pair by pair, by a separating
+functional built from the facet normals and checked with integer dot products,
+or, where none of its candidates separates, by the certified exact LP of
+:func:`toricdef.exact_linalg.nonnegative_combination`; :func:`star_quotient`
 reads the quotient fan of an interior ray off the cone's faces, with no LP.
 """
 
@@ -70,17 +72,22 @@ class Cone:
     Instances come out of :func:`cone_from_rays` and :func:`face_cone`; the
     constructor trusts its input.  ``rays`` keeps the order in which
     surviving input rays appeared, and all face bookkeeping refers to rays
-    by index into this tuple.  A cone made by :func:`face_cone` remembers
-    its parent and the face, so its lattice is the parent's lower interval;
+    by index into this tuple.  ``_hull`` holds what :func:`cone_from_rays`
+    found on the way: the top face, the rays' coordinates in its span rows
+    and the ray sets of the facets, which :class:`FaceLattice` and
+    :func:`fan_from_cones` reuse (:func:`_hull` finds them for a cone built
+    by the constructor).  A cone made by :func:`face_cone` remembers its
+    parent and the face, so its lattice is the parent's lower interval;
     star quotients are memoized by their primitive interior ray.
     """
 
-    __slots__ = ("rank", "rays", "dim", "_lattice", "_parent", "_quotients")
+    __slots__ = ("rank", "rays", "dim", "_hull", "_lattice", "_parent", "_quotients")
 
     def __init__(self, rank: int, rays: tuple[tuple[int, ...], ...], dim: int):
         self.rank = rank
         self.rays = rays
         self.dim = dim
+        self._hull = None
         self._lattice = None
         self._parent = None
         self._quotients: dict[tuple[int, ...], tuple] = {}
@@ -93,8 +100,37 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
     """Build a cone from integer generators.
 
     Generators are primitivized and deduplicated, non-extreme generators are
-    dropped, and strong convexity is verified.  Raises ZERO_VECTOR on a zero
-    generator and NOT_STRONGLY_CONVEX if the positive hull contains a line.
+    dropped (the others keep their input order), and strong convexity is
+    verified.  Raises ZERO_VECTOR on a zero generator and
+    NOT_STRONGLY_CONVEX if the positive hull contains a line.
+
+    No LP is run; both questions are read off the facets, found once in the
+    coordinates of the generators' span lattice by :func:`_span_and_facets`
+    and kept on the cone.  Let ``C`` be the cone, of dimension ``d`` in its
+    span ``V``, and ``L = C ∩ -C`` its lineality space.
+
+    * The search finds exactly the facets of ``C``.  A hyperplane of ``V``
+      through ``d - 1`` independent generators with every generator on one
+      side meets ``C`` in a face of dimension ``d - 1``; conversely a facet
+      is generated by the generators in it, ``d - 1`` of them independent.
+    * ``C`` is strongly convex iff the facet normals have rank ``d``.  If
+      ``L != 0``, a facet normal ``u`` is ``>= 0`` on ``C``, which contains
+      ``L = -L``, so ``u`` vanishes on ``L``: every normal lies in ``L^⊥``,
+      of rank ``d - dim L < d``, and if ``C = V`` there is no facet at all.
+      If ``L = 0``, the dual cone is full-dimensional and generated by the
+      facet normals (Cox–Little–Schenck, *Toric Varieties*, 1.2), so they
+      have rank ``d``.
+    * In a strongly convex ``C``, the span of a face ``F`` is the
+      intersection of the facet hyperplanes containing ``F``, so ``dim F =
+      d - r`` with ``r`` the rank of their normals.  A generator ``g`` lies
+      in the relative interior of the least face ``F_g`` containing it, and
+      the facets containing ``F_g`` are those through ``g``.  So ``g`` is
+      extreme, that is ``dim F_g = 1``, iff the normals of the facets
+      through ``g`` have rank ``d - 1``.
+
+    ``m = d`` independent generators span a simplicial cone: it is strongly
+    convex, every generator is extreme and the facets are the ``(d -
+    1)``-subsets, so neither the search nor the two rank tests runs.
     """
     vecs = [_ivec(v) for v in vectors]
     if not vecs:
@@ -110,22 +146,26 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
         p = xl.primitive_vector(v)
         if p not in prim:
             prim.append(p)
-    # strong convexity: no nontrivial nonnegative combination vanishes
-    cols = [p + (1,) for p in prim]
-    if xl.nonnegative_combination(cols, (0,) * rank + (1,)) is not None:
-        raise NotStronglyConvex("generators positively span a line")
-    # drop generators lying in the hull of the others, until stable
-    changed = True
-    while changed:
-        changed = False
-        for j, p in enumerate(prim):
-            others = [q for i, q in enumerate(prim) if i != j]
-            if others and xl.nonnegative_combination(others, p) is not None:
-                prim.pop(j)
-                changed = True
-                break
-    dim = xl.matrix_rank(xl.integer_matrix(prim, rank))
-    return Cone(rank, tuple(prim), dim)
+    top, coords, facets = _span_and_facets(prim, rank)
+    d = top.dim
+    if len(prim) > d:
+        if _rank(facets.values(), d) < d:
+            raise NotStronglyConvex("generators positively span a line")
+        keep = [i for i in range(len(prim)) if _rank([u for k, u in facets.items() if i in k], d) == d - 1]
+        if len(keep) < len(prim):
+            pos = {i: j for j, i in enumerate(keep)}
+            top = Face(frozenset(pos.values()), d, top.span_rows, top.perp_rows)
+            coords = tuple(coords[i] for i in keep)
+            facets = {frozenset(pos[i] for i in k if i in pos): u for k, u in facets.items()}
+            prim = [prim[i] for i in keep]
+    cone = Cone(rank, tuple(prim), d)
+    cone._hull = (top, coords, tuple(facets))
+    return cone
+
+
+def _rank(rows, d: int) -> int:
+    """Rank of integer rows of width ``d``: the length of their Hermite basis."""
+    return len(xl.hermite_rows(rows, d))
 
 
 @dataclass(frozen=True)
@@ -154,27 +194,37 @@ def _ray_coords(span_rows, rays) -> tuple[tuple, ...]:
     return tuple(tuple(x) for x in coords)
 
 
-def _face_keys(ray_coords, d: int) -> set[frozenset[int]]:
-    """Ray sets of all faces of a cone that is full-dimensional in ``Z^d``:
-    the facets, found among the hyperplanes through ``d - 1`` rays, their
-    intersections, the cone itself and the zero face."""
+def _facets(ray_coords, d: int) -> dict[frozenset[int], tuple | None]:
+    """The facets of a cone that is full-dimensional in ``Z^d``, among the
+    hyperplanes through ``d - 1`` rays with every ray on one side, as ``{ray
+    set: normal}``; a normal is the vector of signed maximal minors, on
+    either side.  ``m = d`` rays, independent since they span, give the
+    ``d`` subsets of ``d - 1`` rays, whose normals nothing needs (None),
+    with no minor."""
     m = len(ray_coords)
-    facets: list[frozenset[int]] = []
-    if d > 0:
-        for sub in itertools.combinations(range(m), d - 1):
-            if any(set(sub) <= s for s in facets):
-                continue
-            rows = [ray_coords[i] for i in sub]
-            # the kernel of the (d-1) x d matrix is spanned by its signed maximal minors
-            u = [(-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
-            if not any(u):
-                continue
-            vals = [_dot(u, c) for c in ray_coords]
-            if min(vals) < 0 < max(vals):
-                continue
-            fs = frozenset(i for i, v in enumerate(vals) if v == 0)
-            if fs not in facets:
-                facets.append(fs)
+    if d == 0:
+        return {}
+    if m == d:
+        return {frozenset(range(m)) - {i}: None for i in range(m)}
+    facets: dict[frozenset[int], tuple | None] = {}
+    for sub in itertools.combinations(range(m), d - 1):
+        if any(set(sub) <= s for s in facets):
+            continue
+        rows = [ray_coords[i] for i in sub]
+        # the kernel of the (d-1) x d matrix is spanned by its signed maximal minors
+        u = tuple((-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d))
+        if not any(u):
+            continue
+        vals = [_dot(u, c) for c in ray_coords]
+        if min(vals) < 0 < max(vals):
+            continue
+        facets.setdefault(frozenset(i for i, v in enumerate(vals) if v == 0), u)
+    return facets
+
+
+def _face_keys(facets, m: int) -> set[frozenset[int]]:
+    """Ray sets of all faces of a cone with ``m`` rays: the ``facets``,
+    their intersections, the cone itself and the zero face."""
     keys = {frozenset(range(m)), frozenset()}
     keys.update(facets)
     queue = list(facets)
@@ -196,20 +246,40 @@ def _lattice_face(key: frozenset[int], gens, n: int) -> Face:
     return Face(key, len(span), span, perp)
 
 
-def _cone_faces(rays, d: int, n: int, labels, known: dict) -> tuple:
-    """``(span_rows, ray_coords, faces)`` of the cone over ``rays`` (of
-    dimension ``d`` in ``Z^n``).  A face is keyed by the ``labels`` of its
-    rays and looked up in, or added to, ``known``."""
+def _span_and_facets(gens, n: int) -> tuple:
+    """``(top, coords, facets)`` of the cone over ``gens`` in ``Z^n``: the
+    top face, the generators' coordinates in its span rows and
+    :func:`_facets` in those coordinates."""
+    top = _lattice_face(frozenset(range(len(gens))), gens, n)
+    coords = _ray_coords(top.span_rows, gens)
+    return top, coords, _facets(coords, top.dim)
+
+
+def _hull(cone: Cone) -> tuple:
+    """``cone._hull``, found by :func:`_span_and_facets` for a cone built by
+    the constructor, whose rays it trusts to be extreme."""
+    if cone._hull is None:
+        top, coords, facets = _span_and_facets(cone.rays, cone.rank)
+        cone._hull = (top, coords, tuple(facets))
+    return cone._hull
+
+
+def _cone_faces(cone: Cone, labels, known: dict) -> list[Face]:
+    """The faces of ``cone`` from its :func:`_hull`, with no facet search.
+    A face is keyed by the ``labels`` of its rays and looked up in, or
+    added to, ``known``; the top face's rows are the hull's."""
+    top, _, facets = _hull(cone)
+    rays = cone.rays
 
     def face(local) -> Face:
         key = frozenset(labels[i] for i in local)
         if key not in known:
-            known[key] = _lattice_face(key, [rays[i] for i in sorted(local)], n)
+            known[key] = _lattice_face(key, [rays[i] for i in sorted(local)], cone.rank)
         return known[key]
 
-    span_rows = face(range(len(rays))).span_rows
-    ray_coords = _ray_coords(span_rows, rays)
-    return span_rows, ray_coords, [face(k) for k in _face_keys(ray_coords, d)]
+    whole = frozenset(labels)
+    known.setdefault(whole, Face(whole, top.dim, top.span_rows, top.perp_rows))
+    return [face(k) for k in _face_keys(facets, len(rays))]
 
 
 def _lower_interval(parent: "FaceLattice", key: frozenset[int]) -> tuple:
@@ -332,10 +402,14 @@ class FaceLattice(FacePoset):
 
     Where each row comes from:
 
+    * The faces are the intersections of the facets that
+      :func:`cone_from_rays` found and kept on the cone; no facet search
+      runs here.
     * ``Face.perp_rows`` is one integer kernel of the face's rays and
       ``Face.span_rows`` the kernel of that, which is the saturation of the
-      rays; ``span_rows`` of the lattice is the top face's span.  A cone
-      made by :func:`face_cone` takes both from its parent's faces below it.
+      rays; ``span_rows`` of the lattice is the top face's span, also from
+      :func:`cone_from_rays`.  A cone made by :func:`face_cone` takes both
+      from its parent's faces below it.
     * ``rays`` are the rays' coordinates in ``span_rows``.
     * ``perps`` are Hermite bases of each face's ``perp_rows`` restricted
       to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)``
@@ -350,9 +424,9 @@ class FaceLattice(FacePoset):
         self.cone = cone
         d = cone.dim
         if cone._parent is None:
-            span_rows, ray_coords, faces = _cone_faces(
-                cone.rays, d, cone.rank, range(len(cone.rays)), {}
-            )
+            top, ray_coords, _ = _hull(cone)
+            span_rows = top.span_rows
+            faces = _cone_faces(cone, range(len(cone.rays)), {})
         else:
             parent, key = cone._parent
             span_rows, faces = _lower_interval(face_lattice(parent), key)
@@ -413,8 +487,8 @@ def face_lattice(cone: Cone) -> FaceLattice:
 
 
 def face_cone(cone: Cone, face: Face) -> Cone:
-    """A face of ``cone`` as a cone of its own, without re-running the LPs of
-    :func:`cone_from_rays`: the face's rays are already primitive, distinct
+    """A face of ``cone`` as a cone of its own, without re-running the facet
+    search of :func:`cone_from_rays`: the face's rays are already primitive, distinct
     and extreme, in the order of ``cone.rays``.  Its face lattice is the
     lower interval of the parent's, with no facet search and no kernel.
     The top face is ``cone``."""
@@ -490,8 +564,11 @@ class Fan(FacePoset):
 
     :func:`fan_from_cones` builds a fan from its maximal cones and verifies
     exactly, via a strict separating functional, that any two of them meet
-    in a common face; :func:`star_quotient` builds the quotient fan of an
-    interior ray from the cone's own faces, a fan by construction.
+    in a common face: a functional made from their facet normals and
+    checked by integer dot products where one of its three candidates
+    separates, else one certified LP; :func:`star_quotient` builds the
+    quotient fan of an interior ray from the cone's own faces, a fan by
+    construction.
     """
 
     def __init__(self, rank, rays, maximal, faces):
@@ -532,7 +609,22 @@ class Fan(FacePoset):
 
 def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
     """Assemble a fan from shared rays and maximal cones (ray-index lists),
-    validating each cone and each pair of cones exactly."""
+    validating each cone and each pair of cones exactly.
+
+    Two cones ``σ``, ``σ'`` sharing the face ``τ`` meet only in ``τ`` iff a
+    functional ``u`` vanishes on ``τ``, is positive on the other rays of
+    ``σ`` and negative on those of ``σ'`` (separation lemma, Cox–Little–
+    Schenck, *Toric Varieties*, 1.2.13).  When both cones are
+    full-dimensional, :func:`_separating_functional` tries three such ``u``
+    built from their facet normals through ``τ``, and
+    :func:`_check_separation` checks the one it returns with integer dot
+    products.  Otherwise, or when none of the three separates, the pair is
+    decided by the certified LP
+    :func:`~toricdef.exact_linalg.nonnegative_combination`, which is
+    infeasible iff such a ``u`` exists.  Either way each pair gets the
+    decision, and the first failing pair the message, that the LP alone
+    would give.
+    """
     rays = tuple(_ivec(r) for r in rays)
     if not rays:
         raise ValidationError("a fan needs at least one ray")
@@ -558,15 +650,17 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
     known: dict[frozenset[int], Face] = {}
     by_key: dict[frozenset[int], Face] = {}
     cone_faces: list[set[frozenset[int]]] = []
+    walls: list[dict | None] = []
     for s in maximal:
         sub = cone_from_rays([rays[i] for i in s], rank)
         if len(sub.rays) != len(s):
             raise ValidationError(f"cone {s} is not generated by extreme rays")
-        _, _, faces = _cone_faces(sub.rays, sub.dim, rank, s, known)
+        faces = _cone_faces(sub, s, known)
         faces.sort(key=lambda f: (f.dim, f.key))  # by_key keeps the order of the cones' lattices
         for f in faces:
             by_key.setdefault(f.ray_indices, f)
         cone_faces.append({f.ray_indices for f in faces})
+        walls.append(_signed_walls(faces, rays) if sub.dim == rank else None)
 
     for (ia, sa), (ib, sb) in itertools.combinations(enumerate(maximal), 2):
         common = frozenset(sa) & frozenset(sb)
@@ -576,19 +670,68 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
             )
         if common == frozenset(sa) or common == frozenset(sb):
             raise ValidationError(f"cones {sa} and {sb}: one is a face of the other")
+        out_a = [rays[i] for i in sa if i not in common]
+        out_b = [rays[i] for i in sb if i not in common]
+        if walls[ia] is not None and walls[ib] is not None:
+            u = _separating_functional(_through(walls[ia], common), _through(walls[ib], common), out_a, out_b)
+            if u is not None:
+                _check_separation(u, [rays[i] for i in common], out_a, out_b)
+                continue
         # the cones meet only in the common face iff some u is positive on the
         # images of the other rays of one and negative on those of the other,
         # modulo the face's span: iff no nonnegative combination of the
         # columns (+-image, 1) is (0, ..., 0, 1)
         perp = by_key[common].perp_rows
-        cols = [tuple(_dot(p, rays[i]) for p in perp) + (1,) for i in sa if i not in common]
-        cols += [tuple(-_dot(p, rays[i]) for p in perp) + (1,) for i in sb if i not in common]
+        cols = [tuple(_dot(p, r) for p in perp) + (1,) for r in out_a]
+        cols += [tuple(-_dot(p, r) for p in perp) + (1,) for r in out_b]
         if xl.nonnegative_combination(cols, (0,) * len(perp) + (1,)) is not None:
             raise ValidationError(
                 f"cones {sa} and {sb} overlap beyond their common face"
             )
 
     return Fan(rank, rays, maximal, list(by_key.values()))
+
+
+def _signed_walls(faces, rays) -> dict[frozenset[int], tuple[int, ...]]:
+    """``{facet: normal}`` of a full-dimensional cone with the given faces:
+    each facet's one annihilator row, signed to be positive on the cone."""
+    top = max(faces, key=lambda f: f.dim)
+    walls = {}
+    for f in faces:
+        if f.dim == top.dim - 1:
+            (u,) = f.perp_rows
+            off = min(top.ray_indices - f.ray_indices)
+            walls[f.ray_indices] = u if _dot(u, rays[off]) > 0 else tuple(-x for x in u)
+    return walls
+
+
+def _through(walls, common) -> tuple[int, ...]:
+    """The sum of the normals of the facets containing the face ``common``:
+    zero on it and, since the face is the intersection of those facets,
+    positive on every other ray of the cone."""
+    return tuple(map(sum, zip(*(u for k, u in walls.items() if common <= k))))
+
+
+def _separating_functional(u_a, u_b, out_a, out_b) -> tuple[int, ...] | None:
+    """The first of ``u_a``, ``-u_b`` and ``u_a - u_b`` that is positive on
+    ``out_a`` and negative on ``out_b``, or None.  ``u_a`` and ``u_b`` are
+    :func:`_through` sums of two cones at their common face."""
+    for u in (u_a, tuple(-x for x in u_b), tuple(x - y for x, y in zip(u_a, u_b))):
+        if all(_dot(u, r) > 0 for r in out_a) and all(_dot(u, r) < 0 for r in out_b):
+            return u
+    return None
+
+
+def _check_separation(u, on_common, out_a, out_b) -> None:
+    """Check that ``u`` certifies that two cones meet only in their common
+    face: zero on its rays, positive on the other rays of the first cone and
+    negative on those of the second."""
+    if (
+        any(_dot(u, r) for r in on_common)
+        or any(_dot(u, r) <= 0 for r in out_a)
+        or any(_dot(u, r) >= 0 for r in out_b)
+    ):
+        raise InvariantViolation("a pair certificate does not separate the two cones at their common face")
 
 
 def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:

@@ -115,9 +115,9 @@ def p112_fan():
 # seeded random generators
 
 
-def random_cone(rng: random.Random, rank: int, extra_rays: int | None = None):
-    """A full-dimensional strongly convex cone: the cone over a random lattice
-    polytope placed at height one."""
+def random_cone_generators(rng: random.Random, rank: int, extra_rays: int | None = None):
+    """The generators of :func:`random_cone`: lattice points at height one,
+    some of them possibly not extreme."""
     if extra_rays is None:
         extra_rays = rng.randrange(1, 4)
     want = rank + extra_rays
@@ -125,9 +125,14 @@ def random_cone(rng: random.Random, rank: int, extra_rays: int | None = None):
         pts = set()
         while len(pts) < want:
             pts.add(tuple(rng.randrange(-3, 4) for _ in range(rank - 1)) + (1,))
-        cone = cone_from_rays(sorted(pts), rank)
-        if cone.dim == rank:
-            return cone
+        if cone_from_rays(sorted(pts), rank).dim == rank:
+            return sorted(pts)
+
+
+def random_cone(rng: random.Random, rank: int, extra_rays: int | None = None):
+    """A full-dimensional strongly convex cone: the cone over a random lattice
+    polytope placed at height one."""
+    return cone_from_rays(random_cone_generators(rng, rank, extra_rays), rank)
 
 
 def interior_vector(cone, weights=None):
@@ -161,9 +166,29 @@ def seed77_cones():
     return out
 
 
+def seed77_generators():
+    """``(generators, rank)`` of the cones of :func:`seed77_cones` as
+    :func:`~toricdef.cone_from_rays` gets them: the lattice points of each
+    cone, and each pyramid's rays at height zero plus its primitive apex."""
+    rng = random.Random(77)
+    out = []
+    for i in range(9):
+        d = 3 + i % 3
+        gens = random_cone_generators(rng, d)
+        apex = _primitive(random_apex(rng, d))
+        out += [(gens, d), ([r + (0,) for r in cone_from_rays(gens, d).rays] + [apex], d + 1)]
+    return out
+
+
+def cyclic_rays(params, rank):
+    """The rays of the cone over the cyclic polytope with the given
+    moment-curve parameters."""
+    return [tuple(t**k for k in range(1, rank)) + (1,) for t in params]
+
+
 def cyclic_cone(params, rank):
     """The cone over the cyclic polytope with the given moment-curve parameters."""
-    return cone_from_rays([tuple(t**k for k in range(1, rank)) + (1,) for t in params], rank)
+    return cone_from_rays(cyclic_rays(params, rank), rank)
 
 
 def _primitive(v):
@@ -178,6 +203,11 @@ def _primitive(v):
 def random_complete_simplicial_fan(rng: random.Random, rank: int, splits: int):
     """Random stellar subdivisions of the standard simplex fan: stays
     complete and simplicial at every step."""
+    return fan_from_cones(*stellar_fan_data(rng, rank, splits), rank)
+
+
+def stellar_fan_data(rng: random.Random, rank: int, splits: int):
+    """``(rays, maximal)`` of :func:`random_complete_simplicial_fan`."""
     rays = [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
     rays.append(tuple(-1 for _ in range(rank)))
     maximal = [tuple(sorted(set(range(rank + 1)) - {i})) for i in range(rank + 1)]
@@ -191,11 +221,153 @@ def random_complete_simplicial_fan(rng: random.Random, rank: int, splits: int):
         j = len(rays) - 1
         for drop in cone_idx:
             maximal.append(tuple(sorted((set(cone_idx) - {drop}) | {j})))
-    return fan_from_cones(rays, maximal, rank)
+    return rays, maximal
+
+
+def relabelled(rays, maximal, seed):
+    """The same fan with its rays listed in a seeded order."""
+    order = list(range(len(rays)))
+    random.Random(seed).shuffle(order)
+    new = {old: i for i, old in enumerate(order)}
+    return [rays[i] for i in order], [tuple(new[i] for i in c) for c in maximal]
 
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def lp_cone_from_rays(vectors, rank):
+    """The cone over integer generators as :func:`~toricdef.cone_from_rays`
+    built it before it read everything off the facets: strong convexity and
+    redundancy by exact LPs.  Raises the same errors; returns a
+    :class:`~toricdef.polyhedral.Cone` made by the constructor."""
+    from toricdef import NotStronglyConvex, ValidationError, ZeroVector
+    from toricdef import exact_linalg as xl
+    from toricdef.polyhedral import Cone, _ivec
+
+    vecs = [_ivec(v) for v in vectors]
+    if not vecs:
+        raise ValidationError("at least one generator is required")
+    if any(len(v) != rank for v in vecs):
+        raise ValidationError("generators of mixed lengths")
+    if any(not any(v) for v in vecs):
+        raise ZeroVector("zero generator")
+    prim = []
+    for v in vecs:
+        p = xl.primitive_vector(v)
+        if p not in prim:
+            prim.append(p)
+    # strong convexity: no nontrivial nonnegative combination vanishes
+    cols = [p + (1,) for p in prim]
+    if xl.nonnegative_combination(cols, (0,) * rank + (1,)) is not None:
+        raise NotStronglyConvex("generators positively span a line")
+    # drop generators lying in the hull of the others, until stable
+    changed = True
+    while changed:
+        changed = False
+        for j, p in enumerate(prim):
+            others = [q for i, q in enumerate(prim) if i != j]
+            if others and xl.nonnegative_combination(others, p) is not None:
+                prim.pop(j)
+                changed = True
+                break
+    dim = xl.matrix_rank(xl.integer_matrix(prim, rank))
+    return Cone(rank, tuple(prim), dim)
+
+
+def oracle_faces(rays, rank, labels=None):
+    """``{ray set: Face}`` of the cone over the extreme ``rays`` in
+    ``Z^rank``, by the facet search that ran in the face lattice before it
+    moved into :func:`~toricdef.cone_from_rays`: the hyperplanes through
+    ``d - 1`` rays, in the coordinates of their span lattice, with every ray
+    on one side, and the intersections of those facets.  Rows come from two
+    integer kernels, and ray ``i`` is labelled ``labels[i]``."""
+    import itertools
+
+    from toricdef import exact_linalg as xl
+    from toricdef.polyhedral import Face
+
+    labels = list(range(len(rays)) if labels is None else labels)
+
+    def face(key):
+        perp = tuple(xl.integer_kernel_rows([rays[i] for i in sorted(key)], rank))
+        span = tuple(xl.integer_kernel_rows(perp, rank))
+        return Face(frozenset(labels[i] for i in key), len(span), span, perp)
+
+    m = len(rays)
+    top = face(frozenset(range(m)))
+    d = top.dim
+    coords = xl.coordinates(top.span_rows, rays)
+    facets = []
+    for sub in itertools.combinations(range(m), d - 1) if d > 0 else ():
+        if any(set(sub) <= s for s in facets):
+            continue
+        rows = [coords[i] for i in sub]
+        u = [(-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+        if not any(u):
+            continue
+        vals = [sum(a * b for a, b in zip(u, c)) for c in coords]
+        if min(vals) < 0 < max(vals):
+            continue
+        fs = frozenset(i for i, v in enumerate(vals) if v == 0)
+        if fs not in facets:
+            facets.append(fs)
+    keys = {frozenset(range(m)), frozenset(), *facets}
+    queue = list(facets)
+    while queue:
+        a = queue.pop()
+        for b in facets:
+            if a & b not in keys:
+                keys.add(a & b)
+                queue.append(a & b)
+    return {f.ray_indices: f for f in map(face, keys)}
+
+
+def lp_pair_overlaps(perp, out_a, out_b) -> bool:
+    """Do two cones meeting in a common face with annihilator rows ``perp``
+    overlap beyond it?  The pair LP of :func:`~toricdef.fan_from_cones`:
+    iff some nonnegative combination of the columns ``(+-image, 1)`` of the
+    other rays of the two cones is ``(0, ..., 0, 1)``."""
+    from toricdef import exact_linalg as xl
+
+    cols = [tuple(sum(a * b for a, b in zip(p, r)) for p in perp) + (1,) for r in out_a]
+    cols += [tuple(-sum(a * b for a, b in zip(p, r)) for p in perp) + (1,) for r in out_b]
+    return xl.nonnegative_combination(cols, (0,) * len(perp) + (1,)) is not None
+
+
+def lp_fan_faces(rays, maximal_sets, rank):
+    """``{ray set: Face}`` of the fan on ``rays`` with the given maximal
+    cones, validated as :func:`~toricdef.fan_from_cones` did before the pair
+    certificates: each maximal cone by :func:`lp_cone_from_rays` and
+    :func:`oracle_faces`, every pair by :func:`lp_pair_overlaps`.  Raises
+    the same errors for the cones and the pairs; the rays are taken as
+    valid."""
+    import itertools
+
+    from toricdef import ValidationError
+
+    maximal = tuple(tuple(sorted(set(int(i) for i in s))) for s in maximal_sets)
+    faces = {}
+    cone_faces = []
+    for s in maximal:
+        sub = lp_cone_from_rays([rays[i] for i in s], rank)
+        if len(sub.rays) != len(s):
+            raise ValidationError(f"cone {s} is not generated by extreme rays")
+        own = oracle_faces(sub.rays, rank, s)
+        for key, f in own.items():
+            faces.setdefault(key, f)
+        cone_faces.append(set(own))
+    for (ia, sa), (ib, sb) in itertools.combinations(enumerate(maximal), 2):
+        common = frozenset(sa) & frozenset(sb)
+        if common not in cone_faces[ia] or common not in cone_faces[ib]:
+            raise ValidationError(f"cones {sa} and {sb} share rays {sorted(common)} but not a face")
+        if common == frozenset(sa) or common == frozenset(sb):
+            raise ValidationError(f"cones {sa} and {sb}: one is a face of the other")
+        out_a = [rays[i] for i in sa if i not in common]
+        out_b = [rays[i] for i in sb if i not in common]
+        if lp_pair_overlaps(faces[common].perp_rows, out_a, out_b):
+            raise ValidationError(f"cones {sa} and {sb} overlap beyond their common face")
+    return faces
 
 
 def betti_oracle(fan):

@@ -364,6 +364,22 @@ def test_integer_kernel_matches_smith_and_sympy_on_edge_cases(seed):
         assert kernel_mismatch(rows, width) is None, (rows, width)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_hermite_rows_is_the_same_on_int_fraction_and_numpy_rows(seed):
+    """Rows of plain ints are taken as they are, without a copy through
+    ``_as_int``; Fraction and numpy rows are converted.  All give the same
+    int basis, and the caller's rows are left as they were."""
+    for rows, width in _kernel_edge_cases(seed):
+        kept = [list(r) for r in rows]
+        want = xl.hermite_rows(rows, width)
+        assert rows == kept
+        assert all(type(x) is int for r in want for x in r)
+        assert xl.hermite_rows([tuple(r) for r in rows], width) == want
+        assert xl.hermite_rows([[Fraction(x) for x in r] for r in rows], width) == want
+        assert xl.hermite_rows(np.array(rows, dtype=np.int64).reshape(len(rows), width), width) == want
+        assert xl.hermite_rows(xl.integer_matrix(rows, width), width) == want
+
+
 def test_integer_kernel_matches_smith_and_sympy_on_face_data():
     """Every face of the three fixtures, the nine seed-77 cones and their
     pyramids and the cyclic (5, 9) cone: the kernels of its rays and of its
@@ -876,6 +892,30 @@ try:
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
 xl.integer_kernel_rows = kernel
+# through the CLI on a fan: a simplex answering with a wrong coefficient
+# vector, then with a wrong Farkas vector (the pair of the 1-dimensional
+# cone takes the LP), and a pair certificate turned around
+import io
+from fractions import Fraction
+from toricdef import cli, polyhedral
+
+def fan_command(doc):
+    sys.stdin = io.StringIO(doc)
+    try:
+        cli.run(["ishida", "-"])
+    except InvariantViolation as exc:
+        print(exc.ident, exc.exit_code)
+
+with_ray = "rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  2\\n"
+phase_one = xl._phase_one
+for wrong in (lambda cols, b: ([Fraction(1)] * len(cols), None), lambda cols, b: (None, [0] * len(b))):
+    xl._phase_one = wrong
+    fan_command(with_ray)
+xl._phase_one = phase_one
+separating = polyhedral._separating_functional
+polyhedral._separating_functional = lambda *a: tuple(-x for x in separating(*a))
+fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  1 2\\n  2 0\\n")
+polyhedral._separating_functional = separating
 """
 
 
@@ -888,7 +928,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 5
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 8
 
 
 _CORRUPTED_PROJECTION_RUN = """

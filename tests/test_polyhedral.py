@@ -16,14 +16,22 @@ from conftest import (
     GLUED_RAYS,
     T13_RAYS,
     cyclic_cone,
+    cyclic_rays,
     lift_spans,
+    lp_cone_from_rays,
+    lp_fan_faces,
+    lp_pair_overlaps,
     make_p112,
+    oracle_faces,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
     random_interior,
+    relabelled,
     seed77_cones,
+    seed77_generators,
     smith_kernel_rows,
+    stellar_fan_data,
 )
 from toricdef import (
     ApexInHyperplane,
@@ -35,10 +43,12 @@ from toricdef import (
     ValidationError,
     ZeroVector,
     Shelling,
+    ToricError,
     cone_from_rays,
     face_lattice,
     fan_from_cones,
     is_shelling,
+    lcdef_variety,
     line_shelling,
     normal_generator,
     pyramid,
@@ -46,6 +56,8 @@ from toricdef import (
 )
 from toricdef import exact_linalg as xl
 from toricdef.exact_linalg import nonnegative_combination, reduce_mod_rows
+from toricdef.cli import InputDocument, serialize_document
+from toricdef.cli import run as cli_run
 from toricdef.lefschetz import support_data
 from toricdef import polyhedral
 from toricdef.polyhedral import Cone, Face, FaceLattice, FacePoset, face_cone
@@ -625,3 +637,238 @@ def test_lattice_data_takes_no_smith_form_and_one_kernel_per_fan_face(smith_call
         support_data(fan, values)
         assert kernel_calls == [fan.rank + 1] * len(fan.by_key)
     assert smith_calls == []
+
+
+# ---------------------------------------------------------------------------
+# cones and fans against the LP construction
+
+
+def _outcome(build):
+    """``("ok", value)`` of ``build()``, or the type and message of the
+    error it raises."""
+    try:
+        return "ok", build()
+    except ToricError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _cone_outcome(gens, rank):
+    def build():
+        cone = cone_from_rays(gens, rank)
+        return cone.rays, cone.dim, face_lattice(cone).by_key
+
+    return _outcome(build)
+
+
+def _lp_cone_outcome(gens, rank):
+    def build():
+        cone = lp_cone_from_rays(gens, rank)
+        return cone.rays, cone.dim, oracle_faces(cone.rays, rank)
+
+    return _outcome(build)
+
+
+# generators spanning a line, a half-plane, a half-space and the whole
+# plane; redundant, duplicate and non-primitive generators, on a facet and
+# inside; rank-1 cones; lower-dimensional cones; bad input
+_ADVERSARIAL_CONES = [
+    (((1, 0), (-1, 0)), 2),
+    (((1, 0, 0), (-1, 0, 0), (0, 1, 0)), 3),
+    (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)), 3),
+    (((1, 0), (0, 1), (-1, -1)), 2),
+    (((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
+    (((1, 0), (0, 1), (1, 1)), 2),
+    (((1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (1, 0, 1), (0, 0, 1)), 3),
+    (((1, 0), (1, 0), (0, 1)), 2),
+    (((2, 0), (4, 0), (0, 3)), 2),
+    (((2, 2, 2), (3, 0, 3), (0, 0, 5), (1, 1, 1)), 3),
+    (((3,),), 1),
+    (((1,), (2,)), 1),
+    (((1,), (-1,)), 1),
+    (((0, 2, 0),), 3),
+    (((1, 0, 1), (-1, 0, 1), (0, 0, 1)), 3),
+    (((1, 0, 1), (-1, 0, 1), (1, 0, -1)), 3),
+    (((0, 0), (1, 0)), 2),
+    ((), 2),
+    (((1, 0), (1, 0, 0)), 2),
+]
+
+
+def _cone_oracle_cases():
+    cases = [(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS, GLUED_RAYS, CUBE_RAYS)]
+    cases += seed77_generators()
+    cases += [(cyclic_rays(p, r), r) for p, r in ((range(-4, 5), 5), (range(-5, 6), 5), (range(-4, 5), 6))]
+    cases += _ADVERSARIAL_CONES
+    rng = random.Random(31)
+    for _ in range(120):
+        rank = rng.randrange(1, 5)
+        cases.append(([tuple(rng.randrange(-2, 3) for _ in range(rank)) for _ in range(rng.randrange(1, 7))], rank))
+    return cases
+
+
+def test_cone_from_rays_matches_the_lp_construction():
+    """Facets instead of LPs: the same rays in the same order, the same
+    dimension and face lattice, or the same error and message."""
+    errors = set()
+    for gens, rank in _cone_oracle_cases():
+        got = _cone_outcome(gens, rank)
+        assert got == _lp_cone_outcome(gens, rank), (gens, rank)
+        errors.add(got[0])
+    assert errors == {"ok", "NotStronglyConvex", "ZeroVector", "ValidationError"}
+
+
+def _fan_outcome(rays, maximal, rank):
+    return _outcome(lambda: dict(fan_from_cones(rays, maximal, rank).by_key))
+
+
+def _fan_oracle_cases():
+    rays, maximal = stellar_fan_data(random.Random("stellar"), 4, 10)
+    cases = [(rays, maximal, 4)] + [(*relabelled(rays, maximal, seed), 4) for seed in range(3)]
+    for cone in [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + [cyclic_cone(range(-4, 5), 5)]:
+        fan, _ = star_quotient(cone, tuple(map(sum, zip(*cone.rays))))
+        cases.append((fan.rays, fan.maximal, fan.rank))
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    cases += [
+        # overlapping cones, lower- and full-dimensional
+        (((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)), 2),
+        (((1, 0), (0, 1), (1, 1)), ((0, 1), (2,)), 2),
+        ((e1, e2, e3, (0, 1, 2), (0, 2, 1)), ((0, 1, 2), (0, 3, 4)), 3),
+        ((e1, e2, e3, (1, 1, 1), (-1, -1, -1)), ((0, 1, 2), (0, 1, 3)), 3),
+        ((e1, e2, (1, 0, 1), (1, 0, -1)), ((0, 1), (2, 3)), 3),
+        ((e1, e2, e3, (-1, -1, -1), (-1, 0, 0)), ((0, 1, 2), (1, 2, 3), (3, 4)), 3),
+        # cones sharing rays that are not a face of the second: the three
+        # rays of the first, and two diagonal rays of a square cone
+        ((e1, e2, e3, (1, 1, -1)), ((0, 1, 2), (0, 1, 2, 3)), 3),
+        ((e1, e2, (0, 0, -1), (3, 3, -2), (1, 1, 2)), ((0, 1, 2), (0, 3, 1, 4)), 3),
+        # a non-full-dimensional maximal cone, meeting the others in a face
+        (((1, 0), (0, 1), (-1, -1)), ((0, 1), (2,)), 2),
+        ((e1, e2, e3, (-1, -1, -1)), ((0, 1, 2), (3,)), 3),
+        # a maximal cone that positively spans a line, one with a ray that is
+        # not extreme, a face of another, the complete P^2
+        (((1, 0), (-1, 0), (0, 1)), ((0, 1), (1, 2)), 2),
+        (((1, 0), (0, 1), (1, 1)), ((0, 1, 2),), 2),
+        (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0), (0,)), 2),
+        (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)), 2),
+    ]
+    return cases
+
+
+def test_fan_from_cones_matches_the_lp_validation():
+    """Pair certificates before pair LPs: the same faces and rows, or the
+    same error and message, on the stellar fan under three relabellings,
+    quotient fans and adversarial fans."""
+    errors = []
+    for rays, maximal, rank in _fan_oracle_cases():
+        got = _fan_outcome(rays, maximal, rank)
+        assert got == _outcome(lambda: lp_fan_faces(rays, maximal, rank)), (rays, maximal)
+        if got[0] != "ok":
+            errors.append(got[1])
+    kinds = (
+        "overlap beyond their common face",
+        "but not a face",
+        "one is a face of the other",
+        "is not generated by extreme rays",
+        "positively span a line",
+    )
+    assert sorted(next(k for k in kinds if k in e) for e in errors) == sorted(kinds[:1] * 6 + kinds[1:2] * 2 + kinds[2:])
+
+
+def test_pair_certificates_are_what_the_lp_says():
+    """Every certificate the fan validation accepts is one the pair LP
+    agrees with, and the certificates settle most pairs of the stellar fan
+    and of the quotient fans."""
+    settled = []
+    for rays, maximal, rank in _fan_oracle_cases()[:8]:
+        fan = fan_from_cones(rays, maximal, rank)
+        walls = [polyhedral._signed_walls([fan.by_key[k] for k in fan.by_key if k <= frozenset(s)], fan.rays) for s in fan.maximal]
+        count = 0
+        for (ia, sa), (ib, sb) in itertools.combinations(enumerate(fan.maximal), 2):
+            common = frozenset(sa) & frozenset(sb)
+            out_a = [fan.rays[i] for i in sa if i not in common]
+            out_b = [fan.rays[i] for i in sb if i not in common]
+            u = polyhedral._separating_functional(
+                polyhedral._through(walls[ia], common), polyhedral._through(walls[ib], common), out_a, out_b
+            )
+            if u is not None:
+                polyhedral._check_separation(u, [fan.rays[i] for i in common], out_a, out_b)
+                assert not lp_pair_overlaps(fan.by_key[common].perp_rows, out_a, out_b)
+                count += 1
+        settled.append((count, len(fan.maximal) * (len(fan.maximal) - 1) // 2))
+    # certified of all pairs: the stellar fan under three relabellings, then
+    # the quotient fans of the three fixtures and of the cyclic (5, 9) cone
+    assert settled == [(457, 595)] * 4 + [(66, 66), (62, 66), (78, 78), (274, 351)]
+
+
+# ---------------------------------------------------------------------------
+# work counts: LPs and facet searches
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+    lp = xl.nonnegative_combination
+
+    def counted(columns, target):
+        calls.append(len(columns))
+        return lp(columns, target)
+
+    monkeypatch.setattr(xl, "nonnegative_combination", counted)
+    return calls
+
+
+def test_cones_and_the_cli_run_no_lp(lp_calls, tmp_path, capsys):
+    for rays in (A_RAYS, B_RAYS, T13_RAYS):
+        cone = cone_from_rays(rays, 4)
+        face_lattice(cone)
+        face_lattice(pyramid(cone, (1, 0, -1, 0, 1)))
+        lcdef_variety(cone)
+        star_quotient(cone, tuple(map(sum, zip(*rays))))
+    for gens, rank in seed77_generators():
+        face_lattice(cone_from_rays(gens, rank))
+    assert lp_calls == []
+    for rays in (A_RAYS, B_RAYS, T13_RAYS):
+        path = tmp_path / "doc.txt"
+        doc = InputDocument(rank=4, rays=rays, interior_ray=tuple(map(sum, zip(*rays))), apex=(0, 0, 0, 1, 1))
+        path.write_text(serialize_document(doc))
+        for command in ("lcdef", "criteria", "verify", "ishida", "subdivide", "pyramid"):
+            assert cli_run([command, str(path)]) == 0
+    capsys.readouterr()
+    assert lp_calls == []
+
+
+def test_stellar_fan_takes_an_lp_only_where_no_certificate_separates(lp_calls):
+    rays, maximal = stellar_fan_data(random.Random("stellar"), 4, 10)
+    fan_from_cones(rays, maximal, 4)
+    # one LP per pair that none of the three candidates separates
+    assert len(lp_calls) == 138 < len(maximal) * (len(maximal) - 1) // 2 == 595
+
+
+def test_facets_are_found_once(monkeypatch):
+    """``cone_from_rays`` searches for the facets and ``face_lattice`` takes
+    them from the cone: it computes no minor.  With extreme generators the
+    search takes no more determinants than the parent's face lattice did
+    (:func:`oracle_faces`)."""
+    dets = []
+    det = xl.integer_det
+    monkeypatch.setattr(xl, "integer_det", lambda m: dets.append(1) or det(m))
+    cases = [(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS, GLUED_RAYS, CUBE_RAYS)] + seed77_generators()
+    cases += [(cyclic_rays(p, r), r) for p, r in ((range(-4, 5), 5), (range(-5, 6), 5), (range(-4, 5), 6))]
+    more = []
+    for gens, rank in cases:
+        dets.clear()
+        ref = lp_cone_from_rays(gens, rank)
+        oracle_faces(ref.rays, rank)
+        before = len(dets)
+        dets.clear()
+        cone = cone_from_rays(gens, rank)
+        found = len(dets)
+        face_lattice(cone)
+        assert len(dets) == found
+        if len(cone.rays) == len(gens):
+            assert found <= before, (gens, found, before)
+        else:
+            more.append((len(gens), len(cone.rays), found, before))
+    # Which generators are extreme is read off the facets, so on the five
+    # seed-77 inputs with generators that are not extreme the search runs
+    # over all of them: (generators, extreme rays, determinants, parent's)
+    assert more == [(5, 4, 30, 18), (5, 4, 24, 18), (4, 3, 12, 9), (7, 6, 140, 80), (8, 7, 350, 175)]
