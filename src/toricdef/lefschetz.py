@@ -90,20 +90,29 @@ def support_data(fan: Fan, alpha) -> DivisorData:
     and compute all lift data.  Raises NOT_Q_CARTIER when some maximal cone
     admits no linear form matching the prescribed ray values.
 
-    Each fan face costs one integer kernel, its hat annihilator
-    ``hat_perp``.  The vertical index is the gcd of the last coordinates of
-    the ``hat_perp`` rows.  Proof: let ``H`` be the saturated span of the hat
-    rays and ``T = H + Q e`` (``e`` the vertical ray) meet ``Z^{n+1}`` in
-    the tilde lattice.  ``T / H`` is a saturated rank-1 subgroup of
-    ``Z^{n+1} / H``, generated by the class of some ``g``, and
-    ``e = c g + h`` with ``h`` in ``H``; the index is ``|c|``.  The
-    ``hat_perp`` rows are a basis of the functionals vanishing on ``H``,
+    Each fan face costs one integer kernel of its hat rays, its hat
+    annihilator ``hat_perp``.  (The quotient fan of
+    :func:`~toricdef.polyhedral.star_quotient` comes with these rows, read
+    off the cone's own annihilators with no kernel, and shares the rest of
+    this function, :func:`_support_data`.)  The vertical index is the gcd of
+    the last coordinates of the ``hat_perp`` rows.  Proof: let ``H`` be the
+    saturated span of the hat rays and ``T = H + Q e`` (``e`` the vertical
+    ray) meet ``Z^{n+1}`` in the tilde lattice.  ``T / H`` is a saturated
+    rank-1 subgroup of ``Z^{n+1} / H``, generated by the class of some
+    ``g``, and ``e = c g + h`` with ``h`` in ``H``; the index is ``|c|``.
+    The ``hat_perp`` rows are a basis of the functionals vanishing on ``H``,
     that is of coordinates on ``Z^{n+1} / H``.  Each pairs ``e`` to ``c``
     times its value on ``g``, and because ``H + Z g`` is saturated some
     integer functional vanishes on ``H`` and is 1 on ``g``.  So the pairings
     with ``e``, the last coordinates, generate ``c Z``.  A gcd of 0 means
     ``e`` is in ``H``, so the two lifts have the same rank: an
     INVARIANT_VIOLATION."""
+    return _support_data(fan, alpha, None)
+
+
+def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
+    """:func:`support_data`, with the hat annihilators taken from
+    ``hat_perps`` (a Hermite basis per face key) when it is given."""
     values = tuple(Fraction(a) for a in alpha)
     if len(values) != len(fan.rays):
         raise ValidationError("need exactly one value per ray")
@@ -122,7 +131,7 @@ def support_data(fan: Fan, alpha) -> DivisorData:
     lifted: dict[frozenset, LiftedFace] = {}
     for key in fan.by_key:
         hat_rays = tuple(hats[i] for i in sorted(key))
-        hat_perp = tuple(xl.integer_kernel_rows(hat_rays, n + 1))
+        hat_perp = tuple(xl.integer_kernel_rows(hat_rays, n + 1)) if hat_perps is None else hat_perps[key]
         a_idx = gcd(*(p[-1] for p in hat_perp))
         if a_idx == 0:
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")

@@ -10,11 +10,14 @@ remaining faces are intersections of facets.  This is quadratic-ish in the
 number of faces, which is the right trade at the scale this package targets
 (tens of rays).
 
-Lattice data is computed once per face.  A face's annihilator is one
-integer kernel of its rays (:func:`toricdef.exact_linalg.integer_kernel_rows`,
-a one-sided unimodular row elimination) and its span lattice the kernel of
-that, since the saturation of a set of vectors is the kernel of their kernel;
-a fan computes these once per face, however many maximal cones share it.
+Lattice data is computed once per face, and only when read.  A face's
+annihilator is one integer kernel of its rays
+(:func:`toricdef.exact_linalg.integer_kernel_rows`, a one-sided unimodular
+row elimination), and a fan computes it once per face, however many maximal
+cones share it.  Its span lattice is the kernel of that, since the
+saturation of a set of vectors is the kernel of their kernel; it is taken
+on the first read of :attr:`Face.span_rows`, which only the top face of a
+cone and the face cones of non-simplicial faces make.
 The intrinsic rows of :class:`FaceLattice` are coordinates and restrictions
 of the ambient ones, with no further kernel (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone` takes its whole lattice
@@ -25,7 +28,8 @@ Cone lattices, fans and divisor lifts are all one :class:`FacePoset`.
 functional built from the facet normals and checked with integer dot products,
 or, where none of its candidates separates, by the certified exact LP of
 :func:`toricdef.exact_linalg.nonnegative_combination`; :func:`star_quotient`
-reads the quotient fan of an interior ray off the cone's faces, with no LP.
+reads the quotient fan of an interior ray off the cone's faces, with no LP,
+and its rows off the cone's annihilators, with no integer kernel.
 """
 
 from __future__ import annotations
@@ -120,17 +124,21 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
       If ``L = 0``, the dual cone is full-dimensional and generated by the
       facet normals (Cox–Little–Schenck, *Toric Varieties*, 1.2), so they
       have rank ``d``.
-    * In a strongly convex ``C``, the span of a face ``F`` is the
-      intersection of the facet hyperplanes containing ``F``, so ``dim F =
-      d - r`` with ``r`` the rank of their normals.  A generator ``g`` lies
-      in the relative interior of the least face ``F_g`` containing it, and
-      the facets containing ``F_g`` are those through ``g``.  So ``g`` is
-      extreme, that is ``dim F_g = 1``, iff the normals of the facets
-      through ``g`` have rank ``d - 1``.
+    * In a strongly convex ``C`` every face is the intersection of the
+      facets containing it.  A generator ``g`` lies in the relative interior
+      of the least face ``F_g`` containing it, and the facets containing
+      ``F_g`` are those through ``g``, so the generators on all of them are
+      those in ``F_g``.  If ``g`` is extreme, ``F_g`` is its ray, on which no
+      other primitive generator lies.  Otherwise ``F_g`` has dimension at
+      least two and is generated by its generators, at least two of them
+      extreme and so not ``g``.  So ``g`` is extreme iff it lies in a facet
+      and the facets through it meet in ``g`` alone: a set intersection,
+      with no rank (``m > d`` makes ``d >= 2``, since two distinct
+      primitive generators of a line are opposite).
 
     ``m = d`` independent generators span a simplicial cone: it is strongly
     convex, every generator is extreme and the facets are the ``(d -
-    1)``-subsets, so neither the search nor the two rank tests runs.
+    1)``-subsets, so neither the search nor the two tests runs.
     """
     vecs = [_ivec(v) for v in vectors]
     if not vecs:
@@ -149,12 +157,13 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
     top, coords, facets = _span_and_facets(prim, rank)
     d = top.dim
     if len(prim) > d:
-        if _rank(facets.values(), d) < d:
+        if len(xl.hermite_rows(facets.values(), d)) < d:
             raise NotStronglyConvex("generators positively span a line")
-        keep = [i for i in range(len(prim)) if _rank([u for k, u in facets.items() if i in k], d) == d - 1]
+        every = frozenset(range(len(prim)))
+        keep = [i for i in range(len(prim)) if every.intersection(*(k for k in facets if i in k)) == {i}]
         if len(keep) < len(prim):
             pos = {i: j for j, i in enumerate(keep)}
-            top = Face(frozenset(pos.values()), d, top.span_rows, top.perp_rows)
+            top = top.rekeyed(frozenset(pos.values()))
             coords = tuple(coords[i] for i in keep)
             facets = {frozenset(pos[i] for i in k if i in pos): u for k, u in facets.items()}
             prim = [prim[i] for i in keep]
@@ -163,28 +172,66 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
     return cone
 
 
-def _rank(rows, d: int) -> int:
-    """Rank of integer rows of width ``d``: the length of their Hermite basis."""
-    return len(xl.hermite_rows(rows, d))
-
-
-@dataclass(frozen=True)
 class Face:
     """A face of a cone, identified by the set of extreme rays it contains.
 
-    ``span_rows`` is the canonical Hermite basis of the sublattice
-    ``span(face) cap Z^rank``; ``perp_rows`` the canonical basis of the
-    saturated annihilator lattice in the dual.
+    ``perp_rows`` is the canonical Hermite basis of the saturated
+    annihilator lattice in the dual, and ``dim`` is ``n - len(perp_rows)``
+    in ``Z^n``.  ``span_rows`` is the canonical Hermite basis of the
+    sublattice ``span(face) cap Z^n``, which is the integer kernel of
+    ``perp_rows`` (the saturation of a set of vectors is the kernel of their
+    kernel).  It is computed on first read and then kept; a span passed to
+    the constructor is taken as it is, and ``None`` leaves it to be
+    computed.  A face is immutable, and equality and ``repr`` are over all
+    four values.
     """
 
-    ray_indices: frozenset[int]
-    dim: int
-    span_rows: tuple[tuple[int, ...], ...]
-    perp_rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("ray_indices", "dim", "_span", "perp_rows")
+
+    def __init__(self, ray_indices: frozenset[int], dim: int, span_rows, perp_rows):
+        for name, value in zip(self.__slots__, (ray_indices, dim, span_rows, perp_rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Face is immutable")
+
+    def __reduce__(self):
+        return Face, (self.ray_indices, self.dim, self._span, self.perp_rows)
+
+    @property
+    def span_rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._span is None:
+            span = tuple(xl.integer_kernel_rows(self.perp_rows, self.dim + len(self.perp_rows)))
+            object.__setattr__(self, "_span", span)
+        return self._span
 
     @property
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.ray_indices))
+
+    def rekeyed(self, ray_indices: frozenset[int]) -> "Face":
+        """The same face under other ray labels, sharing its rows and the
+        span if it has been computed."""
+        return Face(ray_indices, self.dim, self._span, self.perp_rows)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Face):
+            return NotImplemented
+        return (
+            (self.ray_indices, self.dim, self.perp_rows) == (other.ray_indices, other.dim, other.perp_rows)
+            and self.span_rows == other.span_rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ray_indices, self.dim, self.perp_rows))
+
+    def __repr__(self) -> str:
+        return (
+            f"Face(ray_indices={self.ray_indices!r}, dim={self.dim!r}, "
+            f"span_rows={self.span_rows!r}, perp_rows={self.perp_rows!r})"
+        )
 
 
 def _ray_coords(span_rows, rays) -> tuple[tuple, ...]:
@@ -208,7 +255,8 @@ def _facets(ray_coords, d: int) -> dict[frozenset[int], tuple | None]:
         return {frozenset(range(m)) - {i}: None for i in range(m)}
     facets: dict[frozenset[int], tuple | None] = {}
     for sub in itertools.combinations(range(m), d - 1):
-        if any(set(sub) <= s for s in facets):
+        subset = frozenset(sub)
+        if any(subset <= s for s in facets):
             continue
         rows = [ray_coords[i] for i in sub]
         # the kernel of the (d-1) x d matrix is spanned by its signed maximal minors
@@ -240,10 +288,10 @@ def _face_keys(facets, m: int) -> set[frozenset[int]]:
 
 def _lattice_face(key: frozenset[int], gens, n: int) -> Face:
     """The face ``key`` spanned by ``gens`` in ``Z^n``: its annihilator is one
-    integer kernel of the rays and its span lattice the kernel of that."""
+    integer kernel of the rays, of rank ``n - dim``; its span lattice is left
+    to the first read of ``Face.span_rows``."""
     perp = tuple(xl.integer_kernel_rows(gens, n))
-    span = tuple(xl.integer_kernel_rows(perp, n))
-    return Face(key, len(span), span, perp)
+    return Face(key, n - len(perp), None, perp)
 
 
 def _span_and_facets(gens, n: int) -> tuple:
@@ -278,17 +326,18 @@ def _cone_faces(cone: Cone, labels, known: dict) -> list[Face]:
         return known[key]
 
     whole = frozenset(labels)
-    known.setdefault(whole, Face(whole, top.dim, top.span_rows, top.perp_rows))
+    known.setdefault(whole, top.rekeyed(whole))
     return [face(k) for k in _face_keys(facets, len(rays))]
 
 
 def _lower_interval(parent: "FaceLattice", key: frozenset[int]) -> tuple:
     """``(span_rows, faces)`` of the face ``key`` of ``parent`` as a cone of
     its own: the faces below it, re-keyed to the positions of their rays in
-    the face, sharing the parent's ambient rows."""
+    the face, sharing the parent's ambient rows.  Only the span of ``key``
+    itself is read."""
     local = {g: i for i, g in enumerate(sorted(key))}
     faces = [
-        Face(frozenset(local[i] for i in f.ray_indices), f.dim, f.span_rows, f.perp_rows)
+        f.rekeyed(frozenset(local[i] for i in f.ray_indices))
         for f in parent.by_key.values()
         if f.ray_indices <= key
     ]
@@ -405,17 +454,21 @@ class FaceLattice(FacePoset):
     * The faces are the intersections of the facets that
       :func:`cone_from_rays` found and kept on the cone; no facet search
       runs here.
-    * ``Face.perp_rows`` is one integer kernel of the face's rays and
-      ``Face.span_rows`` the kernel of that, which is the saturation of the
-      rays; ``span_rows`` of the lattice is the top face's span, also from
-      :func:`cone_from_rays`.  A cone made by :func:`face_cone` takes both
-      from its parent's faces below it.
+    * ``Face.perp_rows`` is one integer kernel of the face's rays;
+      ``Face.span_rows``, the kernel of that, is computed only if read, and
+      nothing here reads it but for ``span_rows`` of the lattice, the top
+      face's span, which :func:`cone_from_rays` has read already.  A cone
+      made by :func:`face_cone` takes both from its parent's faces below
+      it, reading the span of its own top face only.
     * ``rays`` are the rays' coordinates in ``span_rows``.
     * ``perps`` are Hermite bases of each face's ``perp_rows`` restricted
-      to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)``
-      is onto because the span lattice ``L`` is saturated, and a functional
-      on ``L`` vanishing on the face extends to one on ``Z^n`` that still
-      vanishes on it, so the restrictions generate the whole annihilator.
+      to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)`` is onto
+      because the span lattice ``L`` is saturated, and a functional on ``L``
+      vanishing on the face extends to one on ``Z^n`` that still vanishes on
+      it, so the restrictions generate the whole annihilator.  For a
+      full-dimensional cone ``span_rows`` is the standard basis: restriction
+      changes nothing and the ``perp_rows`` are Hermite bases already, so
+      they are taken as they are.
     * ``facet_normals`` maps each facet to its one ``perps`` row, signed to
       be positive on the rays.
     """
@@ -435,8 +488,11 @@ class FaceLattice(FacePoset):
         faces.sort(key=lambda f: (f.dim, f.key))
         super().__init__(d, faces, {}, ray_coords)
         for f in faces:
-            restricted = [[_dot(p, b) for b in span_rows] for p in f.perp_rows]
-            self.perps[f.ray_indices] = tuple(xl.hermite_rows(restricted, d))
+            if d == cone.rank:  # span_rows is the standard basis
+                self.perps[f.ray_indices] = f.perp_rows
+            else:
+                restricted = [[_dot(p, b) for b in span_rows] for p in f.perp_rows]
+                self.perps[f.ray_indices] = tuple(xl.hermite_rows(restricted, d))
         self.facet_normals: dict[frozenset[int], tuple[int, ...]] = {}
         for f in self.faces_by_dim.get(d - 1, ()):
             (u,) = self.perps[f.ray_indices]
@@ -490,8 +546,9 @@ def face_cone(cone: Cone, face: Face) -> Cone:
     """A face of ``cone`` as a cone of its own, without re-running the facet
     search of :func:`cone_from_rays`: the face's rays are already primitive, distinct
     and extreme, in the order of ``cone.rays``.  Its face lattice is the
-    lower interval of the parent's, with no facet search and no kernel.
-    The top face is ``cone``."""
+    lower interval of the parent's, with no facet search and no kernel but
+    the face's own span, if it has not been read before.  The top face is
+    ``cone``."""
     if len(face.ray_indices) == len(cone.rays):
         return cone
     sub = Cone(cone.rank, tuple(cone.rays[i] for i in sorted(face.ray_indices)), face.dim)
@@ -739,9 +796,9 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
 
     Returns the complete fan ``E`` induced on the quotient lattice by the
     faces of the cone, together with the support divisor data recording the
-    height function: after a unimodular change of coordinates taking ``rho``
-    to the last basis vector, the boundary of the cone is the graph of a
-    piecewise linear function on ``E``, and the divisor is its class.
+    height function: after a unimodular change of coordinates ``T`` taking
+    ``rho`` to the last basis vector, the boundary of the cone is the graph
+    of a piecewise linear function on ``E``, and the divisor is its class.
     The result is memoized on the cone by the primitive ray.
 
     ``E`` is read off the cone's faces, with no LP.  A proper face lies in a
@@ -752,8 +809,11 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     only boundary point, so ``p`` maps the boundary one to one onto the
     quotient space.  Images of two proper faces thus meet in the image of
     their intersection, and the images cover the space: the proper faces
-    make a complete fan with distinct rays.  Only the rows are computed, from
-    the projected rays, as in :func:`fan_from_cones`.
+    make a complete fan with distinct rays.
+
+    Its rows come from ``T`` and the cone's own annihilators, with no
+    integer kernel (:func:`_quotient_rows`), and go to the divisor's lift
+    data as they are.
     """
     n = cone.rank
     if cone.dim != n:
@@ -779,10 +839,10 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     if [_dot(t, rho) for t in t_rows] != [0] * (n - 1) + [1]:
         raise InvariantViolation("the change of coordinates does not take rho to the last basis vector")
 
+    hats = [tuple(_dot(t, r) for t in t_rows) for r in cone.rays]
     projected = []
     alphas = []
-    for r in cone.rays:
-        *base, h = (_dot(t, r) for t in t_rows)
+    for *base, h in hats:
         if not any(base):
             raise InvariantViolation("a ray projects to zero; rho was not interior")
         p = xl.primitive_vector(base)
@@ -790,20 +850,86 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
         projected.append(p)
         alphas.append(Fraction(h, g))
 
-    faces = [
-        _lattice_face(f.ray_indices, [projected[i] for i in f.key], n - 1)
-        for f in lat.all_faces[:-1]
-    ]
+    hat_perps, faces = _quotient_rows(lat.all_faces[:-1], t_rows, hats, projected)
     fan = Fan(n - 1, tuple(projected), tuple(f.key for f in lat.faces_by_dim[n - 1]), faces)
     if not fan.is_complete():
         raise InvariantViolation("the quotient fan of an interior ray is not complete")
     if fan.face_counts() != lat.face_counts()[:-1]:
         raise InvariantViolation("the quotient fan's face counts differ from the cone's")
 
-    from .lefschetz import support_data
+    from .lefschetz import _support_data
 
-    cone._quotients[rho] = fan, support_data(fan, alphas)
+    divisor = _support_data(fan, alphas, hat_perps)
+    if divisor.hat.rays != tuple(hats):
+        raise InvariantViolation("the divisor's hat rays are not the cone's rays in the new coordinates")
+    cone._quotients[rho] = fan, divisor
     return cone._quotients[rho]
+
+
+def _unimodular_inverse(t_rows) -> list[tuple[int, ...]]:
+    """The inverse of a unimodular integer matrix ``T`` (rows ``t_rows``).
+
+    The rows of ``[T | I]`` generate ``{(y T, y)}``, which is ``{(x, x
+    T^-1)}`` for ``T`` unimodular, so the rows of ``[I | T^-1]`` are a basis
+    in Hermite form; the Hermite form being unique, it is what
+    :func:`~toricdef.exact_linalg.hermite_rows` returns."""
+    n = len(t_rows)
+    rows = [tuple(t) + tuple(int(i == j) for j in range(n)) for i, t in enumerate(t_rows)]
+    return [r[n:] for r in xl.hermite_rows(rows, 2 * n)]
+
+
+def _quotient_rows(faces, t_rows, hats, projected) -> tuple[dict, list[Face]]:
+    """``(hat_perps, quotient faces)`` of the proper ``faces`` of a cone in
+    ``Z^n`` under the unimodular ``T`` (``t_rows``) that takes an interior
+    ray to the last basis vector: each face's hat annihilator in ``Z^n``,
+    and the face of the quotient fan in ``Z^(n-1)`` with its annihilator.
+    No integer kernel is taken, and every row is checked.
+
+    * ``T^-1`` is computed once, by :func:`_unimodular_inverse`, and checked:
+      ``T T^-1 = I``.
+    * The hat rays are the rays in the new coordinates, ``hats = T r``.  The
+      divisor's value on a ray with ``T r = (b, h)`` is ``h / g`` for ``g``
+      the gcd of ``b``, whose projected ray is ``b / g``; ``T r`` is
+      primitive (``T`` is unimodular and ``r`` primitive), so ``gcd(h, g) =
+      1`` and the hat ray ``(g (b / g), h)`` that the divisor builds is
+      ``T r`` again (checked by the caller).
+    * A face ``τ``'s hat annihilator is the Hermite form of ``perp(τ)
+      T^-1``.  A functional ``y`` kills every ``T r`` iff ``y T`` kills every
+      ``r``, iff ``y T`` is in the saturated annihilator of ``τ``, whose
+      basis is ``perp(τ)``; so the rows of ``perp(τ) T^-1``, its image under
+      the unimodular ``T^-1``, are a basis of the saturated hat annihilator.
+    * The quotient face's annihilator is the sublattice of the hat
+      annihilator with last coordinate 0, that coordinate dropped: ``(z, 0)``
+      kills ``T r = (g p, h)`` iff ``z`` kills the projected ray ``p``.
+      In the Hermite form with the last column moved first, at most the
+      first row is nonzero there, and the other rows, whose coefficient of
+      the first row is forced to 0, are the Hermite form of that sublattice.
+
+    Hermite forms are canonical, so the rows are those that integer kernels
+    of the hat and projected rays give.  A row that misses a ray, or a
+    count other than ``n - dim τ`` hat rows and ``n - 1 - dim τ`` quotient
+    rows, is an INVARIANT_VIOLATION.
+    """
+    n = len(t_rows)
+    t_inv = _unimodular_inverse(t_rows)
+    if xl._mul(t_rows, t_inv, n) != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise InvariantViolation("the inverse of the change of coordinates is wrong")
+    hat_perps: dict[frozenset[int], tuple] = {}
+    out = []
+    for f in faces:
+        hat = tuple(xl.hermite_rows(xl._mul(f.perp_rows, t_inv, n), n))
+        moved = xl.hermite_rows([r[-1:] + r[:-1] for r in hat], n)
+        perp = tuple(r[1:] for r in moved if r[0] == 0)
+        _check_annihilator(hat, [hats[i] for i in f.ray_indices], n - f.dim, "hat")
+        _check_annihilator(perp, [projected[i] for i in f.ray_indices], n - 1 - f.dim, "quotient")
+        hat_perps[f.ray_indices] = hat
+        out.append(Face(f.ray_indices, f.dim, None, perp))
+    return hat_perps, out
+
+
+def _check_annihilator(rows, rays, count: int, what: str) -> None:
+    if len(rows) != count or any(_dot(a, r) for a in rows for r in rays):
+        raise InvariantViolation(f"a {what} annihilator of the star quotient misses its face")
 
 
 # ---------------------------------------------------------------------------

@@ -916,6 +916,27 @@ separating = polyhedral._separating_functional
 polyhedral._separating_functional = lambda *a: tuple(-x for x in separating(*a))
 fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  1 2\\n  2 0\\n")
 polyhedral._separating_functional = separating
+# a star quotient with a wrong inverse of its change of coordinates, and
+# one whose facet annihilator gives a hat row that misses a ray of the facet
+from toricdef import cone_from_rays, face_lattice, star_quotient
+
+square = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+inverse = polyhedral._unimodular_inverse
+polyhedral._unimodular_inverse = lambda t: [r[:-1] + (r[-1] + 1,) for r in inverse(t)]
+try:
+    star_quotient(cone_from_rays(square, 3), (0, 0, 1))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
+polyhedral._unimodular_inverse = inverse
+cone = cone_from_rays(square, 3)
+lat = face_lattice(cone)
+facet, *rest = lat.faces_by_dim[2]
+((a, *b),) = facet.perp_rows
+lat.faces_by_dim[2] = (polyhedral.Face(facet.ray_indices, 2, None, ((a + 1, *b),)), *rest)
+try:
+    star_quotient(cone, (0, 0, 1))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
 """
 
 
@@ -928,7 +949,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 8
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 10
 
 
 _CORRUPTED_PROJECTION_RUN = """

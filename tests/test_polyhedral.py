@@ -552,6 +552,62 @@ def test_star_quotient_runs_no_lp(monkeypatch):
     assert calls == []
 
 
+def _oracle_quotients():
+    """``(cone, interior rays)``: the fixtures, the nine seed-77 cones and
+    three cyclic cones, each at its ray sum and two seeded interior rays."""
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS, GLUED_RAYS, CUBE_RAYS)]
+    cones += seed77_cones()[::2]
+    cones += [cyclic_cone(range(n), d) for d, n in ((5, 9), (5, 11), (6, 9))]
+    rng = random.Random(12)
+    return [(c, [tuple(map(sum, zip(*c.rays)))] + [random_interior(rng, c) for _ in range(2)]) for c in cones]
+
+
+def test_star_quotient_rows_are_the_kernels_of_the_hat_and_projected_rays():
+    """The rows star_quotient reads off the change of coordinates are the
+    integer kernels of the hat rays and of the projected rays, and every
+    span read on demand is the Smith-form kernel of the face's
+    annihilator."""
+    for cone, rhos in _oracle_quotients():
+        n = cone.rank
+        for f in face_lattice(cone).all_faces:
+            assert f.span_rows == smith_kernel_rows(f.perp_rows, n)
+        for rho in rhos:
+            fan, divisor = star_quotient(cone, rho)
+            for key, lf in divisor.lifted.items():
+                f = fan.by_key[key]
+                assert lf.hat_perp == tuple(xl.integer_kernel_rows(lf.hat_rays, n))
+                assert f.perp_rows == tuple(xl.integer_kernel_rows([fan.rays[i] for i in f.key], n - 1))
+                assert f.span_rows == smith_kernel_rows(f.perp_rows, n - 1)
+
+
+def test_star_quotient_takes_no_integer_kernel(kernel_calls):
+    for cone, rhos in _oracle_quotients():
+        face_lattice(cone)
+        kernel_calls.clear()
+        for rho in rhos:
+            star_quotient(cone, rho)
+        assert kernel_calls == [], cone
+
+
+def test_spans_are_read_only_where_needed():
+    """``lcdef_variety`` reads the span of each non-simplicial face (the top
+    face's is read by ``cone_from_rays``), so none below the top of a cyclic
+    cone, and a fan reads none beyond its maximal cones'.  A span read on
+    demand makes the face equal to one built with it."""
+    cyclic = cyclic_cone(range(9), 5)
+    lcdef_variety(cyclic)
+    assert [f for f in face_lattice(cyclic).all_faces if f._span is not None] == [face_lattice(cyclic).top()]
+    for cone in (cone_from_rays(A_RAYS, 4), cone_from_rays(T13_RAYS, 4)):
+        lcdef_variety(cone)
+        faces = face_lattice(cone).all_faces
+        assert [f for f in faces if f._span is not None] == [f for f in faces if len(f.ray_indices) > f.dim]
+    stellar = _stellar_fan()
+    assert {f.key for f in stellar.all_faces if f._span is not None} == set(stellar.maximal)
+    for f in stellar.all_faces:
+        assert f == Face(f.ray_indices, f.dim, None, f.perp_rows)
+        assert repr(f) == repr(Face(f.ray_indices, f.dim, smith_kernel_rows(f.perp_rows, 4), f.perp_rows))
+
+
 def test_support_data_rows_match_saturations():
     stellar = _stellar_fan()
     rng = random.Random(3)
@@ -618,12 +674,13 @@ def kernel_calls(monkeypatch):
 
 
 def test_lattice_data_takes_no_smith_form_and_one_kernel_per_fan_face(smith_calls, kernel_calls):
-    """Face lattices and fans take at most two integer kernels per face and
-    no Smith form; support data takes exactly one kernel per fan face."""
+    """Face lattices take at most one integer kernel per face, fans at most
+    two, and neither a Smith form; support data takes exactly one kernel
+    per fan face."""
     for cone in [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + [cyclic_cone(range(-4, 5), 5)]:
         kernel_calls.clear()
         lat = face_lattice(cone)
-        assert 0 < len(kernel_calls) <= 2 * len(lat.by_key)
+        assert 0 < len(kernel_calls) <= len(lat.by_key)
     stellar = _stellar_fan()
     kernel_calls.clear()
     built = fan_from_cones(stellar.rays, stellar.maximal, 4)
