@@ -120,25 +120,3 @@ class InvariantViolation(ToricError):
     ident = "INVARIANT_VIOLATION"
     exit_code = 20
 
-
-ALL_ERRORS = [
-    ParseError,
-    ValidationError,
-    NotStronglyConvex,
-    ZeroVector,
-    NotCovering,
-    ApexInHyperplane,
-    NotInterior,
-    NotFullDim,
-    NotAPermutation,
-    SpanViolation,
-    NotContained,
-    NotAComplex,
-    NotQCartier,
-    NotComplete,
-    NotAmple,
-    WrongDimension,
-    InvalidShelling,
-    SizeGuard,
-    InvariantViolation,
-]

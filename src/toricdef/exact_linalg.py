@@ -3,15 +3,14 @@
 Matrices at the public boundary are numpy arrays with ``dtype=object``
 whose entries are Python ints or ``fractions.Fraction``.  The kernel behind
 it runs on plain ``int`` lists: Hermite forms, integer kernels by one
-unimodular row elimination, a Smith form (for the unimodular completion of
-a primitive ray), coordinates by back-substitution in echelon bases,
-Bareiss determinants, and one fraction-free elimination
-(:func:`_eliminate`) behind
-:func:`rank_and_kernel`, :func:`solve_matrix`, :func:`matrix_rank` and
-:func:`pivot_columns`.  A rational matrix enters it with each row scaled
-by its common denominator, which changes neither the row space nor the
-pivots, and an entry is divided by its pivot only when a reduced form,
-kernel or solution is written out.
+unimodular row elimination, the unimodular completion of a primitive
+column by the Euclidean algorithm, coordinates by back-substitution in
+echelon bases, Bareiss determinants, and one fraction-free elimination
+(:func:`_eliminate`) behind :func:`rank_and_kernel`, :func:`solve_matrix`,
+:func:`matrix_rank` and :func:`pivot_columns`.  A rational matrix enters
+it with each row scaled by its common denominator, which changes neither
+the row space nor the pivots, and an entry is divided by its pivot only
+when a reduced form, kernel or solution is written out.
 Contraction and expansion blocks are compound minors, each order built from
 the one below by Laplace expansion (:func:`_compound_minors`).  A
 contraction is given by a :class:`Pairing`: the pairings of the contracting
@@ -327,74 +326,29 @@ def _mul(x: list[list], y: list[list], ncols: int) -> list[list]:
     return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
-def _smith(a: list[list[int]], n: int) -> tuple[list, list, list]:
-    """Smith normal form of an ``m x n`` integer list matrix by tracked
-    elementary operations: ``(U, D, V)`` with ``U A V = D``, checked."""
-    m = len(a)
-    d = [list(r) for r in a]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < m and t < n:
-        piv = min(
-            ((abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]),
-            default=None,
-        )
-        if piv is None:
+def _unit_column(rho) -> list[list[int]]:
+    """A unimodular ``U`` with ``U rho = (1, 0, ..., 0)`` for a primitive
+    integer vector ``rho``, by the Euclidean algorithm on the column: the
+    least nonzero entry (the first of equal ones) is moved to the top, the
+    others are reduced by floor division, and this repeats until they are
+    zero; then the top is made positive.  ``U`` is the product of the row
+    operations, applied to the identity alongside."""
+    col = list(rho)
+    n = len(col)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        p = min((abs(x), i) for i, x in enumerate(col) if x)[1]
+        col[0], col[p], u[0], u[p] = col[p], col[0], u[p], u[0]
+        for i in range(1, n):
+            q = col[i] // col[0]
+            if q:
+                col[i] -= q * col[0]
+                u[i] = [x - q * y for x, y in zip(u[i], u[0])]
+        if not any(col[1:]):
             break
-        _, pi, pj = piv
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        dirty = False
-        for i in range(t + 1, m):
-            if d[i][t]:
-                q = d[i][t] // d[t][t]
-                add_row(i, t, -q)
-                if d[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if d[t][j]:
-                q = d[t][j] // d[t][t]
-                add_col(j, t, -q)
-                if d[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        witness = next(
-            ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % d[t][t]),
-            None,
-        )
-        if witness is not None:
-            add_row(t, witness[0], 1)
-            continue
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    if _mul(_mul(u, a, n), v, n) != d:
-        raise InvariantViolation("Smith form: U A V differs from D")
-    return u, d, v
+    if col[0] < 0:
+        u[0] = [-x for x in u[0]]
+    return u
 
 
 def _gcd_pivot(live: list[list[int]], col: int) -> list[int]:
@@ -473,54 +427,6 @@ def primitive_vector(v) -> tuple[int, ...]:
     if g == 0:
         raise ZeroVector("cannot primitivize the zero vector")
     return tuple(x // g for x in w)
-
-
-def reduce_mod_rows(v, basis_rows) -> tuple[int, ...]:
-    """Canonical representative of ``v`` modulo the lattice spanned by a
-    Hermite basis: at each pivot column the entry lands in [0, pivot)."""
-    w = [_as_int(x) for x in v]
-    for row in basis_rows:
-        pc = _pivot(row)
-        q = w[pc] // row[pc]
-        if q:
-            w = [a - q * b for a, b in zip(w, row)]
-    return tuple(w)
-
-
-def solve_unit_pairing(w) -> tuple[int, ...]:
-    """Integer y with <w, y> = 1; requires gcd of w to be 1."""
-    g = 0
-    coeff: list[int] = [0] * len(w)
-    for i, wi in enumerate(w):
-        wi = _as_int(wi)
-        if wi == 0:
-            continue
-        if g == 0:
-            g = abs(wi)
-            coeff = [0] * len(w)
-            coeff[i] = 1 if wi > 0 else -1
-            continue
-        # extended euclid on (g, wi)
-        old_r, r = g, wi
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        coeff = [old_s * c for c in coeff]
-        coeff[i] += old_t
-        g = old_r
-        if g == 1:
-            break
-    if g != 1:
-        raise ValueError(f"pairing vector is not primitive (gcd {g})")
-    if sum(a * _as_int(b) for a, b in zip(coeff, w)) != 1:
-        raise InvariantViolation("extended Euclid did not reach a unit pairing")
-    return tuple(coeff)
 
 
 # ---------------------------------------------------------------------------

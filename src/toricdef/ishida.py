@@ -45,7 +45,6 @@ class Block:
     """One labeled summand of a term of a labeled complex."""
 
     face_key: tuple
-    exterior_degree: int
     basis: xl.ExteriorBasis
     offset: int
 
@@ -119,7 +118,7 @@ def assemble_complex(label: str, layers, blocks) -> LabeledComplex:
         off = 0
         row = []
         for fk, eb in layer:
-            b = Block(fk, eb.degree, eb, off)
+            b = Block(fk, eb, off)
             row.append(b)
             off += b.size
         terms.append(tuple(row))
@@ -221,19 +220,21 @@ def ishida_fan(fan: Fan, l: int) -> LabeledComplex:
 
 
 def fan_cohomology_table(fan: Fan) -> CohomologyTable:
-    rows = []
-    for l in range(fan.rank + 1):
-        cx = ishida_fan(fan, l)
-        rows.append((l, cx.dims, cohomology(cx)))
-    return CohomologyTable("fan", tuple(rows))
+    return _cohomology_table("fan", ishida_fan, fan, fan.rank)
 
 
 def cone_cohomology_table(cone: Cone) -> CohomologyTable:
+    return _cohomology_table("cone", ishida_cone, cone, cone.dim)
+
+
+def _cohomology_table(label: str, complex_at, obj, top: int) -> CohomologyTable:
+    """The rows ``(l, dims, cohomology)`` of ``complex_at(obj, l)`` for the
+    levels ``l = 0..top``."""
     rows = []
-    for l in range(cone.dim + 1):
-        cx = ishida_cone(cone, l)
+    for l in range(top + 1):
+        cx = complex_at(obj, l)
         rows.append((l, cx.dims, cohomology(cx)))
-    return CohomologyTable("cone", tuple(rows))
+    return CohomologyTable(label, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

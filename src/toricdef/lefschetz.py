@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .ishida import LabeledComplex, cohomology, face_complex, ishida_cone, ishida_fan
+from .ishida import LabeledComplex, cohomology, face_complex, fan_cohomology_table, ishida_cone, ishida_fan
 from .polyhedral import Cone, Face, FacePoset, Fan, star_quotient
 
 
@@ -46,7 +46,6 @@ class LiftedFace:
     :func:`support_data`).  Neither lift's span lattice is stored; nothing
     reads it."""
 
-    key: tuple[int, ...]
     hat_rays: tuple[tuple[int, ...], ...]
     hat_perp: tuple[tuple[int, ...], ...]
     vertical_index: int  # index of (vertical ray + hat lattice) in the tilde lattice
@@ -135,7 +134,7 @@ def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
         a_idx = gcd(*(p[-1] for p in hat_perp))
         if a_idx == 0:
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")
-        lifted[key] = LiftedFace(tuple(sorted(key)), hat_rays, hat_perp, a_idx)
+        lifted[key] = LiftedFace(hat_rays, hat_perp, a_idx)
     hat = FacePoset(n + 1, fan.by_key.values(), {k: lf.hat_perp for k, lf in lifted.items()}, hats)
     return DivisorData(fan, values, u, denom, lifted, hat, fan.padded())
 
@@ -367,15 +366,11 @@ def hodge_table(fan: Fan) -> HodgeTable:
     if not fan.is_complete():
         raise NotComplete("hodge numbers need a complete fan")
     n = fan.rank
-    coh = {l: cohomology(ishida_fan(fan, l)) for l in range(n + 1)}
+    rows = fan_cohomology_table(fan).rows  # row l holds level l
     table = []
     for p in range(n + 1):
-        row = []
-        for q in range(n + 1):
-            cs = coh[n - p]
-            i = n - q
-            row.append(cs[i] if 0 <= i < len(cs) else 0)
-        table.append(tuple(row))
+        cs = rows[n - p][2]
+        table.append(tuple(cs[n - q] if n - q < len(cs) else 0 for q in range(n + 1)))
     return HodgeTable(n, tuple(table))
 
 

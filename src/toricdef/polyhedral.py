@@ -556,44 +556,6 @@ def face_cone(cone: Cone, face: Face) -> Cone:
     return sub
 
 
-def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors) -> tuple[int, ...]:
-    """Canonical lift of the positive primitive generator of the rank-one
-    quotient of two nested saturated lattices.
-
-    ``mu_span_rows`` and ``tau_span_rows`` are Hermite bases with the mu
-    lattice of corank one inside the tau lattice; ``orientation_vectors``
-    are lattice elements (e.g. rays of the bigger face not in the smaller)
-    whose quotient images must come out positive.  The result is reduced
-    modulo the mu lattice, so it is a canonical representative; any other
-    valid representative differs by a mu-lattice element.  Face complexes
-    need only its pairings with the annihilator of mu, which
-    :meth:`FacePoset.covering_pairing` reads off a ray without it.
-    """
-    if len(tau_span_rows) != len(mu_span_rows) + 1:
-        raise NotCovering("lattices do not differ in rank by one")
-    width = len(tau_span_rows[0])
-    dt = len(tau_span_rows)
-    cm = xl.coordinates(tau_span_rows, mu_span_rows)
-    if cm is None or not all(isinstance(x, int) for row in cm for x in row):
-        raise NotCovering("mu lattice is not inside tau lattice")
-    # the kernel of the r x (r+1) matrix cm is spanned by its signed maximal minors
-    w = [(-1) ** j * xl.integer_det([row[:j] + row[j + 1:] for row in cm]) for j in range(dt)]
-    if not any(w):
-        raise NotCovering("quotient is not of rank one")
-    w = xl.primitive_vector(w)
-    coords = xl.coordinates(tau_span_rows, orientation_vectors)
-    if coords is None:
-        raise NotCovering("orientation vector outside the tau lattice span")
-    signs = [_dot(w, x) for x in coords]
-    if not signs or 0 in signs or (min(signs) < 0 < max(signs)):
-        raise NotCovering("orientation vectors do not fix a positive side")
-    if signs[0] < 0:
-        w = tuple(-x for x in w)
-    y = xl.solve_unit_pairing(w)
-    lift = tuple(sum(y[i] * tau_span_rows[i][j] for i in range(dt)) for j in range(width))
-    return xl.reduce_mod_rows(lift, mu_span_rows)
-
-
 def pyramid(cone: Cone, apex) -> Cone:
     """The join of a cone (embedded at extra coordinate zero) with an apex
     ray; the apex must leave the original hyperplane."""
@@ -830,11 +792,10 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     if not lat.is_interior(rho):
         raise NotInterior(f"{rho} is not interior to the cone")
 
-    # U rho = (1, 0, ..., 0) for the Smith form of the column rho; the rows
-    # of U with the first moved last take rho to the last basis vector
-    u, d, _ = xl._smith([[x] for x in rho], 1)
-    if d[0][0] != 1:
-        raise InvariantViolation("a primitive ray has a Smith invariant other than one")
+    # U rho = (1, 0, ..., 0) for the Euclidean completion U of the primitive
+    # column rho; the rows of U with the first moved last take rho to the
+    # last basis vector.  _quotient_rows checks that T is unimodular.
+    u = xl._unit_column(rho)
     t_rows = u[1:] + u[:1]
     if [_dot(t, rho) for t in t_rows] != [0] * (n - 1) + [1]:
         raise InvariantViolation("the change of coordinates does not take rho to the last basis vector")

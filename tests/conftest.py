@@ -383,6 +383,18 @@ def betti_oracle(fan):
     return out
 
 
+def smith_decomposition(rows, width):
+    """``(U, D, V)`` as int lists, with ``U A V = D`` the Smith form of the
+    integer matrix ``A`` with the given ``rows`` and ``width`` columns, by
+    sympy's ``smith_normal_decomp``."""
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    a = sympy.Matrix(len(rows), width, [int(x) for row in rows for x in row])
+    d, u, v = smith_normal_decomp(a, domain=sympy.ZZ)
+    return tuple([[int(x) for x in row] for row in m.tolist()] for m in (u, d, v))
+
+
 def smith_kernel_rows(rows, width):
     """The saturated integer kernel ``{x in Z^width : A x = 0}`` read off a
     Smith form ``U A V = D``: the columns of ``V`` past the rank, in Hermite
@@ -390,9 +402,8 @@ def smith_kernel_rows(rows, width):
     which does not use it."""
     from toricdef import exact_linalg as xl
 
-    a = [[int(x) for x in row] for row in rows]
-    _, d, v = xl._smith(a, width)
-    r = sum(1 for i in range(min(len(a), width)) if d[i][i] != 0)
+    _, d, v = smith_decomposition(rows, width)
+    r = sum(1 for i in range(min(len(d), width)) if d[i][i] != 0)
     return tuple(xl.hermite_rows([[row[j] for row in v] for j in range(r, width)], width))
 
 
@@ -417,11 +428,105 @@ def lattice_index(sub_rows, super_rows, width):
         return INFINITE
     if any(not isinstance(x, int) for row in coords for x in row):
         raise ValueError("sub generators are not in the super lattice")
-    _, d, _ = xl._smith(coords, len(basis))
+    _, d, _ = smith_decomposition(coords, len(basis))
     diag = [d[i][i] for i in range(min(len(d), len(basis))) if d[i][i] != 0]
     if len(diag) != len(basis):
         raise InvariantViolation("full-rank sublattice with a zero invariant factor")
     return math.prod(abs(x) for x in diag)
+
+
+def reduce_mod_rows(v, basis_rows):
+    """Canonical representative of ``v`` modulo the lattice spanned by a
+    Hermite basis: at each pivot column the entry lands in [0, pivot)."""
+    from toricdef.exact_linalg import _as_int
+
+    w = [_as_int(x) for x in v]
+    for row in basis_rows:
+        pc = next(i for i, x in enumerate(row) if x)
+        q = w[pc] // row[pc]
+        if q:
+            w = [a - q * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
+def solve_unit_pairing(w):
+    """Integer y with <w, y> = 1; requires gcd of w to be 1."""
+    from toricdef import InvariantViolation
+    from toricdef.exact_linalg import _as_int
+
+    g = 0
+    coeff = [0] * len(w)
+    for i, wi in enumerate(w):
+        wi = _as_int(wi)
+        if wi == 0:
+            continue
+        if g == 0:
+            g = abs(wi)
+            coeff = [0] * len(w)
+            coeff[i] = 1 if wi > 0 else -1
+            continue
+        # extended euclid on (g, wi)
+        old_r, r = g, wi
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        if old_r < 0:
+            old_r, old_s, old_t = -old_r, -old_s, -old_t
+        coeff = [old_s * c for c in coeff]
+        coeff[i] += old_t
+        g = old_r
+        if g == 1:
+            break
+    if g != 1:
+        raise ValueError(f"pairing vector is not primitive (gcd {g})")
+    if sum(a * _as_int(b) for a, b in zip(coeff, w)) != 1:
+        raise InvariantViolation("extended Euclid did not reach a unit pairing")
+    return tuple(coeff)
+
+
+def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors):
+    """Canonical lift of the positive primitive generator of the rank-one
+    quotient of two nested saturated lattices.
+
+    ``mu_span_rows`` and ``tau_span_rows`` are Hermite bases with the mu
+    lattice of corank one inside the tau lattice; ``orientation_vectors``
+    are lattice elements (e.g. rays of the bigger face not in the smaller)
+    whose quotient images must come out positive.  The result is reduced
+    modulo the mu lattice, so it is a canonical representative; any other
+    valid representative differs by a mu-lattice element.  An oracle for
+    the pairings of :meth:`~toricdef.FacePoset.covering_pairing`, which
+    reads them off a ray without it.
+    """
+    from toricdef import NotCovering
+    from toricdef import exact_linalg as xl
+
+    if len(tau_span_rows) != len(mu_span_rows) + 1:
+        raise NotCovering("lattices do not differ in rank by one")
+    width = len(tau_span_rows[0])
+    dt = len(tau_span_rows)
+    cm = xl.coordinates(tau_span_rows, mu_span_rows)
+    if cm is None or not all(isinstance(x, int) for row in cm for x in row):
+        raise NotCovering("mu lattice is not inside tau lattice")
+    # the kernel of the r x (r+1) matrix cm is spanned by its signed maximal minors
+    w = [(-1) ** j * xl.integer_det([row[:j] + row[j + 1:] for row in cm]) for j in range(dt)]
+    if not any(w):
+        raise NotCovering("quotient is not of rank one")
+    w = xl.primitive_vector(w)
+    coords = xl.coordinates(tau_span_rows, orientation_vectors)
+    if coords is None:
+        raise NotCovering("orientation vector outside the tau lattice span")
+    signs = [sum(a * b for a, b in zip(w, x)) for x in coords]
+    if not signs or 0 in signs or (min(signs) < 0 < max(signs)):
+        raise NotCovering("orientation vectors do not fix a positive side")
+    if signs[0] < 0:
+        w = tuple(-x for x in w)
+    y = solve_unit_pairing(w)
+    lift = tuple(sum(y[i] * tau_span_rows[i][j] for i in range(dt)) for j in range(width))
+    return reduce_mod_rows(lift, mu_span_rows)
 
 
 def span_of(poset, face):
@@ -441,8 +546,6 @@ def lift_spans(divisor, face):
 def normal_of(poset, mu, tau):
     """The canonical normal of a covering pair of a face poset, by
     :func:`normal_generator`, oriented by the rays of ``tau`` not in ``mu``."""
-    from toricdef import normal_generator
-
     orient = [poset.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
     return normal_generator(span_of(poset, mu), span_of(poset, tau), orient)
 
@@ -485,9 +588,6 @@ def assert_pairings_match_normals(poset) -> int:
 def lift_identities(fan, divisor):
     """Assert the three lattice identities tying the graph and epigraph lifts
     of each face (and covering pair) of a divisor's fan."""
-    from toricdef import normal_generator
-    from toricdef.exact_linalg import reduce_mod_rows
-
     n = fan.rank
     vertical = (0,) * n + (1,)
     faces = list(fan.by_key.values())

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,16 @@ from conftest import (
     INFINITE,
     T13_RAYS,
     cyclic_cone,
+    interior_vector,
     lattice_index,
+    normal_generator,
+    reduce_mod_rows,
     seed77_cones,
+    smith_decomposition,
     smith_kernel_rows,
+    solve_unit_pairing,
 )
-from toricdef import cone_from_rays, face_lattice
+from toricdef import cone_from_rays, face_lattice, star_quotient
 from toricdef import exact_linalg as xl
 from toricdef.errors import NotContained, SpanViolation, ZeroVector
 
@@ -264,10 +270,14 @@ def test_sparse_product_matches_sympy(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_smith_normal_form_properties(seed):
+    """The Smith decomposition that :func:`smith_kernel_rows` and
+    :func:`lattice_index` read: ``U A V = D`` with ``U`` and ``V``
+    unimodular, ``D`` diagonal with its nonzero entries first, positive and
+    each dividing the next."""
     rng = random.Random(300 + seed)
     rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
     data = _random_int_matrix(rng, rows, cols)
-    u, d, v = xl._smith(data, cols)
+    u, d, v = smith_decomposition(data, cols)
     smp_u, smp_v = sympy.Matrix(u), sympy.Matrix(v)
     assert smp_u * sympy.Matrix(data) * smp_v == sympy.Matrix(d)
     assert abs(smp_u.det()) == 1 and abs(smp_v.det()) == 1
@@ -279,6 +289,7 @@ def test_smith_normal_form_properties(seed):
                 assert d[r][c] == 0
             elif d[r][c] != 0:
                 diag.append(d[r][c])
+    assert all(d[i][i] for i in range(len(diag)))
     for x, y in zip(diag, diag[1:]):
         assert x > 0 and y % x == 0
     # invariant factors agree with sympy (up to trailing zeros)
@@ -300,7 +311,7 @@ def test_hermite_rows_canonical_and_spanning(seed):
     assert xl.hermite_rows([list(r) for r in h], cols) == h
     # every original row reduces to zero against the basis
     for r in data:
-        assert all(c == 0 for c in xl.reduce_mod_rows(tuple(r), h))
+        assert all(c == 0 for c in reduce_mod_rows(tuple(r), h))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -431,8 +442,63 @@ def test_solve_unit_pairing(vec):
     if g != 1:
         return
     w = tuple(vec)
-    y = xl.solve_unit_pairing(w)
+    y = solve_unit_pairing(w)
     assert sum(a * b for a, b in zip(w, y)) == 1
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_unit_column_is_a_unimodular_completion(seed):
+    """``U rho = e_1`` and ``|det U| = 1``, by sympy, for seeded primitive
+    vectors of length 1 to 8 with entries in [-40, 40], and for vectors
+    with one nonzero entry or with ties in absolute value."""
+    rng = random.Random(5900 + seed)
+    vectors = [(0, -1), (-1, 0, 0), (5, -5, 1), (-7, 3), (-1,)] if seed == 0 else []
+    while len(vectors) < 20:
+        v = [rng.randrange(-40, 41) for _ in range(rng.randrange(1, 9))]
+        if any(v):
+            vectors.append(xl.primitive_vector(v))
+    for rho in vectors:
+        u = sympy.Matrix(xl._unit_column(rho))
+        assert u * sympy.Matrix(rho) == sympy.Matrix([1] + [0] * (len(rho) - 1)), rho
+        assert abs(u.det()) == 1, rho
+
+
+UNIT_COLUMNS = Path(__file__).resolve().parent / "expected" / "unit_columns.txt"
+
+
+def _ray_sum_cones():
+    for name, rays in (("A", A_RAYS), ("B", B_RAYS), ("T13", T13_RAYS)):
+        yield f"fixture {name}", cone_from_rays(rays, 4)
+    for rank, params in ((5, range(-4, 5)), (5, range(-5, 6)), (6, range(-4, 5))):
+        yield f"cyclic ({rank}, {len(params)})", cyclic_cone(params, rank)
+    for i, cone in enumerate(seed77_cones()):
+        yield f"seed-77 {'pyramid' if i % 2 else 'cone'} {i // 2}", cone
+
+
+def unit_columns_dump() -> str:
+    """The change of coordinates ``T`` of :func:`~toricdef.star_quotient` at
+    the primitive ray sum of each cone of :func:`_ray_sum_cones`: the rows
+    of :func:`~toricdef.exact_linalg._unit_column`, the first moved last."""
+    lines = []
+    for name, cone in _ray_sum_cones():
+        rho = xl.primitive_vector(interior_vector(cone))
+        u = xl._unit_column(rho)
+        lines.append(f"# {name}: rho {' '.join(map(str, rho))}")
+        lines += ["  " + " ".join(map(str, row)) for row in u[1:] + u[:1]]
+    return "\n".join(lines) + "\n"
+
+
+def test_unit_columns_are_pinned():
+    """``T`` is the one the Smith form of the column ``rho`` gave, recorded
+    in ``tests/expected/unit_columns.txt``, and :func:`star_quotient` uses
+    it: its hat rays are ``T r``."""
+    assert unit_columns_dump() == UNIT_COLUMNS.read_text()
+    for _, cone in _ray_sum_cones():
+        rho = xl.primitive_vector(interior_vector(cone))
+        u = xl._unit_column(rho)
+        t = u[1:] + u[:1]
+        hats = tuple(tuple(sum(map(mul, row, r)) for row in t) for r in cone.rays)
+        assert star_quotient(cone, rho)[1].hat.rays == hats
 
 
 def test_nonnegative_combination():
@@ -722,9 +788,9 @@ def _reference_normal(mu_rows, tau_rows, orientation):
     w = _integral([list(kern)])[0]
     if sum(x * _sympy_solve(tau, sympy.Matrix(orientation[0]))[i] for i, x in enumerate(w)) < 0:
         w = tuple(-x for x in w)
-    y = xl.solve_unit_pairing(w)
+    y = solve_unit_pairing(w)
     lift = tuple(sum(y[i] * tau_rows[i][j] for i in range(len(tau_rows))) for j in range(len(tau_rows[0])))
-    return xl.reduce_mod_rows(lift, mu_rows)
+    return reduce_mod_rows(lift, mu_rows)
 
 
 def normal_mismatch(seed):
@@ -732,7 +798,7 @@ def normal_mismatch(seed):
     span of the bigger face and once with a non-echelon basis of it."""
     from conftest import random_cone
 
-    from toricdef.polyhedral import face_lattice, normal_generator
+    from toricdef.polyhedral import face_lattice
 
     rng = random.Random(3900 + seed)
     cone = random_cone(rng, 3 + seed % 3)
@@ -916,8 +982,10 @@ separating = polyhedral._separating_functional
 polyhedral._separating_functional = lambda *a: tuple(-x for x in separating(*a))
 fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  1 2\\n  2 0\\n")
 polyhedral._separating_functional = separating
-# a star quotient with a wrong inverse of its change of coordinates, and
-# one whose facet annihilator gives a hat row that misses a ray of the facet
+# a star quotient with a wrong inverse of its change of coordinates, one
+# whose completion of rho is not unimodular (a row of U that vanishes on rho
+# doubled), and one whose facet annihilator gives a hat row that misses a
+# ray of the facet
 from toricdef import cone_from_rays, face_lattice, star_quotient
 
 square = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
@@ -928,6 +996,13 @@ try:
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
 polyhedral._unimodular_inverse = inverse
+unit_column = xl._unit_column
+xl._unit_column = lambda rho: [[2 * x for x in r] if i == 1 else r for i, r in enumerate(unit_column(rho))]
+try:
+    star_quotient(cone_from_rays(square, 3), (0, 0, 1))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
+xl._unit_column = unit_column
 cone = cone_from_rays(square, 3)
 lat = face_lattice(cone)
 facet, *rest = lat.faces_by_dim[2]
@@ -949,7 +1024,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 10
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 11
 
 
 _CORRUPTED_PROJECTION_RUN = """

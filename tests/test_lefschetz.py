@@ -19,6 +19,7 @@ from conftest import (
     lattice_index,
     lift_identities,
     lift_spans,
+    normal_generator,
     normal_of,
     pairing_of_normal,
     random_complete_simplicial_fan,
@@ -45,7 +46,6 @@ from toricdef import (
     support_data,
 )
 from toricdef import exact_linalg as xl
-from toricdef import normal_generator
 from toricdef.exact_linalg import matrix_rank
 from toricdef.lefschetz import _vertical_pairing
 

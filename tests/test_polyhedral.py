@@ -22,17 +22,20 @@ from conftest import (
     lp_fan_faces,
     lp_pair_overlaps,
     make_p112,
+    normal_generator,
     oracle_faces,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
     random_interior,
+    reduce_mod_rows,
     relabelled,
     seed77_cones,
     seed77_generators,
     smith_kernel_rows,
     stellar_fan_data,
 )
+import toricdef
 from toricdef import (
     ApexInHyperplane,
     NotAPermutation,
@@ -50,12 +53,11 @@ from toricdef import (
     is_shelling,
     lcdef_variety,
     line_shelling,
-    normal_generator,
     pyramid,
     star_quotient,
 )
 from toricdef import exact_linalg as xl
-from toricdef.exact_linalg import nonnegative_combination, reduce_mod_rows
+from toricdef.exact_linalg import nonnegative_combination
 from toricdef.cli import InputDocument, serialize_document
 from toricdef.cli import run as cli_run
 from toricdef.lefschetz import support_data
@@ -625,39 +627,15 @@ def test_support_data_rows_match_saturations():
 
 
 # ---------------------------------------------------------------------------
-# work counts: Smith forms per face
+# work counts: Smith forms and kernels per face
 
 
 @pytest.fixture
-def smith_calls(monkeypatch):
-    calls = []
-    smith = xl._smith
-
-    def counted(a, n):
-        calls.append(n)
-        return smith(a, n)
-
-    monkeypatch.setattr(xl, "_smith", counted)
-    return calls
-
-
-def test_face_lattice_takes_at_most_two_smith_forms_per_face(smith_calls):
-    for rays in (A_RAYS, B_RAYS, T13_RAYS):
-        cone = cone_from_rays(rays, 4)
-        smith_calls.clear()
-        lat = face_lattice(cone)
-        assert len(smith_calls) <= 2 * len(lat.by_key)
-        smith_calls.clear()
-        for f in lat.all_faces:
-            face_lattice(face_cone(cone, f))
-        assert smith_calls == []
-
-
-def test_fan_takes_at_most_two_smith_forms_per_fan_face(smith_calls):
-    rays, maximal = _stellar_fan().rays, _stellar_fan().maximal
-    smith_calls.clear()
-    fan = fan_from_cones(rays, maximal, 4)
-    assert len(smith_calls) <= 2 * len(fan.by_key)
+def no_smith_form():
+    """Lattice data take no Smith form: the package has none, nor the
+    lattice helpers that only the tests use (they are in conftest)."""
+    gone = ((xl, "_smith"), (xl, "solve_unit_pairing"), (xl, "reduce_mod_rows"), (toricdef, "normal_generator"))
+    assert [name for module, name in gone if hasattr(module, name)] == []
 
 
 @pytest.fixture
@@ -673,7 +651,7 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_lattice_data_takes_no_smith_form_and_one_kernel_per_fan_face(smith_calls, kernel_calls):
+def test_lattice_data_takes_no_smith_form_and_one_kernel_per_fan_face(no_smith_form, kernel_calls):
     """Face lattices take at most one integer kernel per face, fans at most
     two, and neither a Smith form; support data takes exactly one kernel
     per fan face."""
@@ -693,7 +671,6 @@ def test_lattice_data_takes_no_smith_form_and_one_kernel_per_fan_face(smith_call
         kernel_calls.clear()
         support_data(fan, values)
         assert kernel_calls == [fan.rank + 1] * len(fan.by_key)
-    assert smith_calls == []
 
 
 # ---------------------------------------------------------------------------
