@@ -280,8 +280,8 @@ def _cmd_lefschetz(doc: InputDocument, args) -> dict:
         "p": args.p,
         "l": args.l,
         "cartier_denominator": divisor.cartier_denominator,
-        "source_dim": L.coh_dim("bottom", args.l),
-        "target_dim": L.coh_dim("top", args.l + 1),
+        "source_dim": L.bottom.h(args.l),
+        "target_dim": L.top.h(args.l + 1),
         "rank": xl.matrix_rank(delta),
         "matrix": delta,
     }

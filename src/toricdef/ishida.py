@@ -29,7 +29,7 @@ first needed, and stops at the first nonzero cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -59,12 +59,20 @@ class LabeledComplex:
 
     ``pairs`` lists the ``(degree, src_key, dst_key)`` block pairs the
     differentials were assembled from; every entry outside them is zero.
+
+    The complex owns its cohomology: :meth:`rank`, :meth:`h`,
+    :meth:`representatives` and :meth:`class_coordinates`, memoized per
+    instance.  Each differential is eliminated at most once as long as the
+    representatives of a degree, when they are wanted at all, are asked for
+    before the ranks they determine.
     """
 
     label: str
     terms: tuple[tuple[Block, ...], ...]
     diffs: tuple[np.ndarray, ...]
     pairs: tuple[tuple, ...]
+    _ranks: dict = field(default_factory=dict, repr=False, compare=False)
+    _reps: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
@@ -82,6 +90,74 @@ class LabeledComplex:
         ``src_key`` to the block ``dst_key`` of the next degree."""
         s, t = self.block(degree, src_key), self.block(degree + 1, dst_key)
         return self.diffs[degree][t.offset : t.offset + t.size, s.offset : s.offset + s.size]
+
+    def rank(self, k: int) -> int:
+        """Rank of the differential out of degree ``k`` (0 outside the
+        complex): read off the eliminations of :meth:`representatives` when
+        those came first, else by :func:`~toricdef.exact_linalg.matrix_rank`."""
+        if not 0 <= k < len(self.diffs):
+            return 0
+        if k not in self._ranks:
+            self._ranks[k] = xl.matrix_rank(self.diffs[k])
+        return self._ranks[k]
+
+    def h(self, i: int) -> int:
+        """Dimension of the degree-``i`` cohomology (0 outside the complex
+        and on a zero term, with no rank taken); NOT_A_COMPLEX if it comes
+        out negative."""
+        if not 0 <= i < len(self.terms) or not self.dims[i]:
+            return 0
+        h = self.dims[i] - self.rank(i) - self.rank(i - 1)
+        if h < 0:
+            raise NotAComplex(f"{self.label}: negative cohomology dimension at degree {i}")
+        return h
+
+    def _image(self, i: int) -> np.ndarray:
+        """The incoming differential of degree ``i``, whose columns span the
+        coboundaries."""
+        return self.diffs[i - 1] if i else xl.zeros_matrix(self.dims[0], 0)
+
+    def representatives(self, i: int) -> np.ndarray:
+        """Cocycles, as columns, whose classes are a basis of ``H^i``
+        (empty outside the complex).
+
+        They are the columns of the canonical kernel basis of
+        :func:`~toricdef.exact_linalg.rank_and_kernel` that are pivots of
+        ``[image | kernel]``: each kernel column independent of the image
+        and of the kernel columns before it.  That choice, like the count
+        of image pivots (the rank of the incoming differential, recorded
+        here), depends only on the span of the image, so the whole incoming
+        differential stands for it and is not eliminated on its own.
+        """
+        if not 0 <= i < len(self.terms):
+            return xl.zeros_matrix(0, 0)
+        if i not in self._reps:
+            if i < len(self.diffs):
+                self._ranks[i], kern = xl.rank_and_kernel(self.diffs[i])
+            else:
+                kern = xl.identity_matrix(self.dims[i])
+            img = self._image(i)
+            w = img.shape[1]
+            pivots = xl.pivot_columns(np.concatenate([img, kern], axis=1))
+            chosen = [c - w for c in pivots if c >= w]
+            if i:
+                self._ranks[i - 1] = len(pivots) - len(chosen)
+            self._reps[i] = kern[:, chosen]
+        return self._reps[i]
+
+    def class_coordinates(self, i: int, cocycles: np.ndarray) -> np.ndarray:
+        """Coordinates of the classes of ``cocycles`` (columns) in the basis
+        of :meth:`representatives`; INVARIANT_VIOLATION if one of them is
+        not a cocycle.  The coefficients on the representatives are unique
+        because the representatives are independent modulo the image."""
+        reps = self.representatives(i)
+        h = reps.shape[1]
+        if h == 0 or cocycles.shape[1] == 0:
+            return xl.zeros_matrix(h, cocycles.shape[1])
+        sol = xl.solve_matrix(np.concatenate([reps, self._image(i)], axis=1), cocycles)
+        if sol is None:
+            raise InvariantViolation("cocycle not in span of cohomology basis + boundaries")
+        return sol[:h]
 
 
 @dataclass(frozen=True)
@@ -143,22 +219,9 @@ def assemble_complex(label: str, layers, blocks) -> LabeledComplex:
     return LabeledComplex(label, tuple(terms), diffs, tuple(pairs))
 
 
-def _cell(cx: LabeledComplex, i: int, rank) -> int:
-    """Dimension of the degree-``i`` cohomology of ``cx``, given ``rank(k)``,
-    the rank of the differential out of degree ``k`` (0 outside the
-    complex); NOT_A_COMPLEX if it comes out negative."""
-    h = cx.dims[i] - rank(i) - rank(i - 1)
-    if h < 0:
-        raise NotAComplex(f"{cx.label}: negative cohomology dimension at degree {i}")
-    return h
-
-
 def cohomology(cx: LabeledComplex) -> tuple[int, ...]:
     """Cohomology dimensions of a labeled complex, degree by degree."""
-    ranks = [xl.matrix_rank(d) for d in cx.diffs]
-    return tuple(
-        _cell(cx, i, lambda k: ranks[k] if 0 <= k < len(ranks) else 0) for i in range(len(cx.terms))
-    )
+    return tuple(cx.h(i) for i in range(len(cx.terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +323,12 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     value ``c = i + l - d <= d``.  The candidates ``c = d, d - 1, ..., 1``
     are tried in turn, each over its cells from ``l = d`` down; a level's
     complex is built when one of its cells is first needed, and each
-    differential is ranked at most once.  The first cell with nonzero
-    cohomology has the largest value of all nonzero cells, since every cell
-    of a larger value has been found zero, so it is the answer.  When none
-    of the cells with ``c >= 1`` is nonzero, the inner maximum is at most 0
-    and the answer is 0.  Either way the value is the one the formula gives.
+    differential is ranked at most once (:meth:`LabeledComplex.rank`).  The
+    first cell with nonzero cohomology has the largest value of all nonzero
+    cells, since every cell of a larger value has been found zero, so it is
+    the answer.  When none of the cells with ``c >= 1`` is nonzero, the
+    inner maximum is at most 0 and the answer is 0.  Either way the value
+    is the one the formula gives.
     """
     d = cone.dim
     if d == 0:
@@ -274,43 +338,29 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     if not any(cohomology(ishida_cone(cone, 0))):
         raise InvariantViolation("the level-0 complex has no cohomology")
     levels: dict[int, LabeledComplex] = {}
-    ranks: dict[tuple[int, int], int] = {}
-
-    def rank(l: int, k: int) -> int:
-        """Rank of the differential out of degree ``k`` at level ``l``."""
-        diffs = levels[l].diffs
-        if not 0 <= k < len(diffs):
-            return 0
-        if (l, k) not in ranks:
-            ranks[l, k] = xl.matrix_rank(diffs[k])
-        return ranks[l, k]
-
     for c in range(d, 0, -1):
         for l in range(d, (c + d - 1) // 2, -1):
             i = c + d - l
             if l not in levels:
                 levels[l] = ishida_cone(cone, l)
-            if levels[l].dims[i] and _cell(levels[l], i, lambda k: rank(l, k)):
+            if levels[l].h(i):
                 return c
     return 0
 
 
-def lcdef_faces(cone: Cone, shortcut_simplicial: bool = True) -> list[tuple[Face, int]]:
+def lcdef_faces(cone: Cone) -> list[tuple[Face, int]]:
     """The cone-level value :func:`lcdef_cone` of every face of a cone, in
     the order of the face lattice (by dimension, then rays); the last entry
     is the cone itself.  Faces are taken from the cone without re-running
     the facet search of :func:`cone_from_rays`."""
-    return [
-        (f, lcdef_cone(face_cone(cone, f), shortcut_simplicial=shortcut_simplicial))
-        for f in face_lattice(cone).all_faces
-    ]
+    return [(f, lcdef_cone(face_cone(cone, f))) for f in face_lattice(cone).all_faces]
 
 
-def lcdef_variety(cone: Cone, shortcut_simplicial: bool = True) -> int:
+def lcdef_variety(cone: Cone) -> int:
     """Local cohomological defect: the maximum of the cone-level value over
     all faces (every point of the associated space has a neighborhood
     modeled on one of the faces)."""
-    return max(v for _, v in lcdef_faces(cone, shortcut_simplicial=shortcut_simplicial))
+    return max(v for _, v in lcdef_faces(cone))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import (
     WrongDimension,
 )
 from .ishida import LabeledComplex, cohomology, face_complex, fan_cohomology_table, ishida_cone, ishida_fan
-from .polyhedral import Cone, Face, FacePoset, Fan, star_quotient
+from .polyhedral import Cone, Face, FacePoset, Fan, _dot, star_quotient
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,6 @@ class DivisorData:
     def scaled(self, k: int) -> "DivisorData":
         """Support data of the k-fold multiple of the divisor."""
         return support_data(self.fan, [k * a for a in self.alpha])
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def support_data(fan: Fan, alpha) -> DivisorData:
@@ -146,11 +142,10 @@ def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
 @dataclass(eq=False)
 class LiftedComplexes:
     """The three complexes of the levelwise short exact sequence at one
-    level, with the per-degree inclusion and projection matrices."""
+    level (top and middle at level p+1, bottom at level p), with the
+    per-degree inclusion and projection matrices.  Cohomology is read off
+    the complexes themselves (for example ``L.bottom.h(l)``)."""
 
-    fan: Fan
-    divisor: DivisorData
-    level: int  # the p of the bottom complex; top and middle sit at p+1
     top: LabeledComplex
     middle: LabeledComplex
     bottom: LabeledComplex
@@ -158,88 +153,30 @@ class LiftedComplexes:
     project: tuple[np.ndarray, ...]
     _memo: dict = field(default_factory=dict, repr=False)
 
-    # -- cohomology plumbing ------------------------------------------------
-
-    def _diff(self, cx: LabeledComplex, i: int) -> np.ndarray:
-        dims = cx.dims
-        if 0 <= i < len(cx.diffs):
-            return cx.diffs[i]
-        ncols = dims[i] if 0 <= i < len(dims) else 0
-        return xl.zeros_matrix(0, ncols)
-
-    def _coh_data(self, which: str, i: int):
-        """Representatives of H^i: (rep columns, image columns, dim)."""
-        key = (which, i)
-        if key in self._memo:
-            return self._memo[key]
-        cx = getattr(self, which)
-        dims = cx.dims
-        if not 0 <= i < len(dims):
-            self._memo[key] = (xl.zeros_matrix(0, 0), xl.zeros_matrix(0, 0), 0)
-            return self._memo[key]
-        d_out = self._diff(cx, i)
-        _, kern = xl.rank_and_kernel(d_out)
-        if i > 0:
-            d_in = cx.diffs[i - 1]
-            img = d_in[:, xl.pivot_columns(d_in)]
-        else:
-            img = xl.zeros_matrix(dims[i], 0)
-        # The image columns are independent, so they are the first pivot
-        # columns of [img | kern]; the kernel columns that are pivots are
-        # those that raise the rank of the image plus the columns before.
-        w = img.shape[1]
-        chosen = [c - w for c in xl.pivot_columns(np.concatenate([img, kern], axis=1)) if c >= w]
-        reps = kern[:, chosen]
-        self._memo[key] = (reps, img, reps.shape[1])
-        return self._memo[key]
-
-    def coh_dim(self, which: str, i: int) -> int:
-        return self._coh_data(which, i)[2]
-
-    def _reduce_to_basis(self, which: str, i: int, vecs: np.ndarray) -> np.ndarray:
-        """Coordinates of cocycles in the chosen cohomology basis."""
-        reps, img, h = self._coh_data(which, i)
-        if h == 0:
-            return xl.zeros_matrix(0, vecs.shape[1])
-        basis = np.concatenate([reps, img], axis=1) if img.shape[1] else reps
-        sol = xl.solve_matrix(basis, vecs)
-        if sol is None:
-            raise InvariantViolation("cocycle not in span of cohomology basis + boundaries")
-        return sol[:h]
-
     def connecting(self, l: int) -> np.ndarray:
         """Snake-lemma connecting map H^l(bottom) -> H^(l+1)(top)."""
-        key = ("delta", l)
-        if key in self._memo:
-            return self._memo[key]
-        reps_b, _, hb = self._coh_data("bottom", l)
-        ht = self.coh_dim("top", l + 1)
-        if hb == 0 or ht == 0:
-            out = xl.zeros_matrix(ht, hb)
-            self._memo[key] = out
-            return out
-        proj = self.project[l]
-        lift = xl.solve_matrix(proj, reps_b)
+        if l not in self._memo:
+            self._memo[l] = self._connecting(l)
+        return self._memo[l]
+
+    def _connecting(self, l: int) -> np.ndarray:
+        reps_b = self.bottom.representatives(l)
+        ht = self.top.representatives(l + 1).shape[1]
+        if reps_b.shape[1] == 0 or ht == 0:
+            return xl.zeros_matrix(ht, reps_b.shape[1])
+        lift = xl.solve_matrix(self.project[l], reps_b)
         if lift is None:
             raise InvariantViolation("projection is not surjective")
-        dz = xl.mat_mul(self._diff(self.middle, l), lift)
-        inc = self.include[l + 1]
-        pre = xl.solve_matrix(inc, dz)
+        dz = xl.mat_mul(self.middle.diffs[l], lift)
+        pre = xl.solve_matrix(self.include[l + 1], dz)
         if pre is None:
             raise InvariantViolation("snake step left the image of the inclusion")
-        if not xl.is_zero_matrix(xl.mat_mul(self._diff(self.top, l + 1), pre)):
-            raise InvariantViolation("snake step did not give a cocycle")
-        out = self._reduce_to_basis("top", l + 1, pre)
-        self._memo[key] = out
-        return out
+        return self.top.class_coordinates(l + 1, pre)  # checks that pre is a cocycle
 
-    def induced(self, src: str, dst: str, mats, i: int) -> np.ndarray:
-        """Induced map on degree-i cohomology of a levelwise chain map."""
-        reps, _, h = self._coh_data(src, i)
-        hd = self.coh_dim(dst, i)
-        if h == 0 or hd == 0:
-            return xl.zeros_matrix(hd, h)
-        return self._reduce_to_basis(dst, i, xl.mat_mul(mats[i], reps))
+
+def _induced(src: LabeledComplex, dst: LabeledComplex, maps, i: int) -> np.ndarray:
+    """Induced map on degree-i cohomology of a levelwise chain map."""
+    return dst.class_coordinates(i, xl.mat_mul(maps[i], src.representatives(i)))
 
 
 def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
@@ -285,7 +222,7 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
         include.append(xl._dense(inc, top.dims[m]))
         project.append(xl._dense(prj, middle.dims[m]))
 
-    out = LiftedComplexes(fan, divisor, p, top, middle, bottom, tuple(include), tuple(project))
+    out = LiftedComplexes(top, middle, bottom, tuple(include), tuple(project))
     _verify_ses(out)
     divisor._memo[("lifted", p)] = out
     return out
@@ -322,12 +259,12 @@ def _verify_ses(L: LiftedComplexes) -> None:
         if L.middle.dims[m] != L.top.dims[m] + L.bottom.dims[m]:
             raise InvariantViolation(f"term dims do not add up in degree {m}")
         if m + 1 < depth:
-            lhs = xl.mat_mul(L.include[m + 1], L._diff(L.top, m))
-            rhs = xl.mat_mul(L._diff(L.middle, m), inc)
+            lhs = xl.mat_mul(L.include[m + 1], L.top.diffs[m])
+            rhs = xl.mat_mul(L.middle.diffs[m], inc)
             if not xl.mat_eq(lhs, rhs):
                 raise InvariantViolation(f"inclusion is not a chain map in degree {m}")
-            lhs = xl.mat_mul(L.project[m + 1], L._diff(L.middle, m))
-            rhs = xl.mat_mul(L._diff(L.bottom, m), prj)
+            lhs = xl.mat_mul(L.project[m + 1], L.middle.diffs[m])
+            rhs = xl.mat_mul(L.bottom.diffs[m], prj)
             if not xl.mat_eq(lhs, rhs):
                 raise InvariantViolation(f"projection is not a chain map in degree {m}")
 
@@ -420,12 +357,12 @@ def lefschetz_equivalence_check(cone: Cone, p: int, l: int, rho=None) -> Equival
         return EquivalenceReport(d, p, l, h, False, False, False)
     L = lifted_complex(fan, divisor, p)
     delta_l = L.connecting(l)
-    inj = xl.matrix_rank(delta_l) == L.coh_dim("bottom", l)
+    inj = xl.matrix_rank(delta_l) == L.bottom.h(l)
     if l == 0:
-        surj = L.coh_dim("top", 0) == 0
+        surj = L.top.h(0) == 0
     else:
         delta_prev = L.connecting(l - 1)
-        surj = xl.matrix_rank(delta_prev) == L.coh_dim("top", l)
+        surj = xl.matrix_rank(delta_prev) == L.top.h(l)
     report = EquivalenceReport(d, p, l, h, inj, surj, True)
     if not report.agree:
         raise InvariantViolation("equivalence of vanishing and connecting-map conditions failed")
@@ -479,12 +416,10 @@ def les_theorem(cone: Cone, rho) -> LesReport:
             rows.append(LesRow(0, h_cone, h_fan0, h_fan0, (), exact))
             continue
         L = lifted_complex(fan, divisor, l - 1)
-        h_mid = tuple(L.coh_dim("middle", i) for i in range(len(L.middle.terms)))
+        exact = _les_exact(L)  # first: its representatives give every rank
+        h_mid, h_top, h_bot = (cohomology(cx) for cx in (L.middle, L.top, L.bottom))
         if h_mid != h_cone:
             raise InvariantViolation("middle complex does not compute the cone's cohomology")
-        h_top = tuple(L.coh_dim("top", i) for i in range(len(L.top.terms)))
-        h_bot = tuple(L.coh_dim("bottom", i) for i in range(len(L.bottom.terms)))
-        exact = _les_exact(L)
         rows.append(LesRow(l, h_cone, h_mid, h_top, h_bot, exact))
     return LesReport(tuple(rows))
 
@@ -494,24 +429,24 @@ def _les_exact(L: LiftedComplexes) -> bool:
 
     at every node, via rank bookkeeping of the three kinds of maps."""
     depth = len(L.top.terms)
-    f = {i: L.induced("top", "middle", L.include, i) for i in range(depth)}
-    g = {i: L.induced("middle", "bottom", L.project, i) for i in range(depth)}
+    f = {i: _induced(L.top, L.middle, L.include, i) for i in range(depth)}
+    g = {i: _induced(L.middle, L.bottom, L.project, i) for i in range(depth)}
     dl = {i: L.connecting(i) for i in range(-1, depth)}
     rf, rg, rdl = ({i: xl.matrix_rank(m) for i, m in maps.items()} for maps in (f, g, dl))
 
     for i in range(depth):
         # node H^i(top): incoming delta^(i-1), outgoing f_i
-        if rdl[i - 1] + rf[i] != L.coh_dim("top", i):
+        if rdl[i - 1] + rf[i] != L.top.h(i):
             return False
         if not xl.is_zero_matrix(xl.mat_mul(f[i], dl[i - 1])):
             return False
         # node H^i(middle): incoming f_i, outgoing g_i
-        if rf[i] + rg[i] != L.coh_dim("middle", i):
+        if rf[i] + rg[i] != L.middle.h(i):
             return False
         if not xl.is_zero_matrix(xl.mat_mul(g[i], f[i])):
             return False
         # node H^i(bottom): incoming g_i, outgoing delta^i
-        if rg[i] + rdl[i] != L.coh_dim("bottom", i):
+        if rg[i] + rdl[i] != L.bottom.h(i):
             return False
         if not xl.is_zero_matrix(xl.mat_mul(dl[i], g[i])):
             return False
@@ -534,9 +469,13 @@ def lcdef4_via_exceptional(cone: Cone, rho) -> bool:
 
 @dataclass(frozen=True)
 class HardLefschetzReport:
+    """Per ``p``: ``(p, rank of delta, dim of its target, rank == dim)``.
+    ``rank == dim`` is surjectivity of the connecting map ``delta``, that is
+    injectivity of the Lefschetz map it is dual to, which ``all_injective``
+    names."""
+
     rank: int
     checks: tuple[tuple[int, int, int, bool], ...]
-    # per p: (p, rank of delta, target dim, surjective?)
 
     @property
     def all_injective(self) -> bool:
@@ -544,8 +483,10 @@ class HardLefschetzReport:
 
 
 def hard_lefschetz_injectivity_check(fan: Fan, divisor: DivisorData) -> HardLefschetzReport:
-    """Check surjectivity of the connecting maps that are dual to the hard
-    Lefschetz multiplication steps below the middle degree.
+    """Check injectivity of the hard Lefschetz multiplication steps below the
+    middle degree, through their duals: for ``p <= (n-1)/2`` the connecting
+    map ``delta: H^(n-p-1)(level n-p-1) -> H^(n-p)(level n-p)`` must be
+    surjective, ``rank delta == dim H^(n-p)`` of the top complex.
 
     Requires the fan complete (NOT_COMPLETE) and the divisor strictly convex
     (NOT_AMPLE): every maximal cone's linear form must undershoot the support
@@ -569,7 +510,7 @@ def hard_lefschetz_injectivity_check(fan: Fan, divisor: DivisorData) -> HardLefs
     for p in range(0, (n - 1) // 2 + 1):
         L = lifted_complex(fan, divisor, n - p - 1)
         delta = L.connecting(n - p - 1)
-        target = L.coh_dim("top", n - p)
+        target = L.top.h(n - p)
         rank = xl.matrix_rank(delta)
         checks.append((p, rank, target, rank == target))
     return HardLefschetzReport(n, tuple(checks))

@@ -4,8 +4,9 @@ Cones are given by extreme rays (primitive integer vectors), and no floating
 point is involved anywhere.  A cone is built from its facets:
 :func:`cone_from_rays` finds them once, among the (d-1)-subsets of the
 generators, whose hyperplane is read off signed maximal minors and validated
-as supporting, and reads strong convexity and the extreme generators off the
-ranks of the facet normals, with no LP (the proof is in its docstring).  The
+as supporting.  With no LP, strong convexity is the rank of the facet
+normals, and a generator is extreme iff the facets through it meet in it
+alone, a set intersection (the proofs are in its docstring).  The
 remaining faces are intersections of facets.  This is quadratic-ish in the
 number of faces, which is the right trade at the scale this package targets
 (tens of rays).

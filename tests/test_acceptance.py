@@ -103,10 +103,10 @@ def test_long_exact_sequence_of_the_defect_cone(cone_a):
     fan, divisor = star_quotient(cone_a, rho)
     L = lifted_complex(fan, divisor, 2)
     delta = L.connecting(2)
-    assert L.coh_dim("bottom", 2) == 2
+    assert L.bottom.h(2) == 2
     rank = matrix_rank(delta)
     assert rank == 1
-    kernel_dim = L.coh_dim("bottom", 2) - rank
+    kernel_dim = L.bottom.h(2) - rank
     assert kernel_dim == 1
     assert cohomology(ishida_cone(cone_a, 3))[2] == kernel_dim
 

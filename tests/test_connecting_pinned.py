@@ -2,7 +2,7 @@
 
 The connecting maps are matrices in chosen cohomology bases, so their
 entries (not only their ranks) depend on which kernel columns
-``LiftedComplexes._coh_data`` picks.  ``tests/expected/connecting_maps.txt``
+``LabeledComplex.representatives`` picks.  ``tests/expected/connecting_maps.txt``
 holds every connecting map and every chosen representative for the star
 quotient of fixture A and for a seeded stellar fan; regenerate it with
 ``PYTHONPATH=src python tests/test_connecting_pinned.py``.
@@ -42,10 +42,10 @@ def dump() -> str:
         lines.append(f"# {name}")
         for p in range(fan.rank):
             L = lifted_complex(fan, divisor, p)
-            for which in ("top", "middle", "bottom"):
-                for i in range(len(getattr(L, which).terms)):
+            for which, cx in (("top", L.top), ("middle", L.middle), ("bottom", L.bottom)):
+                for i in range(len(cx.terms)):
                     lines.append(f"level {p} {which} H^{i} representatives")
-                    lines += _matrix_lines(L._coh_data(which, i)[0])
+                    lines += _matrix_lines(cx.representatives(i))
             for l in range(len(L.top.terms)):
                 lines.append(f"level {p} connecting {l}")
                 lines += _matrix_lines(L.connecting(l))
@@ -78,13 +78,13 @@ def test_chosen_representatives_are_the_greedy_columns(case):
     fan, divisor = list(_cases())[case][1]
     for p in range(fan.rank):
         L = lifted_complex(fan, divisor, p)
-        for which in ("top", "middle", "bottom"):
-            cx = getattr(L, which)
+        for cx in (L.top, L.middle, L.bottom):
             for i in range(len(cx.terms)):
-                reps, _, h = L._coh_data(which, i)
-                _, kern = xl.rank_and_kernel(L._diff(cx, i))
+                reps = cx.representatives(i)
+                d_out = cx.diffs[i] if i < len(cx.diffs) else xl.zeros_matrix(0, cx.dims[i])
+                _, kern = xl.rank_and_kernel(d_out)
                 chosen = _greedy(kern, cx.diffs[i - 1] if i else xl.zeros_matrix(cx.dims[0], 0))
-                assert h == len(chosen)
+                assert cx.h(i) == reps.shape[1] == len(chosen)
                 assert reps.tolist() == kern[:, chosen].tolist()
 
 
