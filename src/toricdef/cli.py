@@ -35,6 +35,7 @@ from . import exact_linalg as xl
 from .criteria import euler_criterion, shelling_ray_criterion, simplicial_star_criterion
 from .errors import ParseError, SizeGuard, ToricError, ValidationError
 from .ishida import (
+    _checked_level,
     cohomology,
     cone_cohomology_table,
     fan_cohomology_table,
@@ -271,9 +272,13 @@ def _cmd_hodge(doc: InputDocument, args) -> dict:
 
 def _cmd_lefschetz(doc: InputDocument, args) -> dict:
     fan = _need_fan(doc)
-    divisor = support_data(fan, _need(doc.divisor, "divisor"))
+    alpha = _need(doc.divisor, "divisor")
     if args.p is None or args.l is None:
         raise ValidationError("this command needs --p and --l")
+    depth = fan.depth(_checked_level(args.p, fan.rank - 1) + 1)  # of the sequence's top complex
+    if not 0 <= args.l < depth:
+        raise ValidationError(f"degree {args.l} outside 0..{depth - 1}")
+    divisor = support_data(fan, alpha)
     L = lifted_complex(fan, divisor, args.p)
     delta = L.connecting(args.l)
     return {

@@ -17,7 +17,9 @@ exact product of the sparse rows it assembles the differentials in.
 One builder, :func:`face_complex`, makes every such complex from a
 :class:`~toricdef.polyhedral.FacePoset`: the complexes of a cone (intrinsic
 coordinates), of a fan (ambient coordinates), of the faces below a face, and
-the three complexes of a divisor's lifted sequence.  It hands
+the three complexes of a divisor's lifted sequence, each once per poset and
+level (memoized on the poset, so consecutive lifted sequences share their
+tilde complexes).  It hands
 :func:`assemble_complex` one contraction block per covering pair and
 nothing else; the complex records those pairs, and graded pieces and the
 stages of a filtration are re-assembled from them.
@@ -82,8 +84,13 @@ class LabeledComplex:
     def _index(self) -> list[dict]:
         return [{b.face_key: b for b in layer} for layer in self.terms]
 
+    def dim(self, i: int) -> int:
+        """Dimension of the degree-``i`` term (0 outside the complex)."""
+        return self.dims[i] if 0 <= i < len(self.terms) else 0
+
     def block(self, degree: int, face_key) -> Block | None:
-        return self._index[degree].get(face_key)
+        """The block ``face_key`` of a degree (None outside the complex)."""
+        return self._index[degree].get(face_key) if 0 <= degree < len(self.terms) else None
 
     def block_matrix(self, degree: int, src_key, dst_key) -> np.ndarray:
         """The block of the differential out of ``degree`` from the block
@@ -105,7 +112,7 @@ class LabeledComplex:
         """Dimension of the degree-``i`` cohomology (0 outside the complex
         and on a zero term, with no rank taken); NOT_A_COMPLEX if it comes
         out negative."""
-        if not 0 <= i < len(self.terms) or not self.dims[i]:
+        if not self.dim(i):
             return 0
         h = self.dims[i] - self.rank(i) - self.rank(i - 1)
         if h < 0:
@@ -228,18 +235,29 @@ def cohomology(cx: LabeledComplex) -> tuple[int, ...]:
 # complexes of cones and fans
 
 
-def face_complex(label: str, poset: FacePoset, level: int, depth: int) -> LabeledComplex:
-    """The level-``level`` complex of a face poset, in degrees ``0..depth-1``.
+def _checked_level(l: int, top: int) -> int:
+    """``l``, or VALIDATION_ERROR when it is outside ``0..top``."""
+    if not 0 <= l <= top:
+        raise ValidationError(f"level {l} outside 0..{top}")
+    return l
 
-    Degree ``m <= level`` is the direct sum, over the faces in
-    ``poset.faces_by_dim[m]``, of the ``(level-m)``-th exterior power of the
-    annihilator spanned by the face's ``poset.perps`` rows; higher degrees
-    are zero.  The differential contracts along each covering pair
-    ``mu < tau`` with the pairing ``poset.covering_pairing(mu, tau)``, which
-    every level shares; a pair with a zero-size block has no block, and no
-    contraction is computed for it.
+
+def face_complex(label: str, poset: FacePoset, level: int) -> LabeledComplex:
+    """The level-``level`` complex of a face poset, memoized on the poset by
+    level (``label`` names it when it is built).
+
+    Degree ``m`` runs over ``0..min(level, top dimension)`` and is the direct
+    sum, over the faces in ``poset.faces_by_dim[m]``, of the
+    ``(level-m)``-th exterior power of the annihilator spanned by the face's
+    ``poset.perps`` rows.  The differential contracts along each covering
+    pair ``mu < tau`` with the pairing ``poset.covering_pairing(mu, tau)``,
+    which every level shares; a pair with a zero-size block has no block,
+    and no contraction is computed for it.
     """
-    faces = [poset.faces_by_dim.get(m, ()) if m <= level else () for m in range(depth)]
+    if level in poset._complexes:
+        return poset._complexes[level]
+    depth = poset.depth(level)
+    faces = [poset.faces_by_dim[m] for m in range(depth)]
     bases = {
         f.ray_indices: xl.ExteriorBasis(
             xl.SubspaceBasis(poset.width, poset.perps[f.ray_indices]), level - m
@@ -259,7 +277,8 @@ def face_complex(label: str, poset: FacePoset, level: int, depth: int) -> Labele
                         yield m, mu.key, tau.key, xl.contraction_matrix(pairing, src, dst)
 
     layers = [[(f.key, bases[f.ray_indices]) for f in layer] for layer in faces]
-    return assemble_complex(label, layers, blocks())
+    poset._complexes[level] = assemble_complex(label, layers, blocks())
+    return poset._complexes[level]
 
 
 def ishida_cone(cone: Cone, l: int) -> LabeledComplex:
@@ -268,18 +287,12 @@ def ishida_cone(cone: Cone, l: int) -> LabeledComplex:
     The cone is treated as full-dimensional inside its own span lattice, so
     the annihilator of a face of dimension ``m`` has dimension ``dim - m``.
     """
-    d = cone.dim
-    if not 0 <= l <= d:
-        raise ValidationError(f"level {l} outside 0..{d}")
-    return face_complex(f"cone level {l}", face_lattice(cone), l, l + 1)
+    return face_complex(f"cone level {l}", face_lattice(cone), _checked_level(l, cone.dim))
 
 
 def ishida_fan(fan: Fan, l: int) -> LabeledComplex:
     """The level-``l`` complex of a fan in its ambient coordinates."""
-    n = fan.rank
-    if not 0 <= l <= n:
-        raise ValidationError(f"level {l} outside 0..{n}")
-    return face_complex(f"fan level {l}", fan, l, min(l, max(fan.faces_by_dim)) + 1)
+    return face_complex(f"fan level {l}", fan, _checked_level(l, fan.rank))
 
 
 def fan_cohomology_table(fan: Fan) -> CohomologyTable:
@@ -337,13 +350,9 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
         return 0
     if not any(cohomology(ishida_cone(cone, 0))):
         raise InvariantViolation("the level-0 complex has no cohomology")
-    levels: dict[int, LabeledComplex] = {}
     for c in range(d, 0, -1):
         for l in range(d, (c + d - 1) // 2, -1):
-            i = c + d - l
-            if l not in levels:
-                levels[l] = ishida_cone(cone, l)
-            if levels[l].h(i):
+            if ishida_cone(cone, l).h(c + d - l):
                 return c
     return 0
 
@@ -390,8 +399,7 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
     sum with blocks labeled ``(j, copy, face_key)``.
     """
     d = cone.dim
-    if not 0 <= l <= d:
-        raise ValidationError(f"level {l} outside 0..{d}")
+    _checked_level(l, d)
     face = _resolve_face(cone, tau)
     dt = face.dim
     codim = d - dt
@@ -431,13 +439,7 @@ def restricted_complex(cone: Cone, l: int, tau) -> LabeledComplex:
     from the faces contained in ``tau`` but with annihilators taken inside
     the ambient cone's span.  Its cohomology agrees with
     :func:`graded_piece`; the test suite verifies this on samples."""
-    d = cone.dim
-    if not 0 <= l <= d:
-        raise ValidationError(f"level {l} outside 0..{d}")
+    _checked_level(l, cone.dim)
     face = _resolve_face(cone, tau)
-    return face_complex(
-        f"restricted level {l} at {face.key}",
-        face_lattice(cone).below(face.ray_indices),
-        l,
-        min(l, face.dim) + 1,
-    )
+    poset = face_lattice(cone).below(face.ray_indices)
+    return face_complex(f"restricted level {l} at {face.key}", poset, l)

@@ -33,22 +33,9 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .ishida import LabeledComplex, cohomology, face_complex, fan_cohomology_table, ishida_cone, ishida_fan
+from .ishida import LabeledComplex, _checked_level, cohomology, face_complex
+from .ishida import fan_cohomology_table, ishida_cone, ishida_fan
 from .polyhedral import Cone, Face, FacePoset, Fan, _dot, star_quotient
-
-
-@dataclass(frozen=True)
-class LiftedFace:
-    """Lattice data of the graph ("hat") and epigraph ("tilde") lifts of a
-    fan face under a support function: the hat rays, the Hermite basis of
-    the hat annihilator, and the index of the vertical ray over the hat
-    lattice inside the tilde lattice, read off that annihilator (see
-    :func:`support_data`).  Neither lift's span lattice is stored; nothing
-    reads it."""
-
-    hat_rays: tuple[tuple[int, ...], ...]
-    hat_perp: tuple[tuple[int, ...], ...]
-    vertical_index: int  # index of (vertical ray + hat lattice) in the tilde lattice
 
 
 @dataclass(eq=False)
@@ -56,24 +43,25 @@ class DivisorData:
     """A rational divisor class on a fan, as support-function data.
 
     ``alpha`` are the values on the primitive rays, ``u`` the local linear
-    forms per maximal cone, ``cartier_denominator`` the least positive C
-    with all C*u integral, and ``lifted`` the per-face lift lattice data.
-    ``hat`` and ``tilde`` are the fan's faces as posets in one more
-    coordinate: the hat rows with the hats as rays, and the fan's own rows
-    padded by a zero.
+    forms per maximal cone, and ``cartier_denominator`` the least positive C
+    with all C*u integral.  ``hat`` and ``tilde`` are the fan's faces as
+    posets in one more coordinate: the hat annihilators with the hats as
+    rays, and the fan's ``padded()`` poset, shared by every divisor on it.
+    :meth:`vertical_index` is the index of the vertical ray plus a face's
+    hat lattice in its tilde lattice (see :func:`support_data`).
     """
 
     fan: Fan
     alpha: tuple[Fraction, ...]
     u: dict[tuple[int, ...], tuple[Fraction, ...]]
     cartier_denominator: int
-    lifted: dict[frozenset, LiftedFace]
     hat: FacePoset = field(repr=False)
     tilde: FacePoset = field(repr=False)
+    _vertical_indices: dict[frozenset, int] = field(repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
 
     def vertical_index(self, face_key) -> int:
-        return self.lifted[frozenset(face_key)].vertical_index
+        return self._vertical_indices[frozenset(face_key)]
 
     def scaled(self, k: int) -> "DivisorData":
         """Support data of the k-fold multiple of the divisor."""
@@ -86,16 +74,16 @@ def support_data(fan: Fan, alpha) -> DivisorData:
     admits no linear form matching the prescribed ray values.
 
     Each fan face costs one integer kernel of its hat rays, its hat
-    annihilator ``hat_perp``.  (The quotient fan of
+    annihilator, the face's ``hat.perps`` rows.  (The quotient fan of
     :func:`~toricdef.polyhedral.star_quotient` comes with these rows, read
     off the cone's own annihilators with no kernel, and shares the rest of
     this function, :func:`_support_data`.)  The vertical index is the gcd of
-    the last coordinates of the ``hat_perp`` rows.  Proof: let ``H`` be the
+    the last coordinates of these rows.  Proof: let ``H`` be the
     saturated span of the hat rays and ``T = H + Q e`` (``e`` the vertical
     ray) meet ``Z^{n+1}`` in the tilde lattice.  ``T / H`` is a saturated
     rank-1 subgroup of ``Z^{n+1} / H``, generated by the class of some
     ``g``, and ``e = c g + h`` with ``h`` in ``H``; the index is ``|c|``.
-    The ``hat_perp`` rows are a basis of the functionals vanishing on ``H``,
+    The hat annihilator rows are a basis of the functionals vanishing on ``H``,
     that is of coordinates on ``Z^{n+1} / H``.  Each pairs ``e`` to ``c``
     times its value on ``g``, and because ``H + Z g`` is saturated some
     integer functional vanishes on ``H`` and is 1 on ``g``.  So the pairings
@@ -123,16 +111,15 @@ def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
     denom = lcm(1, *(x.denominator for f in u.values() for x in f))
 
     hats = tuple(tuple(v.denominator * c for c in r) + (v.numerator,) for v, r in zip(values, fan.rays))
-    lifted: dict[frozenset, LiftedFace] = {}
+    perps, vertical = {}, {}
     for key in fan.by_key:
-        hat_rays = tuple(hats[i] for i in sorted(key))
-        hat_perp = tuple(xl.integer_kernel_rows(hat_rays, n + 1)) if hat_perps is None else hat_perps[key]
-        a_idx = gcd(*(p[-1] for p in hat_perp))
-        if a_idx == 0:
+        rays = [hats[i] for i in sorted(key)]
+        perps[key] = tuple(xl.integer_kernel_rows(rays, n + 1)) if hat_perps is None else hat_perps[key]
+        vertical[key] = gcd(*(p[-1] for p in perps[key]))
+        if vertical[key] == 0:
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")
-        lifted[key] = LiftedFace(hat_rays, hat_perp, a_idx)
-    hat = FacePoset(n + 1, fan.by_key.values(), {k: lf.hat_perp for k, lf in lifted.items()}, hats)
-    return DivisorData(fan, values, u, denom, lifted, hat, fan.padded())
+    hat = FacePoset(n + 1, fan.by_key.values(), perps, hats)
+    return DivisorData(fan, values, u, denom, hat, fan.padded(), vertical)
 
 
 # ---------------------------------------------------------------------------
@@ -185,40 +172,35 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     Degree ``m`` of the middle complex is the sum over ``m``-dimensional fan
     faces of the ``(p+1-m)``-th exterior power of the hat face's annihilator;
     top and bottom are the fan's own complexes at levels ``p+1`` and ``p``
-    (the tilde annihilator of a face is the fan face's annihilator with a
-    zero vertical coordinate), padded to the middle's coordinates and depth.
+    in the middle's coordinates (the tilde annihilator of a face is the fan
+    face's annihilator with a zero vertical coordinate), memoized on the
+    fan's tilde poset, so this top is the bottom at ``p + 1`` for every
+    divisor on the fan; the bottom keeps its own depth, at most one less.
     Chain-map and termwise-exactness properties are checked at build time.
     """
-    n = fan.rank
-    if not 0 <= p <= n - 1:
-        raise ValidationError(f"level {p} outside 0..{n - 1}")
+    _checked_level(p, fan.rank - 1)
     if divisor.fan is not fan:
         raise ValidationError("divisor belongs to a different fan")
     if ("lifted", p) in divisor._memo:
         return divisor._memo[("lifted", p)]
 
-    depth = min(p + 1, max(fan.faces_by_dim)) + 1
-    top = face_complex(f"tilde level {p + 1}", divisor.tilde, p + 1, depth)
-    bottom = face_complex(f"tilde level {p}", divisor.tilde, p, depth)
-    middle = face_complex(f"hat level {p + 1}", divisor.hat, p + 1, depth)
+    top = face_complex(f"tilde level {p + 1}", divisor.tilde, p + 1)
+    bottom = face_complex(f"tilde level {p}", divisor.tilde, p)
+    middle = face_complex(f"hat level {p + 1}", divisor.hat, p + 1)
 
-    include: list[np.ndarray] = []
-    project: list[np.ndarray] = []
-    for m in range(depth):
+    include, project = [], []
+    for m in range(len(top.terms)):
         inc: list[dict] = [{} for _ in range(middle.dims[m])]
-        prj: list[dict] = [{} for _ in range(bottom.dims[m])]
+        prj: list[dict] = [{} for _ in range(bottom.dim(m))]
         sign = 1 if m % 2 == 0 else -1
-        for f in fan.faces_by_dim.get(m, ()):
-            lf = divisor.lifted[f.ray_indices]
-            st = top.block(m, f.key)
-            sm = middle.block(m, f.key)
-            if st is not None and sm is not None and st.size and sm.size:
+        for f in fan.faces_by_dim[m]:  # each has a block of top and middle, not always of bottom
+            st, sm, sb = top.block(m, f.key), middle.block(m, f.key), bottom.block(m, f.key)
+            if st.size and sm.size:
                 exp = xl.expansion_matrix(st.basis, sm.basis)
-                xl._write_block(inc, sm.offset, st.offset, exp, lf.vertical_index)
-            sbm = bottom.block(m, f.key)
-            if sm is not None and sbm is not None and sm.size and sbm.size:
-                con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, sbm.basis)
-                xl._write_block(prj, sbm.offset, sm.offset, con, sign)
+                xl._write_block(inc, sm.offset, st.offset, exp, divisor.vertical_index(f.ray_indices))
+            if sb is not None and sm.size and sb.size:
+                con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, sb.basis)
+                xl._write_block(prj, sb.offset, sm.offset, con, sign)
         include.append(xl._dense(inc, top.dims[m]))
         project.append(xl._dense(prj, middle.dims[m]))
 
@@ -254,15 +236,16 @@ def _verify_ses(L: LiftedComplexes) -> None:
             raise InvariantViolation(f"projection o inclusion != 0 in degree {m}")
         if xl.matrix_rank(inc) != L.top.dims[m]:
             raise InvariantViolation(f"inclusion not injective in degree {m}")
-        if xl.matrix_rank(prj) != L.bottom.dims[m]:
+        if xl.matrix_rank(prj) != L.bottom.dim(m):
             raise InvariantViolation(f"projection not surjective in degree {m}")
-        if L.middle.dims[m] != L.top.dims[m] + L.bottom.dims[m]:
+        if L.middle.dims[m] != L.top.dims[m] + L.bottom.dim(m):
             raise InvariantViolation(f"term dims do not add up in degree {m}")
         if m + 1 < depth:
             lhs = xl.mat_mul(L.include[m + 1], L.top.diffs[m])
             rhs = xl.mat_mul(L.middle.diffs[m], inc)
             if not xl.mat_eq(lhs, rhs):
                 raise InvariantViolation(f"inclusion is not a chain map in degree {m}")
+        if m + 1 < len(L.bottom.terms):  # past the bottom's depth the projection is into 0
             lhs = xl.mat_mul(L.project[m + 1], L.middle.diffs[m])
             rhs = xl.mat_mul(L.bottom.diffs[m], prj)
             if not xl.mat_eq(lhs, rhs):
@@ -351,8 +334,7 @@ def lefschetz_equivalence_check(cone: Cone, p: int, l: int, rho=None) -> Equival
     if rho is None:
         rho = tuple(sum(r[i] for r in cone.rays) for i in range(cone.rank))
     fan, divisor = star_quotient(cone, rho)
-    cohs = cohomology(ishida_cone(cone, p + 1))
-    h = cohs[l] if l < len(cohs) else 0
+    h = ishida_cone(cone, p + 1).h(l)
     if p > d - 2:
         return EquivalenceReport(d, p, l, h, False, False, False)
     L = lifted_complex(fan, divisor, p)
@@ -417,9 +399,10 @@ def les_theorem(cone: Cone, rho) -> LesReport:
             continue
         L = lifted_complex(fan, divisor, l - 1)
         exact = _les_exact(L)  # first: its representatives give every rank
-        h_mid, h_top, h_bot = (cohomology(cx) for cx in (L.middle, L.top, L.bottom))
+        h_mid, h_top = cohomology(L.middle), cohomology(L.top)
         if h_mid != h_cone:
             raise InvariantViolation("middle complex does not compute the cone's cohomology")
+        h_bot = tuple(L.bottom.h(i) for i in range(len(h_top)))
         rows.append(LesRow(l, h_cone, h_mid, h_top, h_bot, exact))
     return LesReport(tuple(rows))
 

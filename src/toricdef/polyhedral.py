@@ -359,7 +359,8 @@ class FacePoset:
     face's span lattice in these coordinates; it is the kernel of its
     ``perps`` rows.  A cone's lattice (intrinsic), a fan (ambient), the faces
     below a face and a divisor's two lifts (one coordinate more) are posets,
-    and :func:`toricdef.ishida.face_complex` builds the complex of any one.
+    and :func:`toricdef.ishida.face_complex` builds the complexes of any
+    one, memoized here by level next to the covering pairs and pairings.
     """
 
     def __init__(self, width: int, faces, perps, rays):
@@ -373,10 +374,16 @@ class FacePoset:
         self.rays = rays
         self._pairings: dict[tuple, xl.Pairing] = {}
         self._covered: dict[frozenset[int], tuple[Face, ...]] = {}
+        self._complexes: dict = {}
+        self._padded_poset: FacePoset | None = None
 
     @property
     def all_faces(self) -> list[Face]:
         return [f for fs in self.faces_by_dim.values() for f in fs]
+
+    def depth(self, level: int) -> int:
+        """Degrees of the level-``level`` complex: ``min(level, top dimension) + 1``."""
+        return min(level + 1, len(self.faces_by_dim))
 
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(self.faces_by_dim.get(m, ())) for m in range(self.width + 1))
@@ -432,14 +439,16 @@ class FacePoset:
 
     def padded(self) -> "FacePoset":
         """This poset in one more coordinate, every row padded by a zero,
-        with this poset's covering pairs.  Padding changes no pairing and no
+        with this poset's covering pairs (memoized, so every divisor on a
+        fan shares its tilde complexes).  Padding changes no pairing and no
         coordinate in an echelon basis, so the covering pairings are this
         poset's, and are computed once for both."""
-        perps = {k: _padded(v) for k, v in self.perps.items()}
-        out = FacePoset(self.width + 1, self.by_key.values(), perps, _padded(self.rays))
-        out._covered = self._covered
-        out._pairings = self._pairings
-        return out
+        if self._padded_poset is None:
+            perps = {k: _padded(v) for k, v in self.perps.items()}
+            out = FacePoset(self.width + 1, self.by_key.values(), perps, _padded(self.rays))
+            out._covered, out._pairings = self._covered, self._pairings
+            self._padded_poset = out
+        return self._padded_poset
 
 
 class FaceLattice(FacePoset):

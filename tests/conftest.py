@@ -599,14 +599,8 @@ def lift_identities(fan, divisor):
     ]
     assert pairs
     for mu, tau in pairs:
-        lm = divisor.lifted[mu.ray_indices]
-        lt = divisor.lifted[tau.ray_indices]
         (lm_hat, lm_tilde), (lt_hat, lt_tilde) = lift_spans(divisor, mu), lift_spans(divisor, tau)
-        orient = [
-            lt.hat_rays[i]
-            for i, ridx in enumerate(sorted(tau.ray_indices))
-            if ridx not in mu.ray_indices
-        ]
+        orient = [divisor.hat.rays[i] for i in sorted(tau.ray_indices) if i not in mu.ray_indices]
         n_hat = normal_generator(lm_hat, lt_hat, orient)
         n_til = normal_generator(lm_tilde, lt_tilde, orient)
         # the embedded quotient-fan normal agrees with the epigraph normal
@@ -615,16 +609,15 @@ def lift_identities(fan, divisor):
             n_til, lm_tilde
         )
         # graph and epigraph normals agree after clearing the vertical indices
-        left = tuple(lm.vertical_index * x for x in n_hat)
-        right = tuple(lt.vertical_index * x for x in n_til)
+        left = tuple(divisor.vertical_index(mu.ray_indices) * x for x in n_hat)
+        right = tuple(divisor.vertical_index(tau.ray_indices) * x for x in n_til)
         assert reduce_mod_rows(left, lm_tilde) == reduce_mod_rows(
             right, lm_tilde
         )
     for face in faces:
-        lf = divisor.lifted[face.ray_indices]
         hat_span, tilde_span = lift_spans(divisor, face)
         n_vert = normal_generator(hat_span, tilde_span, [vertical])
-        scaled = tuple(lf.vertical_index * x for x in n_vert)
+        scaled = tuple(divisor.vertical_index(face.ray_indices) * x for x in n_vert)
         assert reduce_mod_rows(scaled, hat_span) == reduce_mod_rows(
             vertical, hat_span
         )

@@ -192,9 +192,9 @@ def test_structural_identities(
     for fan, divisor in fan_divisors:
         for p in range(fan.rank):
             L = lifted_complex(fan, divisor, p)
-            for inc, proj, t, b, m in zip(
-                L.include, L.project, L.top.dims, L.bottom.dims, L.middle.dims
-            ):
+            assert len(L.include) == len(L.project) == len(L.top.terms) == len(L.middle.terms)
+            for i, (inc, proj) in enumerate(zip(L.include, L.project)):
+                t, b, m = L.top.dims[i], L.bottom.dim(i), L.middle.dims[i]
                 assert m == t + b
                 assert matrix_rank(inc) == t
                 assert matrix_rank(proj) == b

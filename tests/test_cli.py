@@ -201,6 +201,34 @@ def test_lefschetz_needs_indices(tmp_path):
         run(["lefschetz", str(path)])
 
 
+@pytest.mark.parametrize("p, l", [(0, -3), (0, 7), (0, 2), (1, 3), (1, -1), (5, 0), (-1, 0)])
+def test_lefschetz_rejects_indices_outside_the_sequence(tmp_path, monkeypatch, p, l):
+    """``--p`` must be a level ``0..rank-1`` and ``--l`` a degree of the
+    sequence's top complex; both are checked before the divisor is."""
+    path = tmp_path / "p112.txt"
+    path.write_text(P112_DOC)
+    monkeypatch.setattr("toricdef.cli.support_data", lambda *a: pytest.fail("support_data ran"))
+    monkeypatch.setattr("sys.argv", ["toricdef", "lefschetz", str(path), "--p", str(p), "--l", str(l)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 3
+
+
+def test_lefschetz_accepts_every_degree_of_the_top_complex(tmp_path, capsys, p112_fan):
+    from toricdef import lifted_complex, support_data
+
+    path = tmp_path / "p112.txt"
+    path.write_text(P112_DOC)
+    D = support_data(p112_fan, (0, 0, 1))
+    for p in range(p112_fan.rank):
+        L = lifted_complex(p112_fan, D, p)
+        for l in range(len(L.top.terms)):
+            code, env = run_json(capsys, ["lefschetz", str(path), "--p", str(p), "--l", str(l)])
+            assert code == 0 and env["report"]["target_dim"] == L.top.h(l + 1)
+        with pytest.raises(ValidationError):
+            run(["lefschetz", str(path), "--p", str(p), "--l", str(len(L.top.terms))])
+
+
 def test_subdivide_command(tmp_path, capsys, cone_a_path):
     text = open(cone_a_path).read() + "\n"
     doc = parse_document(text)

@@ -43,7 +43,7 @@ def dump() -> str:
         for p in range(fan.rank):
             L = lifted_complex(fan, divisor, p)
             for which, cx in (("top", L.top), ("middle", L.middle), ("bottom", L.bottom)):
-                for i in range(len(cx.terms)):
+                for i in range(len(L.top.terms)):  # the bottom may be one degree shorter
                     lines.append(f"level {p} {which} H^{i} representatives")
                     lines += _matrix_lines(cx.representatives(i))
             for l in range(len(L.top.terms)):

@@ -13,6 +13,7 @@ from conftest import (
     B_RAYS,
     T13_RAYS,
     cyclic_cone,
+    make_p112,
     normal_of,
     pairing_of_normal,
     random_cone,
@@ -147,13 +148,15 @@ def test_demand_driven_defect_matches_full_scan():
 
 def test_defect_scan_builds_and_ranks_only_what_it_needs(monkeypatch):
     cone = cyclic_cone(range(-4, 5), 6)
-    built, diffs, ranked = [], {}, []
+    built, diffs, ranked, seen = [], {}, [], {}
     build, rank = ishida.ishida_cone, xl.matrix_rank
 
     def build_level(c, l):
-        built.append(l)
         cx = build(c, l)
-        diffs.update((id(m), m) for m in cx.diffs)
+        if id(cx) not in seen:  # a complex the memo hands out again is no new build
+            seen[id(cx)] = cx
+            built.append(l)
+            diffs.update((id(m), m) for m in cx.diffs)
         return cx
 
     def rank_diff(m):
@@ -186,8 +189,10 @@ def override_normals(mp, poset, change):
     mp.setattr(poset, "covering_pairing", pairing)
 
 
-def test_normal_shift_leaves_matrices_unchanged(cone_13, monkeypatch):
-    lat = face_lattice(cone_13)
+def test_normal_shift_leaves_matrices_unchanged(monkeypatch):
+    # two fresh cones: complexes are memoized on the face lattice
+    plain_cone, cone = cone_from_rays(T13_RAYS, 4), cone_from_rays(T13_RAYS, 4)
+    lat = face_lattice(cone)
     moved = []
 
     def shift(mu, tau, n):
@@ -197,10 +202,10 @@ def test_normal_shift_leaves_matrices_unchanged(cone_13, monkeypatch):
         moved.append(mu.key)
         return tuple(a + 2 * b for a, b in zip(n, rows[0]))
 
-    plain = ishida_cone(cone_13, 2)
-    pairings = {key: p.values for key, p in lat._pairings.items()}
+    plain = ishida_cone(plain_cone, 2)
+    pairings = {key: p.values for key, p in face_lattice(plain_cone)._pairings.items()}
     override_normals(monkeypatch, lat, shift)
-    shifted = ishida_cone(cone_13, 2)
+    shifted = ishida_cone(cone, 2)
     assert moved
     # the shifted normal gives the same pairing as the one read off a ray
     for tau in lat.all_faces:
@@ -212,7 +217,9 @@ def test_normal_shift_leaves_matrices_unchanged(cone_13, monkeypatch):
     assert mats_equal(plain.diffs, shifted.diffs)
 
 
-def test_fan_normal_shift_leaves_matrices_unchanged(p112_fan, monkeypatch):
+def test_fan_normal_shift_leaves_matrices_unchanged(monkeypatch):
+    # two fresh fans: complexes are memoized on the fan
+    plain_fan, fan = make_p112(), make_p112()
     moved = []
 
     def shift(mu, tau, n):
@@ -222,13 +229,13 @@ def test_fan_normal_shift_leaves_matrices_unchanged(p112_fan, monkeypatch):
         moved.append(mu.key)
         return tuple(a - 3 * b for a, b in zip(n, rows[0]))
 
-    plain = ishida_fan(p112_fan, 2)
-    pairings = {key: p.values for key, p in p112_fan._pairings.items()}
-    override_normals(monkeypatch, p112_fan, shift)
-    shifted = ishida_fan(p112_fan, 2)
+    plain = ishida_fan(plain_fan, 2)
+    pairings = {key: p.values for key, p in plain_fan._pairings.items()}
+    override_normals(monkeypatch, fan, shift)
+    shifted = ishida_fan(fan, 2)
     assert moved
     for (mu, tau), values in pairings.items():
-        assert p112_fan.covering_pairing(p112_fan.by_key[mu], p112_fan.by_key[tau]).values == values
+        assert fan.covering_pairing(fan.by_key[mu], fan.by_key[tau]).values == values
     assert mats_equal(plain.diffs, shifted.diffs)
 
 
@@ -255,9 +262,10 @@ def test_invalid_normals_are_rejected(monkeypatch):
 # assembly from covering pairs
 
 
-def test_cone_complex_has_one_block_per_covering_pair(cone_13, monkeypatch):
-    lat = face_lattice(cone_13)
-    d = cone_13.dim
+def test_cone_complex_has_one_block_per_covering_pair(monkeypatch):
+    cone = cone_from_rays(T13_RAYS, 4)  # fresh: complexes are memoized on the face lattice
+    lat = face_lattice(cone)
+    d = cone.dim
     contraction, calls = xl.contraction_matrix, []
 
     def counted(pairing, source, target):
@@ -267,7 +275,7 @@ def test_cone_complex_has_one_block_per_covering_pair(cone_13, monkeypatch):
     monkeypatch.setattr(xl, "contraction_matrix", counted)
     for l in range(d + 1):
         calls.clear()
-        cx = ishida_cone(cone_13, l)
+        cx = ishida_cone(cone, l)
         # sizes of the exterior powers of the annihilators, dimension d - m
         expected = {
             (mu.dim, mu.key, tau.key)
@@ -282,8 +290,14 @@ def test_cone_complex_has_one_block_per_covering_pair(cone_13, monkeypatch):
         assert all(s.size and t.size for s, t in calls)
 
 
-def test_dims_and_exterior_subsets_are_computed_once(cone_13, monkeypatch):
-    cx = ishida_cone(cone_13, 2)
+def test_complexes_are_memoized_by_poset_and_level(cone_13, p112_fan):
+    for l in range(cone_13.dim + 1):
+        assert ishida_cone(cone_13, l) is ishida_cone(cone_13, l)
+    assert ishida_fan(p112_fan, 1) is ishida_fan(p112_fan, 1) is not ishida_fan(p112_fan, 2)
+
+
+def test_dims_and_exterior_subsets_are_computed_once(monkeypatch):
+    cx = ishida_cone(cone_from_rays(T13_RAYS, 4), 2)  # fresh: complexes are memoized
     size, calls = ishida.Block.size, []
     monkeypatch.setattr(ishida.Block, "size", property(lambda b: calls.append(b) or size.fget(b)))
     first = cx.dims
@@ -294,7 +308,8 @@ def test_dims_and_exterior_subsets_are_computed_once(cone_13, monkeypatch):
     assert basis.subsets is basis.subsets and len(basis.subsets) == basis.size
 
 
-def test_cone_complex_proves_bases_independent_without_ranks(cone_13, p112_fan, monkeypatch):
+def test_cone_complex_proves_bases_independent_without_ranks(monkeypatch):
+    cone_13, p112_fan = cone_from_rays(T13_RAYS, 4), make_p112()  # fresh: complexes are memoized
     face_lattice(cone_13)
     rank, ranked = xl.matrix_rank, []
 

@@ -19,6 +19,7 @@ from conftest import (
     lattice_index,
     lift_identities,
     lift_spans,
+    make_p112,
     normal_generator,
     normal_of,
     pairing_of_normal,
@@ -133,9 +134,7 @@ def test_tilde_complexes_are_the_fan_complexes(source, cone_13):
         L = lifted_complex(fan, D, p)
         for tilde, level in ((L.top, p + 1), (L.bottom, p)):
             plain = ishida_fan(fan, level)
-            k = len(plain.terms)
-            # the bottom complex is padded with zero terms to the common depth
-            assert tilde.dims[:k] == plain.dims and not any(tilde.dims[k:])
+            assert tilde.dims == plain.dims
             for a, b in zip(tilde.diffs, plain.diffs):
                 assert np.array_equal(a, b)
 
@@ -173,11 +172,11 @@ def test_lift_pairings_are_the_pairings_of_the_normals():
     assert assert_pairings_match_normals(divisor.tilde) > 0
     vertical = (0,) * fan.rank + (1,)
     for f in fan.all_faces:
-        lf = divisor.lifted[f.ray_indices]
+        hat_perp = divisor.hat.perps[f.ray_indices]
         n = normal_generator(*lift_spans(divisor, f), [vertical])
         got = _vertical_pairing(divisor, f)
-        values = [sum(x * y for x, y in zip(n, a)) for a in lf.hat_perp]
-        assert got == xl.pairing(values, lf.hat_perp, divisor.tilde.perps[f.ray_indices])
+        values = [sum(x * y for x, y in zip(n, a)) for a in hat_perp]
+        assert got == xl.pairing(values, hat_perp, divisor.tilde.perps[f.ray_indices])
         assert gcd(*got.values) == 1 and _vertical_pairing(divisor, f) is got
 
 
@@ -185,14 +184,17 @@ def test_middle_dims_are_sums(p112_fan):
     D = support_data(p112_fan, (0, 0, 1))
     for p in range(2):
         L = lifted_complex(p112_fan, D, p)
-        for t, m, b in zip(L.top.dims, L.middle.dims, L.bottom.dims):
-            assert m == t + b
+        assert len(L.top.terms) == len(L.middle.terms) >= len(L.bottom.terms)
+        for m in range(len(L.middle.terms)):
+            assert L.middle.dims[m] == L.top.dims[m] + L.bottom.dim(m)
 
 
 def test_termwise_exactness(p112_fan):
     D = support_data(p112_fan, (0, 0, 1))
     L = lifted_complex(p112_fan, D, 1)
-    for inc, proj, t, b in zip(L.include, L.project, L.top.dims, L.bottom.dims):
+    assert len(L.include) == len(L.project) == len(L.top.terms)
+    for m, (inc, proj) in enumerate(zip(L.include, L.project)):
+        t, b = L.top.dims[m], L.bottom.dim(m)
         assert matrix_rank(inc) == t
         assert matrix_rank(proj) == b
         if t and b:
@@ -296,14 +298,17 @@ def test_les_defect_cone(cone_a):
     assert row.h_bottom == (0, 3, 2, 0)
 
 
-def test_each_differential_is_eliminated_at_most_once(cone_a, p112_fan, monkeypatch):
+def test_each_differential_is_eliminated_at_most_once(monkeypatch):
     """``les_theorem`` at the ray sum, and ``hodge_table`` with every
     ``connecting_map(p, p)``, take each complex differential through at most
     one elimination as a whole matrix.  The ``[image | kernel]``
     concatenations are new matrices and do not count, nor does the
-    ``pivot_columns`` call inside ``matrix_rank``."""
+    ``pivot_columns`` call inside ``matrix_rank``.  The cone and fan are
+    built here: complexes are memoized on them, and a session fixture's may
+    have been built and ranked by earlier tests."""
     from toricdef import ishida
 
+    cone_a, p112_fan = cone_from_rays(A_RAYS, 4), make_p112()
     assemble, diffs, eliminated, depth = ishida.assemble_complex, {}, [], [0]
 
     def recording(*args):
@@ -332,6 +337,40 @@ def test_each_differential_is_eliminated_at_most_once(cone_a, p112_fan, monkeypa
     assert hodge_table(p112_fan).table == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert [matrix_rank(connecting_map(p112_fan, D, p, p)) for p in range(2)] == [1, 1]
     assert eliminated and len(set(eliminated)) == len(eliminated)
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """The labels of the complexes assembled while the test runs."""
+    from toricdef import ishida
+
+    labels, assemble = [], ishida.assemble_complex
+    monkeypatch.setattr(ishida, "assemble_complex", lambda label, *a: labels.append(label) or assemble(label, *a))
+    return labels
+
+
+def test_les_theorem_assembles_each_complex_once(assembled):
+    """The cone's four levels, the fan's level 0, and the three lifted
+    sequences' hat levels 1..3 and tilde levels 0..3: consecutive sequences
+    share the tilde level that joins them."""
+    cone = cone_from_rays(A_RAYS, 4)
+    assert les_theorem(cone, interior_vector(cone)).all_exact
+    assert len(assembled) == 12 and len(set(assembled)) == 12
+    assert sorted(x for x in assembled if x.startswith("tilde")) == [f"tilde level {k}" for k in range(4)]
+
+
+def test_divisors_on_a_fan_share_its_tilde_complexes(assembled):
+    fan = make_p112()
+    D = support_data(fan, (1, 1, 1))
+    hodge_table(fan)
+    for E in (D, D.scaled(2)):
+        for p in range(fan.rank):
+            connecting_map(fan, E, p, p)
+        assert E.tilde is fan.padded()
+    assert sorted(x for x in assembled if x.startswith("tilde")) == [f"tilde level {k}" for k in range(3)]
+    assert sorted(x for x in assembled if x.startswith("hat")) == ["hat level 1"] * 2 + ["hat level 2"] * 2
+    for p in range(fan.rank - 1):
+        assert lifted_complex(fan, D, p).top is lifted_complex(fan, D.scaled(2), p + 1).bottom
 
 
 def test_les_cube(cube_cone):

@@ -575,9 +575,9 @@ def test_star_quotient_rows_are_the_kernels_of_the_hat_and_projected_rays():
             assert f.span_rows == smith_kernel_rows(f.perp_rows, n)
         for rho in rhos:
             fan, divisor = star_quotient(cone, rho)
-            for key, lf in divisor.lifted.items():
+            for key, hat_perp in divisor.hat.perps.items():
                 f = fan.by_key[key]
-                assert lf.hat_perp == tuple(xl.integer_kernel_rows(lf.hat_rays, n))
+                assert hat_perp == tuple(xl.integer_kernel_rows([divisor.hat.rays[i] for i in sorted(key)], n))
                 assert f.perp_rows == tuple(xl.integer_kernel_rows([fan.rays[i] for i in f.key], n - 1))
                 assert f.span_rows == smith_kernel_rows(f.perp_rows, n - 1)
 
@@ -617,12 +617,12 @@ def test_support_data_rows_match_saturations():
     for fan, divisor in _star_quotients() + [(stellar, support_data(stellar, values))]:
         n = fan.rank
         vertical = (0,) * n + (1,)
-        for key, lf in divisor.lifted.items():
-            hats = list(lf.hat_rays)
+        for key, hat_perp in divisor.hat.perps.items():
+            hats = [divisor.hat.rays[i] for i in sorted(key)]
             hat_span = _saturation(hats, n + 1) if hats else ()
             lift_hat, lift_tilde = lift_spans(divisor, fan.by_key[key])
             assert lift_hat == hat_span
-            assert lf.hat_perp == _kernel(hats, n + 1)
+            assert hat_perp == _kernel(hats, n + 1)
             assert lift_tilde == _saturation(list(hat_span) + [vertical], n + 1)
 
 
