@@ -26,11 +26,14 @@ from the parent's lower interval.  No Smith form is taken.
 
 Cone lattices, fans and divisor lifts are all one :class:`FacePoset`.
 :func:`fan_from_cones` validates a fan pair by pair, by a separating
-functional built from the facet normals and checked with integer dot products,
-or, where none of its candidates separates, by the certified exact LP of
-:func:`toricdef.exact_linalg.nonnegative_combination`; :func:`star_quotient`
-reads the quotient fan of an interior ray off the cone's faces, with no LP,
-and its rows off the cone's annihilators, with no integer kernel.
+functional checked with integer dot products: built from the two cones'
+facet normals at their common face, or, where none of those candidates
+separates, from the facet normals of the cone that the other rays span
+modulo that face (:func:`_pair_functional`, Gordan's alternative), whose
+normals of rank below its dimension prove the overlap.  No LP runs
+anywhere; :func:`star_quotient` reads the quotient fan of an interior ray
+off the cone's faces, and its rows off the cone's annihilators, with no
+integer kernel.
 """
 
 from __future__ import annotations
@@ -259,9 +262,7 @@ def _facets(ray_coords, d: int) -> dict[frozenset[int], tuple | None]:
         subset = frozenset(sub)
         if any(subset <= s for s in facets):
             continue
-        rows = [ray_coords[i] for i in sub]
-        # the kernel of the (d-1) x d matrix is spanned by its signed maximal minors
-        u = tuple((-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d))
+        u = _minor_normal([ray_coords[i] for i in sub], d)
         if not any(u):
             continue
         vals = [_dot(u, c) for c in ray_coords]
@@ -269,6 +270,12 @@ def _facets(ray_coords, d: int) -> dict[frozenset[int], tuple | None]:
             continue
         facets.setdefault(frozenset(i for i, v in enumerate(vals) if v == 0), u)
     return facets
+
+
+def _minor_normal(rows, d: int) -> tuple[int, ...]:
+    """The signed maximal minors of ``d - 1`` rows of length ``d``, which
+    span the kernel of the matrix when they are not all zero."""
+    return tuple((-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d))
 
 
 def _face_keys(facets, m: int) -> set[frozenset[int]]:
@@ -592,11 +599,10 @@ class Fan(FacePoset):
     the faces of all maximal cones as one poset in ambient coordinates.
 
     :func:`fan_from_cones` builds a fan from its maximal cones and verifies
-    exactly, via a strict separating functional, that any two of them meet
-    in a common face: a functional made from their facet normals and
-    checked by integer dot products where one of its three candidates
-    separates, else one certified LP; :func:`star_quotient` builds the
-    quotient fan of an interior ray from the cone's own faces, a fan by
+    exactly, via a strict separating functional checked by integer dot
+    products, that any two of them meet in a common face; the functional
+    is made from facet normals, with no LP.  :func:`star_quotient` builds
+    the quotient fan of an interior ray from the cone's own faces, a fan by
     construction.
     """
 
@@ -645,14 +651,14 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
     ``σ`` and negative on those of ``σ'`` (separation lemma, Cox–Little–
     Schenck, *Toric Varieties*, 1.2.13).  When both cones are
     full-dimensional, :func:`_separating_functional` tries three such ``u``
-    built from their facet normals through ``τ``, and
-    :func:`_check_separation` checks the one it returns with integer dot
-    products.  Otherwise, or when none of the three separates, the pair is
-    decided by the certified LP
-    :func:`~toricdef.exact_linalg.nonnegative_combination`, which is
-    infeasible iff such a ``u`` exists.  Either way each pair gets the
-    decision, and the first failing pair the message, that the LP alone
-    would give.
+    built from their facet normals through ``τ``, which are cheap and
+    settle most pairs.  Otherwise, or when none of the three separates,
+    :func:`_pair_functional` builds one from the facet normals of the cone
+    that the other rays span modulo ``τ``, or proves that none exists.
+    Either way :func:`_check_separation` checks ``u`` with integer dot
+    products, so every accepted pair has a certificate, and each pair gets
+    the decision, and the first failing pair the message, that an LP
+    deciding the pair would give.
     """
     rays = tuple(_ivec(r) for r in rays)
     if not rays:
@@ -701,22 +707,14 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
             raise ValidationError(f"cones {sa} and {sb}: one is a face of the other")
         out_a = [rays[i] for i in sa if i not in common]
         out_b = [rays[i] for i in sb if i not in common]
+        u = None
         if walls[ia] is not None and walls[ib] is not None:
             u = _separating_functional(_through(walls[ia], common), _through(walls[ib], common), out_a, out_b)
-            if u is not None:
-                _check_separation(u, [rays[i] for i in common], out_a, out_b)
-                continue
-        # the cones meet only in the common face iff some u is positive on the
-        # images of the other rays of one and negative on those of the other,
-        # modulo the face's span: iff no nonnegative combination of the
-        # columns (+-image, 1) is (0, ..., 0, 1)
-        perp = by_key[common].perp_rows
-        cols = [tuple(_dot(p, r) for p in perp) + (1,) for r in out_a]
-        cols += [tuple(-_dot(p, r) for p in perp) + (1,) for r in out_b]
-        if xl.nonnegative_combination(cols, (0,) * len(perp) + (1,)) is not None:
-            raise ValidationError(
-                f"cones {sa} and {sb} overlap beyond their common face"
-            )
+        if u is None:
+            u = _pair_functional(by_key[common].perp_rows, out_a, out_b)
+            if u is None:
+                raise ValidationError(f"cones {sa} and {sb} overlap beyond their common face")
+        _check_separation(u, [rays[i] for i in common], out_a, out_b)
 
     return Fan(rank, rays, maximal, list(by_key.values()))
 
@@ -749,6 +747,59 @@ def _separating_functional(u_a, u_b, out_a, out_b) -> tuple[int, ...] | None:
         if all(_dot(u, r) > 0 for r in out_a) and all(_dot(u, r) < 0 for r in out_b):
             return u
     return None
+
+
+def _pair_functional(perp, out_a, out_b) -> tuple[int, ...] | None:
+    """A functional that vanishes on a common face ``τ`` with annihilator
+    rows ``perp``, is positive on the rays ``out_a`` of one cone and
+    negative on the rays ``out_b`` of the other, or None if there is none,
+    that is if the cones overlap beyond ``τ``.  Integers only.
+
+    * A separating ``u`` vanishes on ``τ``, so it is ``w . perp`` for a
+      rational ``w``, and ``u . r = w . g(r)`` for the image ``g(r) = (p . r
+      for p in perp)`` of ``r`` modulo the span of ``τ``.  So ``u`` exists
+      iff some ``w`` is positive on the images ``g(r)``, ``r`` in ``out_a``,
+      and ``-g(r)``, ``r`` in ``out_b``.  No image is zero: a ray of a cone
+      outside its face ``τ`` lies off a supporting hyperplane of ``τ``, which
+      contains the span of ``τ``.
+    * By Gordan's alternative (Ziegler, *Lectures on Polytopes*, 1.4), a
+      functional positive on finitely many nonzero vectors exists iff no
+      nontrivial nonnegative combination of them vanishes, that is iff the
+      cone they span is strongly convex.
+    * Projecting onto the pivot columns of the images' Hermite basis maps
+      their span isomorphically onto ``Q^d`` (the echelon basis restricted
+      to its pivot columns is triangular with nonzero diagonal), so the
+      projected cone is full-dimensional, strongly convex iff the cone of
+      the images is, and a functional ``w'`` on ``Q^d`` is ``w`` with
+      entries ``w'`` at the pivots and 0 elsewhere.
+    * :func:`_facets` finds the projected cone's facets, and it is strongly
+      convex iff their normals have rank ``d`` (the proof is in
+      :func:`cone_from_rays`).  ``d`` independent images span a simplicial
+      cone, strongly convex, whose facet normals are the signed minors of
+      each ``d - 1`` of them, with no search.
+      Signed to be nonnegative on the images, the normals of a strongly
+      convex cone sum to a functional positive on each image: one it
+      vanished on would lie on every facet, whose hyperplanes meet in 0
+      since their normals have rank ``d``.
+
+    The caller checks the result with :func:`_check_separation`.
+    """
+    images = [tuple(_dot(p, r) for p in perp) for r in out_a]
+    images += [tuple(-_dot(p, r) for p in perp) for r in out_b]
+    pivots = [xl._pivot(h) for h in xl.hermite_rows(images, len(perp))]
+    d = len(pivots)
+    coords = [tuple(g[j] for j in pivots) for g in images]
+    if len(coords) == d:
+        normals = [_minor_normal(coords[:i] + coords[i + 1:], d) for i in range(d)]
+    else:
+        normals = list(_facets(coords, d).values())
+        if len(xl.hermite_rows(normals, d)) < d:
+            return None
+    w = [0] * d
+    for u in normals:
+        sign = 1 if max(_dot(u, c) for c in coords) > 0 else -1
+        w = [x + sign * y for x, y in zip(w, u)]
+    return tuple(sum(x * perp[j][k] for x, j in zip(w, pivots)) for k in range(len(perp[0])))
 
 
 def _check_separation(u, on_common, out_a, out_b) -> None:

@@ -3,11 +3,14 @@ and independent oracles used across the test suite."""
 
 import math
 import random
+from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
 
-from toricdef import cone_from_rays, fan_from_cones, pyramid
+from toricdef import InvariantViolation, cone_from_rays, fan_from_cones, pyramid
+from toricdef.exact_linalg import _scaled_to_int
 
 # ---------------------------------------------------------------------------
 # frozen ray lists
@@ -236,6 +239,114 @@ def relabelled(rays, maximal, seed):
 # oracles
 
 
+# the certified phase-I simplex, the LP of the oracles below
+def nonnegative_combination(columns, target) -> list[Fraction] | None:
+    """Solve ``sum_j lam_j columns[j] = target`` with ``lam >= 0`` exactly.
+
+    Returns one feasible coefficient vector, or None when there is none.
+    Intended for the small systems that cone geometry produces (dozens of
+    columns, single-digit rows).  :func:`_phase_one` answers with a
+    certificate either way, and the answer is returned only once it is
+    checked, whatever the interpreter's optimisation level: ``lam >= 0``
+    with ``sum_j lam_j columns[j] = target`` exactly, or an integer Farkas
+    vector ``y`` with ``y . columns[j] >= 0`` for every ``j`` and ``y .
+    target < 0``, which rules every solution out (Farkas' lemma: a
+    solution would give ``0 <= sum_j lam_j y . columns[j] = y . target <
+    0``).  A failed check raises INVARIANT_VIOLATION.
+    """
+    cols = [list(map(Fraction, c)) for c in columns]
+    b = [Fraction(x) for x in target]
+    if any(len(c) != len(b) for c in cols):
+        raise ValueError("column length mismatch")
+    lam, y = _phase_one(cols, b)
+    if lam is not None:
+        if (
+            len(lam) != len(cols)
+            or any(x < 0 for x in lam)
+            or [sum(x * c[i] for x, c in zip(lam, cols)) for i in range(len(b))] != b
+        ):
+            raise InvariantViolation("simplex: the coefficients are not a nonnegative solution")
+        return lam
+    if len(y) != len(b) or any(sum(map(mul, y, c)) < 0 for c in cols) or sum(map(mul, y, b)) >= 0:
+        raise InvariantViolation("simplex: the Farkas vector does not rule a solution out")
+    return None
+
+
+def _phase_one(cols: list[list[Fraction]], target: list[Fraction]) -> tuple:
+    """Phase-I simplex with Bland's rule over Fractions for ``A lam = b``,
+    ``lam >= 0``, with an artificial variable per row: ``(lam, None)`` for a
+    feasible system, ``(None, y)`` with an integer Farkas vector ``y``
+    otherwise.
+
+    Rows with a negative right-hand side are negated first (signs ``s_i``).
+    The objective row holds the reduced costs ``c - pi^T [A' | I]`` of the
+    current basis, ``c`` being 0 on ``lam`` and 1 on the artificials, so its
+    artificial entries are ``1 - pi_i``.  At an optimum of positive value
+    every reduced cost is ``>= 0`` and ``pi^T b' > 0``; so ``y_i = s_i (z_i -
+    1)``, ``z_i`` the objective entry of artificial ``i``, has ``y^T A >=
+    0`` and ``y^T b < 0``, and is scaled to integers."""
+    m = len(target)
+    k = len(cols)
+    b = list(target)
+    tab = [[cols[j][i] for j in range(k)] for i in range(m)]
+    signs = [1] * m
+    for i in range(m):
+        if b[i] < 0:
+            tab[i] = [-x for x in tab[i]]
+            b[i] = -b[i]
+            signs[i] = -1
+    # append artificial identity
+    for i in range(m):
+        tab[i] += [Fraction(1) if i == j else Fraction(0) for j in range(m)]
+    basis = [k + i for i in range(m)]
+    # phase-I objective row: minimize sum of artificials
+    z = [Fraction(0)] * (k + m)
+    zrhs = Fraction(0)
+    for i in range(m):
+        z = [a - c for a, c in zip(z, tab[i])]
+        zrhs -= b[i]
+    for j in range(k, k + m):
+        z[j] += 1
+
+    while True:
+        enter = next((j for j in range(k + m) if z[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = b[i] / tab[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            # unbounded phase-I cannot happen (objective bounded below by 0)
+            raise InvariantViolation("phase-I simplex unbounded")
+        _, row = best
+        piv = tab[row][enter]
+        tab[row] = [x / piv for x in tab[row]]
+        b[row] /= piv
+        for i in range(m):
+            if i != row and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+                b[i] -= f * b[row]
+        if z[enter] != 0:
+            f = z[enter]
+            z = [x - f * y for x, y in zip(z, tab[row])]
+            zrhs -= f * b[row]
+        basis[row] = enter
+
+    if zrhs != 0:
+        y, _ = _scaled_to_int([[s * (z[k + i] - 1) for i, s in enumerate(signs)]])
+        return None, y[0]
+    # a zero optimum leaves every artificial at zero
+    lam = [Fraction(0)] * k
+    for i, var in enumerate(basis):
+        if var < k:
+            lam[var] = b[i]
+    return lam, None
+
+
 def lp_cone_from_rays(vectors, rank):
     """The cone over integer generators as :func:`~toricdef.cone_from_rays`
     built it before it read everything off the facets: strong convexity and
@@ -259,7 +370,7 @@ def lp_cone_from_rays(vectors, rank):
             prim.append(p)
     # strong convexity: no nontrivial nonnegative combination vanishes
     cols = [p + (1,) for p in prim]
-    if xl.nonnegative_combination(cols, (0,) * rank + (1,)) is not None:
+    if nonnegative_combination(cols, (0,) * rank + (1,)) is not None:
         raise NotStronglyConvex("generators positively span a line")
     # drop generators lying in the hull of the others, until stable
     changed = True
@@ -267,7 +378,7 @@ def lp_cone_from_rays(vectors, rank):
         changed = False
         for j, p in enumerate(prim):
             others = [q for i, q in enumerate(prim) if i != j]
-            if others and xl.nonnegative_combination(others, p) is not None:
+            if others and nonnegative_combination(others, p) is not None:
                 prim.pop(j)
                 changed = True
                 break
@@ -325,14 +436,14 @@ def oracle_faces(rays, rank, labels=None):
 
 def lp_pair_overlaps(perp, out_a, out_b) -> bool:
     """Do two cones meeting in a common face with annihilator rows ``perp``
-    overlap beyond it?  The pair LP of :func:`~toricdef.fan_from_cones`:
-    iff some nonnegative combination of the columns ``(+-image, 1)`` of the
-    other rays of the two cones is ``(0, ..., 0, 1)``."""
-    from toricdef import exact_linalg as xl
-
+    overlap beyond it?  The pair LP that :func:`~toricdef.fan_from_cones`
+    ran before it decided pairs by facet normals: iff some nonnegative
+    combination of the columns ``(+-image, 1)`` of the other rays of the
+    two cones is ``(0, ..., 0, 1)``, the images being taken modulo the
+    face's span."""
     cols = [tuple(sum(a * b for a, b in zip(p, r)) for p in perp) + (1,) for r in out_a]
     cols += [tuple(-sum(a * b for a, b in zip(p, r)) for p in perp) + (1,) for r in out_b]
-    return xl.nonnegative_combination(cols, (0,) * len(perp) + (1,)) is not None
+    return nonnegative_combination(cols, (0,) * len(perp) + (1,)) is not None
 
 
 def lp_fan_faces(rays, maximal_sets, rank):

@@ -25,6 +25,7 @@ from conftest import (
     cyclic_cone,
     interior_vector,
     lattice_index,
+    nonnegative_combination,
     normal_generator,
     reduce_mod_rows,
     seed77_cones,
@@ -502,11 +503,12 @@ def test_unit_columns_are_pinned():
 
 
 def test_nonnegative_combination():
+    """The LP oracle of the tests, which the library no longer has."""
     cols = [(1, 0), (0, 1)]
-    sol = xl.nonnegative_combination(cols, (2, 3))
+    sol = nonnegative_combination(cols, (2, 3))
     assert sol is not None and sol == [Fraction(2), Fraction(3)]
-    assert xl.nonnegative_combination(cols, (-1, 0)) is None
-    mix = xl.nonnegative_combination([(1, 1), (1, -1)], (2, 0))
+    assert nonnegative_combination(cols, (-1, 0)) is None
+    mix = nonnegative_combination([(1, 1), (1, -1)], (2, 0))
     assert mix == [Fraction(1), Fraction(1)]
 
 
@@ -958,11 +960,11 @@ try:
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
 xl.integer_kernel_rows = kernel
-# through the CLI on a fan: a simplex answering with a wrong coefficient
-# vector, then with a wrong Farkas vector (the pair of the 1-dimensional
-# cone takes the LP), and a pair certificate turned around
+# through the CLI on a fan: a pair functional from facet normals turned
+# around (the pair of the 1-dimensional cone takes that path), one that is
+# nonzero on the common face (the pair of a 2-dimensional cone sharing a
+# ray with a 3-dimensional one), and a wall certificate turned around
 import io
-from fractions import Fraction
 from toricdef import cli, polyhedral
 
 def fan_command(doc):
@@ -973,11 +975,13 @@ def fan_command(doc):
         print(exc.ident, exc.exit_code)
 
 with_ray = "rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  2\\n"
-phase_one = xl._phase_one
-for wrong in (lambda cols, b: ([Fraction(1)] * len(cols), None), lambda cols, b: (None, [0] * len(b))):
-    xl._phase_one = wrong
-    fan_command(with_ray)
-xl._phase_one = phase_one
+with_plane = "rank: 3\\nrays:\\n  1 0 0\\n  0 1 0\\n  0 0 1\\n  0 -1 -1\\ncones:\\n  0 1 2\\n  0 3\\n"
+pair_functional = polyhedral._pair_functional
+polyhedral._pair_functional = lambda *a: tuple(-x for x in pair_functional(*a))
+fan_command(with_ray)
+polyhedral._pair_functional = lambda *a: tuple(x + (i == 0) for i, x in enumerate(pair_functional(*a)))
+fan_command(with_plane)
+polyhedral._pair_functional = pair_functional
 separating = polyhedral._separating_functional
 polyhedral._separating_functional = lambda *a: tuple(-x for x in separating(*a))
 fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  1 2\\n  2 0\\n")

@@ -22,6 +22,7 @@ from conftest import (
     lp_fan_faces,
     lp_pair_overlaps,
     make_p112,
+    nonnegative_combination,
     normal_generator,
     oracle_faces,
     random_apex,
@@ -57,7 +58,6 @@ from toricdef import (
     star_quotient,
 )
 from toricdef import exact_linalg as xl
-from toricdef.exact_linalg import nonnegative_combination
 from toricdef.cli import InputDocument, serialize_document
 from toricdef.cli import run as cli_run
 from toricdef.lefschetz import support_data
@@ -542,10 +542,12 @@ def test_star_quotient_equals_the_validated_fan():
 
 
 def test_star_quotient_runs_no_lp(monkeypatch):
+    import conftest
+
     cones = [cone_from_rays(A_RAYS, 4), cyclic_cone(range(-4, 5), 5)]
     calls = []
-    lp = xl.nonnegative_combination
-    monkeypatch.setattr(xl, "nonnegative_combination", lambda *a: calls.append("lp") or lp(*a))
+    lp = conftest.nonnegative_combination
+    monkeypatch.setattr(conftest, "nonnegative_combination", lambda *a: calls.append("lp") or lp(*a))
     for name in ("cone_from_rays", "fan_from_cones"):
         monkeypatch.setattr(polyhedral, name, lambda *a, name=name, **k: calls.append(name))
     for cone in cones:
@@ -833,20 +835,82 @@ def test_pair_certificates_are_what_the_lp_says():
     assert settled == [(457, 595)] * 4 + [(66, 66), (62, 66), (78, 78), (274, 351)]
 
 
+def _random_cone_pairs(rng, count):
+    """``count`` seeded fans of two cones of rank 2 to 5, for the pair
+    decision: a random cone, possibly lower-dimensional and not simplicial,
+    and one spanned by the rays of one of its proper faces and random
+    vectors, so that the shared rays are often, not always, a face of both."""
+    out = []
+    while len(out) < count:
+        rank = rng.randrange(2, 6)
+
+        def vectors(k):
+            return [tuple(rng.randrange(-2, 3) for _ in range(rank)) for _ in range(k)]
+
+        try:
+            a = cone_from_rays(vectors(rng.randrange(1, rank + 3)), rank)
+            tau = rng.choice(face_lattice(a).all_faces[:-1])
+            b = cone_from_rays([a.rays[i] for i in sorted(tau.ray_indices)] + vectors(rng.randrange(1, rank + 1)), rank)
+        except ToricError:
+            continue
+        rays = list(a.rays) + [r for r in b.rays if r not in a.rays]
+        out.append((rays, [tuple(range(len(a.rays))), tuple(rays.index(r) for r in b.rays)], rank, (a, b)))
+    return out
+
+
+def test_pair_functional_matches_the_lp_on_random_cone_pairs(monkeypatch):
+    """Facet normals of the pair cone decide what the pair LP decides, with
+    the same error and message, on seeded pairs of cones that reach every
+    branch of :func:`~toricdef.polyhedral._pair_functional`."""
+    seen = dict.fromkeys(("projection", "simplicial", "facets", "line", "overlap", "origin"), 0)
+    pair_functional = polyhedral._pair_functional
+
+    def recorded(perp, out_a, out_b):
+        u = pair_functional(perp, out_a, out_b)
+        images = [tuple(polyhedral._dot(p, r) for p in perp) for r in out_a]
+        images += [tuple(-polyhedral._dot(p, r) for p in perp) for r in out_b]
+        d = len(xl.hermite_rows(images, len(perp)))
+        seen["projection"] += d < len(perp)
+        seen["simplicial"] += len(images) == d
+        seen["facets"] += len(images) > d and u is not None
+        seen["line"] += any(tuple(-x for x in g) in images for g in images)
+        seen["overlap"] += u is None
+        seen["origin"] += len(perp) == len(perp[0])
+        return u
+
+    monkeypatch.setattr(polyhedral, "_pair_functional", recorded)
+    kinds = ("overlap beyond their common face", "but not a face", "one is a face of the other")
+    outcomes = set()
+    shapes = set()
+    for rays, maximal, rank, cones in _random_cone_pairs(random.Random("pairs"), 300):
+        got = _fan_outcome(rays, maximal, rank)
+        assert got == _outcome(lambda: lp_fan_faces(rays, maximal, rank)), (rays, maximal)
+        outcomes.add("ok" if got[0] == "ok" else next(k for k in kinds if k in got[1]))
+        # (lower-dimensional, not simplicial)
+        shapes.update((c.dim < rank, len(c.rays) > c.dim) for c in cones)
+    assert all(seen.values()), seen
+    assert outcomes == {"ok", *kinds}
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 # ---------------------------------------------------------------------------
 # work counts: LPs and facet searches
 
 
 @pytest.fixture
 def lp_calls(monkeypatch):
+    """The sizes of the LPs that the oracle simplex of the tests solves; the
+    library has no simplex of its own."""
+    import conftest
+
     calls = []
-    lp = xl.nonnegative_combination
+    lp = conftest.nonnegative_combination
 
     def counted(columns, target):
         calls.append(len(columns))
         return lp(columns, target)
 
-    monkeypatch.setattr(xl, "nonnegative_combination", counted)
+    monkeypatch.setattr(conftest, "nonnegative_combination", counted)
     return calls
 
 
@@ -870,11 +934,30 @@ def test_cones_and_the_cli_run_no_lp(lp_calls, tmp_path, capsys):
     assert lp_calls == []
 
 
-def test_stellar_fan_takes_an_lp_only_where_no_certificate_separates(lp_calls):
+def test_every_stellar_fan_pair_gets_a_certificate(monkeypatch):
+    """The wall candidates settle most pairs of the stellar fan and the
+    facet normals of the pair cone the rest; every pair's functional is
+    checked, and the library has no simplex left."""
+    assert not hasattr(xl, "nonnegative_combination") and not hasattr(xl, "_phase_one")
+    calls = {"walls": 0, "pair": 0, "checked": 0}
+
+    def counted(name, f, settles=lambda u: True):
+        def wrapped(*args):
+            u = f(*args)
+            calls[name] += settles(u)
+            return u
+
+        return wrapped
+
+    monkeypatch.setattr(
+        polyhedral, "_separating_functional", counted("walls", polyhedral._separating_functional, lambda u: u is not None)
+    )
+    monkeypatch.setattr(polyhedral, "_pair_functional", counted("pair", polyhedral._pair_functional))
+    monkeypatch.setattr(polyhedral, "_check_separation", counted("checked", polyhedral._check_separation))
     rays, maximal = stellar_fan_data(random.Random("stellar"), 4, 10)
     fan_from_cones(rays, maximal, 4)
-    # one LP per pair that none of the three candidates separates
-    assert len(lp_calls) == 138 < len(maximal) * (len(maximal) - 1) // 2 == 595
+    assert len(maximal) * (len(maximal) - 1) // 2 == 595
+    assert calls == {"walls": 457, "pair": 138, "checked": 595}
 
 
 def test_facets_are_found_once(monkeypatch):
