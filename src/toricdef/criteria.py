@@ -171,7 +171,7 @@ def simplicial_star_criterion(cone: Cone) -> CriterionVerdict:
         if not all(len(f.ray_indices) == 3 for f in containing):
             continue
         others = [cone.rays[j] for j in range(nrays) if j != i]
-        if xl.matrix_rank(xl.integer_matrix(others, 4)) == 4:
+        if xl.matrix_rank(xl.Matrix.from_dense(others, 4)) == 4:
             return CriterionVerdict("simplicial_star", FORCES_LCDEF_1, (i, tuple(cone.rays[i])))
     return CriterionVerdict("simplicial_star", INCONCLUSIVE, ())
 
@@ -252,7 +252,7 @@ class ShellingFiltration:
         """The differential must not map a kept block into a dropped block."""
         full = self.full
         for i, s, t in full.pairs:
-            if keep(s) and not keep(t) and not xl.is_zero_matrix(full.block_matrix(i, s, t)):
+            if keep(s) and not keep(t) and any(full.block_matrix(i, s, t).rows):
                 raise InvariantViolation("filtration stage is not a subcomplex")
 
     @property

@@ -1,39 +1,36 @@
 """Exact linear algebra over Q and over integer lattices.
 
-Matrices at the public boundary are numpy arrays with ``dtype=object``
-whose entries are Python ints or ``fractions.Fraction``.  The kernel behind
-it runs on plain ``int`` lists: Hermite forms, integer kernels by one
-unimodular row elimination, the unimodular completion of a primitive
-column by the Euclidean algorithm, coordinates by back-substitution in
-echelon bases, Bareiss determinants, and one fraction-free elimination
-(:func:`_eliminate`) behind :func:`rank_and_kernel`, :func:`solve_matrix`,
-:func:`matrix_rank` and :func:`pivot_columns`.  A rational matrix enters
-it with each row scaled by its common denominator, which changes neither
-the row space nor the pivots, and an entry is divided by its pivot only
-when a reduced form, kernel or solution is written out.
+A matrix is a :class:`Matrix`: one ``{column: entry}`` dict of nonzeros
+per row, whose entries are Python ints or ``fractions.Fraction``, and the
+number of columns.  The differentials of face complexes are a few percent
+nonzero, so the whole package, from the contraction blocks to the
+connecting maps, keeps its matrices in that form: :func:`_write_block`
+puts a block into such rows, for the differentials and the chain maps
+alike, and :func:`_sparse_product` is the one matrix product, the
+``d^2 = 0`` check of :func:`toricdef.ishida.assemble_complex` among its
+uses.  The lattice kernel runs on plain ``int`` lists: Hermite forms,
+integer kernels by one unimodular row elimination, the unimodular
+completion of a primitive column by the Euclidean algorithm, coordinates
+by back-substitution in echelon bases, and Bareiss determinants.  One
+fraction-free elimination (:func:`_eliminate`) is behind
+:func:`rank_and_kernel`, :func:`solve_matrix`, :func:`matrix_rank` and
+:func:`pivot_columns`.  A rational matrix enters it with each row scaled
+by its common denominator, which changes neither the row space nor the
+pivots, and an entry is divided by its pivot only when a reduced form,
+kernel or solution is written out.
 Contraction and expansion blocks are compound minors, each order built from
 the one below by Laplace expansion (:func:`_compound_minors`).  A
 contraction is given by a :class:`Pairing`: the pairings of the contracting
 vector with the source rows, which are all of the vector that the block
 sees, and the coordinates that every exterior degree shares.
-
-The elimination and the matrix product run on sparse rows, one
-``{column: entry}`` dict of nonzeros per row: the differentials of face
-complexes are a few percent nonzero.  :func:`_sparse_rows` and
-:func:`_dense` convert at the numpy boundary, the latter in one flat
-assignment; :func:`_write_block` puts a block into such rows, for the
-differentials and the chain maps alike; :func:`_sparse_product` is both
-:func:`mat_mul` and the ``d^2 = 0`` check of
-:func:`toricdef.ishida.assemble_complex`.
-``Fraction`` remains at that boundary and wherever a caller passes
-rational vectors.  Nothing here ever touches floating point;
+``Fraction`` remains wherever an entry is not integral and wherever a
+caller passes rational vectors.  Nothing here ever touches floating point;
 determinism and exactness are the whole point.
 
 Conventions
 -----------
 * A "rational matrix" has int/Fraction entries, a "integer matrix" has int
-  entries only.  Vectors are plain tuples of ints/Fractions unless a shape
-  is needed.
+  entries only.  Vectors are plain tuples of ints/Fractions.
 * Lattice bases are stored as *rows*.  ``hermite_rows`` fixes a canonical
   basis (row Hermite normal form, positive pivots, entries above a pivot
   reduced into ``[0, pivot)``), so two computations of the same lattice
@@ -48,57 +45,45 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import InvariantViolation, NotContained, ZeroVector
 
 
 # ---------------------------------------------------------------------------
-# construction helpers
+# matrices
 
 
-def object_matrix(rows, width: int | None = None) -> np.ndarray:
-    """Build a 2-d object array from an iterable of rows.
+@dataclass(frozen=True)
+class Matrix:
+    """An exact matrix: ``rows`` holds one ``{column: entry}`` dict of the
+    nonzero entries of each row, ``ncols`` the number of columns, which a
+    matrix with no rows keeps.  Two matrices are equal when their shapes
+    and entries are.  Nothing in the package changes a matrix's rows after
+    it is made."""
 
-    ``width`` is required when ``rows`` is empty, so that even degenerate
-    matrices carry their true shape.
-    """
-    data = [list(r) for r in rows]
-    if width is None:
-        if not data:
-            raise ValueError("width is required for a matrix with no rows")
-        width = len(data[0])
-    out = np.empty((len(data), width), dtype=object)
-    for i, row in enumerate(data):
-        if len(row) != width:
+    rows: tuple[dict, ...]
+    ncols: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+
+    @classmethod
+    def from_dense(cls, rows, ncols: int) -> Matrix:
+        """The matrix with the given rows of ``ncols`` entries each."""
+        rows = [list(r) for r in rows]
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
+        return cls([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.ncols
 
-def rational_matrix(rows, width: int | None = None) -> np.ndarray:
-    return object_matrix(([_norm_scalar(Fraction(x)) for x in r] for r in rows), width)
-
-
-def integer_matrix(rows, width: int | None = None) -> np.ndarray:
-    return object_matrix(([_as_int(x) for x in r] for r in rows), width)
-
-
-def zeros_matrix(nrows: int, ncols: int) -> np.ndarray:
-    out = np.empty((nrows, ncols), dtype=object)
-    out[...] = 0
-    return out
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    out = zeros_matrix(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    def tolist(self) -> list[list]:
+        """The rows as lists of all their entries, zeros included."""
+        return [[row.get(j, 0) for j in range(self.ncols)] for row in self.rows]
 
 
 def _norm_scalar(x):
@@ -109,69 +94,40 @@ def _norm_scalar(x):
 
 
 def _as_int(x) -> int:
-    if isinstance(x, (int, np.integer)):
-        return int(x)
+    """An integral entry as an int: an integral Fraction, or anything with
+    ``__index__``."""
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
-    raise ValueError(f"not an integer entry: {x!r}")
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"not an integer entry: {x!r}") from None
 
 
-def _sparse_rows(m: np.ndarray) -> list[dict]:
-    """The rows of a matrix as ``{column: entry}`` dicts of its nonzeros."""
-    return [{j: x for j, x in enumerate(row) if x} for row in m.tolist()]
-
-
-def _dense(rows, ncols: int) -> np.ndarray:
-    """The object matrix with the given ``{column: entry}`` rows, written in
-    one flat assignment."""
-    out = zeros_matrix(len(rows), ncols)
-    idx = [r * ncols + c for r, row in enumerate(rows) for c in row]
-    if idx:
-        vals = np.empty(len(idx), dtype=object)
-        vals[:] = [x for row in rows for x in row.values()]
-        out.reshape(-1)[idx] = vals
-    return out
-
-
-def _write_block(rows: list[dict], r0: int, c0: int, m: np.ndarray, scale=1) -> None:
+def _write_block(rows: list[dict], r0: int, c0: int, m: Matrix, scale=1) -> None:
     """Write the nonzeros of ``scale * m``, which must be integers, into the
     ``{column: entry}`` rows with its top left corner at ``(r0, c0)``."""
-    for r, row in enumerate(m.tolist(), start=r0):
+    for r, row in enumerate(m.rows, start=r0):
         out = rows[r]
-        for c, v in enumerate(row, start=c0):
-            if v:
-                v *= scale
-                out[c] = v if type(v) is int else _as_int(v)
+        for c, v in row.items():
+            v *= scale
+            out[c0 + c] = v if type(v) is int else _as_int(v)
 
 
-def _sparse_product(a: list[dict], b: list[dict]) -> list[dict]:
-    """Row-sparse product of ``{column: entry}`` rows; row ``k`` of ``b`` is
-    scaled by the entry in column ``k`` of each row of ``a``.  Entries that
-    cancel are dropped."""
+def _sparse_product(a: Matrix, b: Matrix) -> Matrix:
+    """The product ``a b``: row ``k`` of ``b`` is scaled by the entry in
+    column ``k`` of each row of ``a``.  Entries that cancel are dropped."""
+    if a.ncols != len(b.rows):
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    brows = b.rows
     out = []
-    for arow in a:
+    for arow in a.rows:
         acc: dict = {}
         for k, x in arow.items():
-            for j, y in b[k].items():
+            for j, y in brows[k].items():
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: z for j, z in acc.items() if z})
-    return out
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product by :func:`_sparse_product`; object dtype in and out,
-    also for empty factors."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    return _dense(_sparse_product(_sparse_rows(a), _sparse_rows(b)), b.shape[1])
-
-
-def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.ravel().tolist() == b.ravel().tolist()
-
-
-def is_zero_matrix(a: np.ndarray) -> bool:
-    return not any(a.ravel().tolist())
+    return Matrix(out, b.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -266,40 +222,40 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, jordan: bool) -> tuple[li
     return pivots, prows + rest
 
 
-def pivot_columns(m: np.ndarray) -> list[int]:
+def pivot_columns(m: Matrix) -> list[int]:
     """Pivot columns of ``m`` over Q: each column that is independent of
     the columns before it."""
-    return _eliminate(_int_rows(_sparse_rows(m)), m.shape[1], False)[0]
+    return _eliminate(_int_rows(m.rows), m.ncols, False)[0]
 
 
-def rank_and_kernel(m: np.ndarray) -> tuple[int, np.ndarray]:
+def rank_and_kernel(m: Matrix) -> tuple[int, Matrix]:
     """Rank and a basis (as columns) of the right kernel, over Q.
 
     The kernel basis is the standard one read off the reduced echelon form:
     one column per free variable, with substituted pivot entries.  This makes
     the output canonical for a given input matrix.
     """
-    ncols = m.shape[1]
-    pivots, rows = _eliminate(_int_rows(_sparse_rows(m)), ncols, True)
+    ncols = m.ncols
+    pivots, rows = _eliminate(_int_rows(m.rows), ncols, True)
     taken = set(pivots)
     free = {c: j for j, c in enumerate(c for c in range(ncols) if c not in taken)}
     kern = [{free[c]: 1} if c in free else {} for c in range(ncols)]
     for row, pc in zip(rows, pivots):
         p = row[pc]
         kern[pc] = {free[c]: _div(-x, p) for c, x in row.items() if c != pc}
-    return len(pivots), _dense(kern, len(free))
+    return len(pivots), Matrix(kern, len(free))
 
 
-def solve_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of A X = B, or None if the system is insolvable.
 
     The solution is the one read off the reduced echelon form of ``[A | B]``:
     free variables are zero.
     """
-    if a.shape[0] != b.shape[0]:
+    if len(a.rows) != len(b.rows):
         raise ValueError("shape mismatch in solve")
-    n = a.shape[1]
-    aug = [ra | {n + j: x for j, x in rb.items()} for ra, rb in zip(_sparse_rows(a), _sparse_rows(b))]
+    n = a.ncols
+    aug = [ra | {n + j: x for j, x in rb.items()} for ra, rb in zip(a.rows, b.rows)]
     pivots, rows = _eliminate(_int_rows(aug), n, True)
     if len(rows) > len(pivots):
         return None
@@ -307,10 +263,10 @@ def solve_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     for row, pc in zip(rows, pivots):
         p = row[pc]
         x[pc] = {j - n: _div(v, p) for j, v in row.items() if j >= n}
-    return _dense(x, b.shape[1])
+    return Matrix(x, b.ncols)
 
 
-def matrix_rank(m: np.ndarray) -> int:
+def matrix_rank(m: Matrix) -> int:
     """Exact rank over Q, by fraction-free elimination."""
     return len(pivot_columns(m))
 
@@ -471,8 +427,13 @@ def coordinates(basis_rows, vectors) -> list[list] | None:
     if not vectors:
         return []
     if not is_echelon(basis):
-        x = solve_matrix(object_matrix(basis, len(vectors[0])).T, object_matrix(vectors).T)
-        return None if x is None else x.T.tolist()
+        width = len(vectors[0])
+
+        def columns(vs) -> Matrix:
+            return Matrix([{j: v[c] for j, v in enumerate(vs) if v[c]} for c in range(width)], len(vs))
+
+        x = solve_matrix(columns(basis), columns(vectors))
+        return None if x is None else [[row.get(j, 0) for row in x.rows] for j in range(len(vectors))]
     pivots = [_pivot(row) for row in basis]
     out = []
     for v in vectors:
@@ -538,7 +499,7 @@ class SubspaceBasis:
                 raise ValueError("vector length != ambient dimension")
         # echelon rows (every Hermite basis) are independent by their pivots
         if self.vectors and not is_echelon(self.vectors):
-            if matrix_rank(object_matrix(self.vectors, self.ambient_dim)) != len(self.vectors):
+            if matrix_rank(Matrix.from_dense(self.vectors, self.ambient_dim)) != len(self.vectors):
                 raise ValueError("vectors are dependent")
 
     @property
@@ -631,7 +592,7 @@ def pairing(values, rows, target_rows) -> Pairing:
     return Pairing(p, j, g, scale * pj)
 
 
-def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray:
+def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: ExteriorBasis) -> Matrix:
     """Matrix of contraction by a vector ``n`` from ``source`` to ``target``,
     given by its :class:`Pairing` with the source rows.
 
@@ -662,16 +623,16 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
         raise ValueError("pairing length mismatch")
     src, dst = source.subsets, target.subsets
     if not src or not any(p):
-        return zeros_matrix(len(dst), len(src))
+        return Matrix([{}] * len(dst), len(src))
     if source.degree == 1:
-        return object_matrix([p])
+        return Matrix.from_dense([p], len(p))
     j, g = pairing.pivot, pairing.coords
     if g is None:
         raise NotContained("contracted forms leave the target exterior basis span")
     k = source.degree - 1
     minors = _compound_minors(g, [i for i in range(len(p)) if i != j], target.base.dim, k)
     scale = pairing.scale**k
-    out = np.empty((len(src), len(dst)), dtype=object)
+    rows: list[dict] = [{} for _ in dst]
     for col, idx in enumerate(src):
         if j in idx:
             r = idx.index(j)
@@ -683,11 +644,13 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
                 if p[i]:
                     c = p[i] if r % 2 == 0 else -p[i]
                     acc = [x + c * y for x, y in zip(acc, minors[idx[:r] + idx[r + 1:]])]
-        out[col] = acc if scale == 1 else [_div(x, scale) for x in acc]
-    return out.T.copy()
+        for row, x in zip(rows, acc):
+            if x:
+                row[col] = x if scale == 1 else _div(x, scale)
+    return Matrix(rows, len(src))
 
 
-def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray:
+def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> Matrix:
     """Matrix of the identity inclusion of one exterior basis into another.
 
     With ``E`` the coordinates of the source vectors in the target basis,
@@ -700,15 +663,16 @@ def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> np.ndarray
         raise ValueError("degree mismatch")
     src, dst = source.subsets, target.subsets
     if source.degree == 0:
-        return identity_matrix(1)
+        return Matrix([{0: 1}], 1)
     if not src:
-        return zeros_matrix(len(dst), 0)
+        return Matrix([{}] * len(dst), 0)
     e = coordinates(target.base.vectors, source.base.vectors)
     if e is None:
         raise NotContained("source wedge space is not inside the target span")
     e, scale = _scaled_to_int(e)
     scale **= source.degree
     minors = _compound_minors(e, range(len(e)), target.base.dim, source.degree)
-    return object_matrix(
-        [[_div(minors[rs][c], scale) for rs in src] for c in range(len(dst))], len(src)
+    return Matrix(
+        [{k: _div(minors[rs][c], scale) for k, rs in enumerate(src) if minors[rs][c]} for c in range(len(dst))],
+        len(src),
     )

@@ -12,7 +12,7 @@ hands over those pairings, read off one ray of the bigger face, and no
 normal is built; the anticommutation of the two paths
 through any 2-step interval of the face lattice makes the square of the
 differential vanish, and the builder verifies this on every assembly by an
-exact product of the sparse rows it assembles the differentials in.
+exact product of the differentials it assembles.
 
 One builder, :func:`face_complex`, makes every such complex from a
 :class:`~toricdef.polyhedral.FacePoset`: the complexes of a cone (intrinsic
@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-
-import numpy as np
 
 from . import exact_linalg as xl
 from .errors import InvariantViolation, NotAComplex, ValidationError
@@ -71,7 +69,7 @@ class LabeledComplex:
 
     label: str
     terms: tuple[tuple[Block, ...], ...]
-    diffs: tuple[np.ndarray, ...]
+    diffs: tuple[xl.Matrix, ...]
     pairs: tuple[tuple, ...]
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
     _reps: dict = field(default_factory=dict, repr=False, compare=False)
@@ -92,11 +90,16 @@ class LabeledComplex:
         """The block ``face_key`` of a degree (None outside the complex)."""
         return self._index[degree].get(face_key) if 0 <= degree < len(self.terms) else None
 
-    def block_matrix(self, degree: int, src_key, dst_key) -> np.ndarray:
+    def block_matrix(self, degree: int, src_key, dst_key) -> xl.Matrix:
         """The block of the differential out of ``degree`` from the block
-        ``src_key`` to the block ``dst_key`` of the next degree."""
+        ``src_key`` to the block ``dst_key`` of the next degree;
+        VALIDATION_ERROR when there are no such blocks."""
         s, t = self.block(degree, src_key), self.block(degree + 1, dst_key)
-        return self.diffs[degree][t.offset : t.offset + t.size, s.offset : s.offset + s.size]
+        if s is None or t is None:
+            raise ValidationError(f"{self.label}: no blocks {src_key!r} -> {dst_key!r} out of degree {degree}")
+        lo, hi = s.offset, s.offset + s.size
+        rows = self.diffs[degree].rows[t.offset : t.offset + t.size]
+        return xl.Matrix([{c - lo: x for c, x in row.items() if lo <= c < hi} for row in rows], s.size)
 
     def rank(self, k: int) -> int:
         """Rank of the differential out of degree ``k`` (0 outside the
@@ -119,12 +122,12 @@ class LabeledComplex:
             raise NotAComplex(f"{self.label}: negative cohomology dimension at degree {i}")
         return h
 
-    def _image(self, i: int) -> np.ndarray:
+    def _image(self, i: int) -> xl.Matrix:
         """The incoming differential of degree ``i``, whose columns span the
         coboundaries."""
-        return self.diffs[i - 1] if i else xl.zeros_matrix(self.dims[0], 0)
+        return self.diffs[i - 1] if i else xl.Matrix([{}] * self.dims[0], 0)
 
-    def representatives(self, i: int) -> np.ndarray:
+    def representatives(self, i: int) -> xl.Matrix:
         """Cocycles, as columns, whose classes are a basis of ``H^i``
         (empty outside the complex).
 
@@ -137,34 +140,42 @@ class LabeledComplex:
         differential stands for it and is not eliminated on its own.
         """
         if not 0 <= i < len(self.terms):
-            return xl.zeros_matrix(0, 0)
+            return xl.Matrix((), 0)
         if i not in self._reps:
             if i < len(self.diffs):
                 self._ranks[i], kern = xl.rank_and_kernel(self.diffs[i])
             else:
-                kern = xl.identity_matrix(self.dims[i])
+                kern = xl.Matrix([{j: 1} for j in range(self.dims[i])], self.dims[i])
             img = self._image(i)
-            w = img.shape[1]
-            pivots = xl.pivot_columns(np.concatenate([img, kern], axis=1))
-            chosen = [c - w for c in pivots if c >= w]
+            w = img.ncols
+            pivots = xl.pivot_columns(_beside(img, kern))
+            chosen = {c - w: k for k, c in enumerate(c for c in pivots if c >= w)}
             if i:
                 self._ranks[i - 1] = len(pivots) - len(chosen)
-            self._reps[i] = kern[:, chosen]
+            self._reps[i] = xl.Matrix(
+                [{chosen[j]: x for j, x in row.items() if j in chosen} for row in kern.rows], len(chosen)
+            )
         return self._reps[i]
 
-    def class_coordinates(self, i: int, cocycles: np.ndarray) -> np.ndarray:
+    def class_coordinates(self, i: int, cocycles: xl.Matrix) -> xl.Matrix:
         """Coordinates of the classes of ``cocycles`` (columns) in the basis
         of :meth:`representatives`; INVARIANT_VIOLATION if one of them is
         not a cocycle.  The coefficients on the representatives are unique
         because the representatives are independent modulo the image."""
         reps = self.representatives(i)
-        h = reps.shape[1]
-        if h == 0 or cocycles.shape[1] == 0:
-            return xl.zeros_matrix(h, cocycles.shape[1])
-        sol = xl.solve_matrix(np.concatenate([reps, self._image(i)], axis=1), cocycles)
+        h = reps.ncols
+        if h == 0 or cocycles.ncols == 0:
+            return xl.Matrix([{}] * h, cocycles.ncols)
+        sol = xl.solve_matrix(_beside(reps, self._image(i)), cocycles)
         if sol is None:
             raise InvariantViolation("cocycle not in span of cohomology basis + boundaries")
-        return sol[:h]
+        return xl.Matrix(sol.rows[:h], sol.ncols)
+
+
+def _beside(a: xl.Matrix, b: xl.Matrix) -> xl.Matrix:
+    """``[a | b]``: the columns of ``a``, then those of ``b``."""
+    w = a.ncols
+    return xl.Matrix([ra | {w + j: x for j, x in rb.items()} for ra, rb in zip(a.rows, b.rows)], w + b.ncols)
 
 
 @dataclass(frozen=True)
@@ -190,11 +201,10 @@ def assemble_complex(label: str, layers, blocks) -> LabeledComplex:
     the differential out of ``degree`` from the block ``src_key`` to the
     block ``dst_key`` of the next degree.  A key that names no block of its
     degree, or a matrix of the wrong shape, raises INVARIANT_VIOLATION.  The
-    blocks' nonzeros go into sparse ``{column: entry}`` rows, which become
-    the public object matrices in one assignment each; every other entry is
-    zero, and the result records the given pairs as ``pairs``.  Every pair
-    of consecutive differentials is multiplied exactly on those rows, and a
-    nonzero product raises NOT_A_COMPLEX.
+    blocks' nonzeros go into the ``{column: entry}`` rows of the
+    differentials; every other entry is zero, and the result records the
+    given pairs as ``pairs``.  Every pair of consecutive differentials is
+    multiplied exactly, and a nonzero product raises NOT_A_COMPLEX.
     """
     terms: list[tuple[Block, ...]] = []
     for layer in layers:
@@ -219,10 +229,10 @@ def assemble_complex(label: str, layers, blocks) -> LabeledComplex:
             )
         xl._write_block(sparse[i], tb.offset, sb.offset, m)
         pairs.append((i, src, dst))
-    for i in range(len(sparse) - 1):
-        if any(xl._sparse_product(sparse[i + 1], sparse[i])):
+    diffs = tuple(xl.Matrix(rows, sum(b.size for b in terms[i])) for i, rows in enumerate(sparse))
+    for i in range(len(diffs) - 1):
+        if any(xl._sparse_product(diffs[i + 1], diffs[i]).rows):
             raise NotAComplex(f"{label}: differential does not square to zero at degree {i}")
-    diffs = tuple(xl._dense(rows, sum(b.size for b in terms[i])) for i, rows in enumerate(sparse))
     return LabeledComplex(label, tuple(terms), diffs, tuple(pairs))
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from . import exact_linalg as xl
 from .errors import (
     InvariantViolation,
@@ -103,11 +101,11 @@ def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
     u: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for cone_key in fan.maximal:
         rays = [fan.rays[i] for i in cone_key]
-        rhs = xl.rational_matrix([[values[i]] for i in cone_key], 1)
-        sol = xl.solve_matrix(xl.integer_matrix(rays, n), rhs)
+        rhs = xl.Matrix.from_dense([[values[i]] for i in cone_key], 1)
+        sol = xl.solve_matrix(xl.Matrix.from_dense(rays, n), rhs)
         if sol is None:
             raise NotQCartier(f"no linear form matches the values on cone {cone_key}")
-        u[cone_key] = tuple(Fraction(sol[i, 0]) for i in range(n))
+        u[cone_key] = tuple(Fraction(row.get(0, 0)) for row in sol.rows)
     denom = lcm(1, *(x.denominator for f in u.values() for x in f))
 
     hats = tuple(tuple(v.denominator * c for c in r) + (v.numerator,) for v, r in zip(values, fan.rays))
@@ -136,34 +134,34 @@ class LiftedComplexes:
     top: LabeledComplex
     middle: LabeledComplex
     bottom: LabeledComplex
-    include: tuple[np.ndarray, ...]
-    project: tuple[np.ndarray, ...]
+    include: tuple[xl.Matrix, ...]
+    project: tuple[xl.Matrix, ...]
     _memo: dict = field(default_factory=dict, repr=False)
 
-    def connecting(self, l: int) -> np.ndarray:
+    def connecting(self, l: int) -> xl.Matrix:
         """Snake-lemma connecting map H^l(bottom) -> H^(l+1)(top)."""
         if l not in self._memo:
             self._memo[l] = self._connecting(l)
         return self._memo[l]
 
-    def _connecting(self, l: int) -> np.ndarray:
+    def _connecting(self, l: int) -> xl.Matrix:
         reps_b = self.bottom.representatives(l)
-        ht = self.top.representatives(l + 1).shape[1]
-        if reps_b.shape[1] == 0 or ht == 0:
-            return xl.zeros_matrix(ht, reps_b.shape[1])
+        ht = self.top.representatives(l + 1).ncols
+        if reps_b.ncols == 0 or ht == 0:
+            return xl.Matrix([{}] * ht, reps_b.ncols)
         lift = xl.solve_matrix(self.project[l], reps_b)
         if lift is None:
             raise InvariantViolation("projection is not surjective")
-        dz = xl.mat_mul(self.middle.diffs[l], lift)
+        dz = xl._sparse_product(self.middle.diffs[l], lift)
         pre = xl.solve_matrix(self.include[l + 1], dz)
         if pre is None:
             raise InvariantViolation("snake step left the image of the inclusion")
         return self.top.class_coordinates(l + 1, pre)  # checks that pre is a cocycle
 
 
-def _induced(src: LabeledComplex, dst: LabeledComplex, maps, i: int) -> np.ndarray:
+def _induced(src: LabeledComplex, dst: LabeledComplex, maps, i: int) -> xl.Matrix:
     """Induced map on degree-i cohomology of a levelwise chain map."""
-    return dst.class_coordinates(i, xl.mat_mul(maps[i], src.representatives(i)))
+    return dst.class_coordinates(i, xl._sparse_product(maps[i], src.representatives(i)))
 
 
 def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
@@ -201,8 +199,8 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
             if sb is not None and sm.size and sb.size:
                 con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, sb.basis)
                 xl._write_block(prj, sb.offset, sm.offset, con, sign)
-        include.append(xl._dense(inc, top.dims[m]))
-        project.append(xl._dense(prj, middle.dims[m]))
+        include.append(xl.Matrix(inc, top.dims[m]))
+        project.append(xl.Matrix(prj, middle.dims[m]))
 
     out = LiftedComplexes(top, middle, bottom, tuple(include), tuple(project))
     _verify_ses(out)
@@ -232,7 +230,7 @@ def _verify_ses(L: LiftedComplexes) -> None:
     depth = len(L.top.terms)
     for m in range(depth):
         inc, prj = L.include[m], L.project[m]
-        if not xl.is_zero_matrix(xl.mat_mul(prj, inc)):
+        if any(xl._sparse_product(prj, inc).rows):
             raise InvariantViolation(f"projection o inclusion != 0 in degree {m}")
         if xl.matrix_rank(inc) != L.top.dims[m]:
             raise InvariantViolation(f"inclusion not injective in degree {m}")
@@ -241,18 +239,16 @@ def _verify_ses(L: LiftedComplexes) -> None:
         if L.middle.dims[m] != L.top.dims[m] + L.bottom.dim(m):
             raise InvariantViolation(f"term dims do not add up in degree {m}")
         if m + 1 < depth:
-            lhs = xl.mat_mul(L.include[m + 1], L.top.diffs[m])
-            rhs = xl.mat_mul(L.middle.diffs[m], inc)
-            if not xl.mat_eq(lhs, rhs):
+            lhs = xl._sparse_product(L.include[m + 1], L.top.diffs[m])
+            if lhs != xl._sparse_product(L.middle.diffs[m], inc):
                 raise InvariantViolation(f"inclusion is not a chain map in degree {m}")
         if m + 1 < len(L.bottom.terms):  # past the bottom's depth the projection is into 0
-            lhs = xl.mat_mul(L.project[m + 1], L.middle.diffs[m])
-            rhs = xl.mat_mul(L.bottom.diffs[m], prj)
-            if not xl.mat_eq(lhs, rhs):
+            lhs = xl._sparse_product(L.project[m + 1], L.middle.diffs[m])
+            if lhs != xl._sparse_product(L.bottom.diffs[m], prj):
                 raise InvariantViolation(f"projection is not a chain map in degree {m}")
 
 
-def connecting_map(fan: Fan, divisor: DivisorData, p: int, l: int) -> np.ndarray:
+def connecting_map(fan: Fan, divisor: DivisorData, p: int, l: int) -> xl.Matrix:
     """Matrix of the connecting homomorphism H^l(level p) -> H^(l+1)(level p+1)
     in the canonical cohomology bases (which depend only on the fan, not on
     the divisor, so scaling the divisor scales this matrix)."""
@@ -421,17 +417,17 @@ def _les_exact(L: LiftedComplexes) -> bool:
         # node H^i(top): incoming delta^(i-1), outgoing f_i
         if rdl[i - 1] + rf[i] != L.top.h(i):
             return False
-        if not xl.is_zero_matrix(xl.mat_mul(f[i], dl[i - 1])):
+        if any(xl._sparse_product(f[i], dl[i - 1]).rows):
             return False
         # node H^i(middle): incoming f_i, outgoing g_i
         if rf[i] + rg[i] != L.middle.h(i):
             return False
-        if not xl.is_zero_matrix(xl.mat_mul(g[i], f[i])):
+        if any(xl._sparse_product(g[i], f[i]).rows):
             return False
         # node H^i(bottom): incoming g_i, outgoing delta^i
         if rg[i] + rdl[i] != L.bottom.h(i):
             return False
-        if not xl.is_zero_matrix(xl.mat_mul(dl[i], g[i])):
+        if any(xl._sparse_product(dl[i], g[i]).rows):
             return False
     return True
 

@@ -510,12 +510,11 @@ class FaceLattice(FacePoset):
             else:
                 restricted = [[_dot(p, b) for b in span_rows] for p in f.perp_rows]
                 self.perps[f.ray_indices] = tuple(xl.hermite_rows(restricted, d))
-        self.facet_normals: dict[frozenset[int], tuple[int, ...]] = {}
-        for f in self.faces_by_dim.get(d - 1, ()):
-            (u,) = self.perps[f.ray_indices]
-            if any(_dot(u, c) < 0 for c in ray_coords):
-                u = tuple(-x for x in u)
-            self.facet_normals[f.ray_indices] = u
+        everything = frozenset(range(len(ray_coords)))
+        self.facet_normals: dict[frozenset[int], tuple[int, ...]] = {
+            f.ray_indices: _facet_normal(self.perps[f.ray_indices], ray_coords[min(everything - f.ray_indices)])
+            for f in self.faces_by_dim.get(d - 1, ())
+        }
 
         self._shell_memo: dict[tuple, bool] = {}
 
@@ -723,13 +722,19 @@ def _signed_walls(faces, rays) -> dict[frozenset[int], tuple[int, ...]]:
     """``{facet: normal}`` of a full-dimensional cone with the given faces:
     each facet's one annihilator row, signed to be positive on the cone."""
     top = max(faces, key=lambda f: f.dim)
-    walls = {}
-    for f in faces:
-        if f.dim == top.dim - 1:
-            (u,) = f.perp_rows
-            off = min(top.ray_indices - f.ray_indices)
-            walls[f.ray_indices] = u if _dot(u, rays[off]) > 0 else tuple(-x for x in u)
-    return walls
+    return {
+        f.ray_indices: _facet_normal(f.perp_rows, rays[min(top.ray_indices - f.ray_indices)])
+        for f in faces
+        if f.dim == top.dim - 1
+    }
+
+
+def _facet_normal(perp, off) -> tuple[int, ...]:
+    """A facet's one annihilator row in ``perp``, signed positive on
+    ``off``, a ray of the cone off the facet; a facet normal so signed is
+    nonnegative on the whole cone."""
+    (u,) = perp
+    return u if _dot(u, off) > 0 else tuple(-x for x in u)
 
 
 def _through(walls, common) -> tuple[int, ...]:

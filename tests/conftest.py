@@ -10,7 +10,14 @@ from operator import mul
 import pytest
 
 from toricdef import InvariantViolation, cone_from_rays, fan_from_cones, pyramid
-from toricdef.exact_linalg import _scaled_to_int
+from toricdef.exact_linalg import Matrix, _scaled_to_int
+
+
+
+def scaled_matrix(k, m: Matrix) -> Matrix:
+    """The matrix ``k m``."""
+    return Matrix([{j: k * x for j, x in row.items()} for row in m.rows], m.ncols)
+
 
 # ---------------------------------------------------------------------------
 # frozen ray lists
@@ -382,7 +389,7 @@ def lp_cone_from_rays(vectors, rank):
                 prim.pop(j)
                 changed = True
                 break
-    dim = xl.matrix_rank(xl.integer_matrix(prim, rank))
+    dim = xl.matrix_rank(Matrix.from_dense(prim, rank))
     return Cone(rank, tuple(prim), dim)
 
 
@@ -535,7 +542,7 @@ def lattice_index(sub_rows, super_rows, width):
     coords = xl.coordinates(basis, [tuple(r) for r in sub_rows])
     if coords is None:
         raise SpanViolation("sub generators leave the span of the super lattice")
-    if xl.matrix_rank(xl.integer_matrix(sub_rows, width)) < len(basis):
+    if xl.matrix_rank(Matrix.from_dense(sub_rows, width)) < len(basis):
         return INFINITE
     if any(not isinstance(x, int) for row in coords for x in row):
         raise ValueError("sub generators are not in the super lattice")

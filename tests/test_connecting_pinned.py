@@ -61,12 +61,16 @@ def _rank(cols, height):
     return DomainMatrix(rows, (len(rows), height), QQ).rank() if rows else 0
 
 
+def _columns(m):
+    return [[row[j] for row in m.tolist()] for j in range(m.ncols)]
+
+
 def _greedy(kern, d_in):
     """Kernel columns in order, each kept when it raises the sympy rank of
     the columns of ``d_in`` plus the columns kept so far."""
-    cols = d_in.T.tolist()
+    cols = _columns(d_in)
     rank, chosen = _rank(cols, d_in.shape[0]), []
-    for j, col in enumerate(kern.T.tolist()):
+    for j, col in enumerate(_columns(kern)):
         if _rank(cols + [col], kern.shape[0]) > rank:
             chosen.append(j)
             cols, rank = cols + [col], rank + 1
@@ -81,11 +85,11 @@ def test_chosen_representatives_are_the_greedy_columns(case):
         for cx in (L.top, L.middle, L.bottom):
             for i in range(len(cx.terms)):
                 reps = cx.representatives(i)
-                d_out = cx.diffs[i] if i < len(cx.diffs) else xl.zeros_matrix(0, cx.dims[i])
+                d_out = cx.diffs[i] if i < len(cx.diffs) else xl.Matrix((), cx.dims[i])
                 _, kern = xl.rank_and_kernel(d_out)
-                chosen = _greedy(kern, cx.diffs[i - 1] if i else xl.zeros_matrix(cx.dims[0], 0))
+                chosen = _greedy(kern, cx.diffs[i - 1] if i else xl.Matrix([{}] * cx.dims[0], 0))
                 assert cx.h(i) == reps.shape[1] == len(chosen)
-                assert reps.tolist() == kern[:, chosen].tolist()
+                assert reps.tolist() == [[row[j] for j in chosen] for row in kern.tolist()]
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Combinatorial certificates for the defect of four-dimensional cones, and
 the facet-order filtration machinery behind the shelling certificate."""
 
-import numpy as np
 import pytest
 
 from toricdef import (
@@ -22,7 +21,7 @@ from toricdef import (
     shelling_ray_criterion,
     simplicial_star_criterion,
 )
-from toricdef.exact_linalg import matrix_rank
+from toricdef.exact_linalg import Matrix, matrix_rank
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def test_star_hypothesis_also_holds_at_glued_ray(glued_cone):
     containing = [f for f in lat.faces_by_dim[3] if 5 in f.ray_indices]
     assert containing and all(len(f.ray_indices) == f.dim for f in containing)
     others = [r for i, r in enumerate(glued_cone.rays) if i != 5]
-    assert matrix_rank(np.array(others, dtype=object)) == 4
+    assert matrix_rank(Matrix.from_dense(others, 4)) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,14 @@ def test_rank_and_kernel_match_sympy(seed):
     rng = random.Random(seed)
     rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
     data = _random_int_matrix(rng, rows, cols)
-    m = xl.integer_matrix(data, cols)
+    m = xl.Matrix.from_dense(data, cols)
     smp = sympy.Matrix(data)
     rank, kernel = xl.rank_and_kernel(m)
     assert rank == smp.rank()
     assert kernel.shape == (cols, cols - rank)
     if kernel.shape[1]:
-        prod = xl.mat_mul(m, kernel)
-        assert xl.is_zero_matrix(prod)
+        prod = xl._sparse_product(m, kernel)
+        assert not any(prod.rows)
     assert xl.matrix_rank(m) == smp.rank()
 
 
@@ -66,24 +66,24 @@ def test_integer_rank_matches_sympy(seed):
     rng = random.Random(100 + seed)
     rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
     data = _random_int_matrix(rng, rows, cols, bound=9)
-    assert xl.matrix_rank(xl.integer_matrix(data, cols)) == sympy.Matrix(data).rank()
+    assert xl.matrix_rank(xl.Matrix.from_dense(data, cols)) == sympy.Matrix(data).rank()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_solve_matrix_solutions_verify(seed):
     rng = random.Random(200 + seed)
     rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
-    a = xl.integer_matrix(_random_int_matrix(rng, rows, cols), cols)
-    x = xl.integer_matrix(_random_int_matrix(rng, cols, 2), 2)
-    b = xl.mat_mul(a, x)
+    a = xl.Matrix.from_dense(_random_int_matrix(rng, rows, cols), cols)
+    x = xl.Matrix.from_dense(_random_int_matrix(rng, cols, 2), 2)
+    b = xl._sparse_product(a, x)
     sol = xl.solve_matrix(a, b)
     assert sol is not None
-    assert xl.mat_eq(xl.mat_mul(a, sol), b)
+    assert xl._sparse_product(a, sol) == b
 
 
 def test_solve_matrix_detects_inconsistency():
-    a = xl.integer_matrix([[1, 0], [1, 0]], 2)
-    b = xl.integer_matrix([[1], [2]], 1)
+    a = xl.Matrix.from_dense([[1, 0], [1, 0]], 2)
+    b = xl.Matrix.from_dense([[1], [2]], 1)
     assert xl.solve_matrix(a, b) is None
 
 
@@ -127,7 +127,7 @@ def _sympy_rref(data, width):
 @pytest.mark.parametrize("seed", range(18))
 def test_rational_rref_and_rank_match_sympy(seed):
     data = _random_rational_matrix(random.Random(600 + seed), seed)
-    m = xl.object_matrix(data)
+    m = xl.Matrix.from_dense(data, len(data[0]))
     _, pivots = _sympy_rref(data, m.shape[1])
     assert xl.pivot_columns(m) == pivots
     assert xl.matrix_rank(m) == sympy.Matrix(data).rank() == len(pivots)
@@ -144,7 +144,7 @@ def test_rational_kernel_is_the_free_variable_basis(seed):
         expected[fc][j] = 1
         for i, pc in enumerate(pivots):
             expected[pc][j] = -red[i][fc]
-    rank, kern = xl.rank_and_kernel(xl.object_matrix(data))
+    rank, kern = xl.rank_and_kernel(xl.Matrix.from_dense(data, width))
     assert rank == len(pivots)
     assert kern.shape == (width, len(free))
     assert _typed(kern.tolist()) == _typed(expected)
@@ -162,7 +162,7 @@ def test_rational_solve_is_the_pivot_solution(seed):
         z = next(i for i, row in enumerate(data) if not any(row))
         rhs[z][rng.randrange(2)] = Fraction(1, 3)
     red, pivots = _sympy_rref([a + b for a, b in zip(data, rhs)], n + 2)
-    sol = xl.solve_matrix(xl.object_matrix(data), xl.object_matrix(rhs))
+    sol = xl.solve_matrix(xl.Matrix.from_dense(data, n), xl.Matrix.from_dense(rhs, 2))
     if any(p >= n for p in pivots):
         assert seed % 2 and sol is None
         return
@@ -174,15 +174,30 @@ def test_rational_solve_is_the_pivot_solution(seed):
 
 
 def test_rational_elimination_on_empty_and_zero_matrices():
-    empty = xl.zeros_matrix(0, 3)
+    empty = xl.Matrix((), 3)
     assert xl.pivot_columns(empty) == [] and xl.matrix_rank(empty) == 0
     rank, kern = xl.rank_and_kernel(empty)
     assert rank == 0 and kern.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    zero = xl.object_matrix([[Fraction(0), 0], [0, 0]])
+    zero = xl.Matrix.from_dense([[Fraction(0), 0], [0, 0]], 2)
+    assert zero == xl.Matrix([{}, {}], 2)
     assert xl.pivot_columns(zero) == [] and xl.rank_and_kernel(zero)[1].tolist() == [[1, 0], [0, 1]]
-    assert xl.solve_matrix(zero, xl.object_matrix([[0], [0]])).tolist() == [[0], [0]]
-    assert xl.solve_matrix(zero, xl.object_matrix([[0], [Fraction(1, 2)]])) is None
-    assert xl.solve_matrix(xl.zeros_matrix(2, 0), xl.object_matrix([[1], [0]])) is None
+    assert xl.solve_matrix(zero, xl.Matrix.from_dense([[0], [0]], 1)).tolist() == [[0], [0]]
+    assert xl.solve_matrix(zero, xl.Matrix.from_dense([[0], [Fraction(1, 2)]], 1)) is None
+    assert xl.solve_matrix(xl.Matrix([{}, {}], 0), xl.Matrix.from_dense([[1], [0]], 1)) is None
+
+
+def test_zero_row_and_zero_column_shapes_survive_the_eliminations():
+    for rows, cols in ((0, 0), (0, 3), (2, 0)):
+        m = xl.Matrix([{}] * rows, cols)
+        rank, kern = xl.rank_and_kernel(m)
+        assert rank == 0 and kern.shape == (cols, cols)
+        for width in (0, 2):
+            sol = xl.solve_matrix(m, xl.Matrix([{}] * rows, width))
+            assert sol.shape == (cols, width) and not any(sol.rows)
+        assert xl._sparse_product(m, xl.Matrix([{}] * cols, 4)).shape == (rows, 4)
+    assert xl.Matrix((), 3).tolist() == [] and xl.Matrix([{}, {}], 0).tolist() == [[], []]
+    with pytest.raises(ValueError, match="ragged rows"):
+        xl.Matrix.from_dense([[1, 2], [3]], 2)
 
 
 # sparse matrices like the differentials of face complexes, with empty
@@ -218,7 +233,7 @@ def test_sparse_elimination_matches_sympy(seed):
     rng = random.Random(900 + seed)
     rows, cols = SPARSE_SHAPES[seed % len(SPARSE_SHAPES)]
     data = _random_sparse_matrix(rng, rows, cols, rational=seed >= 8)
-    m = xl.object_matrix(data, cols)
+    m = xl.Matrix.from_dense(data, cols)
     smp = _sympy_matrix(data, rows, cols)
     red, pivots = smp.rref()
     red = [[_exact(x) for x in red.row(i)] for i in range(red.rows)]
@@ -238,8 +253,9 @@ def test_sparse_elimination_matches_sympy(seed):
 
     x = [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(cols)]
     rhs = smp * sympy.Matrix(cols, 2, [v for row in x for v in row])
-    b = xl.object_matrix([[_exact(v) for v in rhs.row(i)] for i in range(rows)], 2)
-    assert xl.mat_mul(m, xl.object_matrix(x, 2)).tolist() == b.tolist()
+    dense_b = [[_exact(v) for v in rhs.row(i)] for i in range(rows)]
+    b = xl.Matrix.from_dense(dense_b, 2)
+    assert xl._sparse_product(m, xl.Matrix.from_dense(x, 2)).tolist() == b.tolist()
     aug, aug_pivots = smp.row_join(rhs).rref()
     want = [[0, 0] for _ in range(cols)]
     for i, p in enumerate(aug_pivots):
@@ -247,8 +263,8 @@ def test_sparse_elimination_matches_sympy(seed):
     assert _typed(xl.solve_matrix(m, b).tolist()) == _typed(want)
     zero = next((i for i, row in enumerate(data) if not any(row)), None)
     if zero is not None:
-        b[zero, 0] += 1
-        assert xl.solve_matrix(m, b) is None
+        dense_b[zero][0] += 1
+        assert xl.solve_matrix(m, xl.Matrix.from_dense(dense_b, 2)) is None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -258,11 +274,11 @@ def test_sparse_product_matches_sympy(seed):
     cols = rng.randrange(0, 6)
     a = _random_sparse_matrix(rng, rows, inner, rational=seed % 2 == 1)
     b = _random_sparse_matrix(rng, inner, cols, rational=seed % 4 == 3)
-    got = xl.mat_mul(xl.object_matrix(a, inner), xl.object_matrix(b, cols))
+    got = xl._sparse_product(xl.Matrix.from_dense(a, inner), xl.Matrix.from_dense(b, cols))
     want = _sympy_matrix(a, rows, inner) * _sympy_matrix(b, inner, cols)
-    assert got.shape == (rows, cols) and got.dtype == object
+    assert got.shape == (rows, cols) and isinstance(got, xl.Matrix)
     assert got.tolist() == [[_exact(x) for x in want.row(i)] for i in range(rows)]
-    assert xl.is_zero_matrix(got) == all(x == 0 for x in want)
+    assert (not any(got.rows)) == all(x == 0 for x in want)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +405,7 @@ def test_hermite_rows_is_the_same_on_int_fraction_and_numpy_rows(seed):
         assert xl.hermite_rows([tuple(r) for r in rows], width) == want
         assert xl.hermite_rows([[Fraction(x) for x in r] for r in rows], width) == want
         assert xl.hermite_rows(np.array(rows, dtype=np.int64).reshape(len(rows), width), width) == want
-        assert xl.hermite_rows(xl.integer_matrix(rows, width), width) == want
+        assert xl.hermite_rows(np.array(rows, dtype=object).reshape(len(rows), width), width) == want
 
 
 def test_integer_kernel_matches_smith_and_sympy_on_face_data():
@@ -544,26 +560,24 @@ def test_contractions_anticommute():
     eb = {k: xl.ExteriorBasis(b, k) for k in range(4)}
     v = tuple(rng.randrange(-3, 4) for _ in range(n))
     w = tuple(rng.randrange(-3, 4) for _ in range(n))
-    vw = xl.mat_mul(
+    vw = xl._sparse_product(
         contract(v, eb[2], eb[1]), contract(w, eb[3], eb[2])
     )
-    wv = xl.mat_mul(
+    wv = xl._sparse_product(
         contract(w, eb[2], eb[1]), contract(v, eb[3], eb[2])
     )
-    neg = xl.object_matrix(
-        [[-wv[r, c] for c in range(wv.shape[1])] for r in range(wv.shape[0])], wv.shape[1]
-    )
-    assert xl.mat_eq(vw, neg)
+    neg = xl.Matrix.from_dense([[-x for x in row] for row in wv.tolist()], wv.shape[1])
+    assert vw == neg
 
 
 def test_contraction_same_vector_squares_to_zero():
     b = _full_basis(4)
     eb = {k: xl.ExteriorBasis(b, k) for k in range(4)}
     v = (2, -1, 3, 5)
-    sq = xl.mat_mul(
+    sq = xl._sparse_product(
         contract(v, eb[2], eb[1]), contract(v, eb[3], eb[2])
     )
-    assert xl.is_zero_matrix(sq)
+    assert not any(sq.rows)
 
 
 def test_expansion_then_contraction_subspace():
@@ -926,7 +940,7 @@ for check, seeds in ((t.contraction_mismatch, range(21)), (t.expansion_mismatch,
 # that has no block, are broken invariants
 base = xl.ExteriorBasis(xl.SubspaceBasis(1, ((1,),)), 1)
 layers = [[("a", base)], [("b", base)]]
-for block in ((0, "a", "b", xl.zeros_matrix(2, 1)), (0, "a", "c", xl.zeros_matrix(1, 1))):
+for block in ((0, "a", "b", xl.Matrix([{{}}] * 2, 1)), (0, "a", "c", xl.Matrix([{{}}], 1))):
     try:
         assemble_complex("bad", layers, [block])
     except InvariantViolation as exc:
@@ -1035,18 +1049,20 @@ _CORRUPTED_PROJECTION_RUN = """
 import dataclasses
 import sys
 
-import numpy as np
 from toricdef import InvariantViolation, fan_from_cones, lifted_complex, support_data
+from toricdef.exact_linalg import Matrix
 from toricdef.lefschetz import _verify_ses
 
 if __debug__:
     sys.exit("not running under -O")
 fan = fan_from_cones([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], 2)
 L = lifted_complex(fan, support_data(fan, [1, 0, 0]), 1)
-project = [m.copy() for m in L.project]
-m = next(i for i, p in enumerate(project) if p.any())
-r, c = next(idx for idx, x in np.ndenumerate(project[m]) if x)
-project[m][r, c] += 1
+project = list(L.project)
+m = next(i for i, p in enumerate(project) if any(p.rows))
+dense = project[m].tolist()
+r, c = next((r, c) for r, row in enumerate(dense) for c, x in enumerate(row) if x)
+dense[r][c] += 1
+project[m] = Matrix.from_dense(dense, project[m].ncols)
 try:
     _verify_ses(dataclasses.replace(L, project=tuple(project)))
 except InvariantViolation as exc:
@@ -1081,7 +1097,9 @@ calls = []
 def flipped(pairing, source, target):
     block = contraction(pairing, source, target)
     calls.append(pairing)
-    return -block if len(calls) == 1 else block
+    if len(calls) > 1:
+        return block
+    return xl.Matrix([{j: -x for j, x in row.items()} for row in block.rows], block.ncols)
 
 
 xl.contraction_matrix = flipped

@@ -1,9 +1,9 @@
 """Face-indexed cochain complexes and the local cohomological defect."""
 
 import random
+import re
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +42,7 @@ from toricdef import ishida
 
 
 def mats_equal(a, b):
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +296,22 @@ def test_complexes_are_memoized_by_poset_and_level(cone_13, p112_fan):
     assert ishida_fan(p112_fan, 1) is ishida_fan(p112_fan, 1) is not ishida_fan(p112_fan, 2)
 
 
+def test_block_matrix_names_the_blocks_it_lacks(cone_13):
+    cx = ishida_cone(cone_13, 2)
+    top = len(cx.terms) - 1
+    for degree, src, dst in ((0, (99,), (98,)), (7, (), (0,)), (top, cx.terms[top][0].face_key, ())):
+        with pytest.raises(ValidationError, match=re.escape(f"no blocks {src!r} -> {dst!r} out of degree {degree}")):
+            cx.block_matrix(degree, src, dst)
+    i, s, t = cx.pairs[0]
+    assert cx.block_matrix(i, s, t).shape == (cx.block(i + 1, t).size, cx.block(i, s).size)
+
+
+def test_representatives_keep_their_height_in_acyclic_degrees(cone_13):
+    cx = ishida_cone(cone_13, 2)
+    assert [cx.representatives(i).shape for i in range(len(cx.terms))] == [(6, 0), (39, 9), (24, 0)]
+    assert cx.representatives(-1).shape == cx.representatives(len(cx.terms)).shape == (0, 0)
+
+
 def test_dims_and_exterior_subsets_are_computed_once(monkeypatch):
     cx = ishida_cone(cone_from_rays(T13_RAYS, 4), 2)  # fresh: complexes are memoized
     size, calls = ishida.Block.size, []
@@ -328,24 +344,25 @@ def test_cone_complex_proves_bases_independent_without_ranks(monkeypatch):
 def _all_pairs_diffs(cx, entry):
     """The old assembly as an oracle: every (source block, target block) pair
     of consecutive degrees of ``cx``'s terms is asked ``entry(i, src_key,
-    dst_key)`` for its block, ``None`` meaning zero."""
+    dst_key)`` for its block as dense rows, ``None`` meaning zero."""
     out = []
     for i in range(len(cx.terms) - 1):
-        d = xl.zeros_matrix(cx.dims[i + 1], cx.dims[i])
+        d = [[0] * cx.dims[i] for _ in range(cx.dims[i + 1])]
         for sb in cx.terms[i]:
             for tb in cx.terms[i + 1]:
                 if sb.size and tb.size:
                     block = entry(i, sb.face_key, tb.face_key)
                     if block is not None:
-                        d[tb.offset : tb.offset + tb.size, sb.offset : sb.offset + sb.size] = block
-        out.append(d.tolist())
+                        for r, row in enumerate(block, start=tb.offset):
+                            d[r][sb.offset : sb.offset + sb.size] = row
+        out.append(d)
     return out
 
 
 def _old_slice(cx, i, src_key, dst_key):
     s = next(b for b in cx.terms[i] if b.face_key == src_key)
     t = next(b for b in cx.terms[i + 1] if b.face_key == dst_key)
-    return cx.diffs[i][t.offset : t.offset + t.size, s.offset : s.offset + s.size]
+    return [row[s.offset : s.offset + s.size] for row in cx.diffs[i].tolist()[t.offset : t.offset + t.size]]
 
 
 def test_graded_pieces_match_the_all_pairs_assembly(cone_13):
