@@ -2,14 +2,16 @@
 
 Cones are given by extreme rays (primitive integer vectors), and no floating
 point is involved anywhere.  A cone is built from its facets:
-:func:`cone_from_rays` finds them once, among the (d-1)-subsets of the
-generators, whose hyperplane is read off signed maximal minors and validated
-as supporting.  With no LP, strong convexity is the rank of the facet
-normals, and a generator is extreme iff the facets through it meet in it
-alone, a set intersection (the proofs are in its docstring).  The
-remaining faces are intersections of facets.  This is quadratic-ish in the
-number of faces, which is the right trade at the scale this package targets
-(tens of rays).
+:func:`cone_from_rays` finds them once, by the double description on
+integer rows (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon
+1996): ``d`` independent generators give a simplicial start, and each
+further generator cuts the dual cone, joining only adjacent pairs of facet
+normals, with a combinatorial adjacency test.  The work follows the number
+of facets met on the way, not the ``(d-1)``-subsets of the generators.
+With no LP, strong convexity is the rank of the facet normals, and a
+generator is extreme iff the facets through it meet in it alone, a set
+intersection (the proofs are in its docstring).  The remaining faces are
+intersections of facets.
 
 Lattice data is computed once per face, and only when read.  A face's
 annihilator is one integer kernel of its rays
@@ -42,6 +44,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import exact_linalg as xl
 from .errors import (
@@ -60,7 +63,7 @@ from .errors import (
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _ivec(v) -> tuple[int, ...]:
@@ -117,10 +120,28 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
     and kept on the cone.  Let ``C`` be the cone, of dimension ``d`` in its
     span ``V``, and ``L = C ∩ -C`` its lineality space.
 
-    * The search finds exactly the facets of ``C``.  A hyperplane of ``V``
-      through ``d - 1`` independent generators with every generator on one
-      side meets ``C`` in a face of dimension ``d - 1``; conversely a facet
-      is generated by the generators in it, ``d - 1`` of them independent.
+    * :func:`_facets` finds exactly the facets of ``C``.  Its normals are
+      the extreme rays of the dual cone ``C^∨ = {u : u . g >= 0}`` over the
+      generators ``g``, and the facets of ``C`` are the ``u^⊥ ∩ C`` for
+      those rays (faces of ``C`` and ``C^∨`` correspond, with dimensions
+      adding up to ``d``; Cox–Little–Schenck, *Toric Varieties*, 1.2).
+      Let ``C_k^∨`` be the dual cone of the first ``k`` generators taken.
+      The start takes ``d`` independent generators, so ``C_d^∨`` is
+      simplicial, with the ``d`` signed minors of each ``d - 1`` of them as
+      extreme rays.  From then on every ``C_k^∨`` is pointed, whether or
+      not ``C`` has a lineality space: a line in it would vanish on ``d``
+      independent generators.  Adding a generator ``g`` cuts ``C_k^∨`` by
+      ``u . g >= 0``.  An extreme ray of the cut cone either is an extreme
+      ray of ``C_k^∨`` with ``u . g >= 0``, or lies on ``u . g = 0`` in a
+      2-face of ``C_k^∨`` whose two extreme rays ``u_p``, ``u_n`` take
+      values ``s_p > 0 > s_n`` on ``g``, and is then ``s_p u_n - s_n u_p``.
+      Two extreme rays of a pointed cone span a 2-face iff the generators
+      on which both vanish have rank ``d - 2``, so at least ``d - 2`` of
+      them, and iff no third extreme ray vanishes on all of those
+      generators (the combinatorial test of Fukuda & Prodon, "Double
+      description method revisited", 1996, Proposition 7).  So after the
+      last generator the normals are exactly the extreme rays of ``C^∨``,
+      each found once.
     * ``C`` is strongly convex iff the facet normals have rank ``d``.  If
       ``L != 0``, a facet normal ``u`` is ``>= 0`` on ``C``, which contains
       ``L = -L``, so ``u`` vanishes on ``L``: every normal lies in ``L^⊥``,
@@ -142,7 +163,8 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
 
     ``m = d`` independent generators span a simplicial cone: it is strongly
     convex, every generator is extreme and the facets are the ``(d -
-    1)``-subsets, so neither the search nor the two tests runs.
+    1)``-subsets, so neither the double description nor the two tests
+    runs.
     """
     vecs = [_ivec(v) for v in vectors]
     if not vecs:
@@ -246,30 +268,78 @@ def _ray_coords(span_rows, rays) -> tuple[tuple, ...]:
 
 
 def _facets(ray_coords, d: int) -> dict[frozenset[int], tuple | None]:
-    """The facets of a cone that is full-dimensional in ``Z^d``, among the
-    hyperplanes through ``d - 1`` rays with every ray on one side, as ``{ray
-    set: normal}``; a normal is the vector of signed maximal minors, on
-    either side.  ``m = d`` rays, independent since they span, give the
-    ``d`` subsets of ``d - 1`` rays, whose normals nothing needs (None),
-    with no minor."""
+    """The facets of the cone over ``m`` rays that span ``Q^d``, as ``{ray
+    set: normal}``, by the double description (the proofs are in
+    :func:`cone_from_rays`).  A normal is primitive and nonnegative on the
+    rays, and it is checked to vanish on exactly its ray set.
+
+    The ``d`` rays independent of those before them start it, with the
+    signed minors of each ``d - 1`` of them as normals; each other ray, in
+    input order, keeps the normals nonnegative on it and joins each
+    adjacent pair of a positive and a negative normal across it.  Zero sets
+    are bit masks over the rays taken so far.  The facets come ordered by
+    their :func:`_least_basis`, so the face keys that :func:`_face_keys`
+    builds by intersecting them, down to the order in which a key
+    iterates, do not depend on the order in which the facets were found.
+    ``m = d`` rays, independent since they span, give the ``d`` subsets of
+    ``d - 1`` rays, whose normals nothing needs (None), with no minor."""
     m = len(ray_coords)
     if d == 0:
         return {}
     if m == d:
         return {frozenset(range(m)) - {i}: None for i in range(m)}
-    facets: dict[frozenset[int], tuple | None] = {}
-    for sub in itertools.combinations(range(m), d - 1):
-        subset = frozenset(sub)
-        if any(subset <= s for s in facets):
+    start = _independent(ray_coords)
+    normals = []
+    for i in start:
+        rest = [j for j in start if j != i]
+        u = xl.primitive_vector(_minor_normal([ray_coords[j] for j in rest], d))
+        if _dot(u, ray_coords[i]) < 0:
+            u = tuple(-x for x in u)
+        normals.append((u, sum(1 << j for j in rest)))
+    for i, r in enumerate(ray_coords):
+        if i in start:
             continue
-        u = _minor_normal([ray_coords[i] for i in sub], d)
-        if not any(u):
-            continue
+        pos, neg, kept = [], [], []
+        for u, z in normals:
+            s = _dot(u, r)
+            if s > 0:
+                pos.append((u, z, s))
+                kept.append((u, z))
+            elif s < 0:
+                neg.append((u, z, s))
+            else:
+                kept.append((u, z | 1 << i))
+        masks = [z for _, z in normals]
+        for up, zp, sp in pos:
+            for un, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() >= d - 2 and sum(common & z == common for z in masks) == 2:
+                    w = xl.primitive_vector([sp * a - sn * b for a, b in zip(un, up)])
+                    kept.append((w, common | 1 << i))
+        normals = kept
+    facets = {}
+    for u, z in normals:
         vals = [_dot(u, c) for c in ray_coords]
-        if min(vals) < 0 < max(vals):
-            continue
-        facets.setdefault(frozenset(i for i, v in enumerate(vals) if v == 0), u)
-    return facets
+        key = frozenset(j for j, v in enumerate(vals) if v == 0)
+        if min(vals) < 0 or key != {j for j in range(m) if z >> j & 1}:
+            raise InvariantViolation("a facet normal is negative on a ray or off its facet")
+        facets[key] = u
+    return {k: facets[k] for k in sorted(facets, key=lambda k: _least_basis(k, ray_coords, d))}
+
+
+def _least_basis(key, ray_coords, d: int) -> list[int]:
+    """The lexicographically least set of ``d - 1`` independent rays among
+    the rays ``key`` of a facet: each ray independent of the rays before it
+    (the greedy basis of a matroid is its least)."""
+    rays = sorted(key)
+    if len(rays) == d - 1:
+        return rays
+    return [rays[j] for j in _independent([ray_coords[i] for i in rays])]
+
+
+def _independent(vectors) -> list[int]:
+    """The positions of the ``vectors`` independent of those before them."""
+    return xl.pivot_columns(xl.Matrix.from_dense(zip(*vectors), len(vectors)))
 
 
 def _minor_normal(rows, d: int) -> tuple[int, ...]:
@@ -777,11 +847,13 @@ def _pair_functional(perp, out_a, out_b) -> tuple[int, ...] | None:
       projected cone is full-dimensional, strongly convex iff the cone of
       the images is, and a functional ``w'`` on ``Q^d`` is ``w`` with
       entries ``w'`` at the pivots and 0 elsewhere.
-    * :func:`_facets` finds the projected cone's facets, and it is strongly
-      convex iff their normals have rank ``d`` (the proof is in
+    * :func:`_facets` finds the projected cone's facets by the double
+      description, with primitive normals nonnegative on the images, also
+      where images are parallel or opposite, and the cone is strongly
+      convex iff their normals have rank ``d`` (the proofs are in
       :func:`cone_from_rays`).  ``d`` independent images span a simplicial
       cone, strongly convex, whose facet normals are the signed minors of
-      each ``d - 1`` of them, with no search.
+      each ``d - 1`` of them, with no double description.
       Signed to be nonnegative on the images, the normals of a strongly
       convex cone sum to a functional positive on each image: one it
       vanished on would lie on every facet, whose hyperplanes meet in 0

@@ -393,15 +393,39 @@ def lp_cone_from_rays(vectors, rank):
     return Cone(rank, tuple(prim), dim)
 
 
-def oracle_faces(rays, rank, labels=None):
-    """``{ray set: Face}`` of the cone over the extreme ``rays`` in
-    ``Z^rank``, by the facet search that ran in the face lattice before it
-    moved into :func:`~toricdef.cone_from_rays`: the hyperplanes through
-    ``d - 1`` rays, in the coordinates of their span lattice, with every ray
-    on one side, and the intersections of those facets.  Rows come from two
-    integer kernels, and ray ``i`` is labelled ``labels[i]``."""
+def subset_facets(coords, d) -> dict:
+    """``{ray set: normal}`` of the cone over ``coords``, which span
+    ``Q^d``, by the subset search, the oracle of the double description in
+    :func:`~toricdef.polyhedral._facets`: the hyperplanes through ``d - 1``
+    rays with every ray on one side, in the order the ``(d - 1)``-subsets
+    meet them.  A normal is the vector of signed maximal minors of the
+    first such ``d - 1`` rays, on either side and not divided by its gcd."""
     import itertools
 
+    from toricdef import exact_linalg as xl
+
+    facets: dict = {}
+    for sub in itertools.combinations(range(len(coords)), d - 1) if d > 0 else ():
+        if any(set(sub) <= s for s in facets):
+            continue
+        rows = [list(coords[i]) for i in sub]
+        u = tuple((-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d))
+        if not any(u):
+            continue
+        vals = [sum(a * b for a, b in zip(u, c)) for c in coords]
+        if min(vals) < 0 < max(vals):
+            continue
+        facets.setdefault(frozenset(i for i, v in enumerate(vals) if v == 0), u)
+    return facets
+
+
+def oracle_faces(rays, rank, labels=None):
+    """``{ray set: Face}`` of the cone over the extreme ``rays`` in
+    ``Z^rank``, as the face lattice found them before the facet search
+    moved into :func:`~toricdef.cone_from_rays`: the :func:`subset_facets`
+    in the coordinates of the rays' span lattice, and the intersections of
+    those facets.  Rows come from two integer kernels, and ray ``i`` is
+    labelled ``labels[i]``."""
     from toricdef import exact_linalg as xl
     from toricdef.polyhedral import Face
 
@@ -414,22 +438,7 @@ def oracle_faces(rays, rank, labels=None):
 
     m = len(rays)
     top = face(frozenset(range(m)))
-    d = top.dim
-    coords = xl.coordinates(top.span_rows, rays)
-    facets = []
-    for sub in itertools.combinations(range(m), d - 1) if d > 0 else ():
-        if any(set(sub) <= s for s in facets):
-            continue
-        rows = [coords[i] for i in sub]
-        u = [(-1) ** j * xl.integer_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
-        if not any(u):
-            continue
-        vals = [sum(a * b for a, b in zip(u, c)) for c in coords]
-        if min(vals) < 0 < max(vals):
-            continue
-        fs = frozenset(i for i, v in enumerate(vals) if v == 0)
-        if fs not in facets:
-            facets.append(fs)
+    facets = list(subset_facets(xl.coordinates(top.span_rows, rays), top.dim))
     keys = {frozenset(range(m)), frozenset(), *facets}
     queue = list(facets)
     while queue:

@@ -1030,6 +1030,14 @@ try:
     star_quotient(cone, (0, 0, 1))
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
+# facet normals of the double description moved off their facets
+minor_normal = polyhedral._minor_normal
+polyhedral._minor_normal = lambda rows, d: tuple(x + (i == 0) for i, x in enumerate(minor_normal(rows, d)))
+try:
+    cone_from_rays(square, 3)
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
+polyhedral._minor_normal = minor_normal
 """
 
 
@@ -1042,7 +1050,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 11
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 12
 
 
 _CORRUPTED_PROJECTION_RUN = """

@@ -35,6 +35,7 @@ from conftest import (
     seed77_generators,
     smith_kernel_rows,
     stellar_fan_data,
+    subset_facets,
 )
 import toricdef
 from toricdef import (
@@ -58,7 +59,7 @@ from toricdef import (
     star_quotient,
 )
 from toricdef import exact_linalg as xl
-from toricdef.cli import InputDocument, serialize_document
+from toricdef.cli import MAX_RANK, MAX_RAYS, InputDocument, serialize_document
 from toricdef.cli import run as cli_run
 from toricdef.lefschetz import support_data
 from toricdef import polyhedral
@@ -894,6 +895,94 @@ def test_pair_functional_matches_the_lp_on_random_cone_pairs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# facets against the subset search
+
+
+def _hull_coords(gens, rank):
+    """``(coords, d)``: the distinct primitive nonzero ``gens`` in the
+    coordinates of their span lattice, of rank ``d``, as
+    :func:`~toricdef.cone_from_rays` hands them to the facet search."""
+    prim = list(dict.fromkeys(xl.primitive_vector(g) for g in gens if any(g)))
+    top = polyhedral._lattice_face(frozenset(range(len(prim))), prim, rank)
+    return polyhedral._ray_coords(top.span_rows, prim), top.dim
+
+
+def _pair_coords(images, width):
+    """``(coords, d)``: the pair-cone images as
+    :func:`~toricdef.polyhedral._pair_functional` projects them onto the
+    pivot columns of their Hermite basis."""
+    pivots = [xl._pivot(h) for h in xl.hermite_rows(images, width)]
+    return [tuple(g[j] for j in pivots) for g in images], len(pivots)
+
+
+def _facet_oracle_inputs():
+    """Seeded inputs of the facet search, by kind: the fixtures, the
+    seed-77 cones (some with generators that are not extreme) and their
+    pyramids, cyclic cones, random generators that contain a line, fill a
+    half-space or the whole space or span a lower-dimensional space, and
+    pair-cone images that are parallel or opposite."""
+    out = [("fixture", _hull_coords(r, 4)) for r in (A_RAYS, B_RAYS, T13_RAYS, GLUED_RAYS, CUBE_RAYS)]
+    out += [("seed77", _hull_coords(g, r)) for g, r in seed77_generators()]
+    out += [("cyclic", _hull_coords(cyclic_rays(p, r), r)) for p, r in ((range(-4, 5), 5), (range(-5, 6), 5), (range(-4, 5), 6))]
+    rng = random.Random(18)
+    for _ in range(40):
+        rank = rng.randrange(2, 6)
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+        def vectors(k, low=-2):
+            return [tuple(rng.randrange(-2, 3) for _ in range(rank - 1)) + (rng.randrange(low, 3),) for _ in range(k)]
+
+        g = vectors(1)[0]
+        out.append(("line", _hull_coords([g, tuple(-x for x in g)] + vectors(rng.randrange(1, rank + 3)), rank)))
+        half = units[:-1] + [tuple(-x for x in u) for u in units[:-1]] + units[-1:]
+        out.append(("half-space", _hull_coords(half + vectors(rng.randrange(0, 4), low=0), rank)))
+        whole = units + [(-1,) * rank]
+        out.append(("whole space", _hull_coords(whole + vectors(rng.randrange(0, 4)), rank)))
+        base = vectors(rank - 1)
+        flat = [tuple(sum(c * b[k] for c, b in zip(cs, base)) for k in range(rank))
+                for cs in ([rng.randrange(-1, 3) for _ in base] for _ in range(rng.randrange(2, rank + 4)))]
+        out.append(("lower", _hull_coords(flat, rank)))
+        images = [g for g in vectors(rng.randrange(2, rank + 3)) if any(g)]
+        images += [tuple(rng.choice((-2, -1, 2, 3)) * x for x in rng.choice(images)) for _ in range(2)]
+        out.append(("pair", _pair_coords(images, rank)))
+    return out
+
+
+def test_facets_match_the_subset_search():
+    """The double description finds the facets the subset search finds, in
+    the same order, with the same normals divided by their gcd, signed
+    nonnegative on the rays, on every kind of input; the random kinds reach
+    cones with a line, with one facet, with none and of lower dimension."""
+    reached = set()
+    for kind, (coords, d) in _facet_oracle_inputs():
+        found = polyhedral._facets(coords, d)
+        oracle = subset_facets(coords, d)
+        assert set(found) == set(oracle), (kind, coords)
+        if len(coords) > d:  # in the order the subset search meets them
+            assert list(found) == list(oracle), (kind, coords)
+        for key, u in found.items():
+            if u is None:
+                assert len(coords) == d
+                continue
+            w = xl.primitive_vector(oracle[key])
+            assert u in (w, tuple(-x for x in w)), (kind, coords, key)
+            vals = [polyhedral._dot(u, c) for c in coords]
+            assert min(vals) >= 0 and key == {j for j, v in enumerate(vals) if v == 0}
+        normals = [u for u in found.values() if u is not None]
+        if 0 < len(xl.hermite_rows(normals, d)) < d:
+            reached.add("line")
+        reached.add(("facets", min(len(found), 2)))
+        reached.add(kind)
+        directions = [xl.primitive_vector(c) for c in coords]
+        if kind == "pair" and any(a == b or a == tuple(-x for x in b) for a, b in itertools.combinations(directions, 2)):
+            reached.add("parallel or opposite")
+    assert reached == {
+        "fixture", "seed77", "cyclic", "line", "half-space", "whole space", "lower", "pair",
+        ("facets", 0), ("facets", 1), ("facets", 2), "parallel or opposite",
+    }
+
+
+# ---------------------------------------------------------------------------
 # work counts: LPs and facet searches
 
 
@@ -961,10 +1050,10 @@ def test_every_stellar_fan_pair_gets_a_certificate(monkeypatch):
 
 
 def test_facets_are_found_once(monkeypatch):
-    """``cone_from_rays`` searches for the facets and ``face_lattice`` takes
-    them from the cone: it computes no minor.  With extreme generators the
-    search takes no more determinants than the parent's face lattice did
-    (:func:`oracle_faces`)."""
+    """``cone_from_rays`` finds the facets and ``face_lattice`` takes them
+    from the cone: it computes no minor.  The double description takes no
+    more determinants than the subset search took on the extreme rays alone
+    (:func:`oracle_faces`), also where some generators are not extreme."""
     dets = []
     det = xl.integer_det
     monkeypatch.setattr(xl, "integer_det", lambda m: dets.append(1) or det(m))
@@ -981,11 +1070,25 @@ def test_facets_are_found_once(monkeypatch):
         found = len(dets)
         face_lattice(cone)
         assert len(dets) == found
-        if len(cone.rays) == len(gens):
-            assert found <= before, (gens, found, before)
-        else:
+        assert found <= before, (gens, found, before)
+        if len(cone.rays) < len(gens):
             more.append((len(gens), len(cone.rays), found, before))
-    # Which generators are extreme is read off the facets, so on the five
-    # seed-77 inputs with generators that are not extreme the search runs
-    # over all of them: (generators, extreme rays, determinants, parent's)
-    assert more == [(5, 4, 30, 18), (5, 4, 24, 18), (4, 3, 12, 9), (7, 6, 140, 80), (8, 7, 350, 175)]
+    # the five seed-77 inputs with generators that are not extreme:
+    # (generators, extreme rays, determinants, the subset search's on the
+    # extreme rays); the double description takes the d^2 of its start
+    assert more == [(5, 4, 9, 18), (5, 4, 9, 18), (4, 3, 9, 9), (7, 6, 16, 80), (8, 7, 25, 175)]
+
+
+def test_facets_at_the_cli_guard_size(monkeypatch):
+    """The cone over the 6-cube, rank 7 with 64 rays, is within the CLI's
+    size guard.  The subset search would try C(64, 6), about 7.5e7, sets of
+    rays; the double description finds the 12 facets with the d^2 minors of
+    its start."""
+    dets = []
+    det = xl.integer_det
+    monkeypatch.setattr(xl, "integer_det", lambda m: dets.append(1) or det(m))
+    cone = cone_from_rays([v + (1,) for v in itertools.product((1, -1), repeat=6)], 7)
+    assert (cone.rank, len(cone.rays)) == (7, 64)
+    assert cone.rank <= MAX_RANK and len(cone.rays) <= MAX_RAYS
+    assert len(polyhedral._hull(cone)[2]) == 12
+    assert len(dets) <= 7 * 7
