@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact_linalg as xl
-from .errors import InvalidShelling, InvariantViolation, WrongDimension
+from .errors import InvalidShelling, InvariantViolation, ValidationError, WrongDimension
 from .ishida import LabeledComplex, assemble_complex, cohomology, ishida_cone
 from .polyhedral import (
     Cone,
@@ -85,6 +85,11 @@ def _ray_condition(order, r: int) -> bool:
     return True
 
 
+def _require_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValidationError(f"search budget {budget} is negative")
+
+
 def _search_shelling(lat, facets, allow, budget: int):
     """Depth-first search for a shelling order; ``allow(pos, facet, covered)``
     prunes placements.  Returns the order, or None when none was found
@@ -133,8 +138,10 @@ def shelling_ray_criterion(cone: Cone, search_budget: int = 2048) -> CriterionVe
 
     The criterion is existential: a few sweep shellings are tried first,
     then a bounded backtracking search over facet orders.  INCONCLUSIVE
-    only means the search found nothing within its budget.
+    only means the search found nothing within its budget.  A negative
+    budget is a VALIDATION_ERROR.
     """
+    _require_budget(search_budget)
     _require_dim4(cone)
     lat = face_lattice(cone)
     facets = lat.faces_by_dim[3]
@@ -179,7 +186,9 @@ def simplicial_star_criterion(cone: Cone) -> CriterionVerdict:
 def find_shelling(cone: Cone, prefix_keys=(), budget: int = 4096):
     """A shelling whose order starts with the given facet keys (in any
     order among themselves), found by bounded backtracking; None if the
-    search fails within the budget."""
+    search fails within the budget.  A negative budget is a
+    VALIDATION_ERROR."""
+    _require_budget(budget)
     lat = face_lattice(cone)
     facets = lat.faces_by_dim[cone.dim - 1]
     wanted = [frozenset(k) for k in prefix_keys]

@@ -11,7 +11,8 @@ alike, and :func:`_sparse_product` is the one matrix product, the
 uses.  The lattice kernel runs on plain ``int`` lists: Hermite forms,
 integer kernels by one unimodular row elimination, the unimodular
 completion of a primitive column by the Euclidean algorithm, coordinates
-by back-substitution in echelon bases, and Bareiss determinants.  One
+by back-substitution in echelon bases (one exact ``divmod`` per pivot,
+rational only where a pivot does not divide), and Bareiss determinants.  One
 fraction-free elimination (:func:`_eliminate`) is behind
 :func:`rank_and_kernel`, :func:`solve_matrix`, :func:`matrix_rank` and
 :func:`pivot_columns`.  A rational matrix enters it with each row scaled
@@ -19,10 +20,13 @@ by its common denominator, which changes neither the row space nor the
 pivots, and an entry is divided by its pivot only when a reduced form,
 kernel or solution is written out.
 Contraction and expansion blocks are compound minors, each order built from
-the one below by Laplace expansion (:func:`_compound_minors`).  A
-contraction is given by a :class:`Pairing`: the pairings of the contracting
-vector with the source rows, which are all of the vector that the block
-sees, and the coordinates that every exterior degree shares.
+the one below by Laplace expansion (:func:`_compound_minors`), except a
+contraction block at the top degree: it is 1 x 1, and its entry is one
+Bareiss determinant.  A contraction is given by a :class:`Pairing`: the
+pairings of the contracting vector with the source rows, which are all of
+the vector that the block sees, and the coordinates that every exterior
+degree shares, ints when the target basis is a Hermite basis of a
+saturated lattice.
 ``Fraction`` remains wherever an entry is not integral and wherever a
 caller passes rational vectors.  Nothing here ever touches floating point;
 determinism and exactness are the whole point.
@@ -392,16 +396,13 @@ def _pivot(row) -> int | None:
     return next((i for i, x in enumerate(row) if x != 0), None)
 
 
-def is_echelon(rows) -> bool:
-    """Does each row start (first nonzero entry) strictly right of the one
-    before?  Hermite bases do."""
-    last = -1
-    for row in rows:
-        c = _pivot(row)
-        if c is None or c <= last:
-            return False
-        last = c
-    return True
+def _echelon_pivots(rows) -> list[int] | None:
+    """The pivot (first nonzero entry) of each row, or None unless each
+    starts strictly right of the one before.  Hermite bases do."""
+    pivots = [_pivot(row) for row in rows]
+    if None in pivots or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        return None
+    return pivots
 
 
 def _div(a, b):
@@ -418,15 +419,20 @@ def coordinates(basis_rows, vectors) -> list[list] | None:
 
     An echelon basis is solved by back-substitution along its pivots: at
     the pivot of row ``i`` every later row is zero, so the coefficient of
-    row ``i`` is the remaining entry there over the pivot.  Coordinates are
-    ints where they are integral.  A basis not in echelon form costs one
-    rational solve.
+    row ``i`` is the remaining entry there over the pivot.  Each such
+    quotient is one ``divmod``, exact in ints (and int-valued when the
+    entries are Fractions) whenever the pivot divides; only a remainder
+    makes it a Fraction, from which the rest of that vector is rational.
+    So int vectors in a Hermite basis of a lattice that contains them get
+    int coordinates with no rational arithmetic.  A basis not in echelon
+    form costs one rational solve.
     """
     basis = [tuple(r) for r in basis_rows]
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return []
-    if not is_echelon(basis):
+    pivots = _echelon_pivots(basis)
+    if pivots is None:
         width = len(vectors[0])
 
         def columns(vs) -> Matrix:
@@ -434,15 +440,17 @@ def coordinates(basis_rows, vectors) -> list[list] | None:
 
         x = solve_matrix(columns(basis), columns(vectors))
         return None if x is None else [[row.get(j, 0) for row in x.rows] for j in range(len(vectors))]
-    pivots = [_pivot(row) for row in basis]
     out = []
     for v in vectors:
         w = list(v)
         coords = []
         for row, c in zip(basis, pivots):
-            q = _div(w[c], row[c]) if w[c] else 0
-            if q:
-                w = [x - q * y for x, y in zip(w, row)]
+            x, q = w[c], 0
+            if x:
+                q, r = divmod(x, row[c])
+                if r:
+                    q = Fraction(x) / row[c]
+                w = [a - q * b for a, b in zip(w, row)]
             coords.append(q)
         if any(w):
             return None
@@ -498,7 +506,7 @@ class SubspaceBasis:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length != ambient dimension")
         # echelon rows (every Hermite basis) are independent by their pivots
-        if self.vectors and not is_echelon(self.vectors):
+        if self.vectors and _echelon_pivots(self.vectors) is None:
             if matrix_rank(Matrix.from_dense(self.vectors, self.ambient_dim)) != len(self.vectors):
                 raise ValueError("vectors are dependent")
 
@@ -569,12 +577,15 @@ class Pairing(NamedTuple):
     ``|p_j|``, ``coords`` the int coordinates, scaled by ``scale``, of the
     rows ``p_j a_i - p_i a_j`` in the target basis (None when one of them
     leaves its span), and ``scale`` the common denominator times ``p_j``.
-    None of these depends on the exterior degree."""
+    None of these depends on the exterior degree.  On the face posets of
+    the package the rows are int and the target is a Hermite basis of a
+    saturated lattice that contains them, so the coordinates are ints as
+    they come and ``scale`` is ``p_j``."""
 
     values: tuple
     pivot: int | None
     coords: list[list[int]] | None
-    scale: int
+    scale: int | Fraction
 
 
 def pairing(values, rows, target_rows) -> Pairing:
@@ -588,7 +599,9 @@ def pairing(values, rows, target_rows) -> Pairing:
     g = coordinates(target_rows, [[pj * x - pi * y for x, y in zip(row, aj)] for row, pi in zip(rows, p)])
     if g is None:
         return Pairing(p, j, None, pj)
-    g, scale = _scaled_to_int(g)
+    if all(type(x) is int for row in g for x in row):
+        return Pairing(p, j, g, pj)
+    g, scale = _scaled_to_int(g)  # a rational basis
     return Pairing(p, j, g, scale * pj)
 
 
@@ -613,6 +626,14 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
     sets without ``j`` have nonzero minors: a column ``I`` that contains
     ``j`` has the one term ``r`` with ``I_r = j``.  The minors of each order
     come from those of the order below (:func:`_compound_minors`).
+
+    At the top degree, the source degree ``n`` the number of source rows and
+    the target basis one row smaller, the block is 1 x 1 with the column
+    ``I`` of all rows, which contains ``j``: its entry is ``(-1)^j p_j
+    det G' / scale^(n-1)``, ``G'`` the ``(n-1) x (n-1)`` rows of ``G`` but
+    row ``j``.  That is one :func:`integer_det`, about ``n^3/3``
+    multiplications, where the compound chain would take ``sum_q
+    C(n-1, q)^2 q``.  It covers every covering pair of a level-d complex.
     """
     if source.base.ambient_dim != target.base.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -630,8 +651,11 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
     if g is None:
         raise NotContained("contracted forms leave the target exterior basis span")
     k = source.degree - 1
-    minors = _compound_minors(g, [i for i in range(len(p)) if i != j], target.base.dim, k)
     scale = pairing.scale**k
+    if k == len(p) - 1 == target.base.dim:  # the top degree: one entry, one determinant
+        x = integer_det(g[:j] + g[j + 1:]) * (p[j] if j % 2 == 0 else -p[j])
+        return Matrix([{0: x if scale == 1 else _div(x, scale)} if x else {}], 1)
+    minors = _compound_minors(g, [i for i in range(len(p)) if i != j], target.base.dim, k)
     rows: list[dict] = [{} for _ in dst]
     for col, idx in enumerate(src):
         if j in idx:

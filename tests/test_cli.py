@@ -280,6 +280,18 @@ def test_criteria_command(tmp_path, capsys):
     assert verdicts["shelling_ray"]["verdict"] == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("budget", [-5, -1])
+def test_criteria_rejects_a_negative_budget(monkeypatch, capsys, cone_a_path, budget):
+    """A negative ``--budget`` is a VALIDATION_ERROR, as a level outside the
+    complex is, not an INCONCLUSIVE shelling verdict."""
+    monkeypatch.setattr("sys.argv", ["toricdef", "criteria", cone_a_path, "--budget", str(budget)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 3
+    assert "VALIDATION_ERROR" in capsys.readouterr().err
+    assert run(["criteria", cone_a_path, "--budget", "0"]) == 0
+
+
 def test_verify_command_cone(capsys, cone_a_path):
     code, env = run_json(capsys, ["verify", cone_a_path])
     assert code == 0

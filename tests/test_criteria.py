@@ -8,6 +8,7 @@ from toricdef import (
     FORCES_LCDEF_1,
     INCONCLUSIVE,
     InvalidShelling,
+    ValidationError,
     WrongDimension,
     cohomology,
     euler_criterion,
@@ -91,6 +92,15 @@ def test_shelling_certificate_small_budget(cube_cone, cone_a):
     # certifies the cube; the negative case stays negative
     assert shelling_ray_criterion(cube_cone, search_budget=1).verdict == FORCES_LCDEF_0
     assert shelling_ray_criterion(cone_a, search_budget=1).verdict == INCONCLUSIVE
+
+
+def test_shelling_searches_reject_a_negative_budget(cube_cone, glued_cone):
+    # checked before the line shellings, which certify the cube on their own
+    with pytest.raises(ValidationError):
+        shelling_ray_criterion(cube_cone, search_budget=-1)
+    with pytest.raises(ValidationError):
+        find_shelling(glued_cone, budget=-1)
+    assert find_shelling(glued_cone, budget=0) is None
 
 
 # ---------------------------------------------------------------------------

@@ -537,11 +537,16 @@ def _full_basis(n):
     return xl.SubspaceBasis(n, rows)
 
 
+def pairing_of(n, source, target):
+    """The :class:`~toricdef.exact_linalg.Pairing` of the vector ``n`` with
+    the source rows, into the target rows."""
+    rows = source.base.vectors
+    return xl.pairing([sum(x * y for x, y in zip(n, a)) for a in rows], rows, target.base.vectors)
+
+
 def contract(n, source, target):
     """Contraction by the vector ``n``: its pairing with the source rows."""
-    rows = source.base.vectors
-    pairing = xl.pairing([sum(x * y for x, y in zip(n, a)) for a in rows], rows, target.base.vectors)
-    return xl.contraction_matrix(pairing, source, target)
+    return xl.contraction_matrix(pairing_of(n, source, target), source, target)
 
 
 def test_contraction_known_values():
@@ -850,6 +855,21 @@ def test_contraction_cases_cover_every_branch():
         and gcd(*(sum(a * b for a, b in zip(n, v)) for v in src.base.vectors)) > 1
         for n, src, _, _ in cases
     )
+    # the top degree, whose one entry is one determinant: with a pivot that
+    # is not a unit (over int coordinates and over rational ones), and with
+    # a rational source basis and a rational target basis
+    tops = [
+        (pairing_of(n, src, dst), src, dst)
+        for n, src, dst, ref in cases
+        if ref is not None and src.degree == src.base.dim == dst.base.dim + 1
+    ]
+
+    def rational(basis):
+        return any(isinstance(x, Fraction) for v in basis.base.vectors for x in v)
+
+    assert any(abs(p.values[p.pivot]) != 1 and p.scale == p.values[p.pivot] for p, _, _ in tops)
+    assert any(abs(p.values[p.pivot]) != 1 and p.scale != p.values[p.pivot] for p, _, _ in tops)
+    assert any(rational(src) for _, src, _ in tops) and any(rational(dst) for _, _, dst in tops)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -1038,6 +1058,18 @@ try:
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
 polyhedral._minor_normal = minor_normal
+# a top-degree contraction block whose determinant is off by one
+from toricdef import NotAComplex, ishida_cone
+
+cone = cone_from_rays(square, 3)
+face_lattice(cone)
+det = xl.integer_det
+xl.integer_det = lambda m: det(m) + 1
+try:
+    ishida_cone(cone, 3)
+except NotAComplex as exc:
+    print(exc.ident, exc.exit_code)
+xl.integer_det = det
 """
 
 
@@ -1050,7 +1082,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 12
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 12 + ["NOT_A_COMPLEX", "13"]
 
 
 _CORRUPTED_PROJECTION_RUN = """

@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 from conftest import (
     A_RAYS,
     B_RAYS,
+    CUBE_RAYS,
+    GLUED_RAYS,
     T13_RAYS,
     cyclic_cone,
     make_p112,
     normal_of,
     pairing_of_normal,
+    random_complete_simplicial_fan,
     random_cone,
     seed77_cones,
     span_of,
@@ -36,9 +40,11 @@ from toricdef import (
     lcdef_cone,
     lcdef_variety,
     restricted_complex,
+    support_data,
 )
 from toricdef import exact_linalg as xl
 from toricdef import ishida
+from toricdef.lefschetz import _vertical_pairing
 
 
 def mats_equal(a, b):
@@ -288,6 +294,67 @@ def test_cone_complex_has_one_block_per_covering_pair(monkeypatch):
         assert len(calls) == len(expected)
         assert len(cx.pairs) == len(expected) and set(cx.pairs) == expected
         assert all(s.size and t.size for s, t in calls)
+
+
+def _has_int_coordinates(pairing) -> bool:
+    """Are the coordinates ints, with the pivot value as the scale?  They
+    are in Hermite bases of saturated lattices."""
+    return (
+        all(type(x) is int for row in pairing.coords for x in row)
+        and pairing.scale == pairing.values[pairing.pivot]
+    )
+
+
+def test_top_degree_blocks_are_one_unit_determinant():
+    """At the top degree the block of a covering pair is 1 x 1, and its
+    entry is ``(-1)^j p_j det G' / scale^(n-1)``, ``G'`` the coordinate rows
+    without the pivot row ``j``: the full-order compound minor.  It is a
+    unit, since the normal is primitive and both annihilators saturated.
+    Every pairing, of a covering pair or of a vertical lift, has int
+    coordinates over the scale ``p_j``, and pivots ``|p_j| >= 2`` occur.
+    The posets: the fixtures, the seed-77 cones and their pyramids, the
+    cones over the cyclic polytopes (5, 9) and (6, 9), and the stellar fan
+    with the tilde and hat posets of a divisor with seeded rational values."""
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS, GLUED_RAYS, CUBE_RAYS)]
+    cones += seed77_cones() + [cyclic_cone(range(-4, 5), r) for r in (5, 6)]
+    fan = random_complete_simplicial_fan(random.Random("stellar"), 4, 10)
+    rng = random.Random(3)
+    divisor = support_data(fan, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in fan.rays])
+    blocks, wide = 0, 0
+    for poset in [face_lattice(c) for c in cones] + [fan, divisor.tilde, divisor.hat]:
+        for tau in poset.all_faces:
+            for mu in poset.covered_by(tau):
+                perp, target = poset.perps[mu.ray_indices], poset.perps[tau.ray_indices]
+                n = len(perp)
+                src = xl.ExteriorBasis(xl.SubspaceBasis(poset.width, perp), n)
+                dst = xl.ExteriorBasis(xl.SubspaceBasis(poset.width, target), n - 1)
+                pairing = poset.covering_pairing(mu, tau)
+                assert _has_int_coordinates(pairing)
+                j, pj = pairing.pivot, pairing.values[pairing.pivot]
+                rest = [i for i in range(n) if i != j]
+                (minor,) = xl._compound_minors(pairing.coords, rest, n - 1, n - 1)[tuple(rest)]
+                entry = Fraction((-1) ** j * pj * minor, pairing.scale ** (n - 1))
+                assert xl.contraction_matrix(pairing, src, dst).tolist() == [[entry]]
+                assert abs(entry) == 1
+                blocks += 1
+                wide += abs(pj) >= 2
+    assert all(_has_int_coordinates(_vertical_pairing(divisor, f)) for f in fan.all_faces)
+    assert blocks > 0 and wide > 0
+
+
+def test_top_degree_blocks_take_one_determinant_each(monkeypatch):
+    """Every block of the level-d complex is at the top degree: each block
+    of source degree at least 2 takes one determinant, of order one less,
+    and no compound minor is built."""
+    cone = cone_from_rays(A_RAYS, 4)  # fresh: complexes are memoized on the face lattice
+    dets, minors = [], []
+    det, compound = xl.integer_det, xl._compound_minors
+    monkeypatch.setattr(xl, "integer_det", lambda m: dets.append(len(m)) or det(m))
+    monkeypatch.setattr(xl, "_compound_minors", lambda *a: minors.append(a) or compound(*a))
+    cx = ishida_cone(cone, cone.dim)
+    assert minors == []
+    assert sorted(dets) == sorted(cone.dim - 1 - m for m, _, _ in cx.pairs if m < cone.dim - 1)
+    assert {1, 2, 3} <= set(dets)
 
 
 def test_complexes_are_memoized_by_poset_and_level(cone_13, p112_fan):
