@@ -24,9 +24,10 @@ tilde complexes).  It hands
 nothing else; the complex records those pairs, and graded pieces and the
 stages of a filtration are re-assembled from them.
 
-:func:`lcdef_cone` computes only the cohomology the defect needs: it scans
-the candidate values from the top, builds a level when one of its cells is
-first needed, and stops at the first nonzero cell.
+:func:`lcdef_cone` and :func:`lcdef_variety` compute only the cohomology
+the defect needs: one scan tries the candidate values from the top, over
+the cells of every non-simplicial face at each value, builds a level when
+one of its cells is first needed, and stops at the first nonzero cell.
 """
 
 from __future__ import annotations
@@ -341,7 +342,8 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     ``shortcut_simplicial`` returns that without computing, which the test
     suite cross-validates against the full computation.
 
-    Only the cells that decide the value are computed.  Cell ``(l, i)``,
+    Only the cells that decide the value are computed: this is the
+    one-face case of the scan of :func:`_defect_scan`.  Cell ``(l, i)``,
     degree ``i`` of the level-``l`` complex with ``0 <= i <= l <= d``, has
     value ``c = i + l - d <= d``.  The candidates ``c = d, d - 1, ..., 1``
     are tried in turn, each over its cells from ``l = d`` down; a level's
@@ -353,17 +355,31 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     inner maximum is at most 0 and the answer is 0.  Either way the value
     is the one the formula gives.
     """
-    d = cone.dim
-    if d == 0:
+    if cone.dim == 0 or (shortcut_simplicial and is_simplicial(cone)):
         return 0
-    if shortcut_simplicial and is_simplicial(cone):
-        return 0
-    if not any(cohomology(ishida_cone(cone, 0))):
-        raise InvariantViolation("the level-0 complex has no cohomology")
-    for c in range(d, 0, -1):
-        for l in range(d, (c + d - 1) // 2, -1):
-            if ishida_cone(cone, l).h(c + d - l):
-                return c
+    return _defect_scan([cone])
+
+
+def _defect_scan(cones: list[Cone]) -> int:
+    """The largest cone-level value :func:`lcdef_cone` over ``cones`` (0 for
+    none), each of dimension at least 1, by one scan over their cells.
+
+    Each cone's level-0 complex is checked first, in the given order:
+    INVARIANT_VIOLATION when it has no cohomology.  Then the candidates
+    ``c`` run from the largest dimension down to 1; at each, every cone of
+    dimension ``d >= c`` in the given order is read over its cells
+    ``(l, c + d - l)`` from ``l = d`` down.  The first nonzero cell has the
+    value returned, and 0 is returned when there is none.
+    """
+    for cone in cones:
+        if not any(cohomology(ishida_cone(cone, 0))):
+            raise InvariantViolation("the level-0 complex has no cohomology")
+    for c in range(max((cone.dim for cone in cones), default=0), 0, -1):
+        for cone in cones:
+            d = cone.dim
+            for l in range(d, (c + d - 1) // 2, -1):
+                if ishida_cone(cone, l).h(c + d - l):
+                    return c
     return 0
 
 
@@ -376,10 +392,25 @@ def lcdef_faces(cone: Cone) -> list[tuple[Face, int]]:
 
 
 def lcdef_variety(cone: Cone) -> int:
-    """Local cohomological defect: the maximum of the cone-level value over
-    all faces (every point of the associated space has a neighborhood
-    modeled on one of the faces)."""
-    return max(v for _, v in lcdef_faces(cone))
+    """Local cohomological defect: the maximum of the cone-level value
+    :func:`lcdef_cone` over all faces (every point of the associated space
+    has a neighborhood modeled on one of the faces).
+
+    The maximum is one scan (:func:`_defect_scan`) over the cells of every
+    non-simplicial face, in face-lattice order; simplicial faces have value
+    0 by the shortcut of :func:`lcdef_cone`.  The candidates ``c`` run from
+    the largest face dimension down to 1, each over every face's cells of
+    value ``c``, and the first nonzero cell gives the answer: every cell of
+    a larger value, on every face, has been computed and found zero, so no
+    face has a larger value than ``c``, and the face of that cell has value
+    ``c``.  With no nonzero cell the answer is 0.  So the value is the
+    maximum over :func:`lcdef_faces`, but a face whose own value is below
+    the answer computes no cell at or below the answer.  The level-0 check
+    of :func:`lcdef_cone` runs on every non-simplicial face, in face order,
+    before any other cell.
+    """
+    faces = (face_cone(cone, f) for f in face_lattice(cone).all_faces)
+    return _defect_scan([face for face in faces if not is_simplicial(face)])
 
 
 # ---------------------------------------------------------------------------

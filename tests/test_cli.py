@@ -253,18 +253,19 @@ def test_subdivide_command(tmp_path, capsys, cone_a_path):
 
 def test_pyramid_command(tmp_path, capsys, cone_a_path):
     doc = parse_document(open(cone_a_path).read())
+    with_apex = InputDocument(rank=doc.rank, rays=doc.rays, apex=(0, 0, 0, 0, 1))
+    # the shipped pyramid input is fixture A with that apex
+    shipped = FIXTURES / "paper_cone_A_pyramid.txt"
+    assert parse_document(shipped.read_text()) == with_apex
     path = tmp_path / "a.txt"
-    path.write_text(
-        serialize_document(
-            InputDocument(rank=doc.rank, rays=doc.rays, apex=(0, 0, 0, 0, 1))
-        )
-    )
-    code, env = run_json(capsys, ["pyramid", str(path)])
-    assert code == 0
-    rep = env["report"]
-    assert rep["lcdef_base"] == 1
-    assert rep["lcdef_pyramid"] == 1
-    assert rep["invariant"] is True
+    path.write_text(serialize_document(with_apex))
+    for p in (path, shipped):
+        code, env = run_json(capsys, ["pyramid", str(p)])
+        assert code == 0
+        rep = env["report"]
+        assert rep["lcdef_base"] == 1
+        assert rep["lcdef_pyramid"] == 1
+        assert rep["invariant"] is True
 
 
 def test_criteria_command(tmp_path, capsys):

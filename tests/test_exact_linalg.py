@@ -1058,6 +1058,16 @@ try:
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
 polyhedral._minor_normal = minor_normal
+# level-0 complexes that read no cohomology, met by the variety's face scan
+from toricdef import ishida, lcdef_variety
+
+h = ishida.LabeledComplex.h
+ishida.LabeledComplex.h = lambda cx, i: 0 if cx.label == "cone level 0" else h(cx, i)
+try:
+    lcdef_variety(cone_from_rays(t.A_RAYS, 4))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
+ishida.LabeledComplex.h = h
 # a top-degree contraction block whose determinant is off by one
 from toricdef import NotAComplex, ishida_cone
 
@@ -1082,7 +1092,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 12 + ["NOT_A_COMPLEX", "13"]
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 13 + ["NOT_A_COMPLEX", "13"]
 
 
 _CORRUPTED_PROJECTION_RUN = """

@@ -19,6 +19,7 @@ from conftest import (
     make_p112,
     normal_of,
     pairing_of_normal,
+    random_apex,
     random_complete_simplicial_fan,
     random_cone,
     seed77_cones,
@@ -39,6 +40,7 @@ from toricdef import (
     ishida_fan,
     lcdef_cone,
     lcdef_variety,
+    pyramid,
     restricted_complex,
     support_data,
 )
@@ -175,6 +177,68 @@ def test_defect_scan_builds_and_ranks_only_what_it_needs(monkeypatch):
     assert lcdef_cone(cone) == 3
     assert sorted(built) == [0, 5, 6]
     assert ranked and len(set(ranked)) == len(ranked)
+
+
+def _variety_cases():
+    """Fixtures, the seed-77 cones, a seeded pyramid of each, seeded random
+    cones with their pyramids, cones embedded in a larger lattice, and cones
+    over cyclic polytopes."""
+    rng = random.Random(20)
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS, GLUED_RAYS)] + seed77_cones()
+    cones += [pyramid(c, random_apex(rng, c.rank)) for c in cones]
+    for _ in range(12):
+        d = rng.randrange(3, 6)
+        cone = random_cone(rng, d)
+        cones += [cone, pyramid(cone, random_apex(rng, d))]
+    # rank above dimension: the rays followed by their coordinate sum
+    cones += [
+        cone_from_rays([r + (sum(r),) for r in rays], 5) for rays in (A_RAYS, GLUED_RAYS, T13_RAYS)
+    ]
+    cones += [cyclic_cone(range(-4, 5), 5), cyclic_cone(range(-4, 5), 6), cyclic_cone(range(-5, 5), 7)]
+    return cones
+
+
+def test_variety_defect_is_the_maximum_over_faces():
+    values = set()
+    for cone in _variety_cases():
+        want = max(v for _, v in ishida.lcdef_faces(cone))
+        assert lcdef_variety(cone) == want, cone.rays
+        values.add(min(want, 3))
+    assert values == {0, 1, 2, 3}
+
+
+def test_variety_scan_builds_no_cell_below_the_answer(monkeypatch):
+    # the pyramid over the first rank-5 seed-77 cone: the base face has
+    # value 2, the pyramid itself (the top face) value 1, and every other
+    # face is simplicial
+    pyr = seed77_cones()[5]
+    built, ranked, seen, assembled = {}, [], {}, []
+    build, rank, assemble = ishida.ishida_cone, xl.matrix_rank, ishida.assemble_complex
+
+    def build_level(c, l):
+        cx = build(c, l)
+        if id(cx) not in seen:  # a complex the memo hands out again is no new build
+            seen[id(cx)] = cx
+            built.setdefault(c.dim, []).append(l)
+        return cx
+
+    def rank_diff(m):
+        ranked.append(id(m))
+        return rank(m)
+
+    def count_assembly(*args):
+        assembled.append(args[0])
+        return assemble(*args)
+
+    monkeypatch.setattr(ishida, "ishida_cone", build_level)
+    monkeypatch.setattr(xl, "matrix_rank", rank_diff)
+    monkeypatch.setattr(ishida, "assemble_complex", count_assembly)
+    assert (pyr.dim, len(pyr.rays)) == (6, 7)
+    assert lcdef_variety(pyr) == 2
+    # the top face stops at level 5: its level-4 cells have values at most 2
+    assert built == {5: [0, 5, 4], 6: [0, 6, 5]}
+    assert len(set(ranked)) == len(ranked)
+    assert (len(assembled), len(ranked)) == (6, 12)
 
 
 def test_defect_of_the_rank_seven_cyclic_cone():
