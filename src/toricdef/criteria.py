@@ -5,6 +5,10 @@ All three criteria are one-sided: a ``FORCES_LCDEF_*`` verdict is a proof,
 while ``INCONCLUSIVE`` claims nothing.  The defect of a full four-dimensional
 cone is always 0 or 1, and it is not determined by the face lattice alone, so
 no combinatorial test can decide every case.
+
+Both shelling searches are :func:`~toricdef.polyhedral._search_shelling`,
+which walks sets of placed facets, never walks a failed set twice, and at
+every budget returns what the walk over facet orders returned.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from .polyhedral import (
     Cone,
     Face,
     Shelling,
-    _attach_ok,
+    _prefix_allow,
+    _search_shelling,
     face_lattice,
     is_shelling,
     line_shelling,
@@ -90,56 +95,14 @@ def _require_budget(budget: int) -> None:
         raise ValidationError(f"search budget {budget} is negative")
 
 
-def _search_shelling(lat, facets, allow, budget: int):
-    """Depth-first search for a shelling order; ``allow(pos, facet, covered)``
-    prunes placements.  Returns the order, or None when none was found
-    within the node budget."""
-    r = len(facets)
-    used = [False] * r
-    order: list[Face] = []
-    placed: list[frozenset] = []
-    covered: set[int] = set()
-    nodes = 0
-
-    def dfs() -> bool:
-        nonlocal nodes
-        if len(order) == r:
-            return True
-        for idx in range(r):
-            if used[idx]:
-                continue
-            if nodes >= budget:
-                return False
-            g = facets[idx]
-            if not allow(len(order), g, covered):
-                continue
-            if not _attach_ok(lat, placed, g):
-                continue
-            nodes += 1
-            used[idx] = True
-            order.append(g)
-            placed.append(g.ray_indices)
-            added = g.ray_indices - covered
-            covered.update(added)
-            if dfs():
-                return True
-            covered.difference_update(added)
-            placed.pop()
-            order.pop()
-            used[idx] = False
-        return False
-
-    return tuple(order) if dfs() else None
-
-
 def shelling_ray_criterion(cone: Cone, search_budget: int = 2048) -> CriterionVerdict:
     """Search for a shelling whose every facet except the last two brings a
     new ray; finding one forces defect zero.
 
     The criterion is existential: a few sweep shellings are tried first,
-    then a bounded backtracking search over facet orders.  INCONCLUSIVE
-    only means the search found nothing within its budget.  A negative
-    budget is a VALIDATION_ERROR.
+    then :func:`_search_shelling` with ``search_budget`` facet placements.
+    INCONCLUSIVE only means the search found nothing within its budget.  A
+    negative budget is a VALIDATION_ERROR.
     """
     _require_budget(search_budget)
     _require_dim4(cone)
@@ -185,20 +148,23 @@ def simplicial_star_criterion(cone: Cone) -> CriterionVerdict:
 
 def find_shelling(cone: Cone, prefix_keys=(), budget: int = 4096):
     """A shelling whose order starts with the given facet keys (in any
-    order among themselves), found by bounded backtracking; None if the
-    search fails within the budget.  A negative budget is a
-    VALIDATION_ERROR."""
+    order among themselves); None if :func:`_search_shelling` finds none
+    within ``budget`` facet placements.  A negative budget, or a prefix key
+    that is not a facet or is listed twice, is a VALIDATION_ERROR, and a
+    dimension below two is WRONG_DIMENSION, all before the search."""
     _require_budget(budget)
+    if cone.dim < 2:
+        raise WrongDimension("shellings need dimension at least two")
     lat = face_lattice(cone)
     facets = lat.faces_by_dim[cone.dim - 1]
-    wanted = [frozenset(k) for k in prefix_keys]
-
-    def allow(pos, g, covered):
-        if pos < len(wanted):
-            return g.ray_indices in wanted
-        return True
-
-    order = _search_shelling(lat, facets, allow, budget)
+    try:
+        keys = [frozenset(k) for k in prefix_keys]
+    except TypeError as exc:
+        raise ValidationError(f"prefix {prefix_keys!r} does not list facet keys") from exc
+    wanted = frozenset(keys)
+    if len(wanted) != len(keys) or not wanted <= {f.ray_indices for f in facets}:
+        raise ValidationError(f"prefix {prefix_keys!r} does not list distinct facets")
+    order = _search_shelling(lat, facets, _prefix_allow(wanted), budget)
     if order is None:
         return None
     if not is_shelling(cone, order):

@@ -1061,40 +1061,69 @@ def _attach_ok(lat: FaceLattice, placed_keys, g: Face) -> bool:
     return _prefix_shellable(lat, g, frozenset(maximal))
 
 
+def _prefix_allow(initial: frozenset):
+    """Placements that put the facet keys ``initial`` first, in any order."""
+    return lambda pos, g, covered: pos >= len(initial) or g.ray_indices in initial
+
+
+def _search_shelling(lat: FaceLattice, facets, allow, budget=float("inf")):
+    """Depth-first search for a shelling order of ``facets``, the facets of
+    one face of ``lat``, where ``allow(pos, facet, covered)`` prunes
+    placements, ``covered`` being the rays placed so far.  The order, or
+    None when none was found within ``budget`` facet placements.
+
+    The walk is over sets of placed facets.  ``allow`` sees the size and
+    rays of the set, :func:`_attach_ok` its keys, and candidates come in
+    ``facets`` order, so the subtree below a set, its size and its outcome,
+    depend on the set alone.  A set whose subtree failed is stored with its
+    placement count, which a revisit adds to ``nodes`` instead of walking
+    the subtree again.  Once the budget is spent nothing more is placed and
+    the search returns None, as the walk over orders does when it overruns
+    the budget while repeating that subtree.  So at every budget the result
+    is the order, or None, that the walk over orders returns.
+    """
+    dead: dict[frozenset, int] = {}
+    order: list[Face] = []
+    nodes = 0
+
+    def dfs(placed: frozenset, covered: frozenset) -> bool:
+        nonlocal nodes
+        if len(order) == len(facets):
+            return True
+        start = nodes
+        for g in facets:
+            if g.ray_indices in placed:
+                continue
+            if nodes >= budget:
+                return False
+            if not (allow(len(order), g, covered) and _attach_ok(lat, placed, g)):
+                continue
+            nodes += 1
+            grown = placed | {g.ray_indices}
+            if grown in dead:
+                nodes += dead[grown]
+                continue
+            order.append(g)
+            if dfs(grown, covered | g.ray_indices):
+                return True
+            order.pop()
+        dead[placed] = nodes - start
+        return False
+
+    return tuple(order) if dfs(frozenset(), frozenset()) else None
+
+
 def _prefix_shellable(lat: FaceLattice, face: Face, initial: frozenset) -> bool:
     """Can a shelling of the boundary of ``face`` start with the facet set
-    ``initial`` (in some order)?  Memoized over the tail states."""
+    ``initial`` (in some order)?  The unbounded :func:`_search_shelling`
+    over the facets of ``face``, memoized per ``(face, initial)``."""
     if face.dim <= 2:
         return True
-    facets = lat.covered_by(face)
-    all_keys = frozenset(f.ray_indices for f in facets)
-    by_key = {f.ray_indices: f for f in facets}
-
-    def complete(placed: frozenset) -> bool:
-        if placed == all_keys:
-            return True
-        state = (face.ray_indices, placed)
-        if state in lat._shell_memo:
-            return lat._shell_memo[state]
-        res = False
-        for k in sorted(all_keys - placed, key=sorted):
-            if _attach_ok(lat, placed, by_key[k]) and complete(placed | {k}):
-                res = True
-                break
-        lat._shell_memo[state] = res
-        return res
-
-    def head(placed: frozenset) -> bool:
-        if len(placed) == len(initial):
-            return complete(placed)
-        for k in sorted(initial - placed, key=sorted):
-            if _attach_ok(lat, placed, by_key[k]) and head(placed | {k}):
-                return True
-        return False
-
-    if not initial <= all_keys:
-        return False
-    return head(frozenset())
+    state = (face.ray_indices, initial)
+    if state not in lat._shell_memo:
+        found = _search_shelling(lat, lat.covered_by(face), _prefix_allow(initial))
+        lat._shell_memo[state] = found is not None
+    return lat._shell_memo[state]
 
 
 def is_shelling(cone: Cone, order) -> bool:

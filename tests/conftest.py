@@ -497,6 +497,104 @@ def lp_fan_faces(rays, maximal_sets, rank):
     return faces
 
 
+def order_attach_ok(lat, placed_keys, g, memo) -> bool:
+    """The attachment condition of :func:`~toricdef.polyhedral._attach_ok`,
+    with the boundary shellings decided by :func:`order_prefix_shellable`."""
+    if not placed_keys:
+        return True
+    meets = {g.ray_indices & k for k in placed_keys}
+    maximal = [k for k in meets if not any(k < other for other in meets)]
+    cover_keys = {f.ray_indices for f in lat.covered_by(g)}
+    if any(k not in cover_keys for k in maximal):
+        return False
+    return order_prefix_shellable(lat, g, frozenset(maximal), memo)
+
+
+def order_prefix_shellable(lat, face, initial: frozenset, memo=None) -> bool:
+    """Can a shelling of the boundary of ``face`` start with the facet set
+    ``initial``?  The two nested walks that
+    :func:`~toricdef.polyhedral._prefix_shellable` ran before the one
+    shelling search: ``head`` places ``initial`` in every order, and
+    ``complete`` finishes it, memoized in ``memo`` over its states."""
+    memo = {} if memo is None else memo
+    if face.dim <= 2:
+        return True
+    facets = lat.covered_by(face)
+    all_keys = frozenset(f.ray_indices for f in facets)
+    by_key = {f.ray_indices: f for f in facets}
+
+    def complete(placed: frozenset) -> bool:
+        if placed == all_keys:
+            return True
+        state = (face.ray_indices, placed)
+        if state in memo:
+            return memo[state]
+        res = False
+        for k in sorted(all_keys - placed, key=sorted):
+            if order_attach_ok(lat, placed, by_key[k], memo) and complete(placed | {k}):
+                res = True
+                break
+        memo[state] = res
+        return res
+
+    def head(placed: frozenset) -> bool:
+        if len(placed) == len(initial):
+            return complete(placed)
+        for k in sorted(initial - placed, key=sorted):
+            if order_attach_ok(lat, placed, by_key[k], memo) and head(placed | {k}):
+                return True
+        return False
+
+    if not initial <= all_keys:
+        return False
+    return head(frozenset())
+
+
+def order_search_shelling(lat, facets, allow, budget: int):
+    """The walk over facet orders that
+    :func:`~toricdef.polyhedral._search_shelling` replaced, the oracle of
+    its walk over sets: depth first, ``allow(pos, facet, covered)`` prunes
+    placements, and ``budget`` bounds the placements.  Returns the order,
+    or None when none was found within the budget."""
+    r = len(facets)
+    used = [False] * r
+    order = []
+    placed = []
+    covered: set[int] = set()
+    memo: dict = {}
+    nodes = 0
+
+    def dfs() -> bool:
+        nonlocal nodes
+        if len(order) == r:
+            return True
+        for idx in range(r):
+            if used[idx]:
+                continue
+            if nodes >= budget:
+                return False
+            g = facets[idx]
+            if not allow(len(order), g, covered):
+                continue
+            if not order_attach_ok(lat, placed, g, memo):
+                continue
+            nodes += 1
+            used[idx] = True
+            order.append(g)
+            placed.append(g.ray_indices)
+            added = g.ray_indices - covered
+            covered.update(added)
+            if dfs():
+                return True
+            covered.difference_update(added)
+            placed.pop()
+            order.pop()
+            used[idx] = False
+        return False
+
+    return tuple(order) if dfs() else None
+
+
 def betti_oracle(fan):
     """Even Betti numbers of a complete simplicial fan from its face counts
     alone (the h-vector); odd Betti numbers vanish."""

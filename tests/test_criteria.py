@@ -1,8 +1,11 @@
 """Combinatorial certificates for the defect of four-dimensional cones, and
 the facet-order filtration machinery behind the shelling certificate."""
 
+import random
+
 import pytest
 
+from conftest import A_RAYS, order_prefix_shellable, order_search_shelling, seed77_cones
 from toricdef import (
     FORCES_LCDEF_0,
     FORCES_LCDEF_1,
@@ -11,6 +14,7 @@ from toricdef import (
     ValidationError,
     WrongDimension,
     cohomology,
+    cone_from_rays,
     euler_criterion,
     face_lattice,
     find_shelling,
@@ -22,6 +26,7 @@ from toricdef import (
     shelling_ray_criterion,
     simplicial_star_criterion,
 )
+from toricdef import criteria, polyhedral
 from toricdef.exact_linalg import Matrix, matrix_rank
 
 
@@ -154,6 +159,134 @@ def test_find_shelling_prefix(glued_cone):
     assert is_shelling(glued_cone, sh)
     # a disconnected prefix admits no completion
     assert find_shelling(glued_cone, prefix_keys=((0, 1, 5), (2, 3, 4))) is None
+
+
+def test_find_shelling_validates_before_searching(glued_cone, cone_b, orthant3, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched an invalid input")
+
+    monkeypatch.setattr(criteria, "_search_shelling", no_search)
+    for prefix in (
+        ((0, 1, 2),),
+        ((0, 1, 5), (5, 1, 0)),
+        ((0, 1, 2, 3), (0, 1)),
+        ((0, 1, "x"),),
+        (5,),
+        (([0], [1], [5]),),
+    ):
+        with pytest.raises(ValidationError):
+            find_shelling(glued_cone, prefix_keys=prefix)
+    with pytest.raises(ValidationError):
+        find_shelling(cone_b, prefix_keys=((99, 100, 101),))
+    # a ray of a 3-cone is a one-dimensional cone
+    ray = cone_from_rays([orthant3.rays[0]], 3)
+    assert ray.dim == 1
+    with pytest.raises(WrongDimension):
+        find_shelling(ray)
+
+
+def _permuted(cone, seed):
+    rays = list(cone.rays)
+    random.Random(seed).shuffle(rays)
+    return cone_from_rays(rays, cone.rank)
+
+
+def _first_found(search, top=4096):
+    """``(b, search(b))`` for the smallest budget ``b <= top`` at which
+    ``search`` finds something, or None; a search that succeeds at one
+    budget succeeds at every larger one."""
+    if search(top) is None:
+        return None
+    lo, hi = 0, top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if search(mid) is not None else (mid + 1, hi)
+    return lo, search(lo)
+
+
+def test_set_search_returns_what_the_order_walk_returns(
+    cone_a, cone_b, cone_13, cube_cone, orthant4, glued_cone, monkeypatch
+):
+    """The walk over sets of placed facets against the walk over orders,
+    through both callers at the budgets listed and at the smallest budget at
+    which each search succeeds, which pins the placement count; and the
+    one-search ``_prefix_shellable`` against the nested walks on every
+    boundary that the searches and ``is_shelling`` ask about."""
+    base = [cone_a, cone_b, cone_13, cube_cone, orthant4, glued_cone]
+    base += [c for c in seed77_cones() if c.rank == 4]
+    cones = [_permuted(c, seed) for c in base for seed in (1, 2)]
+    asked = set()
+    real = polyhedral._prefix_shellable
+
+    def recording(lat, face, initial):
+        asked.add((lat, face, initial))
+        return real(lat, face, initial)
+
+    monkeypatch.setattr(polyhedral, "_prefix_shellable", recording)
+
+    def both(call):
+        lib = call()
+        with monkeypatch.context() as m:
+            m.setattr(criteria, "_search_shelling", order_search_shelling)
+            return lib, call()
+
+    found = deep = 0
+    for cone in cones:
+        lat = face_lattice(cone)
+        facets = lat.faces_by_dim[3]
+        keys = [f.key for f in facets]
+        runs = [(lambda b: shelling_ray_criterion(cone, b).witness or None, (0, 1, 2, 5, 64, 2048))]
+        for prefix in ((), keys[:1], keys[:2], (keys[0], keys[-1])):
+            runs.append((lambda b, p=prefix: find_shelling(cone, p, b), (0, 1, 8, 64, 4096)))
+        for run, budgets in runs:
+            for b in budgets:
+                lib, ora = both(lambda: run(b))
+                assert lib == ora
+                found += lib is not None
+            lib, ora = both(lambda: _first_found(run))
+            assert lib == ora
+        # the criterion's new-ray condition with the last three or four
+        # facets exempt: searches that revisit sets before they succeed
+        for free in (3, 4):
+
+            def allow(pos, g, covered, free=free):
+                return pos >= len(facets) - free or bool(g.ray_indices - covered)
+
+            first = _first_found(lambda b: polyhedral._search_shelling(lat, facets, allow, b))
+            assert first == _first_found(lambda b: order_search_shelling(lat, facets, allow, b))
+            deep += first is not None and first[0] > len(facets)
+        shuffled = list(facets)
+        random.Random(len(keys)).shuffle(shuffled)
+        for order in (shuffled, line_shelling(cone).order):
+            is_shelling(cone, order)
+    assert found and deep
+
+    monkeypatch.undo()
+    outcomes = set()
+    for lat, face, initial in asked:
+        outcome = polyhedral._prefix_shellable(lat, face, initial)
+        assert outcome == order_prefix_shellable(lat, face, initial)
+        outcomes.add(outcome)
+    assert outcomes == {True, False}
+
+
+def test_shelling_search_work(monkeypatch):
+    """The searches of both callers on fixture A, counted in attachment
+    checks; the walk over orders made 7,091 and 102 of them."""
+    calls = 0
+    real = polyhedral._attach_ok
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(polyhedral, "_attach_ok", counting)
+    assert shelling_ray_criterion(cone_from_rays(A_RAYS, 4)).verdict == INCONCLUSIVE
+    assert calls == 964
+    calls = 0
+    assert find_shelling(cone_from_rays(A_RAYS, 4)) is not None
+    assert calls == 78
 
 
 # ---------------------------------------------------------------------------
