@@ -11,30 +11,34 @@ alike, and :func:`_sparse_product` is the one matrix product, the
 uses.  The lattice kernel runs on plain ``int`` lists: Hermite forms,
 integer kernels by one unimodular row elimination, the unimodular
 completion of a primitive column by the Euclidean algorithm, coordinates
-by back-substitution in echelon bases (one exact ``divmod`` per pivot,
-rational only where a pivot does not divide), and Bareiss determinants.  One
-fraction-free elimination (:func:`_eliminate`) is behind
-:func:`rank_and_kernel`, :func:`solve_matrix`, :func:`matrix_rank` and
-:func:`pivot_columns`.  A rational matrix enters it with each row scaled
-by its common denominator, which changes neither the row space nor the
-pivots, and an entry is divided by its pivot only when a reduced form,
-kernel or solution is written out.
+by back-substitution in echelon bases (one exact ``divmod`` per pivot),
+and Bareiss determinants.  One fraction-free elimination
+(:func:`_eliminate`) is behind :func:`rank_and_kernel`,
+:func:`solve_matrix`, :func:`matrix_rank` and :func:`pivot_columns`.  A
+rational matrix enters it with each row scaled by its common denominator,
+which changes neither the row space nor the pivots, and an entry is
+divided by its pivot only when a reduced form, kernel or solution is
+written out.
 Contraction and expansion blocks are compound minors, each order built from
 the one below by Laplace expansion (:func:`_compound_minors`), except a
 contraction block at the top degree: it is 1 x 1, and its entry is one
-Bareiss determinant.  A contraction is given by a :class:`Pairing`: the
-pairings of the contracting vector with the source rows, which are all of
-the vector that the block sees, and the coordinates that every exterior
-degree shares, ints when the target basis is a Hermite basis of a
-saturated lattice.
-``Fraction`` remains wherever an entry is not integral and wherever a
-caller passes rational vectors.  Nothing here ever touches floating point;
-determinism and exactness are the whole point.
+Bareiss determinant.  The bases of exterior powers are Hermite bases of
+saturated lattices, in which a vector of the lattice has int coordinates;
+a block whose target lattice misses its source (even one in its rational
+span) raises NOT_CONTAINED.  A contraction is given by a :class:`Pairing`:
+the pairings of the contracting vector with the source rows, which are all
+of the vector that the block sees, and the int coordinates that every
+exterior degree shares.
+``Fraction`` remains only at the boundary: in rational matrices given to
+the elimination and in the kernels and solutions it writes out, and in the
+coordinates that :func:`coordinates` gives a vector outside the lattice,
+such as a rational vector that a caller passes.  Nothing here ever
+touches floating point; determinism and exactness are the whole point.
 
 Conventions
 -----------
-* A "rational matrix" has int/Fraction entries, a "integer matrix" has int
-  entries only.  Vectors are plain tuples of ints/Fractions.
+* A "rational matrix" has int/Fraction entries, an "integer matrix" has
+  int entries only.  Vectors are plain tuples of ints/Fractions.
 * Lattice bases are stored as *rows*.  ``hermite_rows`` fixes a canonical
   basis (row Hermite normal form, positive pivots, entries above a pivot
   reduced into ``[0, pivot)``), so two computations of the same lattice
@@ -88,13 +92,6 @@ class Matrix:
     def tolist(self) -> list[list]:
         """The rows as lists of all their entries, zeros included."""
         return [[row.get(j, 0) for j in range(self.ncols)] for row in self.rows]
-
-
-def _norm_scalar(x):
-    """Collapse integral Fractions to int (faster arithmetic, cleaner repr)."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def _as_int(x) -> int:
@@ -405,41 +402,32 @@ def _echelon_pivots(rows) -> list[int] | None:
     return pivots
 
 
-def _div(a, b):
-    """Exact ``a / b``: an int when it divides, else a Fraction."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return _norm_scalar(Fraction(a) / b)
+def _div(a: int, b: int):
+    """Exact ``a / b`` of ints: an int when it divides, else a Fraction."""
+    q, r = divmod(a, b)
+    return q if r == 0 else Fraction(a, b)
 
 
 def coordinates(basis_rows, vectors) -> list[list] | None:
-    """Coordinates of each vector in the independent ``basis_rows``, or None
-    when some vector leaves their span.
+    """Coordinates of each vector in the echelon ``basis_rows``, or None
+    when some vector leaves their span; ValueError when the rows are not in
+    echelon form.
 
-    An echelon basis is solved by back-substitution along its pivots: at
-    the pivot of row ``i`` every later row is zero, so the coefficient of
-    row ``i`` is the remaining entry there over the pivot.  Each such
-    quotient is one ``divmod``, exact in ints (and int-valued when the
-    entries are Fractions) whenever the pivot divides; only a remainder
-    makes it a Fraction, from which the rest of that vector is rational.
-    So int vectors in a Hermite basis of a lattice that contains them get
-    int coordinates with no rational arithmetic.  A basis not in echelon
-    form costs one rational solve.
+    The solve is back-substitution along the pivots: at the pivot of row
+    ``i`` every later row is zero, so the coefficient of row ``i`` is the
+    remaining entry there over the pivot.  Each such quotient is one
+    ``divmod``, exact in ints (and int-valued when the entries are
+    Fractions) whenever the pivot divides; only a remainder makes it a
+    Fraction, from which the rest of that vector is rational.  So int
+    vectors in a Hermite basis of a lattice that contains them get int
+    coordinates with no rational arithmetic, and an int vector of the
+    lattice's rational span but not of the lattice gets a Fraction.
     """
     basis = [tuple(r) for r in basis_rows]
     vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return []
     pivots = _echelon_pivots(basis)
     if pivots is None:
-        width = len(vectors[0])
-
-        def columns(vs) -> Matrix:
-            return Matrix([{j: v[c] for j, v in enumerate(vs) if v[c]} for c in range(width)], len(vs))
-
-        x = solve_matrix(columns(basis), columns(vectors))
-        return None if x is None else [[row.get(j, 0) for row in x.rows] for j in range(len(vectors))]
+        raise ValueError("basis rows are not in echelon form")
     out = []
     for v in vectors:
         w = list(v)
@@ -483,19 +471,15 @@ def integer_det(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _scaled_to_int(rows) -> tuple[list[list[int]], int]:
-    """``(L * rows, L)`` with ``L`` the least common denominator."""
-    scale = lcm(1, *(x.denominator for row in rows for x in row))
-    return [[(x * scale).numerator for x in row] for row in rows], scale
-
-
 # ---------------------------------------------------------------------------
 # subspaces and exterior powers
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An ordered, independent list of vectors in Q^ambient_dim."""
+    """An ordered list of vectors in Q^ambient_dim in echelon form: each
+    starts strictly right of the one before, as the rows of a Hermite basis
+    do, so they are independent.  Raises ValueError otherwise."""
 
     ambient_dim: int
     vectors: tuple[tuple, ...]
@@ -505,10 +489,8 @@ class SubspaceBasis:
         for v in self.vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        # echelon rows (every Hermite basis) are independent by their pivots
-        if self.vectors and _echelon_pivots(self.vectors) is None:
-            if matrix_rank(Matrix.from_dense(self.vectors, self.ambient_dim)) != len(self.vectors):
-                raise ValueError("vectors are dependent")
+        if _echelon_pivots(self.vectors) is None:
+            raise ValueError("basis vectors are not in echelon form")
 
     @property
     def dim(self) -> int:
@@ -572,37 +554,31 @@ class Pairing(NamedTuple):
     """Contraction by a vector ``n`` from the exterior powers of the source
     rows ``a_i`` to those of a target basis, at every degree at once.
 
-    ``values`` are the pairings ``p_i = <n, a_i>``, which are all of ``n``
-    that the contraction sees.  ``pivot`` is an index ``j`` of least nonzero
-    ``|p_j|``, ``coords`` the int coordinates, scaled by ``scale``, of the
-    rows ``p_j a_i - p_i a_j`` in the target basis (None when one of them
-    leaves its span), and ``scale`` the common denominator times ``p_j``.
-    None of these depends on the exterior degree.  On the face posets of
-    the package the rows are int and the target is a Hermite basis of a
-    saturated lattice that contains them, so the coordinates are ints as
-    they come and ``scale`` is ``p_j``."""
+    ``values`` are the int pairings ``p_i = <n, a_i>``, which are all of
+    ``n`` that the contraction sees.  ``pivot`` is an index ``j`` of least
+    nonzero ``|p_j|``, and ``coords`` the int coordinates of the rows ``p_j
+    a_i - p_i a_j`` in the target basis, a Hermite basis of a saturated
+    lattice; they are None when one of those rows leaves the lattice.  None
+    of these depends on the exterior degree.  On the face posets of the
+    package the target lattice contains the rows."""
 
     values: tuple
     pivot: int | None
     coords: list[list[int]] | None
-    scale: int | Fraction
 
 
 def pairing(values, rows, target_rows) -> Pairing:
-    """The :class:`Pairing` with the given ``values`` on the source ``rows``
-    into the span of ``target_rows``."""
-    p = tuple(_norm_scalar(x) for x in values)
+    """The :class:`Pairing` with the given int ``values`` on the int source
+    ``rows`` into the lattice of the echelon ``target_rows``."""
+    p = tuple(values)
     if not any(p):
-        return Pairing(p, None, None, 1)
+        return Pairing(p, None, None)
     j = min((i for i, x in enumerate(p) if x), key=lambda i: abs(p[i]))
     pj, aj = p[j], rows[j]
     g = coordinates(target_rows, [[pj * x - pi * y for x, y in zip(row, aj)] for row, pi in zip(rows, p)])
-    if g is None:
-        return Pairing(p, j, None, pj)
-    if all(type(x) is int for row in g for x in row):
-        return Pairing(p, j, g, pj)
-    g, scale = _scaled_to_int(g)  # a rational basis
-    return Pairing(p, j, g, scale * pj)
+    if g is not None and not all(type(x) is int for row in g for x in row):
+        g = None  # in the rational span only
+    return Pairing(p, j, g)
 
 
 def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: ExteriorBasis) -> Matrix:
@@ -611,7 +587,8 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
 
     On a wedge of basis covectors a_1 ^ ... ^ a_k the contraction is
     ``sum_i (-1)^(i+1) <n, a_i> a_1 ^ ... ^ (omit a_i) ^ ... ^ a_k``.
-    Raises NOT_CONTAINED when the image leaves the span of the target basis.
+    Raises NOT_CONTAINED when the target lattice misses the rows ``p_j a_i
+    - p_i a_j`` of the pairing (below).
 
     With ``p_i = <n, a_i>`` and any ``a`` with ``<n, a> = 1``, the rows
     ``g_i = a_i - p_i a`` lie in the kernel of ``n``, and expanding
@@ -620,9 +597,9 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
     ``sum_r (-1)^r p_(I_r) det G[I - I_r, J]``, ``G`` being the coordinates
     of the ``g_i`` in the target basis.  The choice of ``a`` cancels.  Here
     ``a = a_j / p_j`` with ``|p_j|`` least, and the rows ``p_j g_i = p_j a_i
-    - p_i a_j`` are used instead, so integral bases give integral
-    coordinates; each minor then carries a factor ``p_j^(k-1)``, divided
-    out exactly at the end.  Row ``j`` of ``G`` is zero, so only the row
+    - p_i a_j`` are used instead, whose coordinates in the target lattice
+    are ints; each minor then carries a factor ``p_j^(k-1)``, divided out
+    exactly at the end.  Row ``j`` of ``G`` is zero, so only the row
     sets without ``j`` have nonzero minors: a column ``I`` that contains
     ``j`` has the one term ``r`` with ``I_r = j``.  The minors of each order
     come from those of the order below (:func:`_compound_minors`).
@@ -630,7 +607,7 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
     At the top degree, the source degree ``n`` the number of source rows and
     the target basis one row smaller, the block is 1 x 1 with the column
     ``I`` of all rows, which contains ``j``: its entry is ``(-1)^j p_j
-    det G' / scale^(n-1)``, ``G'`` the ``(n-1) x (n-1)`` rows of ``G`` but
+    det G' / p_j^(n-1)``, ``G'`` the ``(n-1) x (n-1)`` rows of ``G`` but
     row ``j``.  That is one :func:`integer_det`, about ``n^3/3``
     multiplications, where the compound chain would take ``sum_q
     C(n-1, q)^2 q``.  It covers every covering pair of a level-d complex.
@@ -649,9 +626,9 @@ def contraction_matrix(pairing: Pairing, source: ExteriorBasis, target: Exterior
         return Matrix.from_dense([p], len(p))
     j, g = pairing.pivot, pairing.coords
     if g is None:
-        raise NotContained("contracted forms leave the target exterior basis span")
+        raise NotContained("contracted forms leave the target lattice")
     k = source.degree - 1
-    scale = pairing.scale**k
+    scale = p[j] ** k
     if k == len(p) - 1 == target.base.dim:  # the top degree: one entry, one determinant
         x = integer_det(g[:j] + g[j + 1:]) * (p[j] if j % 2 == 0 else -p[j])
         return Matrix([{0: x if scale == 1 else _div(x, scale)} if x else {}], 1)
@@ -679,7 +656,10 @@ def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> Matrix:
 
     With ``E`` the coordinates of the source vectors in the target basis,
     the entry at ``(J, I)`` is the minor ``det E[I, J]``
-    (:func:`_compound_minors`).
+    (:func:`_compound_minors`).  Both bases are Hermite bases of lattices,
+    so ``E`` is an int matrix when the target lattice contains the source
+    vectors, and NOT_CONTAINED is raised when it does not, even if they lie
+    in its rational span.
     """
     if source.base.ambient_dim != target.base.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -691,12 +671,7 @@ def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> Matrix:
     if not src:
         return Matrix([{}] * len(dst), 0)
     e = coordinates(target.base.vectors, source.base.vectors)
-    if e is None:
-        raise NotContained("source wedge space is not inside the target span")
-    e, scale = _scaled_to_int(e)
-    scale **= source.degree
+    if e is None or not all(type(x) is int for row in e for x in row):
+        raise NotContained("source vectors are not inside the target lattice")
     minors = _compound_minors(e, range(len(e)), target.base.dim, source.degree)
-    return Matrix(
-        [{k: _div(minors[rs][c], scale) for k, rs in enumerate(src) if minors[rs][c]} for c in range(len(dst))],
-        len(src),
-    )
+    return Matrix([{k: minors[rs][c] for k, rs in enumerate(src) if minors[rs][c]} for c in range(len(dst))], len(src))

@@ -606,7 +606,7 @@ class FaceLattice(FacePoset):
             if lo.ray_indices <= hi.ray_indices
         )
 
-    def interior_coords(self, v) -> list[Fraction] | None:
+    def interior_coords(self, v) -> list | None:
         """Intrinsic coordinates of ``v`` if it lies in the cone's span."""
         x = xl.coordinates(self.span_rows, [v])
         return None if x is None else x[0]

@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 
 from toricdef import InvariantViolation, cone_from_rays, fan_from_cones, pyramid
-from toricdef.exact_linalg import Matrix, _scaled_to_int
+from toricdef.exact_linalg import Matrix
 
 
 
@@ -344,8 +344,9 @@ def _phase_one(cols: list[list[Fraction]], target: list[Fraction]) -> tuple:
         basis[row] = enter
 
     if zrhs != 0:
-        y, _ = _scaled_to_int([[s * (z[k + i] - 1) for i, s in enumerate(signs)]])
-        return None, y[0]
+        y = [s * (z[k + i] - 1) for i, s in enumerate(signs)]
+        scale = math.lcm(1, *(x.denominator for x in y))
+        return None, [(x * scale).numerator for x in y]
     # a zero optimum leaves every artificial at zero
     lam = [Fraction(0)] * k
     for i, var in enumerate(basis):
@@ -713,16 +714,31 @@ def solve_unit_pairing(w):
     return tuple(coeff)
 
 
+def span_coordinates(basis_rows, vectors, width):
+    """Coordinates of each vector in the independent ``basis_rows`` of
+    ``Q^width``, in any order, by one rational solve; None when some vector
+    leaves their span.  :func:`~toricdef.exact_linalg.coordinates` takes
+    echelon rows only."""
+    from toricdef import exact_linalg as xl
+
+    def columns(vs) -> Matrix:
+        return Matrix([{j: v[c] for j, v in enumerate(vs) if v[c]} for c in range(width)], len(vs))
+
+    x = xl.solve_matrix(columns(basis_rows), columns(vectors))
+    return None if x is None else [[row.get(j, 0) for row in x.rows] for j in range(len(vectors))]
+
+
 def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors):
     """Canonical lift of the positive primitive generator of the rank-one
     quotient of two nested saturated lattices.
 
-    ``mu_span_rows`` and ``tau_span_rows`` are Hermite bases with the mu
-    lattice of corank one inside the tau lattice; ``orientation_vectors``
-    are lattice elements (e.g. rays of the bigger face not in the smaller)
-    whose quotient images must come out positive.  The result is reduced
-    modulo the mu lattice, so it is a canonical representative; any other
-    valid representative differs by a mu-lattice element.  An oracle for
+    ``mu_span_rows`` is a Hermite basis and ``tau_span_rows`` a basis in
+    any order, with the mu lattice of corank one inside the tau lattice;
+    ``orientation_vectors`` are lattice elements (e.g. rays of the bigger
+    face not in the smaller) whose quotient images must come out positive.
+    The result is reduced modulo the mu lattice, so it is a canonical
+    representative; any other valid representative differs by a mu-lattice
+    element.  An oracle for
     the pairings of :meth:`~toricdef.FacePoset.covering_pairing`, which
     reads them off a ray without it.
     """
@@ -733,7 +749,7 @@ def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors):
         raise NotCovering("lattices do not differ in rank by one")
     width = len(tau_span_rows[0])
     dt = len(tau_span_rows)
-    cm = xl.coordinates(tau_span_rows, mu_span_rows)
+    cm = span_coordinates(tau_span_rows, mu_span_rows, width)
     if cm is None or not all(isinstance(x, int) for row in cm for x in row):
         raise NotCovering("mu lattice is not inside tau lattice")
     # the kernel of the r x (r+1) matrix cm is spanned by its signed maximal minors
@@ -741,7 +757,7 @@ def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors):
     if not any(w):
         raise NotCovering("quotient is not of rank one")
     w = xl.primitive_vector(w)
-    coords = xl.coordinates(tau_span_rows, orientation_vectors)
+    coords = span_coordinates(tau_span_rows, orientation_vectors, width)
     if coords is None:
         raise NotCovering("orientation vector outside the tau lattice span")
     signs = [sum(a * b for a, b in zip(w, x)) for x in coords]
@@ -789,8 +805,8 @@ def assert_pairings_match_normals(poset) -> int:
     """Check every covering pair of a face poset against the canonical
     normal: its pairing is primitive and equals the pairing of
     :func:`normal_of` with ``perps[mu]``, its pivot has the least nonzero
-    absolute value, and its coordinates, over its scale, give the rows
-    ``p_j a_i - p_i a_j`` in ``perps[tau]``.  Returns the number of pairs."""
+    absolute value, and its coordinates give the rows ``p_j a_i - p_i a_j``
+    in ``perps[tau]``.  Returns the number of pairs."""
     from math import gcd
 
     pairs = 0
@@ -805,7 +821,7 @@ def assert_pairings_match_normals(poset) -> int:
             assert len(got.coords) == len(perp)
             for a, pi, g in zip(perp, got.values, got.coords):
                 combo = [sum(c * t[k] for c, t in zip(g, target)) for k in range(poset.width)]
-                assert [pj * x for x in combo] == [got.scale * (pj * x - pi * y) for x, y in zip(a, aj)]
+                assert combo == [pj * x - pi * y for x, y in zip(a, aj)]
             pairs += 1
     return pairs
 

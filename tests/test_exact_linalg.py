@@ -595,14 +595,17 @@ def test_expansion_then_contraction_subspace():
     assert e.tolist() == [[1, 0], [0, 1], [0, 0]]
 
 
-def test_subspace_basis_validates_independence():
-    with pytest.raises(Exception):
-        xl.SubspaceBasis(3, ((1, 0, 0), (2, 0, 0)))
-    # rows out of echelon form are ranked, independent or not
-    for rows in (((0, 1, 0), (0, 2, 0)), ((1, 1, 0), (0, 0, 0)), ((1, 2, 3), (0, 1, 1), (1, 3, 4))):
-        with pytest.raises(ValueError, match="vectors are dependent"):
+def test_subspace_basis_requires_echelon_rows():
+    # dependent rows are never in echelon form, and independent rows out of
+    # it are refused too
+    for rows in (
+        ((1, 0, 0), (2, 0, 0)), ((0, 1, 0), (0, 2, 0)), ((1, 1, 0), (0, 0, 0)),
+        ((1, 2, 3), (0, 1, 1), (1, 3, 4)), ((0, 1, 0), (1, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match="not in echelon form"):
             xl.SubspaceBasis(3, rows)
-    assert xl.SubspaceBasis(3, ((0, 1, 0), (1, 0, 0))).dim == 2
+    assert xl.SubspaceBasis(3, ((1, 0, 0), (0, 2, 1))).dim == 2
+    assert xl.SubspaceBasis(3, ()).dim == 0
 
 
 # ---------------------------------------------------------------------------
@@ -682,24 +685,19 @@ def _integral(rows):
     return out
 
 
-def _present(rows, kind, width):
-    """The span of ``rows`` in a basis of the given kind."""
-    if kind == "echelon":
-        return xl.hermite_rows(_integral(rows), width)
-    if kind == "rational":
-        # the reduced echelon basis over Q, with a second row mixed in
-        red = sympy.Matrix(rows).rref()[0]
-        out = [[_exact(x) for x in red.row(i)] for i in range(len(rows))]
-        if len(out) > 1:
-            out[-1] = [x + Fraction(1, 2) * y for x, y in zip(out[-1], out[0])]
-        return [tuple(r) for r in out]
-    out = [list(r) for r in reversed(_integral(rows))]
+def _present(rows, width):
+    """The Hermite basis of the saturated lattice that the rational span of
+    ``rows`` cuts out of ``Z^width``: the kernel of its annihilator."""
+    return xl.integer_kernel_rows(xl.integer_kernel_rows(_integral(rows), width), width)
+
+
+def _shuffled(rows):
+    """A basis of the lattice of the integer ``rows``, out of echelon form:
+    reversed, with the second row added twice to the first."""
+    out = [list(r) for r in reversed(rows)]
     if len(out) > 1:
         out[0] = [x + 2 * y for x, y in zip(out[0], out[1])]
     return [tuple(r) for r in out]
-
-
-BASIS_KINDS = ("echelon", "non-echelon", "rational")
 
 
 def contraction_case(seed):
@@ -718,7 +716,7 @@ def contraction_case(seed):
             break
     if seed % 3 == 2:
         n = [rng.choice((2, 3)) * x for x in n]  # a pairing that is not a unit
-    source = _present(a, BASIS_KINDS[seed % 3], m)
+    source = _present(a, m)
     ps = [sum(x * y for x, y in zip(n, r)) for r in source]
     kernel = [
         [sum(c[i] * sympy.Rational(source[i][j]) for i in range(s)) for j in range(m)]
@@ -728,10 +726,11 @@ def contraction_case(seed):
         target = _independent_rows(rng, s - 1, m)
         if _sympy_rank(target + kernel) == s - 1:
             target = [tuple(1 if i == j else 0 for j in range(m)) for i in range(s - 1)]
+        target = _present(target, m)
     elif seed % 5 == 4:
         target = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
     else:
-        target = _present(kernel, BASIS_KINDS[(seed // 3) % 3], m)
+        target = _present(kernel, m)
     src = xl.ExteriorBasis(xl.SubspaceBasis(m, source), k)
     dst = xl.ExteriorBasis(xl.SubspaceBasis(m, target), k - 1)
     return tuple(n), src, dst, _reference_contraction(n, src, dst)
@@ -756,8 +755,8 @@ def expansion_case(seed):
             if _sympy_rank(a) == s:
                 break
     k = rng.randrange(0, s + 1)
-    src = xl.ExteriorBasis(xl.SubspaceBasis(m, _present(a, BASIS_KINDS[seed % 3], m)), k)
-    dst = xl.ExteriorBasis(xl.SubspaceBasis(m, _present(b, BASIS_KINDS[(seed // 3) % 3], m)), k)
+    src = xl.ExteriorBasis(xl.SubspaceBasis(m, _present(a, m)), k)
+    dst = xl.ExteriorBasis(xl.SubspaceBasis(m, _present(b, m)), k)
     return src, dst, _reference_expansion(src, dst)
 
 
@@ -829,7 +828,7 @@ def normal_mismatch(seed):
             for mu in lat.covered_by(tau):
                 orient = [cone.rays[i] for i in sorted(tau.ray_indices - mu.ray_indices)]
                 ref = _reference_normal(mu.span_rows, tau.span_rows, orient)
-                shuffled = _present(tau.span_rows, "non-echelon", cone.rank)
+                shuffled = _shuffled(tau.span_rows)
                 for rows in (tau.span_rows, shuffled):
                     got = normal_generator(mu.span_rows, rows, orient)
                     if got != ref:
@@ -846,30 +845,16 @@ def test_contraction_cases_cover_every_branch():
     cases = [contraction_case(seed) for seed in range(21)]
     assert any(ref is None for *_, ref in cases)
     assert any(src.degree >= 2 and ref is not None for _, src, _, ref in cases)
-    assert any(
-        any(isinstance(x, Fraction) for v in src.base.vectors for x in v) for _, src, _, _ in cases
-    )
     # a normal whose pairing with the source is not a unit
-    assert any(
-        all(isinstance(x, int) for v in src.base.vectors for x in v)
-        and gcd(*(sum(a * b for a, b in zip(n, v)) for v in src.base.vectors)) > 1
-        for n, src, _, _ in cases
-    )
-    # the top degree, whose one entry is one determinant: with a pivot that
-    # is not a unit (over int coordinates and over rational ones), and with
-    # a rational source basis and a rational target basis
+    assert any(gcd(*(sum(a * b for a, b in zip(n, v)) for v in src.base.vectors)) > 1 for n, src, _, _ in cases)
+    # the top degree, whose one entry is one determinant, with a pivot that
+    # is not a unit
     tops = [
-        (pairing_of(n, src, dst), src, dst)
+        pairing_of(n, src, dst)
         for n, src, dst, ref in cases
         if ref is not None and src.degree == src.base.dim == dst.base.dim + 1
     ]
-
-    def rational(basis):
-        return any(isinstance(x, Fraction) for v in basis.base.vectors for x in v)
-
-    assert any(abs(p.values[p.pivot]) != 1 and p.scale == p.values[p.pivot] for p, _, _ in tops)
-    assert any(abs(p.values[p.pivot]) != 1 and p.scale != p.values[p.pivot] for p, _, _ in tops)
-    assert any(rational(src) for _, src, _ in tops) and any(rational(dst) for _, _, dst in tops)
+    assert any(abs(p.values[p.pivot]) != 1 for p in tops)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -922,6 +907,32 @@ def test_normal_generator_matches_sympy_nullspace(seed):
     assert normal_mismatch(seed) is None
 
 
+def lattice_mismatches():
+    """The blocks whose target lattice holds the source only rationally must
+    raise NOT_CONTAINED, with a message that names the lattice: the
+    expansion of span(e1) into the lattice of (2, 0, 0), and the
+    contraction of e1 ^ e2 by e1 into the lattice of (0, 2, 0), which holds
+    the row e2 of the pairing only rationally.  Returns the failures."""
+    line = xl.ExteriorBasis(xl.SubspaceBasis(3, ((1, 0, 0),)), 1)
+    doubled = xl.ExteriorBasis(xl.SubspaceBasis(3, ((2, 0, 0),)), 1)
+    plane = xl.ExteriorBasis(xl.SubspaceBasis(3, ((1, 0, 0), (0, 1, 0))), 2)
+    target = xl.ExteriorBasis(xl.SubspaceBasis(3, ((0, 2, 0),)), 1)
+    cases = {
+        "expansion": lambda: xl.expansion_matrix(line, doubled),
+        "contraction": lambda: contract((1, 0, 0), plane, target),
+    }
+    out = []
+    for name, compute in cases.items():
+        try:
+            got = compute()
+        except NotContained as exc:
+            if "lattice" not in str(exc):
+                out.append(f"{name}: {exc}")
+        else:
+            out.append(f"{name}: {got.tolist()!r}")
+    return out
+
+
 def test_contraction_leaving_the_target_is_not_contained():
     b = xl.SubspaceBasis(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     # contraction by e1 lands in span(e2, e3), which span(e1, e2) misses
@@ -930,14 +941,15 @@ def test_contraction_leaving_the_target_is_not_contained():
         contract((1, 0, 0), xl.ExteriorBasis(b, 2), target)
     with pytest.raises(NotContained):
         xl.expansion_matrix(xl.ExteriorBasis(b, 1), target)
+    assert lattice_mismatches() == []
 
 
 def test_coordinates_by_back_substitution():
     basis = [(2, 1, 0), (0, 3, 1)]
     assert xl.coordinates(basis, [(2, 4, 1), (1, 2, Fraction(1, 2))]) == [[1, 1], [Fraction(1, 2), Fraction(1, 2)]]
     assert xl.coordinates(basis, [(0, 0, 1)]) is None
-    # a basis not in echelon form takes the rational solve
-    assert xl.coordinates(list(reversed(basis)), [(2, 4, 1)]) == [[1, 1]]
+    with pytest.raises(ValueError, match="not in echelon form"):
+        xl.coordinates(list(reversed(basis)), [(2, 4, 1)])
 
 
 _OPTIMIZED_RUN = """
@@ -956,6 +968,9 @@ for check, seeds in ((t.contraction_mismatch, range(21)), (t.expansion_mismatch,
         problem = check(seed)
         if problem is not None:
             sys.exit(f"{{check.__name__}}({{seed}}): {{problem}}")
+# blocks into a lattice that holds the source only rationally
+if t.lattice_mismatches():
+    sys.exit(f"lattice_mismatches: {{t.lattice_mismatches()}}")
 # a 2x1 block between blocks of sizes 1 and 1, and a block naming a key
 # that has no block, are broken invariants
 base = xl.ExteriorBasis(xl.SubspaceBasis(1, ((1,),)), 1)

@@ -361,21 +361,18 @@ def test_cone_complex_has_one_block_per_covering_pair(monkeypatch):
 
 
 def _has_int_coordinates(pairing) -> bool:
-    """Are the coordinates ints, with the pivot value as the scale?  They
-    are in Hermite bases of saturated lattices."""
-    return (
-        all(type(x) is int for row in pairing.coords for x in row)
-        and pairing.scale == pairing.values[pairing.pivot]
-    )
+    """Are the coordinates ints?  They are in Hermite bases of saturated
+    lattices that contain the rows."""
+    return pairing.coords is not None and all(type(x) is int for row in pairing.coords for x in row)
 
 
 def test_top_degree_blocks_are_one_unit_determinant():
     """At the top degree the block of a covering pair is 1 x 1, and its
-    entry is ``(-1)^j p_j det G' / scale^(n-1)``, ``G'`` the coordinate rows
+    entry is ``(-1)^j p_j det G' / p_j^(n-1)``, ``G'`` the coordinate rows
     without the pivot row ``j``: the full-order compound minor.  It is a
     unit, since the normal is primitive and both annihilators saturated.
     Every pairing, of a covering pair or of a vertical lift, has int
-    coordinates over the scale ``p_j``, and pivots ``|p_j| >= 2`` occur.
+    coordinates, and pivots ``|p_j| >= 2`` occur.
     The posets: the fixtures, the seed-77 cones and their pyramids, the
     cones over the cyclic polytopes (5, 9) and (6, 9), and the stellar fan
     with the tilde and hat posets of a divisor with seeded rational values."""
@@ -397,7 +394,7 @@ def test_top_degree_blocks_are_one_unit_determinant():
                 j, pj = pairing.pivot, pairing.values[pairing.pivot]
                 rest = [i for i in range(n) if i != j]
                 (minor,) = xl._compound_minors(pairing.coords, rest, n - 1, n - 1)[tuple(rest)]
-                entry = Fraction((-1) ** j * pj * minor, pairing.scale ** (n - 1))
+                entry = Fraction((-1) ** j * pj * minor, pj ** (n - 1))
                 assert xl.contraction_matrix(pairing, src, dst).tolist() == [[entry]]
                 assert abs(entry) == 1
                 blocks += 1
