@@ -6,9 +6,9 @@ number of columns.  The differentials of face complexes are a few percent
 nonzero, so the whole package, from the contraction blocks to the
 connecting maps, keeps its matrices in that form: :func:`_write_block`
 puts a block into such rows, for the differentials and the chain maps
-alike, and :func:`_sparse_product` is the one matrix product, the
-``d^2 = 0`` check of :func:`toricdef.ishida.assemble_complex` among its
-uses.  The lattice kernel runs on plain ``int`` lists: Hermite forms,
+alike; :func:`_sparse_product` is their one product (the ``d^2 = 0`` check
+among its uses), beside the dense :func:`_mul` of the star quotient's basis
+change.  The lattice kernel runs on plain ``int`` lists: Hermite forms,
 integer kernels by one unimodular row elimination, the unimodular
 completion of a primitive column by the Euclidean algorithm, coordinates
 by back-substitution in echelon bases (one exact ``divmod`` per pivot),

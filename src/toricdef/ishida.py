@@ -17,9 +17,9 @@ exact product of the differentials it assembles.
 One builder, :func:`face_complex`, makes every such complex from a
 :class:`~toricdef.polyhedral.FacePoset`: the complexes of a cone (intrinsic
 coordinates), of a fan (ambient coordinates), of the faces below a face, and
-the three complexes of a divisor's lifted sequence, each once per poset and
-level (memoized on the poset, so consecutive lifted sequences share their
-tilde complexes).  It hands
+of a divisor's hat lift, each once per poset and level (memoized on the
+poset, so the lifted sequences of every divisor on a fan share the fan's
+complexes, which are their outer terms).  It hands
 :func:`assemble_complex` one contraction block per covering pair and
 nothing else; the complex records those pairs, and graded pieces and the
 stages of a filtration are re-assembled from them.

@@ -4,10 +4,10 @@ checks for complete fans.
 A rational support function on a complete fan lifts each face to two cones in
 one more dimension: the graph of the local linear form (the "hat" face) and
 the epigraph wedge over it (the "tilde" face, which is the hat joined with
-the vertical ray).  Levelwise this produces a short exact sequence of labeled
-complexes
+the vertical ray, whose annihilator is the fan face's padded by a zero).
+Levelwise this produces a short exact sequence of labeled complexes
 
-    0 -> [level p+1, tilde]  ->  [level p+1, hat]  ->  [level p, tilde] -> 0
+    0 -> [level p+1, fan]  ->  [level p+1, hat]  ->  [level p, fan] -> 0
 
 whose inclusion is scaled blockwise by the vertical lattice index of each
 face and whose projection is a sign-twisted contraction with the vertical
@@ -42,9 +42,9 @@ class DivisorData:
 
     ``alpha`` are the values on the primitive rays, ``u`` the local linear
     forms per maximal cone, and ``cartier_denominator`` the least positive C
-    with all C*u integral.  ``hat`` and ``tilde`` are the fan's faces as
-    posets in one more coordinate: the hat annihilators with the hats as
-    rays, and the fan's ``padded()`` poset, shared by every divisor on it.
+    with all C*u integral.  ``hat`` is the fan's faces as a poset in one
+    more coordinate, the hat annihilators with the hats as rays; the tilde
+    lifts need no poset of their own, their complexes being the fan's.
     :meth:`vertical_index` is the index of the vertical ray plus a face's
     hat lattice in its tilde lattice (see :func:`support_data`).
     """
@@ -54,7 +54,6 @@ class DivisorData:
     u: dict[tuple[int, ...], tuple[Fraction, ...]]
     cartier_denominator: int
     hat: FacePoset = field(repr=False)
-    tilde: FacePoset = field(repr=False)
     _vertical_indices: dict[frozenset, int] = field(repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
 
@@ -94,6 +93,9 @@ def support_data(fan: Fan, alpha) -> DivisorData:
 def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
     """:func:`support_data`, with the hat annihilators taken from
     ``hat_perps`` (a Hermite basis per face key) when it is given."""
+    alpha = tuple(alpha)
+    if any(isinstance(a, float) for a in alpha):
+        raise ValidationError("ray values must be exact (ints, Fractions or strings), not floats")
     values = tuple(Fraction(a) for a in alpha)
     if len(values) != len(fan.rays):
         raise ValidationError("need exactly one value per ray")
@@ -117,7 +119,7 @@ def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
         if vertical[key] == 0:
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")
     hat = FacePoset(n + 1, fan.by_key.values(), perps, hats)
-    return DivisorData(fan, values, u, denom, hat, fan.padded(), vertical)
+    return DivisorData(fan, values, u, denom, hat, vertical)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +172,10 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     Degree ``m`` of the middle complex is the sum over ``m``-dimensional fan
     faces of the ``(p+1-m)``-th exterior power of the hat face's annihilator;
     top and bottom are the fan's own complexes at levels ``p+1`` and ``p``
-    in the middle's coordinates (the tilde annihilator of a face is the fan
-    face's annihilator with a zero vertical coordinate), memoized on the
-    fan's tilde poset, so this top is the bottom at ``p + 1`` for every
-    divisor on the fan; the bottom keeps its own depth, at most one less.
+    (:func:`ishida_fan`; a tilde face's annihilator is the fan face's padded
+    by a zero, which only the chain-map blocks see, :func:`_lifted`), so
+    this top is the bottom at ``p + 1`` for every divisor on the fan; the
+    bottom keeps its own depth, at most one less.
     Chain-map and termwise-exactness properties are checked at build time.
     """
     _checked_level(p, fan.rank - 1)
@@ -182,8 +184,7 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     if ("lifted", p) in divisor._memo:
         return divisor._memo[("lifted", p)]
 
-    top = face_complex(f"tilde level {p + 1}", divisor.tilde, p + 1)
-    bottom = face_complex(f"tilde level {p}", divisor.tilde, p)
+    top, bottom = ishida_fan(fan, p + 1), ishida_fan(fan, p)
     middle = face_complex(f"hat level {p + 1}", divisor.hat, p + 1)
 
     include, project = [], []
@@ -194,10 +195,10 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
         for f in fan.faces_by_dim[m]:  # each has a block of top and middle, not always of bottom
             st, sm, sb = top.block(m, f.key), middle.block(m, f.key), bottom.block(m, f.key)
             if st.size and sm.size:
-                exp = xl.expansion_matrix(st.basis, sm.basis)
+                exp = xl.expansion_matrix(_lifted(st.basis), sm.basis)
                 xl._write_block(inc, sm.offset, st.offset, exp, divisor.vertical_index(f.ray_indices))
             if sb is not None and sm.size and sb.size:
-                con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, sb.basis)
+                con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, _lifted(sb.basis))
                 xl._write_block(prj, sb.offset, sm.offset, con, sign)
         include.append(xl.Matrix(inc, top.dims[m]))
         project.append(xl.Matrix(prj, middle.dims[m]))
@@ -206,6 +207,15 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     _verify_ses(out)
     divisor._memo[("lifted", p)] = out
     return out
+
+
+def _padded(rows) -> tuple:
+    return tuple(r + (0,) for r in rows)
+
+
+def _lifted(basis: xl.ExteriorBasis) -> xl.ExteriorBasis:
+    """A fan block's basis in the lifted coordinates, its rows padded by a zero."""
+    return xl.ExteriorBasis(xl.SubspaceBasis(basis.base.ambient_dim + 1, _padded(basis.base.vectors)), basis.degree)
 
 
 def _vertical_pairing(divisor: DivisorData, face: Face) -> xl.Pairing:
@@ -222,7 +232,7 @@ def _vertical_pairing(divisor: DivisorData, face: Face) -> xl.Pairing:
     if key not in divisor._memo:
         hat_perp = divisor.hat.perps[face.ray_indices]
         p = xl.primitive_vector([a[-1] for a in hat_perp])
-        divisor._memo[key] = xl.pairing(p, hat_perp, divisor.tilde.perps[face.ray_indices])
+        divisor._memo[key] = xl.pairing(p, hat_perp, _padded(divisor.fan.perps[face.ray_indices]))
     return divisor._memo[key]
 
 
@@ -467,10 +477,12 @@ def hard_lefschetz_injectivity_check(fan: Fan, divisor: DivisorData) -> HardLefs
     map ``delta: H^(n-p-1)(level n-p-1) -> H^(n-p)(level n-p)`` must be
     surjective, ``rank delta == dim H^(n-p)`` of the top complex.
 
-    Requires the fan complete (NOT_COMPLETE) and the divisor strictly convex
-    (NOT_AMPLE): every maximal cone's linear form must undershoot the support
-    values on all rays outside the cone.
+    Requires a divisor on this fan (VALIDATION_ERROR), a complete fan
+    (NOT_COMPLETE) and a strictly convex divisor (NOT_AMPLE): each maximal
+    cone's linear form undershoots the support values off the cone.
     """
+    if divisor.fan is not fan:
+        raise ValidationError("divisor belongs to a different fan")
     if not fan.is_complete():
         raise NotComplete("hard Lefschetz needs a complete fan")
     for cone_key, uu in divisor.u.items():

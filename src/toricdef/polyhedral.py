@@ -26,7 +26,7 @@ of the ambient ones, with no further kernel (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone` takes its whole lattice
 from the parent's lower interval.  No Smith form is taken.
 
-Cone lattices, fans and divisor lifts are all one :class:`FacePoset`.
+Cone lattices, fans and divisor hat lifts are all one :class:`FacePoset`.
 :func:`fan_from_cones` validates a fan pair by pair, by a separating
 functional checked with integer dot products: built from the two cones'
 facet normals at their common face, or, where none of those candidates
@@ -44,7 +44,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from . import exact_linalg as xl
 from .errors import (
@@ -422,10 +422,6 @@ def _lower_interval(parent: "FaceLattice", key: frozenset[int]) -> tuple:
     return parent.by_key[key].span_rows, faces
 
 
-def _padded(rows) -> tuple:
-    return tuple(r + (0,) for r in rows)
-
-
 class FacePoset:
     """Faces graded by dimension, with lattice data in ``width`` coordinates.
 
@@ -435,7 +431,7 @@ class FacePoset:
     holds the ray vectors, both in the poset's coordinates.  Nothing reads a
     face's span lattice in these coordinates; it is the kernel of its
     ``perps`` rows.  A cone's lattice (intrinsic), a fan (ambient), the faces
-    below a face and a divisor's two lifts (one coordinate more) are posets,
+    below a face and a divisor's hat lift (one coordinate more) are posets,
     and :func:`toricdef.ishida.face_complex` builds the complexes of any
     one, memoized here by level next to the covering pairs and pairings.
     """
@@ -452,7 +448,6 @@ class FacePoset:
         self._pairings: dict[tuple, xl.Pairing] = {}
         self._covered: dict[frozenset[int], tuple[Face, ...]] = {}
         self._complexes: dict = {}
-        self._padded_poset: FacePoset | None = None
 
     @property
     def all_faces(self) -> list[Face]:
@@ -479,7 +474,7 @@ class FacePoset:
         pairings ``p_i = <n, a_i>`` of a normal ``n`` of ``mu`` in ``tau``
         with the rows ``a_i`` of ``perps[mu]``, as an
         :class:`~toricdef.exact_linalg.Pairing` into ``perps[tau]``
-        (memoized, shared by :meth:`below` and :meth:`padded`).
+        (memoized, shared with :meth:`below`).
 
         ``p`` is read off one ray ``v`` of ``tau`` not in ``mu``, as the
         primitive vector of the ``<v, a_i>``.  The span lattice of ``tau``
@@ -513,19 +508,6 @@ class FacePoset:
         out._covered = self._covered
         out._pairings = self._pairings
         return out
-
-    def padded(self) -> "FacePoset":
-        """This poset in one more coordinate, every row padded by a zero,
-        with this poset's covering pairs (memoized, so every divisor on a
-        fan shares its tilde complexes).  Padding changes no pairing and no
-        coordinate in an echelon basis, so the covering pairings are this
-        poset's, and are computed once for both."""
-        if self._padded_poset is None:
-            perps = {k: _padded(v) for k, v in self.perps.items()}
-            out = FacePoset(self.width + 1, self.by_key.values(), perps, _padded(self.rays))
-            out._covered, out._pairings = self._covered, self._pairings
-            self._padded_poset = out
-        return self._padded_poset
 
 
 class FaceLattice(FacePoset):
@@ -743,12 +725,17 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
             raise ValidationError(f"ray {r} is not primitive")
     if len(set(rays)) != len(rays):
         raise ValidationError("duplicate rays")
-    maximal = tuple(tuple(sorted(set(int(i) for i in s))) for s in maximal_sets)
+    maximal = ()
+    for s in map(tuple, maximal_sets):
+        try:
+            key = tuple(sorted(set(map(index, s))))
+        except TypeError:
+            raise ValidationError(f"cone {s!r} has a ray index that is not an integer") from None
+        if any(i < 0 or i >= len(rays) for i in key):
+            raise ValidationError("cone refers to a missing ray")
+        maximal += (key,)
     if not maximal:
         raise ValidationError("a fan needs at least one maximal cone")
-    for s in maximal:
-        if any(i < 0 or i >= len(rays) for i in s):
-            raise ValidationError("cone refers to a missing ray")
 
     # each fan face's rows are computed once, by the first cone that has it
     known: dict[frozenset[int], Face] = {}

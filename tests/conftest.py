@@ -3,6 +3,7 @@ and independent oracles used across the test suite."""
 
 import math
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -772,16 +773,34 @@ def normal_generator(mu_span_rows, tau_span_rows, orientation_vectors):
 
 def span_of(poset, face):
     """The span lattice of a face in a poset's coordinates: the saturated
-    kernel of its annihilator rows (in the padded tilde poset, the face's
-    span plus the vertical axis), by :func:`smith_kernel_rows`."""
+    kernel of its annihilator rows (in the tilde poset, the face's span
+    plus the vertical axis), by :func:`smith_kernel_rows`."""
     return smith_kernel_rows(poset.perps[face.ray_indices], poset.width)
+
+
+_TILDE_POSETS = weakref.WeakKeyDictionary()
+
+
+def tilde_poset(fan):
+    """The epigraph ("tilde") lifts of a fan's faces as a face poset of
+    their own, in one more coordinate: the fan's faces with every
+    annihilator row and ray padded by a zero.  The package takes the tilde
+    complexes from the fan itself; this poset computes its covering pairs
+    and pairings on its own (memoized per fan)."""
+    from toricdef.polyhedral import FacePoset
+
+    if fan not in _TILDE_POSETS:
+        perps = {k: tuple(r + (0,) for r in v) for k, v in fan.perps.items()}
+        rays = tuple(r + (0,) for r in fan.rays)
+        _TILDE_POSETS[fan] = FacePoset(fan.width + 1, fan.by_key.values(), perps, rays)
+    return _TILDE_POSETS[fan]
 
 
 def lift_spans(divisor, face):
     """The span lattices of the hat and tilde lifts of a fan face, by the
     Smith reference: the kernels of the face's annihilator rows in the
-    divisor's hat and tilde posets."""
-    return span_of(divisor.hat, face), span_of(divisor.tilde, face)
+    divisor's hat poset and the fan's :func:`tilde_poset`."""
+    return span_of(divisor.hat, face), span_of(tilde_poset(divisor.fan), face)
 
 
 def normal_of(poset, mu, tau):

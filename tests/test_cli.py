@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -330,6 +331,73 @@ def test_table_rendering(capsys, cone_a_path):
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
     assert "lcdef" in out
+
+
+P112_TABLES = {
+    ("hodge",): "p\\q  0  1  2\n  0  1  0  0\n  1  0  1  0\n  2  0  0  1\nbetti: 1 0 1 0 1\n",
+    ("lefschetz", "--p", "1", "--l", "1"): (
+        'cartier_denominator: 2\nl: 1\nmatrix: [["-1/2"]]\np: 1\nrank: 1\nsource_dim: 1\ntarget_dim: 1\n'
+    ),
+    ("verify",): (
+        "                                          check   ok      detail\n"
+        "                            document round-trip  yes          \"\"\n"
+        "      differentials square to zero (all levels)  yes          \"\"\n"
+        "                       fan completeness decided  yes  \"complete\"\n"
+        "                 corner Hodge numbers equal one  yes          \"\"\n"
+        "         divisor sequences exact at every level  yes          \"\"\n"
+        "connecting map scales linearly with the divisor  yes          \"\"\n"
+    ),
+}
+FIXTURE_TABLES = [
+    (command, name)
+    for command in ("ishida", "criteria")
+    for name in ("paper_cone_A.txt", "paper_cone_B.txt", "paper_cone_13.txt", "paper_cone_A_pyramid.txt")
+] + [("pyramid", "paper_cone_A_pyramid.txt")]
+
+
+def _cell_texts(value) -> set:
+    """The ways a table writes a report value: as text, a list as its
+    space-separated items (term dims) or as JSON (witnesses, details)."""
+    texts = {str(value), json.dumps(value)}
+    if isinstance(value, list):
+        texts.add(" ".join(map(str, value)))
+    return texts
+
+
+def _assert_report_in_table(command, report, table):
+    """Every value of the JSON report is in the table: a report with a list
+    of rows renders as a header and one line per row, whose cells are the
+    row's values; any other report renders one ``key: json`` line per key.
+    The ishida table does not name the ``kind`` (cone or fan) of its input."""
+    lines = table.splitlines()
+    grids = [v for v in report.values() if isinstance(v, list) and v and isinstance(v[0], dict)]
+    if not grids:
+        assert lines == [f"{k}: {json.dumps(report[k], sort_keys=True)}" for k in sorted(report)]
+        return
+    (rows,) = grids
+    assert set(report) - {"kind"} == {k for k, v in report.items() if v is rows}, command
+    assert len(lines) == len(rows) + 1
+    for row, line in zip(rows, lines[1:]):
+        cells = re.split(" {2,}", line.strip())
+        assert len(cells) == len(row)
+        assert all(_cell_texts(v) & set(cells) for v in row.values()), (row, line)
+
+
+@pytest.mark.parametrize("argv", sorted(P112_TABLES), ids=" ".join)
+def test_table_rendering_on_a_fan_with_a_divisor(tmp_path, capsys, argv):
+    path = tmp_path / "p112.txt"
+    path.write_text(P112_DOC)
+    assert run([argv[0], str(path), *argv[1:], "--table"]) == 0
+    assert capsys.readouterr().out == P112_TABLES[argv]
+
+
+@pytest.mark.parametrize("command, name", FIXTURE_TABLES)
+def test_table_rendering_shows_the_whole_report(capsys, command, name):
+    path = str(FIXTURES / name)
+    code, env = run_json(capsys, [command, path])
+    assert code == 0
+    assert run([command, path, "--table"]) == 0
+    _assert_report_in_table(command, env["report"], capsys.readouterr().out)
 
 
 def test_timing_flag(capsys, cone_a_path):

@@ -24,6 +24,7 @@ from conftest import (
     random_cone,
     seed77_cones,
     span_of,
+    tilde_poset,
 )
 from toricdef import (
     NotAComplex,
@@ -382,7 +383,7 @@ def test_top_degree_blocks_are_one_unit_determinant():
     rng = random.Random(3)
     divisor = support_data(fan, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in fan.rays])
     blocks, wide = 0, 0
-    for poset in [face_lattice(c) for c in cones] + [fan, divisor.tilde, divisor.hat]:
+    for poset in [face_lattice(c) for c in cones] + [fan, tilde_poset(fan), divisor.hat]:
         for tau in poset.all_faces:
             for mu in poset.covered_by(tau):
                 perp, target = poset.perps[mu.ray_indices], poset.perps[tau.ray_indices]

@@ -25,6 +25,7 @@ from conftest import (
     random_complete_simplicial_fan,
     random_cone,
     scaled_matrix,
+    tilde_poset,
 )
 from toricdef import (
     NotAmple,
@@ -48,6 +49,7 @@ from toricdef import (
 )
 from toricdef import exact_linalg as xl
 from toricdef.exact_linalg import matrix_rank
+from toricdef.ishida import face_complex
 from toricdef.lefschetz import _vertical_pairing
 
 
@@ -92,6 +94,16 @@ def test_support_data_validates_length(p2_fan):
         support_data(p2_fan, (1, 1))
 
 
+def test_support_data_takes_exact_values_only(p112_fan):
+    """A float is refused (0.1 would become a Fraction with denominator
+    2**55); ints, Fractions and exact strings are taken as they are."""
+    with pytest.raises(ValidationError, match="not floats"):
+        support_data(p112_fan, (0, 0, 0.1))
+    for values in ((0, 0, 1), (Fraction(0), Fraction(0), Fraction(1)), ("0", "0/3", "1")):
+        assert support_data(p112_fan, values).alpha == (0, 0, 1)
+    assert support_data(p112_fan, ("0", "0", "0.1")).alpha == (0, 0, Fraction(1, 10))
+
+
 def test_not_locally_solvable():
     fan = fan_from_cones(
         ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), ((0, 1, 2, 3),), 3
@@ -132,36 +144,32 @@ def test_tilde_complexes_are_the_fan_complexes(source, cone_13):
         D = support_data(fan, alpha)
     for p in range(fan.rank):
         L = lifted_complex(fan, D, p)
-        for tilde, level in ((L.top, p + 1), (L.bottom, p)):
-            plain = ishida_fan(fan, level)
-            assert tilde.dims == plain.dims
-            for a, b in zip(tilde.diffs, plain.diffs):
-                assert a == b
+        assert L.top is ishida_fan(fan, p + 1)
+        assert L.bottom is ishida_fan(fan, p)
 
 
-def test_tilde_poset_is_the_fan_padded(monkeypatch):
+def test_tilde_poset_is_the_fan_padded():
+    """The fact the lifted sequences rest on: the tilde poset, built on its
+    own as the fan padded by a zero, has the fan's normals padded, the
+    fan's covering pairings and so the fan's complexes."""
     fan = random_complete_simplicial_fan(random.Random(5), 3, 4)
-    tilde = support_data(fan, [1] * len(fan.rays)).tilde
+    tilde = tilde_poset(fan)
     assert tilde.width == fan.rank + 1 and tilde.faces_by_dim == fan.faces_by_dim
-    for key in fan.by_key:
-        assert tilde.perps[key] == tuple(r + (0,) for r in fan.perps[key])
     pairs = [
         (mu, tau)
         for tau in fan.all_faces
         for mu in fan.all_faces
         if mu.dim + 1 == tau.dim and mu.ray_indices < tau.ray_indices
     ]
-    own = {(mu.key, tau.key): fan.covering_pairing(mu, tau) for mu, tau in pairs}
-    # the padded pairings are the fan's own, computed once for both posets
-    calls = []
-    with monkeypatch.context() as mp:
-        mp.setattr(xl, "pairing", lambda *a: calls.append(a))
-        got = {(mu.key, tau.key): tilde.covering_pairing(mu, tau) for mu, tau in pairs}
-    assert calls == [] and all(got[k] is own[k] for k in own)
+    assert pairs
     for mu, tau in pairs:
+        assert tilde.covering_pairing(mu, tau) == fan.covering_pairing(mu, tau)
         direct = normal_of(tilde, mu, tau)
-        assert pairing_of_normal(tilde, mu, tau, direct) == own[mu.key, tau.key]
         assert direct == normal_of(fan, mu, tau) + (0,)
+        assert pairing_of_normal(tilde, mu, tau, direct) == fan.covering_pairing(mu, tau)
+    for level in range(fan.rank + 1):
+        own, padded = ishida_fan(fan, level), face_complex("tilde", tilde, level)
+        assert padded.dims == own.dims and padded.diffs == own.diffs
 
 
 def test_lift_pairings_are_the_pairings_of_the_normals():
@@ -169,14 +177,15 @@ def test_lift_pairings_are_the_pairings_of_the_normals():
     rng = random.Random(3)
     divisor = support_data(fan, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in fan.rays])
     assert assert_pairings_match_normals(divisor.hat) > 0
-    assert assert_pairings_match_normals(divisor.tilde) > 0
+    tilde = tilde_poset(fan)
+    assert assert_pairings_match_normals(tilde) > 0
     vertical = (0,) * fan.rank + (1,)
     for f in fan.all_faces:
         hat_perp = divisor.hat.perps[f.ray_indices]
         n = normal_generator(*lift_spans(divisor, f), [vertical])
         got = _vertical_pairing(divisor, f)
         values = [sum(x * y for x, y in zip(n, a)) for a in hat_perp]
-        assert got == xl.pairing(values, hat_perp, divisor.tilde.perps[f.ray_indices])
+        assert got == xl.pairing(values, hat_perp, tilde.perps[f.ray_indices])
         assert gcd(*got.values) == 1 and _vertical_pairing(divisor, f) is got
 
 
@@ -362,25 +371,30 @@ def assembled(monkeypatch):
 
 
 def test_les_theorem_assembles_each_complex_once(assembled):
-    """The cone's four levels, the fan's level 0, and the three lifted
-    sequences' hat levels 1..3 and tilde levels 0..3: consecutive sequences
-    share the tilde level that joins them."""
+    """The cone's four levels, and the three lifted sequences' hat levels
+    1..3 and fan levels 0..3: the fan's level 0 is the first sequence's
+    bottom, and consecutive sequences share the fan level that joins them.
+    The exceptional criterion then reads the fan's level 2 as built."""
     cone = cone_from_rays(A_RAYS, 4)
-    assert les_theorem(cone, interior_vector(cone)).all_exact
-    assert len(assembled) == 12 and len(set(assembled)) == 12
-    assert sorted(x for x in assembled if x.startswith("tilde")) == [f"tilde level {k}" for k in range(4)]
+    rho = interior_vector(cone)
+    assert les_theorem(cone, rho).all_exact
+    assert len(assembled) == 11 and len(set(assembled)) == 11
+    for kind, levels in (("cone", range(4)), ("fan", range(4)), ("hat", range(1, 4))):
+        assert sorted(x for x in assembled if x.startswith(kind)) == [f"{kind} level {k}" for k in levels]
+    del assembled[:]
+    assert lcdef4_via_exceptional(cone, rho) is True
+    assert assembled == []
 
 
-def test_divisors_on_a_fan_share_its_tilde_complexes(assembled):
+def test_divisors_on_a_fan_share_the_fan_complexes(assembled):
     fan = make_p112()
     D = support_data(fan, (1, 1, 1))
     hodge_table(fan)
+    del assembled[:]
     for E in (D, D.scaled(2)):
         for p in range(fan.rank):
             connecting_map(fan, E, p, p)
-        assert E.tilde is fan.padded()
-    assert sorted(x for x in assembled if x.startswith("tilde")) == [f"tilde level {k}" for k in range(3)]
-    assert sorted(x for x in assembled if x.startswith("hat")) == ["hat level 1"] * 2 + ["hat level 2"] * 2
+    assert sorted(assembled) == ["hat level 1"] * 2 + ["hat level 2"] * 2
     for p in range(fan.rank - 1):
         assert lifted_complex(fan, D, p).top is lifted_complex(fan, D.scaled(2), p + 1).bottom
 
@@ -497,6 +511,21 @@ def test_injectivity_requires_complete():
     D = support_data(fan, (1, 1))
     with pytest.raises(NotComplete):
         hard_lefschetz_injectivity_check(fan, D)
+
+
+def test_a_divisor_from_another_fan_is_a_validation_error(p2_fan, p112_fan):
+    """A divisor made on another fan is refused before anything reads it;
+    the hard Lefschetz check would otherwise test the linear forms of
+    P(1,1,2) against the rays of P^2 and report a broken invariant."""
+    D = support_data(p112_fan, (0, 0, 1))
+    calls = (
+        lambda: hard_lefschetz_injectivity_check(p2_fan, D),
+        lambda: lifted_complex(p2_fan, D, 0),
+        lambda: connecting_map(p2_fan, D, 0, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="different fan"):
+            call()
 
 
 # ---------------------------------------------------------------------------

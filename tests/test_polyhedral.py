@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -788,6 +789,15 @@ def _fan_oracle_cases():
         (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)), 2),
     ]
     return cases
+
+
+@pytest.mark.parametrize("cone", [(0, 1.9), ("0", "1"), (0, None)])
+def test_fan_from_cones_takes_integer_ray_indices(cone):
+    """A ray index is taken by ``operator.index``, never truncated or
+    parsed: anything else is a VALIDATION_ERROR naming the cone."""
+    with pytest.raises(ValidationError, match=re.escape(f"cone {cone!r}")):
+        fan_from_cones(((1, 0), (0, 1)), (cone,), 2)
+    assert fan_from_cones(((1, 0), (0, 1)), ((1, 0, 1),), 2).maximal == ((0, 1),)
 
 
 def test_fan_from_cones_matches_the_lp_validation():
