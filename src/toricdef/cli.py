@@ -450,6 +450,7 @@ def _render_table(command: str, report: dict) -> str:
             lines.append("  ".join(str(c).rjust(w) for c, w in zip(r, widths)))
 
     if command == "ishida":
+        lines.append(f"kind: {report['kind']}")
         grid(
             [("l", "term dims", "cohomology")]
             + [(row["l"], " ".join(map(str, row["dims"])), " ".join(map(str, row["cohomology"])))

@@ -66,11 +66,6 @@ class NotAPermutation(ToricError):
     exit_code = 10
 
 
-class SpanViolation(ToricError):
-    ident = "SPAN_VIOLATION"
-    exit_code = 11
-
-
 class NotContained(ToricError):
     ident = "NOT_CONTAINED"
     exit_code = 12

@@ -437,18 +437,15 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
     For a weight in the relative interior of the face's dual cone the graded
     piece of the cone complex decomposes as exterior powers of the face's
     annihilator tensored with the face's complexes; this returns that direct
-    sum with blocks labeled ``(j, copy, face_key)``.
+    sum with blocks labeled ``(j, copy, face_key)``.  At the zero face
+    that is ``C(d, l)`` copies of the zero cone's one-dimensional level-0
+    complex, blocks ``(l, copy, ())``.
     """
     d = cone.dim
     _checked_level(l, d)
     face = _resolve_face(cone, tau)
     dt = face.dim
     codim = d - dt
-    if not face.ray_indices:
-        # the zero face: the graded piece is a single exterior power in degree 0
-        base = xl.SubspaceBasis(d, tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d)))
-        layers = [[(("wedge", l), xl.ExteriorBasis(base, l))]]
-        return assemble_complex(f"graded piece level {l} at zero face", layers, ())
     sub = face_cone(cone, face)
 
     pieces: list[tuple[int, int, LabeledComplex]] = []

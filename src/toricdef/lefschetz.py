@@ -96,7 +96,10 @@ def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
     alpha = tuple(alpha)
     if any(isinstance(a, float) for a in alpha):
         raise ValidationError("ray values must be exact (ints, Fractions or strings), not floats")
-    values = tuple(Fraction(a) for a in alpha)
+    try:
+        values = tuple(Fraction(a) for a in alpha)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValidationError(f"ray values must be exact numbers, got {alpha!r}") from None
     if len(values) != len(fan.rays):
         raise ValidationError("need exactly one value per ray")
     n = fan.rank

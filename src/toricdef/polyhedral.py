@@ -18,9 +18,11 @@ annihilator is one integer kernel of its rays
 (:func:`toricdef.exact_linalg.integer_kernel_rows`, a one-sided unimodular
 row elimination), and a fan computes it once per face, however many maximal
 cones share it.  Its span lattice is the kernel of that, since the
-saturation of a set of vectors is the kernel of their kernel; it is taken
-on the first read of :attr:`Face.span_rows`, which only the top face of a
-cone and the face cones of non-simplicial faces make.
+saturation of a set of vectors is the kernel of their kernel
+(Cox–Little–Schenck, *Toric Varieties*, 1.2).  A face is plain data and
+keeps no span: :func:`cone_from_rays` takes the top face's once and keeps
+it in the cone's hull, and :attr:`Face.span_rows` takes one kernel on each
+read, which only the face lattice of a face cone makes.
 The intrinsic rows of :class:`FaceLattice` are coordinates and restrictions
 of the ambient ones, with no further kernel (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone` takes its whole lattice
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import index, mul
 
@@ -84,10 +86,10 @@ class Cone:
     constructor trusts its input.  ``rays`` keeps the order in which
     surviving input rays appeared, and all face bookkeeping refers to rays
     by index into this tuple.  ``_hull`` holds what :func:`cone_from_rays`
-    found on the way: the top face, the rays' coordinates in its span rows
-    and the ray sets of the facets, which :class:`FaceLattice` and
-    :func:`fan_from_cones` reuse (:func:`_hull` finds them for a cone built
-    by the constructor).  A cone made by :func:`face_cone` remembers its
+    found on the way: the top face, the rays' coordinates in its span rows,
+    the ray sets of the facets and the span rows, which :class:`FaceLattice`
+    and :func:`fan_from_cones` reuse (:func:`_hull` finds them for a cone
+    built by the constructor).  A cone made by :func:`face_cone` remembers its
     parent and the face, so its lattice is the parent's lower interval;
     star quotients are memoized by their primitive interior ray.
     """
@@ -180,7 +182,7 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
         p = xl.primitive_vector(v)
         if p not in prim:
             prim.append(p)
-    top, coords, facets = _span_and_facets(prim, rank)
+    top, coords, facets, span = _span_and_facets(prim, rank)
     d = top.dim
     if len(prim) > d:
         if len(xl.hermite_rows(facets.values(), d)) < d:
@@ -189,75 +191,40 @@ def cone_from_rays(vectors, rank: int | None = None) -> Cone:
         keep = [i for i in range(len(prim)) if every.intersection(*(k for k in facets if i in k)) == {i}]
         if len(keep) < len(prim):
             pos = {i: j for j, i in enumerate(keep)}
-            top = top.rekeyed(frozenset(pos.values()))
+            top = replace(top, ray_indices=frozenset(pos.values()))
             coords = tuple(coords[i] for i in keep)
             facets = {frozenset(pos[i] for i in k if i in pos): u for k, u in facets.items()}
             prim = [prim[i] for i in keep]
     cone = Cone(rank, tuple(prim), d)
-    cone._hull = (top, coords, tuple(facets))
+    cone._hull = (top, coords, tuple(facets), span)
     return cone
 
 
+@dataclass(frozen=True, slots=True)
 class Face:
     """A face of a cone, identified by the set of extreme rays it contains.
 
-    ``perp_rows`` is the canonical Hermite basis of the saturated
-    annihilator lattice in the dual, and ``dim`` is ``n - len(perp_rows)``
-    in ``Z^n``.  ``span_rows`` is the canonical Hermite basis of the
-    sublattice ``span(face) cap Z^n``, which is the integer kernel of
-    ``perp_rows`` (the saturation of a set of vectors is the kernel of their
-    kernel).  It is computed on first read and then kept; a span passed to
-    the constructor is taken as it is, and ``None`` leaves it to be
-    computed.  A face is immutable, and equality and ``repr`` are over all
-    four values.
+    Plain data: equality and hash are over the three fields.  ``perp_rows``
+    is the canonical Hermite basis of the saturated annihilator lattice in
+    the dual, and ``dim`` is ``n - len(perp_rows)`` in ``Z^n``.
+    ``span_rows`` is the canonical Hermite basis of the sublattice
+    ``span(face) cap Z^n``, the integer kernel of ``perp_rows`` (the
+    saturation of a set of vectors is the kernel of their kernel), taken on
+    each read and not kept.  Only the face lattice of a face cone reads it;
+    a cone's own top span is kept in its :func:`_hull`.
     """
 
-    __slots__ = ("ray_indices", "dim", "_span", "perp_rows")
-
-    def __init__(self, ray_indices: frozenset[int], dim: int, span_rows, perp_rows):
-        for name, value in zip(self.__slots__, (ray_indices, dim, span_rows, perp_rows)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a Face is immutable")
-
-    def __reduce__(self):
-        return Face, (self.ray_indices, self.dim, self._span, self.perp_rows)
+    ray_indices: frozenset[int]
+    dim: int
+    perp_rows: tuple[tuple[int, ...], ...]
 
     @property
     def span_rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._span is None:
-            span = tuple(xl.integer_kernel_rows(self.perp_rows, self.dim + len(self.perp_rows)))
-            object.__setattr__(self, "_span", span)
-        return self._span
+        return tuple(xl.integer_kernel_rows(self.perp_rows, self.dim + len(self.perp_rows)))
 
     @property
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.ray_indices))
-
-    def rekeyed(self, ray_indices: frozenset[int]) -> "Face":
-        """The same face under other ray labels, sharing its rows and the
-        span if it has been computed."""
-        return Face(ray_indices, self.dim, self._span, self.perp_rows)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Face):
-            return NotImplemented
-        return (
-            (self.ray_indices, self.dim, self.perp_rows) == (other.ray_indices, other.dim, other.perp_rows)
-            and self.span_rows == other.span_rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ray_indices, self.dim, self.perp_rows))
-
-    def __repr__(self) -> str:
-        return (
-            f"Face(ray_indices={self.ray_indices!r}, dim={self.dim!r}, "
-            f"span_rows={self.span_rows!r}, perp_rows={self.perp_rows!r})"
-        )
 
 
 def _ray_coords(span_rows, rays) -> tuple[tuple, ...]:
@@ -366,27 +333,31 @@ def _face_keys(facets, m: int) -> set[frozenset[int]]:
 
 def _lattice_face(key: frozenset[int], gens, n: int) -> Face:
     """The face ``key`` spanned by ``gens`` in ``Z^n``: its annihilator is one
-    integer kernel of the rays, of rank ``n - dim``; its span lattice is left
-    to the first read of ``Face.span_rows``."""
+    integer kernel of the rays, of rank ``n - dim``; its span lattice, the
+    kernel of that, is taken only where ``Face.span_rows`` is read."""
     perp = tuple(xl.integer_kernel_rows(gens, n))
-    return Face(key, n - len(perp), None, perp)
+    return Face(key, n - len(perp), perp)
 
 
 def _span_and_facets(gens, n: int) -> tuple:
-    """``(top, coords, facets)`` of the cone over ``gens`` in ``Z^n``: the
-    top face, the generators' coordinates in its span rows and
-    :func:`_facets` in those coordinates."""
+    """``(top, coords, facets, span)`` of the cone over ``gens`` in ``Z^n``:
+    the top face, the generators' coordinates in its span rows,
+    :func:`_facets` in those coordinates and the span rows themselves."""
     top = _lattice_face(frozenset(range(len(gens))), gens, n)
-    coords = _ray_coords(top.span_rows, gens)
-    return top, coords, _facets(coords, top.dim)
+    span = top.span_rows
+    coords = _ray_coords(span, gens)
+    return top, coords, _facets(coords, top.dim), span
 
 
 def _hull(cone: Cone) -> tuple:
-    """``cone._hull``, found by :func:`_span_and_facets` for a cone built by
-    the constructor, whose rays it trusts to be extreme."""
+    """``cone._hull``, ``(top, coords, facet keys, span)``: the top face,
+    the rays' coordinates in the span rows of the top face, the ray sets of
+    the facets and those span rows, which are kept here and not on the
+    face.  Found by :func:`_span_and_facets` for a cone built by the
+    constructor, whose rays it trusts to be extreme."""
     if cone._hull is None:
-        top, coords, facets = _span_and_facets(cone.rays, cone.rank)
-        cone._hull = (top, coords, tuple(facets))
+        top, coords, facets, span = _span_and_facets(cone.rays, cone.rank)
+        cone._hull = (top, coords, tuple(facets), span)
     return cone._hull
 
 
@@ -394,7 +365,7 @@ def _cone_faces(cone: Cone, labels, known: dict) -> list[Face]:
     """The faces of ``cone`` from its :func:`_hull`, with no facet search.
     A face is keyed by the ``labels`` of its rays and looked up in, or
     added to, ``known``; the top face's rows are the hull's."""
-    top, _, facets = _hull(cone)
+    top, _, facets, _ = _hull(cone)
     rays = cone.rays
 
     def face(local) -> Face:
@@ -404,7 +375,7 @@ def _cone_faces(cone: Cone, labels, known: dict) -> list[Face]:
         return known[key]
 
     whole = frozenset(labels)
-    known.setdefault(whole, top.rekeyed(whole))
+    known.setdefault(whole, replace(top, ray_indices=whole))
     return [face(k) for k in _face_keys(facets, len(rays))]
 
 
@@ -412,10 +383,10 @@ def _lower_interval(parent: "FaceLattice", key: frozenset[int]) -> tuple:
     """``(span_rows, faces)`` of the face ``key`` of ``parent`` as a cone of
     its own: the faces below it, re-keyed to the positions of their rays in
     the face, sharing the parent's ambient rows.  Only the span of ``key``
-    itself is read."""
+    itself is taken, one integer kernel."""
     local = {g: i for i, g in enumerate(sorted(key))}
     faces = [
-        f.rekeyed(frozenset(local[i] for i in f.ray_indices))
+        replace(f, ray_indices=frozenset(local[i] for i in f.ray_indices))
         for f in parent.by_key.values()
         if f.ray_indices <= key
     ]
@@ -523,12 +494,12 @@ class FaceLattice(FacePoset):
     * The faces are the intersections of the facets that
       :func:`cone_from_rays` found and kept on the cone; no facet search
       runs here.
-    * ``Face.perp_rows`` is one integer kernel of the face's rays;
-      ``Face.span_rows``, the kernel of that, is computed only if read, and
-      nothing here reads it but for ``span_rows`` of the lattice, the top
-      face's span, which :func:`cone_from_rays` has read already.  A cone
-      made by :func:`face_cone` takes both from its parent's faces below
-      it, reading the span of its own top face only.
+    * ``Face.perp_rows`` is one integer kernel of the face's rays.
+      ``span_rows`` of the lattice, the top face's span, is the one that
+      :func:`cone_from_rays` took and kept in the cone's :func:`_hull`.  A
+      cone made by :func:`face_cone` takes its faces from its parent's
+      faces below it and its span from ``Face.span_rows`` of its own top
+      face, one integer kernel.
     * ``rays`` are the rays' coordinates in ``span_rows``.
     * ``perps`` are Hermite bases of each face's ``perp_rows`` restricted
       to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)`` is onto
@@ -546,8 +517,7 @@ class FaceLattice(FacePoset):
         self.cone = cone
         d = cone.dim
         if cone._parent is None:
-            top, ray_coords, _ = _hull(cone)
-            span_rows = top.span_rows
+            _, ray_coords, _, span_rows = _hull(cone)
             faces = _cone_faces(cone, range(len(cone.rays)), {})
         else:
             parent, key = cone._parent
@@ -615,8 +585,7 @@ def face_cone(cone: Cone, face: Face) -> Cone:
     search of :func:`cone_from_rays`: the face's rays are already primitive, distinct
     and extreme, in the order of ``cone.rays``.  Its face lattice is the
     lower interval of the parent's, with no facet search and no kernel but
-    the face's own span, if it has not been read before.  The top face is
-    ``cone``."""
+    the face's own span.  The top face is ``cone``."""
     if len(face.ray_indices) == len(cone.rays):
         return cone
     sub = Cone(cone.rank, tuple(cone.rays[i] for i in sorted(face.ray_indices)), face.dim)
@@ -1009,7 +978,7 @@ def _quotient_rows(faces, t_rows, hats, projected) -> tuple[dict, list[Face]]:
         _check_annihilator(hat, [hats[i] for i in f.ray_indices], n - f.dim, "hat")
         _check_annihilator(perp, [projected[i] for i in f.ray_indices], n - 1 - f.dim, "quotient")
         hat_perps[f.ray_indices] = hat
-        out.append(Face(f.ray_indices, f.dim, None, perp))
+        out.append(Face(f.ray_indices, f.dim, perp))
     return hat_perps, out
 
 

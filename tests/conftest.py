@@ -436,7 +436,7 @@ def oracle_faces(rays, rank, labels=None):
     def face(key):
         perp = tuple(xl.integer_kernel_rows([rays[i] for i in sorted(key)], rank))
         span = tuple(xl.integer_kernel_rows(perp, rank))
-        return Face(frozenset(labels[i] for i in key), len(span), span, perp)
+        return Face(frozenset(labels[i] for i in key), len(span), perp)
 
     m = len(rays)
     top = face(frozenset(range(m)))
@@ -637,20 +637,25 @@ def smith_kernel_rows(rows, width):
 INFINITE = math.inf
 
 
+class OutsideSpan(Exception):
+    """Raised by :func:`lattice_index` when the sub generators leave the
+    rational span of the super generators."""
+
+
 def lattice_index(sub_rows, super_rows, width):
     """Index of the group generated by ``sub_rows`` inside the one generated
     by ``super_rows``, from the Smith form of the sub generators' coordinates:
     a positive int, or :data:`INFINITE` when the ranks differ.  Raises
-    SPAN_VIOLATION if the sub generators leave the rational span of the super
-    generators, and a plain ValueError if they are in the span but not in the
-    group."""
-    from toricdef import InvariantViolation, SpanViolation
+    :class:`OutsideSpan` if the sub generators leave the rational span of the
+    super generators, and a plain ValueError if they are in the span but not
+    in the group."""
+    from toricdef import InvariantViolation
     from toricdef import exact_linalg as xl
 
     basis = xl.hermite_rows(super_rows, width)
     coords = xl.coordinates(basis, [tuple(r) for r in sub_rows])
     if coords is None:
-        raise SpanViolation("sub generators leave the span of the super lattice")
+        raise OutsideSpan("sub generators leave the span of the super lattice")
     if xl.matrix_rank(Matrix.from_dense(sub_rows, width)) < len(basis):
         return INFINITE
     if any(not isinstance(x, int) for row in coords for x in row):

@@ -366,16 +366,18 @@ def _cell_texts(value) -> set:
 
 def _assert_report_in_table(command, report, table):
     """Every value of the JSON report is in the table: a report with a list
-    of rows renders as a header and one line per row, whose cells are the
-    row's values; any other report renders one ``key: json`` line per key.
-    The ishida table does not name the ``kind`` (cone or fan) of its input."""
+    of rows renders its other keys as ``key: value`` lines, then a header
+    and one line per row, whose cells are the row's values; any other
+    report renders one ``key: json`` line per key."""
     lines = table.splitlines()
     grids = [v for v in report.values() if isinstance(v, list) and v and isinstance(v[0], dict)]
     if not grids:
         assert lines == [f"{k}: {json.dumps(report[k], sort_keys=True)}" for k in sorted(report)]
         return
     (rows,) = grids
-    assert set(report) - {"kind"} == {k for k, v in report.items() if v is rows}, command
+    rest = [k for k in sorted(report) if report[k] is not rows]
+    assert lines[: len(rest)] == [f"{k}: {report[k]}" for k in rest], command
+    lines = lines[len(rest):]
     assert len(lines) == len(rows) + 1
     for row, line in zip(rows, lines[1:]):
         cells = re.split(" {2,}", line.strip())

@@ -546,6 +546,28 @@ def test_graded_matches_restricted_on_facets(cone_a):
             assert cohomology(g) == cohomology(r)
 
 
+def test_graded_piece_at_the_zero_face(cone_a):
+    """At the zero face the graded piece is ``C(d, l)`` copies of the zero
+    cone's one-dimensional level-0 complex, in degree 0, as is the
+    restricted complex: cohomology ``(C(d, l),)`` at every level, also on
+    cones that are not full-dimensional."""
+    cones = [cone_a] + [
+        cone_from_rays(rays, len(rays[0]))
+        for rays in (
+            ((1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)),
+            ((1, 0, 1), (0, 1, 1)),
+            ((1, 2),),
+        )
+    ]
+    assert [c.dim for c in cones] == [4, 3, 2, 1]
+    for cone in cones:
+        d = cone.dim
+        for l in range(d + 1):
+            g = graded_piece(cone, l, ())
+            assert [b.face_key for b in g.terms[0]] == [(l, copy, ()) for copy in range(comb(d, l))]
+            assert cohomology(g) == cohomology(restricted_complex(cone, l, ())) == (comb(d, l),)
+
+
 def test_non_face_ray_set_is_rejected(square_cone):
     for build in (graded_piece, restricted_complex):
         with pytest.raises(ValidationError, match=r"rays \[0, 2\] are not a face"):

@@ -96,9 +96,13 @@ def test_support_data_validates_length(p2_fan):
 
 def test_support_data_takes_exact_values_only(p112_fan):
     """A float is refused (0.1 would become a Fraction with denominator
-    2**55); ints, Fractions and exact strings are taken as they are."""
+    2**55), and so is a value that is no number; ints, Fractions and exact
+    strings are taken as they are."""
     with pytest.raises(ValidationError, match="not floats"):
         support_data(p112_fan, (0, 0, 0.1))
+    for bad in ("x", None, "1/0"):
+        with pytest.raises(ValidationError, match="must be exact numbers"):
+            support_data(p112_fan, (0, 0, bad))
     for values in ((0, 0, 1), (Fraction(0), Fraction(0), Fraction(1)), ("0", "0/3", "1")):
         assert support_data(p112_fan, values).alpha == (0, 0, 1)
     assert support_data(p112_fan, ("0", "0", "0.1")).alpha == (0, 0, Fraction(1, 10))

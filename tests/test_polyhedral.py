@@ -205,8 +205,8 @@ def test_fan_covering_pairings_are_the_pairings_of_the_normals():
 
 def test_covering_pairing_checks_the_rays_outside_the_smaller_face():
     def poset(rays):
-        zero = Face(frozenset(), 0, (), ((1, 0), (0, 1)))
-        line = Face(frozenset({0, 1}), 1, ((1, 0),), ((0, 1),))
+        zero = Face(frozenset(), 0, ((1, 0), (0, 1)))
+        line = Face(frozenset({0, 1}), 1, ((0, 1),))
         perps = {f.ray_indices: f.perp_rows for f in (zero, line)}
         return FacePoset(2, (zero, line), perps, rays), zero, line
 
@@ -595,23 +595,31 @@ def test_star_quotient_takes_no_integer_kernel(kernel_calls):
         assert kernel_calls == [], cone
 
 
-def test_spans_are_read_only_where_needed():
-    """``lcdef_variety`` reads the span of each non-simplicial face (the top
-    face's is read by ``cone_from_rays``), so none below the top of a cyclic
-    cone, and a fan reads none beyond its maximal cones'.  A span read on
-    demand makes the face equal to one built with it."""
+def test_spans_are_read_only_where_needed(kernel_calls):
+    """A face keeps no span: ``lcdef_variety`` takes one integer kernel for
+    the span of each non-simplicial proper face, whose face cone it builds
+    (the top face's span is kept by ``cone_from_rays``), so none on a cyclic
+    cone, and building a fan takes one per face and one span per maximal
+    cone.  A face equals one built afresh from its three fields, and its
+    span is the Smith kernel of its annihilator."""
     cyclic = cyclic_cone(range(9), 5)
+    face_lattice(cyclic)
+    kernel_calls.clear()
     lcdef_variety(cyclic)
-    assert [f for f in face_lattice(cyclic).all_faces if f._span is not None] == [face_lattice(cyclic).top()]
+    assert kernel_calls == []
     for cone in (cone_from_rays(A_RAYS, 4), cone_from_rays(T13_RAYS, 4)):
+        lat = face_lattice(cone)
+        kernel_calls.clear()
         lcdef_variety(cone)
-        faces = face_lattice(cone).all_faces
-        assert [f for f in faces if f._span is not None] == [f for f in faces if len(f.ray_indices) > f.dim]
+        wide = [f for f in lat.all_faces if len(f.ray_indices) > f.dim and f != lat.top()]
+        assert wide and kernel_calls == [4] * len(wide)
     stellar = _stellar_fan()
-    assert {f.key for f in stellar.all_faces if f._span is not None} == set(stellar.maximal)
-    for f in stellar.all_faces:
-        assert f == Face(f.ray_indices, f.dim, None, f.perp_rows)
-        assert repr(f) == repr(Face(f.ray_indices, f.dim, smith_kernel_rows(f.perp_rows, 4), f.perp_rows))
+    kernel_calls.clear()
+    built = fan_from_cones(stellar.rays, stellar.maximal, 4)
+    assert len(kernel_calls) == len(built.by_key) + len(built.maximal)
+    for f in built.all_faces:
+        assert f == Face(f.ray_indices, f.dim, f.perp_rows)
+        assert f.span_rows == smith_kernel_rows(f.perp_rows, 4)
 
 
 def test_support_data_rows_match_saturations():
