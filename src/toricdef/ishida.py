@@ -28,6 +28,13 @@ stages of a filtration are re-assembled from them.
 the defect needs: one scan tries the candidate values from the top, over
 the cells of every non-simplicial face at each value, builds a level when
 one of its cells is first needed, and stops at the first nonzero cell.
+
+Every face of a cone is taken as a cone of its own by one helper,
+:func:`_face_cone`, which :func:`lcdef_variety`, :func:`lcdef_faces` and
+:func:`graded_piece` all call: the face cone memoized on the cone, except
+that a face of a pyramid that misses the apex is the base's face cone on
+the same rays, with the same lattice data, so a pyramid builds new
+complexes only on the faces through its apex.
 """
 
 from __future__ import annotations
@@ -383,12 +390,26 @@ def _defect_scan(cones: list[Cone]) -> int:
     return 0
 
 
+def _face_cone(cone: Cone, face: Face) -> Cone:
+    """The face ``face`` of ``cone`` as a cone of its own: its memoized
+    :func:`~toricdef.polyhedral.face_cone`, or, for a face of a pyramid
+    that misses the apex, the base's face cone on the same ray indices (and
+    so on down a pyramid over a pyramid).  That cone lives one rank lower
+    but has the same dimension, faces, keys and lattice rows, so the same
+    complexes (the proof is in :func:`~toricdef.polyhedral.pyramid`), and
+    those the base has built are not built again."""
+    base = cone._base
+    if base is not None and len(base.rays) not in face.ray_indices:
+        return _face_cone(base, face_lattice(base).by_key[face.ray_indices])
+    return face_cone(cone, face)
+
+
 def lcdef_faces(cone: Cone) -> list[tuple[Face, int]]:
     """The cone-level value :func:`lcdef_cone` of every face of a cone, in
     the order of the face lattice (by dimension, then rays); the last entry
-    is the cone itself.  Faces are taken from the cone without re-running
-    the facet search of :func:`cone_from_rays`."""
-    return [(f, lcdef_cone(face_cone(cone, f))) for f in face_lattice(cone).all_faces]
+    is the cone itself.  Faces are taken from the cone by :func:`_face_cone`,
+    without re-running the facet search of :func:`cone_from_rays`."""
+    return [(f, lcdef_cone(_face_cone(cone, f))) for f in face_lattice(cone).all_faces]
 
 
 def lcdef_variety(cone: Cone) -> int:
@@ -409,7 +430,7 @@ def lcdef_variety(cone: Cone) -> int:
     of :func:`lcdef_cone` runs on every non-simplicial face, in face order,
     before any other cell.
     """
-    faces = (face_cone(cone, f) for f in face_lattice(cone).all_faces)
+    faces = (_face_cone(cone, f) for f in face_lattice(cone).all_faces)
     return _defect_scan([face for face in faces if not is_simplicial(face)])
 
 
@@ -446,7 +467,7 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
     face = _resolve_face(cone, tau)
     dt = face.dim
     codim = d - dt
-    sub = face_cone(cone, face)
+    sub = _face_cone(cone, face)
 
     pieces: list[tuple[int, int, LabeledComplex]] = []
     for j in range(max(0, l - dt), min(l, codim) + 1):

@@ -25,8 +25,10 @@ it in the cone's hull, and :attr:`Face.span_rows` takes one kernel on each
 read, which only the face lattice of a face cone makes.
 The intrinsic rows of :class:`FaceLattice` are coordinates and restrictions
 of the ambient ones, with no further kernel (the two saturation facts are in
-its docstring), and a cone made by :func:`face_cone` takes its whole lattice
-from the parent's lower interval.  No Smith form is taken.
+its docstring), and a cone made by :func:`face_cone`, memoized on its
+parent, takes its whole lattice from the parent's lower interval.  A
+:func:`pyramid` keeps its base, whose faces and lattice data its apex-free
+faces share.  No Smith form is taken.
 
 Cone lattices, fans and divisor hat lifts are all one :class:`FacePoset`.
 :func:`fan_from_cones` validates a fan pair by pair, by a separating
@@ -90,11 +92,15 @@ class Cone:
     the ray sets of the facets and the span rows, which :class:`FaceLattice`
     and :func:`fan_from_cones` reuse (:func:`_hull` finds them for a cone
     built by the constructor).  A cone made by :func:`face_cone` remembers its
-    parent and the face, so its lattice is the parent's lower interval;
-    star quotients are memoized by their primitive interior ray.
+    parent and the face, so its lattice is the parent's lower interval.
+    Face cones are memoized by ray set in ``_faces``, star quotients by
+    their primitive interior ray in ``_quotients``, so a face cone, with
+    its lattice and complexes, lives as long as its parent.  A cone made by
+    :func:`pyramid` keeps its base in ``_base``: its apex-free faces are the
+    base's faces padded with a zero coordinate, with the same lattice data.
     """
 
-    __slots__ = ("rank", "rays", "dim", "_hull", "_lattice", "_parent", "_quotients")
+    __slots__ = ("rank", "rays", "dim", "_hull", "_lattice", "_parent", "_base", "_faces", "_quotients")
 
     def __init__(self, rank: int, rays: tuple[tuple[int, ...], ...], dim: int):
         self.rank = rank
@@ -103,6 +109,8 @@ class Cone:
         self._hull = None
         self._lattice = None
         self._parent = None
+        self._base = None
+        self._faces: dict[frozenset[int], Cone] = {}
         self._quotients: dict[tuple[int, ...], tuple] = {}
 
     def __repr__(self) -> str:
@@ -585,28 +593,67 @@ def face_cone(cone: Cone, face: Face) -> Cone:
     search of :func:`cone_from_rays`: the face's rays are already primitive, distinct
     and extreme, in the order of ``cone.rays``.  Its face lattice is the
     lower interval of the parent's, with no facet search and no kernel but
-    the face's own span.  The top face is ``cone``."""
-    if len(face.ray_indices) == len(cone.rays):
+    the face's own span.  The top face is ``cone``; every other face cone is
+    memoized on ``cone`` by its ray set, so it is built once."""
+    key = face.ray_indices
+    if len(key) == len(cone.rays):
         return cone
-    sub = Cone(cone.rank, tuple(cone.rays[i] for i in sorted(face.ray_indices)), face.dim)
-    sub._parent = (cone, face.ray_indices)
-    return sub
+    if key not in cone._faces:
+        sub = Cone(cone.rank, tuple(cone.rays[i] for i in sorted(key)), face.dim)
+        sub._parent = (cone, key)
+        cone._faces[key] = sub
+    return cone._faces[key]
 
 
 def pyramid(cone: Cone, apex) -> Cone:
     """The join of a cone (embedded at extra coordinate zero) with an apex
-    ray; the apex must leave the original hyperplane."""
+    ray; the apex must leave the original hyperplane.
+
+    The result's rays are the base's rays padded with a zero coordinate, in
+    their order, then the primitive apex (else INVARIANT_VIOLATION), and it
+    keeps the base as ``_base``.  A face of the pyramid that misses the
+    apex then has the same face lattice data as the base's face on the same
+    ray indices, so its complexes can be taken from the base:
+
+    * The faces missing the apex are the padded faces of the base, on the
+      same ray indices.  A supporting functional ``u`` of a base face ``F``
+      gives ``(u, t)``, with ``t`` chosen to make it positive on the apex
+      (whose last coordinate is nonzero), and its zero set on the pyramid
+      is the padded ``F``.  Conversely a face missing the apex is spanned
+      by padded base rays, so it is a face of the pyramid inside the padded
+      base, itself a face (the zero set of ``(0, t)``), and so a face of
+      the padded base.
+    * The span lattice of a padded face ``F'`` is that of ``F`` padded,
+      ``{(x, 0) : x in span(F) cap Z^n}``.  Appending a zero column to a
+      Hermite basis keeps it a Hermite basis, with the same pivots and
+      reduced entries, and the Hermite basis of a lattice is unique, so the
+      span rows of ``F'`` are those of ``F`` padded and the rays have the
+      same coordinates in them.
+    * The faces below ``F'`` are the padded faces below ``F``, on the same
+      ray sets, so the same local keys.  The annihilator of a padded face
+      ``G'`` in ``Z^(n+1)`` is ``{(u, t) : u . G = 0}``, and its rows paired
+      with the padded span rows ``(b, 0)`` give the ``u . b`` of ``G``'s
+      annihilator paired with ``b``: the same restricted rows, so the same
+      Hermite basis ``perps``.  (Where ``F`` is a full-dimensional base, its
+      ``perps`` are its Hermite ``perp_rows``, the restrictions to the
+      standard basis.)
+
+    So the two face cones have the same dimension, faces, keys, ``perps``
+    and ray coordinates: every datum :func:`toricdef.ishida.face_complex`
+    reads, so the same complexes.
+    """
     apex = _ivec(apex)
     if len(apex) != cone.rank + 1:
         raise ValidationError("apex must live in one more coordinate")
     if apex[-1] == 0:
         raise ApexInHyperplane("apex lies in the original hyperplane")
-    rays = [r + (0,) for r in cone.rays] + [xl.primitive_vector(apex)]
+    rays = tuple(r + (0,) for r in cone.rays) + (xl.primitive_vector(apex),)
     out = cone_from_rays(rays, cone.rank + 1)
-    if len(out.rays) != len(cone.rays) + 1:
-        raise InvariantViolation("a ray of the pyramid is not extreme")
+    if out.rays != rays:
+        raise InvariantViolation("the pyramid's rays are not the padded base rays and the apex")
     if out.dim != cone.dim + 1:
         raise InvariantViolation("the apex does not raise the dimension")
+    out._base = cone
     return out
 
 

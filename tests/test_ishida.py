@@ -242,6 +242,66 @@ def test_variety_scan_builds_no_cell_below_the_answer(monkeypatch):
     assert (len(assembled), len(ranked)) == (6, 12)
 
 
+def test_pyramid_defects_match_a_cone_with_no_base_link():
+    """The independent oracle of a pyramid's reuse of its base: every
+    pyramid of the variety cases, each after its base (as the cases are
+    listed), has the ``lcdef_variety`` and ``lcdef_faces`` of a cone built
+    afresh on its rays, which has no base link and a fresh memo."""
+    checked = 0
+    for cone in _variety_cases():
+        value = lcdef_variety(cone)
+        if cone._base is None:
+            continue
+        fresh = cone_from_rays(cone.rays, cone.rank)
+        assert fresh._base is None
+        assert value == lcdef_variety(fresh), cone.rays
+        assert ishida.lcdef_faces(cone) == ishida.lcdef_faces(fresh), cone.rays
+        checked += 1
+    assert checked == 43
+
+
+def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
+    """After the defect of its base, the defect of a pyramid assembles
+    complexes only on face cones through the apex: the base's complexes,
+    and those of its face cones, memoized on it, are taken as they are.
+    Over the first rank-5 seed-77 cone that is the pyramid itself; over
+    fixture A, whose proper faces are not all simplicial, the pyramids over
+    those faces as well."""
+    build, assemble = ishida.ishida_cone, ishida.assemble_complex
+    current, assembled = [], []
+
+    def build_level(c, l):
+        current.append(c)
+        try:
+            return build(c, l)
+        finally:
+            current.pop()
+
+    def count_assembly(*args):
+        assembled.append(current[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(ishida, "ishida_cone", build_level)
+    monkeypatch.setattr(ishida, "assemble_complex", count_assembly)
+    cones = seed77_cones()
+    base, pyr = cones[4], cones[5]
+    assert pyr._base is base
+    assert lcdef_variety(base) == 2
+    assembled.clear()
+    assert lcdef_variety(pyr) == 2
+    # the pyramid itself, the one non-simplicial face through the apex, at
+    # levels 0, 6 and 5
+    assert assembled == [pyr] * 3
+    base = cone_from_rays(A_RAYS, 4)
+    pyr = pyramid(base, (0, 0, 0, 0, 1))
+    assembled.clear()
+    assert lcdef_variety(base) == 1
+    assert any(c is not base for c in assembled)
+    assembled.clear()
+    assert lcdef_variety(pyr) == 1
+    assert assembled and all(pyr.rays[-1] in c.rays for c in assembled)
+
+
 def test_defect_of_the_rank_seven_cyclic_cone():
     assert lcdef_cone(cyclic_cone(range(-5, 5), 7)) == 4
 

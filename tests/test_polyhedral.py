@@ -62,6 +62,7 @@ from toricdef import (
 from toricdef import exact_linalg as xl
 from toricdef.cli import MAX_RANK, MAX_RAYS, InputDocument, serialize_document
 from toricdef.cli import run as cli_run
+from toricdef.ishida import graded_piece
 from toricdef.lefschetz import support_data
 from toricdef import polyhedral
 from toricdef.polyhedral import Cone, Face, FaceLattice, FacePoset, face_cone
@@ -334,6 +335,71 @@ def test_pyramid_counts(square_cone):
 def test_pyramid_rejects_flat_apex(square_cone):
     with pytest.raises(ApexInHyperplane):
         pyramid(square_cone, (1, 1, 1, 0))
+
+
+def test_apex_free_faces_of_a_pyramid_have_the_base_lattice_data():
+    """The fact the pyramid's reuse of its base rests on (proved in
+    ``pyramid``): a face of the pyramid missing the apex, built as a face
+    cone of a cone with the pyramid's rays but no base link, has the span
+    rows of the base's face cone on the same ray indices padded with a zero
+    coordinate, and the same ray coordinates, faces, keys, ``perps`` and
+    facet normals."""
+    rng = random.Random(25)
+    checked = 0
+    for base in seed77_cones():
+        base_lat = face_lattice(base)
+        for _ in range(3):
+            apex = random_apex(rng, base.rank)
+            pyr = pyramid(base, apex)
+            assert pyr._base is base
+            assert pyr.rays[:-1] == tuple(r + (0,) for r in base.rays)
+            fresh = cone_from_rays(pyr.rays, pyr.rank)
+            assert fresh._base is None and fresh.rays == pyr.rays
+            apex_index = len(base.rays)
+            for f in face_lattice(fresh).all_faces:
+                if apex_index in f.ray_indices:
+                    continue
+                ours = face_lattice(face_cone(fresh, f))
+                theirs = face_lattice(face_cone(base, base_lat.by_key[f.ray_indices]))
+                assert ours.span_rows == tuple(r + (0,) for r in theirs.span_rows), f.key
+                assert ours.rays == theirs.rays, f.key
+                assert ours.width == theirs.width, f.key
+                assert [(g.ray_indices, g.dim) for g in ours.all_faces] == [
+                    (g.ray_indices, g.dim) for g in theirs.all_faces
+                ], f.key
+                assert ours.perps == theirs.perps, f.key
+                assert ours.facet_normals == theirs.facet_normals, f.key
+                checked += 1
+    assert checked == 3 * sum(len(face_lattice(c).by_key) for c in seed77_cones()) == 2484
+
+
+def test_a_pyramid_whose_rays_move_is_refused(square_cone, monkeypatch):
+    """A pyramid whose rays are not the padded base rays and the apex, in
+    that order, could not hand its apex-free faces to the base: it raises
+    INVARIANT_VIOLATION, and no base is recorded."""
+    build = polyhedral.cone_from_rays
+
+    def reordered(rays, rank):
+        return build(list(rays[1:]) + [rays[0]], rank)
+
+    monkeypatch.setattr(polyhedral, "cone_from_rays", reordered)
+    with pytest.raises(toricdef.InvariantViolation, match="padded base rays"):
+        pyramid(square_cone, (0, 0, 0, 1))
+
+
+def test_face_cones_are_memoized_on_their_parent(kernel_calls):
+    """A face cone is built once per parent, so the graded pieces of two
+    levels at one facet take the facet's span, the one kernel of its face
+    lattice, only once."""
+    c = cone_from_rays(A_RAYS, 4)
+    lat = face_lattice(c)
+    tau = lat.faces_by_dim[3][0]
+    assert face_cone(c, tau) is face_cone(c, tau)
+    assert face_cone(c, lat.top()) is c
+    kernel_calls.clear()
+    graded_piece(c, 1, tau)
+    graded_piece(c, 2, tau)
+    assert kernel_calls == [4]
 
 
 # ---------------------------------------------------------------------------
