@@ -25,9 +25,11 @@ nothing else; the complex records those pairs, and graded pieces and the
 stages of a filtration are re-assembled from them.
 
 :func:`lcdef_cone` and :func:`lcdef_variety` compute only the cohomology
-the defect needs: one scan tries the candidate values from the top, over
-the cells of every non-simplicial face at each value, builds a level when
-one of its cells is first needed, and stops at the first nonzero cell.
+the defect needs: one scan tries the candidate values from ``d - 3`` down,
+over the cells of every non-simplicial face at each value, builds a level
+when one of its cells is first needed, and stops at the first nonzero cell.
+The cells of larger value vanish on every cone (proofs in
+:func:`_defect_scan`), so no cone's level-``d`` complex is built.
 
 Every face of a cone is taken as a cone of its own by one helper,
 :func:`_face_cone`, which :func:`lcdef_variety`, :func:`lcdef_faces` and
@@ -352,12 +354,17 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     Only the cells that decide the value are computed: this is the
     one-face case of the scan of :func:`_defect_scan`.  Cell ``(l, i)``,
     degree ``i`` of the level-``l`` complex with ``0 <= i <= l <= d``, has
-    value ``c = i + l - d <= d``.  The candidates ``c = d, d - 1, ..., 1``
-    are tried in turn, each over its cells from ``l = d`` down; a level's
-    complex is built when one of its cells is first needed, and each
-    differential is ranked at most once (:meth:`LabeledComplex.rank`).  The
-    first cell with nonzero cohomology has the largest value of all nonzero
-    cells, since every cell of a larger value has been found zero, so it is
+    value ``c = i + l - d <= d``.  Every cell of level ``d`` and, when
+    ``d >= 2``, the cell ``(d - 1, d - 1)`` vanish (proved in
+    :func:`_defect_scan`); they are all the cells of value
+    ``c >= max(1, d - 2)``, so the value is at most ``max(0, d - 3)``.  The
+    candidates
+    ``c = d - 3, d - 4, ..., 1`` are tried in turn, each over its cells
+    from ``l = d - 1`` down; a level's complex is built when one of its
+    cells is first needed, level ``d`` never, and each differential is
+    ranked at most once (:meth:`LabeledComplex.rank`).  The first cell with
+    nonzero cohomology has the largest value of all nonzero cells, since
+    every cell of a larger value is zero, found so or proved so, and it is
     the answer.  When none of the cells with ``c >= 1`` is nonzero, the
     inner maximum is at most 0 and the answer is 0.  Either way the value
     is the one the formula gives.
@@ -373,18 +380,63 @@ def _defect_scan(cones: list[Cone]) -> int:
 
     Each cone's level-0 complex is checked first, in the given order:
     INVARIANT_VIOLATION when it has no cohomology.  Then the candidates
-    ``c`` run from the largest dimension down to 1; at each, every cone of
-    dimension ``d >= c`` in the given order is read over its cells
-    ``(l, c + d - l)`` from ``l = d`` down.  The first nonzero cell has the
-    value returned, and 0 is returned when there is none.
+    ``c`` run from the largest dimension minus 3 down to 1; at each, every
+    cone of dimension ``d >= c + 3`` in the given order is read over its
+    cells ``(l, c + d - l)`` from ``l = d - 1`` down.  The first nonzero
+    cell has the value returned, and 0 is returned when there is none.
+
+    The cells skipped are zero on every cone ``sigma`` of dimension ``d``,
+    by two facts about its complexes (M.-N. Ishida, "Torus embeddings and
+    dualizing complexes", Tohoku Math. J. 32 (1980); T. Oda, *Convex
+    Bodies and Algebraic Geometry* (1988), ch. 3).  For ``c >= 1``, a cell
+    ``(l, c + d - l)`` below level ``d`` needs ``c + d - l <= l``, so
+    ``l >= d - 1`` and then ``c <= d - 2``, with equality only at
+    ``(d - 1, d - 1)``.  So a cone with ``d < c + 3`` has no nonzero cell of
+    value ``c``, and on the others the cell ``(d, c)`` is zero.  The guard
+    ``d >= c + 3`` is not only a shortcut: without it a cone of dimension
+    ``c + 2`` would build its level ``d - 1`` to read ``(d - 1, d - 1)``.
+
+    *The level-d complex is acyclic* (``d >= 1``).  Its degree-``m`` term
+    is, per face ``tau`` of dimension ``m``, the top exterior power of the
+    rank-``(d - m)`` annihilator of ``tau``: rank one.  So the complex has
+    one basis vector per face, and the entry for a covering pair
+    ``mu < tau`` is, up to sign, the pairing of a normal of ``mu`` in ``tau`` with
+    a vector that completes the annihilator of ``tau`` to that of ``mu``; it
+    is nonzero, since that vector would otherwise kill the span of ``tau``.
+    Every other entry is zero.  Rescale the basis vectors going up the face
+    lattice so that every entry is ``+-1``: the entries out of the zero face
+    are made 1, and when every face below ``tau`` is done, any two facets of
+    ``tau`` through a common ridge form a diamond, on which the square of
+    the differential vanishing makes the two entries into ``tau`` equal in
+    absolute value; the facet-ridge graph of ``tau`` is connected, so one
+    rescaling of ``tau`` makes all its entries ``+-1``.  The result is a
+    signed incidence system with vanishing square on the face lattice of a
+    cross-section polytope of ``sigma`` (the zero face its empty face), and
+    such a system on a regular cell complex is its augmented cellular
+    cochain complex up to the signs of the cells (A. T. Lundell and S.
+    Weingram, *The Topology of CW Complexes* (1969)).  The polytope is a
+    ball, so that complex is acyclic over Q.
+
+    *H^(d-1) of level d - 1 is zero* (``d >= 2``).  Level ``d - 1`` has in
+    degree ``d - 1`` one zeroth exterior power, of rank one, per facet and
+    nothing in degree ``d``, so ``H^(d-1)`` is the cokernel of the
+    differential from the ridges' first exterior powers, their annihilators
+    themselves.  A ridge's annihilator has rank 2 and contains the
+    annihilators of the two facets through it, two different lines.  The
+    entries into those facets are the pairings with the ridge's normal in
+    each, whose kernels on the ridge's annihilator are those two lines, so
+    they are independent and the ridge's term maps onto the two facets'
+    terms.  Every facet contains a ridge, so the differential is onto.
     """
     for cone in cones:
         if not any(cohomology(ishida_cone(cone, 0))):
             raise InvariantViolation("the level-0 complex has no cohomology")
-    for c in range(max((cone.dim for cone in cones), default=0), 0, -1):
+    for c in range(max((cone.dim for cone in cones), default=0) - 3, 0, -1):
         for cone in cones:
             d = cone.dim
-            for l in range(d, (c + d - 1) // 2, -1):
+            if d < c + 3:
+                continue
+            for l in range(d - 1, (c + d - 1) // 2, -1):
                 if ishida_cone(cone, l).h(c + d - l):
                     return c
     return 0
@@ -420,14 +472,16 @@ def lcdef_variety(cone: Cone) -> int:
     The maximum is one scan (:func:`_defect_scan`) over the cells of every
     non-simplicial face, in face-lattice order; simplicial faces have value
     0 by the shortcut of :func:`lcdef_cone`.  The candidates ``c`` run from
-    the largest face dimension down to 1, each over every face's cells of
-    value ``c``, and the first nonzero cell gives the answer: every cell of
-    a larger value, on every face, has been computed and found zero, so no
-    face has a larger value than ``c``, and the face of that cell has value
-    ``c``.  With no nonzero cell the answer is 0.  So the value is the
-    maximum over :func:`lcdef_faces`, but a face whose own value is below
-    the answer computes no cell at or below the answer.  The level-0 check
-    of :func:`lcdef_cone` runs on every non-simplicial face, in face order,
+    the largest face dimension minus 3 down to 1, each over the cells of
+    value ``c`` of every face of dimension at least ``c + 3``, from level
+    ``d - 1`` down (the other cells are zero, and no level ``d`` is built),
+    and the first nonzero cell gives the answer: every cell of a larger
+    value, on every face, is zero, found so or proved so, so no face has a
+    larger value than ``c``, and the face of that cell has value ``c``.
+    With no nonzero cell the answer is 0.  So the value is the maximum over
+    :func:`lcdef_faces`, but a face whose own value is below the answer
+    computes no cell at or below the answer.  The level-0 check of
+    :func:`lcdef_cone` runs on every non-simplicial face, in face order,
     before any other cell.
     """
     faces = (_face_cone(cone, f) for f in face_lattice(cone).all_faces)

@@ -11,7 +11,7 @@ import pytest
 
 from pathlib import Path
 
-from toricdef import NotStronglyConvex, ParseError, SizeGuard, ValidationError
+from toricdef import NotStronglyConvex, ParseError, SizeGuard, ValidationError, ishida
 from toricdef.cli import (
     InputDocument,
     build_parser,
@@ -299,6 +299,19 @@ def test_verify_command_cone(capsys, cone_a_path):
     assert code == 0
     assert env["report"]["all_ok"] is True
     assert all(c["ok"] for c in env["report"]["checks"])
+
+
+def test_verify_checks_the_defect_scan_against_the_table(monkeypatch, capsys, cone_a_path):
+    """``verify`` reads the defect off every level's cohomology, so a scan
+    that returns a wrong value fails the agreement row, while the bound row
+    still carries the table's value."""
+    monkeypatch.setattr(ishida, "_defect_scan", lambda cones: 0)
+    code, env = run_json(capsys, ["verify", cone_a_path])
+    rows = {c["check"]: c for c in env["report"]["checks"]}
+    assert rows["defect shortcut agrees with direct computation"]["ok"] is False
+    assert rows["defect within bounds"] == {"check": "defect within bounds", "ok": True, "detail": 1}
+    assert env["report"]["all_ok"] is False
+    assert code == 1
 
 
 def test_verify_command_fan(tmp_path, capsys):

@@ -48,6 +48,7 @@ from toricdef import (
 from toricdef import exact_linalg as xl
 from toricdef import ishida
 from toricdef.lefschetz import _vertical_pairing
+from toricdef.polyhedral import face_cone
 
 
 def mats_equal(a, b):
@@ -176,7 +177,10 @@ def test_defect_scan_builds_and_ranks_only_what_it_needs(monkeypatch):
     monkeypatch.setattr(ishida, "ishida_cone", build_level)
     monkeypatch.setattr(xl, "matrix_rank", rank_diff)
     assert lcdef_cone(cone) == 3
-    assert sorted(built) == [0, 5, 6]
+    # level 0 for its check, level 5 for the cell (5, 4) of value 3; the
+    # level-6 cells are zero and level 6 is never built
+    assert sorted(built) == [0, 5]
+    assert cone.dim not in built
     assert ranked and len(set(ranked)) == len(ranked)
 
 
@@ -236,10 +240,31 @@ def test_variety_scan_builds_no_cell_below_the_answer(monkeypatch):
     monkeypatch.setattr(ishida, "assemble_complex", count_assembly)
     assert (pyr.dim, len(pyr.rays)) == (6, 7)
     assert lcdef_variety(pyr) == 2
-    # the top face stops at level 5: its level-4 cells have values at most 2
-    assert built == {5: [0, 5, 4], 6: [0, 6, 5]}
+    # candidate 3 is read only on the top face, at its cell (5, 4), which is
+    # zero; candidate 2 on faces of dimension at least 5, and the base face,
+    # first in face order, has the nonzero cell (4, 3).  Level d is built on
+    # neither, and the top face stops at level 5: its level-4 cells have
+    # values at most 2
+    assert built == {5: [0, 4], 6: [0, 5]}
+    assert all(d not in levels for d, levels in built.items())
     assert len(set(ranked)) == len(ranked)
-    assert (len(assembled), len(ranked)) == (6, 12)
+    assert (len(assembled), len(ranked)) == (4, 4)
+
+
+def test_variety_scan_reads_no_face_of_dimension_below_c_plus_3(monkeypatch):
+    """Fixture A has value 1 on the top face and twelve non-simplicial
+    facets of dimension 3, listed before it.  Their cells of value 1 are
+    decided, so the facets build their level-0 complexes for the check and
+    nothing else; the top face builds level 3 for its cell (3, 2)."""
+    built, build = {}, ishida.ishida_cone
+
+    def build_level(c, l):
+        built.setdefault(c.dim, []).append(l)
+        return build(c, l)
+
+    monkeypatch.setattr(ishida, "ishida_cone", build_level)
+    assert lcdef_variety(cone_from_rays(A_RAYS, 4)) == 1
+    assert built == {3: [0] * 12, 4: [0, 3]}
 
 
 def test_pyramid_defects_match_a_cone_with_no_base_link():
@@ -290,8 +315,8 @@ def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
     assembled.clear()
     assert lcdef_variety(pyr) == 2
     # the pyramid itself, the one non-simplicial face through the apex, at
-    # levels 0, 6 and 5
-    assert assembled == [pyr] * 3
+    # levels 0 and 5; its level 6 is never built
+    assert assembled == [pyr] * 2
     base = cone_from_rays(A_RAYS, 4)
     pyr = pyramid(base, (0, 0, 0, 0, 1))
     assembled.clear()
@@ -300,6 +325,26 @@ def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
     assembled.clear()
     assert lcdef_variety(pyr) == 1
     assert assembled and all(pyr.rays[-1] in c.rays for c in assembled)
+
+
+def test_the_cells_the_scan_skips_are_zero():
+    """The two facts the defect scan rests on, checked on the full
+    cohomology tables and not through the scan: the level-d complex is
+    acyclic, and H^(d-1) of level d-1 is zero.  On every cone of the scan
+    and variety cases, rebuilt on its rays so that it has a fresh memo, and
+    on every nonzero face of the four fixtures (dimensions 1 to 4)."""
+    cones = [cone_from_rays(c.rays, c.rank) for c in _scan_cases() + _variety_cases()]
+    assert len(cones) == 98
+    for rays in (A_RAYS, B_RAYS, T13_RAYS, GLUED_RAYS):
+        cone = cone_from_rays(rays, 4)
+        cones += [face_cone(cone, f) for f in face_lattice(cone).all_faces if f.dim]
+    assert {c.dim for c in cones} == {1, 2, 3, 4, 5, 6, 7}
+    for cone in cones:
+        d = cone.dim
+        table = cone_cohomology_table(cone)
+        assert not any(table.level(d)), cone.rays
+        if d >= 2:
+            assert table.level(d - 1)[d - 1] == 0, cone.rays
 
 
 def test_defect_of_the_rank_seven_cyclic_cone():
