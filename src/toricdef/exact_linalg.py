@@ -12,7 +12,9 @@ change.  The lattice kernel runs on plain ``int`` lists: Hermite forms,
 integer kernels by one unimodular row elimination, the unimodular
 completion of a primitive column by the Euclidean algorithm, coordinates
 by back-substitution in echelon bases (one exact ``divmod`` per pivot),
-and Bareiss determinants.  One fraction-free elimination
+and Bareiss determinants.  Rows whose entries are all ``int`` go in as
+they are; only numpy or ``Fraction`` entries pass through :func:`_as_int`.
+One fraction-free elimination
 (:func:`_eliminate`) is behind :func:`rank_and_kernel`,
 :func:`solve_matrix`, :func:`matrix_rank` and :func:`pivot_columns`.  A
 rational matrix enters it with each row scaled by its common denominator,
@@ -20,15 +22,18 @@ which changes neither the row space nor the pivots, and an entry is
 divided by its pivot only when a reduced form, kernel or solution is
 written out.
 Contraction and expansion blocks are compound minors, each order built from
-the one below by Laplace expansion (:func:`_compound_minors`), except a
-contraction block at the top degree: it is 1 x 1, and its entry is one
-Bareiss determinant.  The bases of exterior powers are Hermite bases of
-saturated lattices, in which a vector of the lattice has int coordinates;
-a block whose target lattice misses its source (even one in its rational
-span) raises NOT_CONTAINED.  A contraction is given by a :class:`Pairing`:
-the pairings of the contracting vector with the source rows, which are all
-of the vector that the block sees, and the int coordinates that every
-exterior degree shares.
+the one below by Laplace expansion (:func:`_compound_minors`, whose term
+tables :func:`_laplace_terms` builds once per shape), except a contraction
+block at the top degree: it is 1 x 1, and its entry is one Bareiss
+determinant.  The bases of exterior powers are Hermite bases of saturated
+lattices, in which a vector of the lattice has int coordinates; a block
+whose target lattice misses its source (even one in its rational span)
+raises NOT_CONTAINED.  A :class:`SubspaceBasis` finds its pivots once, when
+it is validated, and keeps them: the face posets hold one per face, and
+every pairing and expansion into it solves along those pivots.  A
+contraction is given by a :class:`Pairing`: the pairings of the contracting
+vector with the source rows, which are all of the vector that the block
+sees, and the int coordinates that every exterior degree shares.
 ``Fraction`` remains only at the boundary: in rational matrices given to
 the elimination and in the kernels and solutions it writes out, and in the
 coordinates that :func:`coordinates` gives a vector outside the lattice,
@@ -49,9 +54,9 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, gcd, lcm
 from operator import index, mul
 from typing import NamedTuple
@@ -358,7 +363,7 @@ def integer_kernel_rows(rows, width: int) -> list[tuple[int, ...]]:
     their Hermite basis.  Checked: the left part of every row outside the
     pivots is zero, and ``A k = 0`` for every returned ``k``.
     """
-    a = [[_as_int(x) for x in row] for row in rows]
+    a = [r if all(type(x) is int for x in r) else [_as_int(x) for x in r] for r in map(tuple, rows)]
     m = len(a)
     work = [[row[j] for row in a] + [int(i == j) for i in range(width)] for j in range(width)]
     for col in range(m):
@@ -375,11 +380,12 @@ def integer_kernel_rows(rows, width: int) -> list[tuple[int, ...]]:
 
 
 def primitive_vector(v) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries."""
-    w = [_as_int(x) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, x)
+    """Divide an integer vector, any iterable of integral entries, by the
+    gcd of its entries; ZERO_VECTOR for the zero or empty vector."""
+    w = list(v)
+    if not all(type(x) is int for x in w):
+        w = [_as_int(x) for x in w]
+    g = gcd(*w)
     if g == 0:
         raise ZeroVector("cannot primitivize the zero vector")
     return tuple(x // g for x in w)
@@ -411,7 +417,19 @@ def _div(a: int, b: int):
 def coordinates(basis_rows, vectors) -> list[list] | None:
     """Coordinates of each vector in the echelon ``basis_rows``, or None
     when some vector leaves their span; ValueError when the rows are not in
-    echelon form.
+    echelon form.  A :class:`SubspaceBasis` has its pivots already, and the
+    blocks and pairings built on one solve by :func:`_coordinates` with
+    them, so its rows are not scanned for their pivots again."""
+    basis = [tuple(r) for r in basis_rows]
+    pivots = _echelon_pivots(basis)
+    if pivots is None:
+        raise ValueError("basis rows are not in echelon form")
+    return _coordinates(basis, pivots, vectors)
+
+
+def _coordinates(basis, pivots, vectors) -> list[list] | None:
+    """:func:`coordinates` in the echelon rows ``basis`` with the given
+    ``pivots``, the column of each row's first nonzero entry.
 
     The solve is back-substitution along the pivots: at the pivot of row
     ``i`` every later row is zero, so the coefficient of row ``i`` is the
@@ -423,11 +441,6 @@ def coordinates(basis_rows, vectors) -> list[list] | None:
     coordinates with no rational arithmetic, and an int vector of the
     lattice's rational span but not of the lattice gets a Fraction.
     """
-    basis = [tuple(r) for r in basis_rows]
-    vectors = [tuple(v) for v in vectors]
-    pivots = _echelon_pivots(basis)
-    if pivots is None:
-        raise ValueError("basis rows are not in echelon form")
     out = []
     for v in vectors:
         w = list(v)
@@ -479,18 +492,25 @@ def integer_det(mat) -> int:
 class SubspaceBasis:
     """An ordered list of vectors in Q^ambient_dim in echelon form: each
     starts strictly right of the one before, as the rows of a Hermite basis
-    do, so they are independent.  Raises ValueError otherwise."""
+    do, so they are independent.  Raises ValueError otherwise.
+
+    ``pivots`` keeps the column of each vector's first nonzero entry, found
+    once when the basis is validated; every coordinate solve in the basis
+    (:func:`pairing`, :func:`expansion_matrix`) reads them from here."""
 
     ambient_dim: int
     vectors: tuple[tuple, ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
         for v in self.vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        if _echelon_pivots(self.vectors) is None:
+        pivots = _echelon_pivots(self.vectors)
+        if pivots is None:
             raise ValueError("basis vectors are not in echelon form")
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def dim(self) -> int:
@@ -521,16 +541,31 @@ class ExteriorBasis:
         return comb(self.base.dim, self.degree) if self.degree <= self.base.dim else 0
 
 
+@cache
+def _laplace_terms(ncols: int, order: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The Laplace expansion of every order-``order`` minor on the columns
+    ``range(ncols)`` along its first row: for each column set ``cs`` of
+    ``combinations(range(ncols), order)``, the terms ``(column, index of
+    the minor below, sign)``, one per ``t``, with ``cs[t]`` the column, the
+    index that of ``cs`` without ``cs[t]`` among the column sets of one
+    order less, and the sign ``t % 2`` (1 for minus).  Built once per shape
+    and cached, so that :func:`_compound_minors` only multiplies."""
+    below = {cs: k for k, cs in enumerate(itertools.combinations(range(ncols), order - 1))}
+    return tuple(
+        tuple((c, below[cs[:t] + cs[t + 1:]], t % 2) for t, c in enumerate(cs))
+        for cs in itertools.combinations(range(ncols), order)
+    )
+
+
 def _compound_minors(m: list[list[int]], rows, ncols: int, order: int) -> dict[tuple, list[int]]:
     """The order-``order`` minors of the int matrix ``m`` on row sets drawn
     from ``rows``: ``{rs: [det m[rs, cs] for cs in combinations(range(ncols),
     order)]}``.  Each order comes from the one before by Laplace expansion
-    along the first row of the row set, so no determinant is taken twice."""
+    along the first row of the row set (:func:`_laplace_terms`), so no
+    determinant is taken twice."""
     table: dict[tuple, list[int]] = {(): [1]}
-    index = {(): 0}
     for q in range(1, order + 1):
-        cols = list(itertools.combinations(range(ncols), q))
-        expand = [[(c, index[cs[:t] + cs[t + 1:]], t % 2) for t, c in enumerate(cs)] for cs in cols]
+        expand = _laplace_terms(ncols, q)
         nxt = {}
         for rs in itertools.combinations(rows, q):
             row, sub = m[rs[0]], table[rs[1:]]
@@ -546,7 +581,6 @@ def _compound_minors(m: list[list[int]], rows, ncols: int, order: int) -> dict[t
                 out.append(acc)
             nxt[rs] = out
         table = nxt
-        index = {cs: k for k, cs in enumerate(cols)}
     return table
 
 
@@ -567,15 +601,18 @@ class Pairing(NamedTuple):
     coords: list[list[int]] | None
 
 
-def pairing(values, rows, target_rows) -> Pairing:
+def pairing(values, rows, target: SubspaceBasis) -> Pairing:
     """The :class:`Pairing` with the given int ``values`` on the int source
-    ``rows`` into the lattice of the echelon ``target_rows``."""
+    ``rows`` into the lattice of the ``target`` basis, solved along the
+    pivots that the basis keeps."""
     p = tuple(values)
     if not any(p):
         return Pairing(p, None, None)
     j = min((i for i, x in enumerate(p) if x), key=lambda i: abs(p[i]))
     pj, aj = p[j], rows[j]
-    g = coordinates(target_rows, [[pj * x - pi * y for x, y in zip(row, aj)] for row, pi in zip(rows, p)])
+    g = _coordinates(
+        target.vectors, target.pivots, [[pj * x - pi * y for x, y in zip(row, aj)] for row, pi in zip(rows, p)]
+    )
     if g is not None and not all(type(x) is int for row in g for x in row):
         g = None  # in the rational span only
     return Pairing(p, j, g)
@@ -670,7 +707,7 @@ def expansion_matrix(source: ExteriorBasis, target: ExteriorBasis) -> Matrix:
         return Matrix([{0: 1}], 1)
     if not src:
         return Matrix([{}] * len(dst), 0)
-    e = coordinates(target.base.vectors, source.base.vectors)
+    e = _coordinates(target.base.vectors, target.base.pivots, source.base.vectors)
     if e is None or not all(type(x) is int for row in e for x in row):
         raise NotContained("source vectors are not inside the target lattice")
     minors = _compound_minors(e, range(len(e)), target.base.dim, source.degree)

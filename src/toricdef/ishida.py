@@ -269,19 +269,19 @@ def face_complex(label: str, poset: FacePoset, level: int) -> LabeledComplex:
     Degree ``m`` runs over ``0..min(level, top dimension)`` and is the direct
     sum, over the faces in ``poset.faces_by_dim[m]``, of the
     ``(level-m)``-th exterior power of the annihilator spanned by the face's
-    ``poset.perps`` rows.  The differential contracts along each covering
-    pair ``mu < tau`` with the pairing ``poset.covering_pairing(mu, tau)``,
-    which every level shares; a pair with a zero-size block has no block,
-    and no contraction is computed for it.
+    ``poset.perps`` rows, in the poset's one basis of the face
+    (:meth:`~toricdef.polyhedral.FacePoset.basis`).  The differential
+    contracts along each covering pair ``mu < tau`` with the pairing
+    ``poset.covering_pairing(mu, tau)``; every level shares the bases and
+    the pairings.  A pair with a zero-size block has no block, and no
+    contraction is computed for it.
     """
     if level in poset._complexes:
         return poset._complexes[level]
     depth = poset.depth(level)
     faces = [poset.faces_by_dim[m] for m in range(depth)]
     bases = {
-        f.ray_indices: xl.ExteriorBasis(
-            xl.SubspaceBasis(poset.width, poset.perps[f.ray_indices]), level - m
-        )
+        f.ray_indices: xl.ExteriorBasis(poset.basis(f.ray_indices), level - m)
         for m, layer in enumerate(faces)
         for f in layer
     }

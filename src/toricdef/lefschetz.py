@@ -176,7 +176,7 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     faces of the ``(p+1-m)``-th exterior power of the hat face's annihilator;
     top and bottom are the fan's own complexes at levels ``p+1`` and ``p``
     (:func:`ishida_fan`; a tilde face's annihilator is the fan face's padded
-    by a zero, which only the chain-map blocks see, :func:`_lifted`), so
+    by a zero, which only the chain-map blocks see, :func:`_tilde_basis`), so
     this top is the bottom at ``p + 1`` for every divisor on the fan; the
     bottom keeps its own depth, at most one less.
     Chain-map and termwise-exactness properties are checked at build time.
@@ -198,10 +198,11 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
         for f in fan.faces_by_dim[m]:  # each has a block of top and middle, not always of bottom
             st, sm, sb = top.block(m, f.key), middle.block(m, f.key), bottom.block(m, f.key)
             if st.size and sm.size:
-                exp = xl.expansion_matrix(_lifted(st.basis), sm.basis)
+                exp = xl.expansion_matrix(xl.ExteriorBasis(_tilde_basis(fan, f), st.basis.degree), sm.basis)
                 xl._write_block(inc, sm.offset, st.offset, exp, divisor.vertical_index(f.ray_indices))
             if sb is not None and sm.size and sb.size:
-                con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, _lifted(sb.basis))
+                tilde = xl.ExteriorBasis(_tilde_basis(fan, f), sb.basis.degree)
+                con = xl.contraction_matrix(_vertical_pairing(divisor, f), sm.basis, tilde)
                 xl._write_block(prj, sb.offset, sm.offset, con, sign)
         include.append(xl.Matrix(inc, top.dims[m]))
         project.append(xl.Matrix(prj, middle.dims[m]))
@@ -212,13 +213,15 @@ def lifted_complex(fan: Fan, divisor: DivisorData, p: int) -> LiftedComplexes:
     return out
 
 
-def _padded(rows) -> tuple:
-    return tuple(r + (0,) for r in rows)
-
-
-def _lifted(basis: xl.ExteriorBasis) -> xl.ExteriorBasis:
-    """A fan block's basis in the lifted coordinates, its rows padded by a zero."""
-    return xl.ExteriorBasis(xl.SubspaceBasis(basis.base.ambient_dim + 1, _padded(basis.base.vectors)), basis.degree)
+def _tilde_basis(fan: Fan, face: Face) -> xl.SubspaceBasis:
+    """The tilde annihilator of a fan face: the face's rows padded by a
+    zero, which keeps them echelon with the same pivots.  Memoized on the
+    fan, so every block and vertical pairing of every divisor on the fan
+    shares one basis per face."""
+    key = face.ray_indices
+    if key not in fan._tilde:
+        fan._tilde[key] = xl.SubspaceBasis(fan.width + 1, tuple(r + (0,) for r in fan.perps[key]))
+    return fan._tilde[key]
 
 
 def _vertical_pairing(divisor: DivisorData, face: Face) -> xl.Pairing:
@@ -235,7 +238,7 @@ def _vertical_pairing(divisor: DivisorData, face: Face) -> xl.Pairing:
     if key not in divisor._memo:
         hat_perp = divisor.hat.perps[face.ray_indices]
         p = xl.primitive_vector([a[-1] for a in hat_perp])
-        divisor._memo[key] = xl.pairing(p, hat_perp, _padded(divisor.fan.perps[face.ray_indices]))
+        divisor._memo[key] = xl.pairing(p, hat_perp, _tilde_basis(divisor.fan, face))
     return divisor._memo[key]
 
 

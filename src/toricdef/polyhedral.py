@@ -413,6 +413,10 @@ class FacePoset:
     below a face and a divisor's hat lift (one coordinate more) are posets,
     and :func:`toricdef.ishida.face_complex` builds the complexes of any
     one, memoized here by level next to the covering pairs and pairings.
+    :meth:`basis` gives each face's ``perps`` rows as one validated
+    :class:`~toricdef.exact_linalg.SubspaceBasis`, memoized next to the
+    pairings, so a face's pivots are found once however many blocks and
+    pairings use it.
     """
 
     def __init__(self, width: int, faces, perps, rays):
@@ -425,6 +429,7 @@ class FacePoset:
         self.perps: dict[frozenset[int], tuple] = perps
         self.rays = rays
         self._pairings: dict[tuple, xl.Pairing] = {}
+        self._bases: dict[frozenset[int], xl.SubspaceBasis] = {}
         self._covered: dict[frozenset[int], tuple[Face, ...]] = {}
         self._complexes: dict = {}
 
@@ -448,12 +453,20 @@ class FacePoset:
             )
         return self._covered[key]
 
+    def basis(self, key: frozenset[int]) -> xl.SubspaceBasis:
+        """The rows ``perps[key]`` as a
+        :class:`~toricdef.exact_linalg.SubspaceBasis`, validated and
+        pivoted once (memoized, shared with :meth:`below`)."""
+        if key not in self._bases:
+            self._bases[key] = xl.SubspaceBasis(self.width, self.perps[key])
+        return self._bases[key]
+
     def covering_pairing(self, mu: Face, tau: Face) -> xl.Pairing:
         """The contraction data of a covering pair ``mu < tau``: the
         pairings ``p_i = <n, a_i>`` of a normal ``n`` of ``mu`` in ``tau``
         with the rows ``a_i`` of ``perps[mu]``, as an
-        :class:`~toricdef.exact_linalg.Pairing` into ``perps[tau]``
-        (memoized, shared with :meth:`below`).
+        :class:`~toricdef.exact_linalg.Pairing` into :meth:`basis` of
+        ``tau`` (memoized, shared with :meth:`below`).
 
         ``p`` is read off one ray ``v`` of ``tau`` not in ``mu``, as the
         primitive vector of the ``<v, a_i>``.  The span lattice of ``tau``
@@ -476,16 +489,17 @@ class FacePoset:
             ps = {xl.primitive_vector(q) if any(q) else None for q in qs}
             if len(ps) != 1 or None in ps:
                 raise NotCovering(f"the rays of {tau.key} outside {mu.key} fix no positive side of it")
-            self._pairings[key] = xl.pairing(ps.pop(), perp, self.perps[tau.ray_indices])
+            self._pairings[key] = xl.pairing(ps.pop(), perp, self.basis(tau.ray_indices))
         return self._pairings[key]
 
     def below(self, key: frozenset[int]) -> "FacePoset":
         """The faces contained in the face ``key``, with this poset's rows,
-        covering pairs and covering pairings."""
+        bases, covering pairs and covering pairings."""
         faces = [f for f in self.by_key.values() if f.ray_indices <= key]
         out = FacePoset(self.width, faces, self.perps, self.rays)
         out._covered = self._covered
         out._pairings = self._pairings
+        out._bases = self._bases
         return out
 
 
@@ -678,6 +692,8 @@ class Fan(FacePoset):
         self.rank = rank
         self.maximal = maximal
         self._complete = None
+        # the tilde bases of the divisor lifts, one per face, shared by every divisor on the fan
+        self._tilde: dict[frozenset[int], xl.SubspaceBasis] = {}
 
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, maximal={len(self.maximal)})"

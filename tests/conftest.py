@@ -822,7 +822,7 @@ def pairing_of_normal(poset, mu, tau, n):
 
     perp = poset.perps[mu.ray_indices]
     values = [sum(x * y for x, y in zip(n, a)) for a in perp]
-    return pairing(values, perp, poset.perps[tau.ray_indices])
+    return pairing(values, perp, poset.basis(tau.ray_indices))
 
 
 def assert_pairings_match_normals(poset) -> int:

@@ -409,6 +409,23 @@ def test_hermite_rows_is_the_same_on_int_fraction_and_numpy_rows(seed):
         assert xl.hermite_rows(np.array(rows, dtype=object).reshape(len(rows), width), width) == want
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_kernel_is_the_same_on_int_fraction_and_numpy_rows(seed):
+    """Rows of plain ints skip ``_as_int``; Fraction and numpy rows are
+    converted.  All give the same basis of int tuples, and the caller's rows
+    are left as they were; a non-integral entry raises ValueError."""
+    for rows, width in _kernel_edge_cases(seed):
+        kept = [list(r) for r in rows]
+        want = xl.integer_kernel_rows(rows, width)
+        assert rows == kept
+        assert all(type(r) is tuple and all(type(x) is int for x in r) for r in want)
+        assert xl.integer_kernel_rows([tuple(r) for r in rows], width) == want
+        assert xl.integer_kernel_rows([[Fraction(x) for x in r] for r in rows], width) == want
+        assert xl.integer_kernel_rows(np.array(rows, dtype=np.int64).reshape(len(rows), width), width) == want
+    with pytest.raises(ValueError, match="not an integer entry"):
+        xl.integer_kernel_rows([[1, Fraction(1, 2)]], 2)
+
+
 def test_integer_kernel_matches_smith_and_sympy_on_face_data():
     """Every face of the three fixtures, the nine seed-77 cones and their
     pyramids and the cyclic (5, 9) cone: the kernels of its rays and of its
@@ -444,9 +461,28 @@ def test_lattice_index_values():
 
 
 def test_primitive_vector():
-    assert xl.primitive_vector((4, -6, 2)) == (2, -3, 1)
-    with pytest.raises(ZeroVector):
-        xl.primitive_vector((0, 0, 0))
+    """Any iterable of integral entries, signs kept: int lists and tuples
+    by one gcd, integral Fractions and numpy ints through ``_as_int``."""
+    cases = [
+        ((4, -6, 2), (2, -3, 1)),
+        ([-4, 6, -2], (-2, 3, -1)),
+        ((0, -5, 10), (0, -1, 2)),
+        ((Fraction(6), Fraction(-9, 1), Fraction(0)), (2, -3, 0)),
+        (np.array([-6, 9, 0], dtype=np.int64), (-2, 3, 0)),
+        (np.array([-6, 9, 0], dtype=object), (-2, 3, 0)),
+        ((x for x in (0, -5, 10)), (0, -1, 2)),
+        ((7,), (1,)),
+        ((-7,), (-1,)),
+    ]
+    for v, want in cases:
+        got = xl.primitive_vector(v)
+        assert got == want and all(type(x) is int for x in got), (v, got)
+    for zero in ((0, 0, 0), [0], (), iter(()), (Fraction(0), 0), np.zeros(2, dtype=np.int64)):
+        with pytest.raises(ZeroVector):
+            xl.primitive_vector(zero)
+    for bad in ((Fraction(1, 2), 1), (2, Fraction(3, 2)), (1.0, 2)):
+        with pytest.raises(ValueError, match="not an integer entry"):
+            xl.primitive_vector(bad)
 
 
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6))
@@ -542,7 +578,7 @@ def pairing_of(n, source, target):
     """The :class:`~toricdef.exact_linalg.Pairing` of the vector ``n`` with
     the source rows, into the target rows."""
     rows = source.base.vectors
-    return xl.pairing([sum(x * y for x, y in zip(n, a)) for a in rows], rows, target.base.vectors)
+    return xl.pairing([sum(x * y for x, y in zip(n, a)) for a in rows], rows, target.base)
 
 
 def contract(n, source, target):
@@ -903,6 +939,29 @@ def test_compound_minors_match_integer_det_and_sympy(seed):
     assert minors_mismatch(seed) is None
 
 
+def _package_caches():
+    """Every functools cache of the package's modules."""
+    mods = [m for name, m in sys.modules.items() if name == "toricdef" or name.startswith("toricdef.")]
+    return [v for m in mods for v in vars(m).values() if callable(getattr(v, "cache_clear", None))]
+
+
+def test_laplace_tables_are_built_once_per_shape():
+    """The Laplace terms of :func:`_compound_minors` are cached per
+    ``(ncols, order)``; the minors are the same before and after every
+    cache of the package is cleared, and the tables are rebuilt equal."""
+    assert xl._laplace_terms in _package_caches()
+    rows = _random_int_matrix(random.Random(4950), 5, 6, 9)
+    before = [xl._compound_minors(rows, range(5), 6, order) for order in range(6)]
+    terms = {order: xl._laplace_terms(6, order) for order in range(1, 6)}
+    assert all(xl._laplace_terms(6, order) is t for order, t in terms.items())
+    assert [len(t) for t in terms.values()] == [6, 15, 20, 15, 6]
+    for cache in _package_caches():
+        cache.cache_clear()
+    assert xl._laplace_terms.cache_info().currsize == 0
+    assert [xl._compound_minors(rows, range(5), 6, order) for order in range(6)] == before
+    assert all(xl._laplace_terms(6, order) == t for order, t in terms.items())
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_normal_generator_matches_sympy_nullspace(seed):
     assert normal_mismatch(seed) is None
@@ -951,6 +1010,24 @@ def test_coordinates_by_back_substitution():
     assert xl.coordinates(basis, [(0, 0, 1)]) is None
     with pytest.raises(ValueError, match="not in echelon form"):
         xl.coordinates(list(reversed(basis)), [(2, 4, 1)])
+
+
+def test_solves_in_a_basis_read_its_pivots(monkeypatch):
+    """A :class:`SubspaceBasis` finds its pivots once, when it is made;
+    coordinates along them, pairings into it and expansions into it do
+    not look for them again."""
+    plane = xl.SubspaceBasis(3, [(2, 1, 0), (0, 3, 1)])
+    line = xl.SubspaceBasis(3, [(2, 4, 1)])
+    assert plane.pivots == (0, 1) and line.pivots == (0,) and xl.SubspaceBasis(3, ()).pivots == ()
+    assert plane == xl.SubspaceBasis(3, ((2, 1, 0), (0, 3, 1))) and "pivots" not in repr(plane)
+    calls = []
+    monkeypatch.setattr(xl, "_echelon_pivots", lambda rows: calls.append(rows))
+    vectors = [(2, 4, 1), (1, 2, Fraction(1, 2))]
+    got = xl._coordinates(plane.vectors, plane.pivots, vectors)
+    assert got == [[1, 1], [Fraction(1, 2), Fraction(1, 2)]]
+    assert xl.pairing((1, 1), line.vectors + ((4, 5, 1),), plane).coords == [[0, 0], [1, 0]]
+    assert xl.expansion_matrix(xl.ExteriorBasis(line, 1), xl.ExteriorBasis(plane, 1)).tolist() == [[1], [1]]
+    assert calls == []
 
 
 _OPTIMIZED_RUN = """

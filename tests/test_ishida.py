@@ -425,7 +425,7 @@ def test_invalid_normals_are_rejected(monkeypatch):
         if mu.dim == 0 and tau.ray_indices == frozenset({0}):
             scaled.append(good.values)
             perp = lat.perps[mu.ray_indices]
-            return xl.pairing([3 * x for x in good.values], perp, lat.perps[tau.ray_indices])
+            return xl.pairing([3 * x for x in good.values], perp, lat.basis(tau.ray_indices))
         return good
 
     monkeypatch.setattr(lat, "covering_pairing", corrupt)
@@ -573,6 +573,28 @@ def test_cone_complex_proves_bases_independent_without_ranks(monkeypatch):
     for l in range(p112_fan.rank + 1):
         ishida_fan(p112_fan, l)
     assert ranked == []
+
+
+def test_every_level_of_a_fresh_cone_pivots_each_face_once(monkeypatch):
+    """Building every level of a cone validates one basis per face, shared
+    by every level, block and covering pairing: ``_echelon_pivots`` runs
+    once for each of the 52 faces of the 13-ray cone and of fixture A, and
+    the restricted complexes of the faces below a facet find no pivots
+    again."""
+    pivots, calls = xl._echelon_pivots, []
+    monkeypatch.setattr(xl, "_echelon_pivots", lambda rows: calls.append(rows) or pivots(rows))
+    for rays in (T13_RAYS, A_RAYS):
+        cone = cone_from_rays(rays, 4)  # fresh: bases and complexes are memoized on the face lattice
+        lat = face_lattice(cone)
+        calls.clear()
+        for l in range(cone.dim + 1):
+            ishida_cone(cone, l)
+        assert len(calls) == len(lat.all_faces) == 52
+        assert lat._bases.keys() == lat.by_key.keys()
+        assert all(lat.basis(k).vectors == lat.perps[k] for k in lat.by_key)
+        facet = lat.faces_by_dim[cone.dim - 1][0]
+        restricted_complex(cone, 2, facet)
+        assert len(calls) == 52
 
 
 def _all_pairs_diffs(cx, entry):

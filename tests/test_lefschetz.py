@@ -189,8 +189,35 @@ def test_lift_pairings_are_the_pairings_of_the_normals():
         n = normal_generator(*lift_spans(divisor, f), [vertical])
         got = _vertical_pairing(divisor, f)
         values = [sum(x * y for x, y in zip(n, a)) for a in hat_perp]
-        assert got == xl.pairing(values, hat_perp, tilde.perps[f.ray_indices])
+        assert got == xl.pairing(values, hat_perp, tilde.basis(f.ray_indices))
         assert gcd(*got.values) == 1 and _vertical_pairing(divisor, f) is got
+
+
+def test_tilde_bases_are_validated_once_per_fan_face(monkeypatch):
+    """Every lifted sequence of every divisor on a fan reads one tilde basis
+    per fan face, memoized on the fan: the face's basis padded by a zero,
+    with the same pivots.  A second divisor validates only its own hat
+    bases."""
+    fan = random_complete_simplicial_fan(random.Random(5), 3, 4)
+    rng = random.Random(8)
+    first, second = (
+        support_data(fan, [Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in fan.rays]) for _ in range(2)
+    )
+    pivots, calls = xl._echelon_pivots, []
+    monkeypatch.setattr(xl, "_echelon_pivots", lambda rows: calls.append(rows) or pivots(rows))
+    for p in range(fan.rank):
+        lifted_complex(fan, first, p)
+    assert len(calls) == len(fan._bases) + len(first.hat._bases) + len(fan._tilde)
+    tilde = dict(fan._tilde)
+    assert tilde and tilde.keys() <= fan.by_key.keys()
+    for key, basis in tilde.items():
+        assert basis.vectors == tuple(r + (0,) for r in fan.perps[key])
+        assert basis.pivots == fan.basis(key).pivots
+    calls.clear()
+    for p in range(fan.rank):
+        lifted_complex(fan, second, p)
+    assert len(calls) == len(second.hat._bases) + len(fan._tilde) - len(tilde)
+    assert all(fan._tilde[key] is basis for key, basis in tilde.items())
 
 
 def test_middle_dims_are_sums(p112_fan):

@@ -193,7 +193,7 @@ def test_below_posets_share_the_covering_pairings(cone_13):
     lat = face_lattice(cone_13)
     for tau in lat.faces_by_dim[3]:
         below = lat.below(tau.ray_indices)
-        assert below._pairings is lat._pairings
+        assert below._pairings is lat._pairings and below._bases is lat._bases
         assert assert_pairings_match_normals(below) > 0
     for key, pairing in lat._pairings.items():
         assert lat.covering_pairing(lat.by_key[key[0]], lat.by_key[key[1]]) is pairing
