@@ -14,12 +14,13 @@ Input documents are plain text.  The primary grammar is key-value:
     apex: 0 0 0 0 1
 
 ``rays`` (and ``cones``, when present) take one row per line; ``divisor``
-takes one rational per ray (``a/b`` or integers).  A secondary plain format
-for cones only is "one ray per line, integers whitespace-separated", with
-the rank inferred from the row width.  Lines starting with ``#`` are
-comments.  Reports are JSON on stdout (``--table`` renders aligned text
-instead); the exit code is zero exactly on success, and each error class
-has its own nonzero code.
+takes one rational per ray (``a/b`` or integers).  ``rank`` defaults to the
+width of the rays.  A document with no ``:`` is the plain form, the keyed
+form with an implied ``rays:`` header: one ray per line, integers
+whitespace-separated, which holds any cone.  Text after ``#`` is a comment.
+Reports are JSON on stdout (``--table`` renders aligned text instead); the
+exit code is zero exactly on success, and each error class has its own
+nonzero code.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .ishida import (
     fan_cohomology_table,
     graded_piece,
     is_simplicial,
-    ishida_cone,
-    ishida_fan,
     lcdef_cone,
     lcdef_faces,
     lcdef_variety,
@@ -74,9 +73,6 @@ class InputDocument:
     apex: tuple | None = None
 
 
-_KEYS = ("rank", "rays", "cones", "divisor", "interior_ray", "apex")
-
-
 def _int_token(tok: str) -> int:
     try:
         return int(tok, 10)
@@ -91,8 +87,33 @@ def _fraction_token(tok: str) -> Fraction:
         raise ParseError(f"expected a rational number, got {tok!r}") from None
 
 
+# each key: the parser of its tokens, and whether it takes one row per line
+# (else one flat row), in the order of the canonical form
+_KEYS = {
+    "rank": (_int_token, False),
+    "rays": (_int_token, True),
+    "cones": (_int_token, True),
+    "divisor": (_fraction_token, False),
+    "interior_ray": (_int_token, False),
+    "apex": (_int_token, False),
+}
+
+
+def _values(key: str, lines: list[str]) -> tuple:
+    token, per_line = _KEYS[key]
+    if per_line:
+        return tuple(tuple(map(token, line.split())) for line in lines)
+    return tuple(token(t) for line in lines for t in line.split())
+
+
 def parse_document(text: str) -> InputDocument:
-    """Parse either grammar into a validated InputDocument."""
+    """Parse a document into a validated InputDocument.
+
+    A document with no ``:`` is the plain form: its lines are rays, under an
+    implied ``rays:`` header.  The rays are read and their widths checked
+    first, then ``rank``, then the other keys in the order of ``_KEYS``,
+    whatever their order in the document.
+    """
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].rstrip()
@@ -100,13 +121,8 @@ def parse_document(text: str) -> InputDocument:
             lines.append(line)
     if not lines:
         raise ParseError("empty document")
-
     if not any(":" in line for line in lines):
-        rows = [tuple(_int_token(t) for t in line.split()) for line in lines]
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValidationError("rays must all have the same length")
-        return _validated(InputDocument(rank=widths.pop(), rays=tuple(rows)))
+        lines.insert(0, "rays:")
 
     blocks: dict[str, list[str]] = {}
     current: str | None = None
@@ -127,36 +143,17 @@ def parse_document(text: str) -> InputDocument:
                 raise ParseError(f"value line before any key: {line.strip()!r}")
             blocks[current].append(line.strip())
 
-    if "rays" not in blocks or not blocks["rays"]:
+    if not blocks.get("rays"):
         raise ParseError("document has no rays")
-    rays = tuple(tuple(_int_token(t) for t in line.split()) for line in blocks["rays"])
+    rays = _values("rays", blocks.pop("rays"))
     widths = {len(r) for r in rays}
     if len(widths) != 1:
         raise ValidationError("rays must all have the same length")
-    width = widths.pop()
-    if "rank" in blocks:
-        joined = " ".join(blocks["rank"]).split()
-        if len(joined) != 1:
-            raise ParseError("rank takes a single integer")
-        rank = _int_token(joined[0])
-    else:
-        rank = width
-
-    cones = None
-    if "cones" in blocks:
-        cones = tuple(tuple(_int_token(t) for t in line.split()) for line in blocks["cones"])
-    divisor = None
-    if "divisor" in blocks:
-        divisor = tuple(_fraction_token(t) for line in blocks["divisor"] for t in line.split())
-    interior_ray = None
-    if "interior_ray" in blocks:
-        toks = [t for line in blocks["interior_ray"] for t in line.split()]
-        interior_ray = tuple(_int_token(t) for t in toks)
-    apex = None
-    if "apex" in blocks:
-        toks = [t for line in blocks["apex"] for t in line.split()]
-        apex = tuple(_int_token(t) for t in toks)
-    return _validated(InputDocument(rank, rays, cones, divisor, interior_ray, apex))
+    if "rank" in blocks and len(" ".join(blocks["rank"]).split()) != 1:
+        raise ParseError("rank takes a single integer")
+    fields = {key: _values(key, blocks[key]) for key in _KEYS if key in blocks}
+    (rank,) = fields.pop("rank", widths)
+    return _validated(InputDocument(rank, rays, **fields))
 
 
 def _validated(doc: InputDocument) -> InputDocument:
@@ -181,17 +178,16 @@ def _validated(doc: InputDocument) -> InputDocument:
 
 def serialize_document(doc: InputDocument) -> str:
     """Canonical text form; parse(serialize(doc)) reproduces doc."""
-    out = [f"rank: {doc.rank}", "rays:"]
-    out.extend("  " + " ".join(str(c) for c in r) for r in doc.rays)
-    if doc.cones is not None:
-        out.append("cones:")
-        out.extend("  " + " ".join(str(i) for i in c) for c in doc.cones)
-    if doc.divisor is not None:
-        out.append("divisor: " + " ".join(str(x) for x in doc.divisor))
-    if doc.interior_ray is not None:
-        out.append("interior_ray: " + " ".join(str(c) for c in doc.interior_ray))
-    if doc.apex is not None:
-        out.append("apex: " + " ".join(str(c) for c in doc.apex))
+    out = []
+    for key, (_, per_line) in _KEYS.items():
+        value = (doc.rank,) if key == "rank" else getattr(doc, key)
+        if value is None:
+            continue
+        if per_line:
+            out.append(f"{key}:")
+            out.extend("  " + " ".join(map(str, row)) for row in value)
+        else:
+            out.append(f"{key}: " + " ".join(map(str, value)))
     return "\n".join(out) + "\n"
 
 
@@ -369,9 +365,7 @@ def _cmd_verify(doc: InputDocument, args) -> dict:
         if cone.dim == 4:
             v, e, f = counts[1], counts[2], counts[3]
             record("face count Euler relation", v - e + f == 2, (v, e, f))
-        cohs = {}
-        for l in range(cone.dim + 1):
-            cohs[l] = cohomology(ishida_cone(cone, l))
+        cohs = {l: coh for l, _, coh in cone_cohomology_table(cone).rows}
         record("differentials square to zero (all levels)", True)
         mid = all(
             cohs[p][p] == 0 for p in range(cone.dim + 1) if 2 * p >= cone.dim and p < len(cohs[p])
@@ -402,8 +396,7 @@ def _cmd_verify(doc: InputDocument, args) -> dict:
         record("graded pieces match restricted complexes", graded_ok)
     else:
         fan = _need_fan(doc)
-        for l in range(fan.rank + 1):
-            cohomology(ishida_fan(fan, l))
+        fan_cohomology_table(fan)
         record("differentials square to zero (all levels)", True)
         complete = fan.is_complete()
         record("fan completeness decided", True, "complete" if complete else "not complete")

@@ -71,14 +71,13 @@ def _dot(u, v):
 
 
 def _ivec(v) -> tuple[int, ...]:
-    out = []
-    for x in v:
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = x.numerator
-        if not isinstance(x, int):
-            raise ValidationError(f"expected an integer vector, got {v!r}")
-        out.append(int(x))
-    return tuple(out)
+    """``v`` as a tuple of ints, each entry taken by
+    :func:`toricdef.exact_linalg._as_int`: ints, numpy integers and integral
+    Fractions; anything else is a VALIDATION_ERROR."""
+    try:
+        return tuple(map(xl._as_int, v))
+    except ValueError:
+        raise ValidationError(f"expected an integer vector, got {v!r}") from None
 
 
 class Cone:

@@ -134,6 +134,50 @@ def test_validation_errors():
         parse_document("rank: 2\nrays:\n 1 0\n 0 1\ndivisor: 1\n")  # short divisor
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("# only a comment\n\n", ParseError, "empty document"),
+        ("1 0\n0 1 1\n", ValidationError, "rays must all have the same length"),
+        ("rays:\n 1 0\n 0 1 1\n", ValidationError, "rays must all have the same length"),
+        ("rank: 2 2\nrays:\n 1 0\n", ParseError, "rank takes a single integer"),
+        ("rank: 0\nrays:\n 1 0\n", ValidationError, "rank must be positive"),
+        ("rays:\n 1 0\n 0 1\ncones:\n 0 1 0\n", ValidationError, "repeated ray index inside a cone"),
+        ("rays:\n 1 0\n 0 1\ninterior_ray: 1\n", ValidationError, "interior_ray must have exactly `rank` coordinates"),
+        ("rays:\n 1 0\n 0 1\ndivisor: 1/0 1\n", ParseError, "expected a rational number, got '1/0'"),
+        # the rays are read and their widths checked first
+        ("rank: 2 2\nrays:\n 1 x\n", ParseError, "expected an integer, got 'x'"),
+        ("rank: 2 2\nrays:\n 1 0\n 0 1 1\n", ValidationError, "rays must all have the same length"),
+        # then rank, whose tokens are counted before one is read
+        ("rank: y z\nrays:\n 1 0\n", ParseError, "rank takes a single integer"),
+        # then cones, divisor, interior_ray and apex in that order, whatever
+        # their order in the document
+        ("apex: a\ninterior_ray: b\ndivisor: 1/0\ncones:\n c\nrank: r\nrays:\n 1 0\n", ParseError, "expected an integer, got 'r'"),
+        ("apex: a\ninterior_ray: b\ndivisor: 1/0\ncones:\n c\nrays:\n 1 0\n", ParseError, "expected an integer, got 'c'"),
+        ("apex: a\ninterior_ray: b\ndivisor: 1/0\nrays:\n 1 0\n", ParseError, "expected a rational number, got '1/0'"),
+        ("apex: a\ninterior_ray: b\nrays:\n 1 0\n", ParseError, "expected an integer, got 'b'"),
+        ("apex: a\nrays:\n 1 0\n", ParseError, "expected an integer, got 'a'"),
+    ],
+)
+def test_document_checks_and_their_order(text, error, message):
+    with pytest.raises(error) as err:
+        parse_document(text)
+    assert str(err.value) == f"{error.ident}: {message}"
+
+
+def test_a_keyed_document_without_rank_takes_the_ray_width():
+    doc = parse_document("rays:\n 1 0 0\n 0 1 0\ncones:\n 0 1\n")
+    assert doc.rank == 3
+    assert doc.cones == ((0, 1),)
+
+
+def test_the_plain_form_is_rays_with_the_header_implied():
+    rows = "# a 2-dimensional cone in rank 3\n1 0 0\n0 1 0\n1 1 0\n"
+    doc = parse_document(rows)
+    assert doc == parse_document("rays:\n" + rows) == InputDocument(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    assert serialize_document(doc) == "rank: 3\nrays:\n  1 0 0\n  0 1 0\n  1 1 0\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands, through the public entry point
 
@@ -170,6 +214,24 @@ def test_ishida_level_out_of_range(tmp_path, capsys):
     path.write_text("1 0\n0 1\n")
     with pytest.raises(ValidationError):
         run(["ishida", str(path), "--l", "9"])
+
+
+def test_ishida_command_on_a_fan(tmp_path, capsys, p112_fan):
+    path = tmp_path / "p112.txt"
+    path.write_text(P112_DOC)
+    code, env = run_json(capsys, ["ishida", str(path)])
+    assert code == 0
+    assert env["report"]["kind"] == "fan"
+    rows = [(row["l"], tuple(row["dims"]), tuple(row["cohomology"])) for row in env["report"]["levels"]]
+    assert rows == list(ishida.fan_cohomology_table(p112_fan).rows)
+    code, env = run_json(capsys, ["ishida", str(path), "--l", "1"])
+    assert code == 0
+    (one,) = env["report"]["levels"]
+    assert (one["l"], tuple(one["dims"]), tuple(one["cohomology"])) == rows[1]
+    for level in (-1, p112_fan.rank + 1):
+        with pytest.raises(ValidationError) as err:
+            run(["ishida", str(path), "--l", str(level)])
+        assert str(err.value) == f"VALIDATION_ERROR: level {level} is out of range for this input"
 
 
 def test_hodge_command(tmp_path, capsys):
@@ -267,6 +329,39 @@ def test_pyramid_command(tmp_path, capsys, cone_a_path):
         assert rep["lcdef_base"] == 1
         assert rep["lcdef_pyramid"] == 1
         assert rep["invariant"] is True
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("hodge", "1 0\n0 1\n", "this command needs a fan: add a `cones:` block"),
+        ("subdivide", "1 0\n0 1\n", "this command needs `interior_ray:` in the document"),
+        ("pyramid", "rays:\n 1 0\n 0 1\napex: 0 1\n", "apex must have exactly rank+1 coordinates"),
+    ],
+)
+def test_commands_name_what_the_document_lacks(tmp_path, command, text, message):
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        run([command, str(path)])
+    assert str(err.value) == f"VALIDATION_ERROR: {message}"
+
+
+def test_an_unreadable_input_path_is_a_parse_error(tmp_path):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(ParseError) as err:
+        run(["lcdef", str(missing)])
+    assert str(err.value) == f"PARSE_ERROR: cannot read input: [Errno 2] No such file or directory: {str(missing)!r}"
+
+
+def test_the_plain_form_holds_a_cone_that_is_not_full_dimensional(tmp_path, capsys):
+    path = tmp_path / "flat.txt"
+    path.write_text("1 0 0\n0 1 0\n1 1 0\n")
+    code, env = run_json(capsys, ["lcdef", str(path)])
+    assert code == 0
+    assert env["input"] == {"rank": 3, "rays": 3, "cones": None}
+    assert env["report"]["face_counts"] == [1, 2, 1]
+    assert env["report"]["per_face"][-1]["dim"] == 2
 
 
 def test_criteria_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,56 @@ def test_cone_rejects_lines_and_zero():
 def test_cone_dim_of_lower_dimensional_cone():
     c = cone_from_rays(((1, 0, 1), (-1, 0, 1)), 3)
     assert c.dim == 2 and c.rank == 3
+
+
+def test_the_rank_defaults_to_the_width_of_the_first_ray():
+    assert cone_from_rays(((1, 0, 0), (0, 1, 0))).rank == 3
+    assert fan_from_cones(((1, 0, 0), (0, 1, 0)), ((0, 1),)).rank == 3
+
+
+def test_generators_are_integer_vectors():
+    c = cone_from_rays(((Fraction(2), 0), (0, Fraction(3, 1))))
+    assert c.rays == ((1, 0), (0, 1))
+    assert all(type(x) is int for r in c.rays for x in r)
+    with pytest.raises(ValidationError) as err:
+        cone_from_rays(([1.0, 0], [0, 1]))
+    assert str(err.value) == "VALIDATION_ERROR: expected an integer vector, got [1.0, 0]"
+
+
+def test_numpy_integers_are_accepted_wherever_ints_are(cone_a):
+    """Rays, apexes and interior rays of numpy integers give what the same
+    ints give."""
+    a = cone_from_rays(np.array(A_RAYS, dtype=np.int64))
+    assert a.rays == cone_a.rays
+    assert all(type(x) is int for r in a.rays for x in r)
+    assert face_lattice(a).face_counts() == face_lattice(cone_a).face_counts()
+    assert lcdef_variety(a) == lcdef_variety(cone_a)
+    top = pyramid(a, np.array((0, 0, 0, 0, 1), dtype=np.int64))
+    want = pyramid(cone_a, (0, 0, 0, 0, 1))
+    assert top.rays == want.rays
+    assert face_lattice(top).face_counts() == face_lattice(want).face_counts()
+    assert lcdef_variety(top) == lcdef_variety(want)
+    fan, divisor = star_quotient(a, np.array((0, 0, 0, 1), dtype=np.int64))
+    want_fan, want_divisor = star_quotient(cone_a, (0, 0, 0, 1))
+    assert fan.rays == want_fan.rays
+    assert fan.face_counts() == want_fan.face_counts()
+    assert divisor.alpha == want_divisor.alpha
+    rebuilt = fan_from_cones(np.array(want_fan.rays, dtype=np.int64), [np.array(c) for c in want_fan.maximal])
+    assert rebuilt.rays == want_fan.rays and rebuilt.maximal == want_fan.maximal
+    assert rebuilt.face_counts() == want_fan.face_counts()
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(1), Fraction(1, 2), "1", None], ids=repr)
+def test_entries_that_are_not_integers_are_refused(square_cone, bad):
+    calls = [
+        lambda: cone_from_rays(((bad, 0, 1), (0, 1, 1))),
+        lambda: fan_from_cones(((bad, 0), (0, 1)), ((0, 1),)),
+        lambda: pyramid(square_cone, (0, 0, bad, 1)),
+        lambda: star_quotient(square_cone, (0, bad, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^VALIDATION_ERROR: expected an integer vector, got "):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +313,25 @@ def test_completeness_agrees_with_sampled_coverage(seed):
     assert not holed.is_complete()
     inside = tuple(sum(fan.rays[i][c] for i in fan.maximal[drop]) for c in range(fan.rank))
     assert all(nonnegative_combination([fan.rays[i] for i in k], inside) is None for k in rest)
+
+
+@pytest.mark.parametrize(
+    "rays, maximal, error, message",
+    [
+        ((), ((0,),), ValidationError, "a fan needs at least one ray"),
+        (((1, 0), (1, 0, 0)), ((0,),), ValidationError, "rays of mixed lengths"),
+        (((1, 0), (0, 0)), ((0,),), ZeroVector, "zero ray"),
+        (((2, 0), (0, 1)), ((0, 1),), ValidationError, "ray (2, 0) is not primitive"),
+        (((1, 0), (0, 1), (1, 0)), ((0, 1),), ValidationError, "duplicate rays"),
+        (((1, 0), (0, 1)), ((0, 2),), ValidationError, "cone refers to a missing ray"),
+        (((1, 0), (0, 1)), ((-1, 1),), ValidationError, "cone refers to a missing ray"),
+        (((1, 0), (0, 1)), (), ValidationError, "a fan needs at least one maximal cone"),
+    ],
+)
+def test_fan_input_checks(rays, maximal, error, message):
+    with pytest.raises(error) as err:
+        fan_from_cones(rays, maximal)
+    assert str(err.value) == f"{error.ident}: {message}"
 
 
 def test_fan_rejects_a_repeated_cone():
