@@ -129,7 +129,7 @@ def parse_document(text: str) -> InputDocument:
     for line in lines:
         head, colon, rest = line.partition(":")
         key = head.strip()
-        if colon and key in _KEYS and (head == key or head.lstrip() == key):
+        if colon and key in _KEYS:
             if key in blocks:
                 raise ParseError(f"duplicate key {key!r}")
             blocks[key] = []

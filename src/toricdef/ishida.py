@@ -72,9 +72,8 @@ class LabeledComplex:
 
     The complex owns its cohomology: :meth:`rank`, :meth:`h`,
     :meth:`representatives` and :meth:`class_coordinates`, memoized per
-    instance.  Each differential is eliminated at most once as long as the
-    representatives of a degree, when they are wanted at all, are asked for
-    before the ranks they determine.
+    instance and asked for in any order.  Each rank is computed once, by
+    :meth:`rank`; a kernel is taken only in the degrees where ``H^i != 0``.
     """
 
     label: str
@@ -113,8 +112,7 @@ class LabeledComplex:
 
     def rank(self, k: int) -> int:
         """Rank of the differential out of degree ``k`` (0 outside the
-        complex): read off the eliminations of :meth:`representatives` when
-        those came first, else by :func:`~toricdef.exact_linalg.matrix_rank`."""
+        complex), by :func:`~toricdef.exact_linalg.matrix_rank`, once."""
         if not 0 <= k < len(self.diffs):
             return 0
         if k not in self._ranks:
@@ -139,29 +137,30 @@ class LabeledComplex:
 
     def representatives(self, i: int) -> xl.Matrix:
         """Cocycles, as columns, whose classes are a basis of ``H^i``
-        (empty outside the complex).
+        (empty outside the complex; no column, and no elimination, when
+        :meth:`h` is 0).
 
         They are the columns of the canonical kernel basis of
         :func:`~toricdef.exact_linalg.rank_and_kernel` that are pivots of
         ``[image | kernel]``: each kernel column independent of the image
-        and of the kernel columns before it.  That choice, like the count
-        of image pivots (the rank of the incoming differential, recorded
-        here), depends only on the span of the image, so the whole incoming
-        differential stands for it and is not eliminated on its own.
+        and of the kernel columns before it.  That choice depends only on
+        the span of the image, so the whole incoming differential stands
+        for it.
         """
         if not 0 <= i < len(self.terms):
             return xl.Matrix((), 0)
         if i not in self._reps:
+            if not self.h(i):
+                self._reps[i] = xl.Matrix([{}] * self.dims[i], 0)
+                return self._reps[i]
             if i < len(self.diffs):
-                self._ranks[i], kern = xl.rank_and_kernel(self.diffs[i])
+                kern = xl.rank_and_kernel(self.diffs[i])[1]
             else:
                 kern = xl.Matrix([{j: 1} for j in range(self.dims[i])], self.dims[i])
             img = self._image(i)
             w = img.ncols
             pivots = xl.pivot_columns(_beside(img, kern))
             chosen = {c - w: k for k, c in enumerate(c for c in pivots if c >= w)}
-            if i:
-                self._ranks[i - 1] = len(pivots) - len(chosen)
             self._reps[i] = xl.Matrix(
                 [{chosen[j]: x for j, x in row.items() if j in chosen} for row in kern.rows], len(chosen)
             )

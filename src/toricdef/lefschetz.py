@@ -134,22 +134,18 @@ class LiftedComplexes:
     """The three complexes of the levelwise short exact sequence at one
     level (top and middle at level p+1, bottom at level p), with the
     per-degree inclusion and projection matrices.  Cohomology is read off
-    the complexes themselves (for example ``L.bottom.h(l)``)."""
+    the complexes themselves (for example ``L.bottom.h(l)``), which compute
+    each rank once and representatives only where ``H^i != 0``; a
+    connecting map is computed afresh on every call."""
 
     top: LabeledComplex
     middle: LabeledComplex
     bottom: LabeledComplex
     include: tuple[xl.Matrix, ...]
     project: tuple[xl.Matrix, ...]
-    _memo: dict = field(default_factory=dict, repr=False)
 
     def connecting(self, l: int) -> xl.Matrix:
         """Snake-lemma connecting map H^l(bottom) -> H^(l+1)(top)."""
-        if l not in self._memo:
-            self._memo[l] = self._connecting(l)
-        return self._memo[l]
-
-    def _connecting(self, l: int) -> xl.Matrix:
         reps_b = self.bottom.representatives(l)
         ht = self.top.representatives(l + 1).ncols
         if reps_b.ncols == 0 or ht == 0:
@@ -410,7 +406,7 @@ def les_theorem(cone: Cone, rho) -> LesReport:
             rows.append(LesRow(0, h_cone, h_fan0, h_fan0, (), exact))
             continue
         L = lifted_complex(fan, divisor, l - 1)
-        exact = _les_exact(L)  # first: its representatives give every rank
+        exact = _les_exact(L)
         h_mid, h_top = cohomology(L.middle), cohomology(L.top)
         if h_mid != h_cone:
             raise InvariantViolation("middle complex does not compute the cone's cohomology")

@@ -145,6 +145,9 @@ def test_validation_errors():
         ("rays:\n 1 0\n 0 1\ncones:\n 0 1 0\n", ValidationError, "repeated ray index inside a cone"),
         ("rays:\n 1 0\n 0 1\ninterior_ray: 1\n", ValidationError, "interior_ray must have exactly `rank` coordinates"),
         ("rays:\n 1 0\n 0 1\ndivisor: 1/0 1\n", ParseError, "expected a rational number, got '1/0'"),
+        # a colon makes a key line only for a known key, spaces before the colon allowed
+        ("foo: 3\nrays:\n 1 0\n", ParseError, "unknown key 'foo'"),
+        ("rays:\n 1 0\n 1:2\n", ParseError, "expected an integer, got '1:2'"),
         # the rays are read and their widths checked first
         ("rank: 2 2\nrays:\n 1 x\n", ParseError, "expected an integer, got 'x'"),
         ("rank: 2 2\nrays:\n 1 0\n 0 1 1\n", ValidationError, "rays must all have the same length"),
@@ -163,6 +166,16 @@ def test_document_checks_and_their_order(text, error, message):
     with pytest.raises(error) as err:
         parse_document(text)
     assert str(err.value) == f"{error.ident}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["rank : 2\nrays:\n 1 0\n 0 1\n", "rays:\n 1 0\n 0 1\n rank : 2\n", "rays :\n 1 0\n 0 1\n"],
+)
+def test_a_key_may_have_spaces_before_its_colon(text):
+    doc = parse_document(text)
+    assert doc == InputDocument(2, ((1, 0), (0, 1)))
+    assert serialize_document(doc) == "rank: 2\nrays:\n  1 0\n  0 1\n"
 
 
 def test_a_keyed_document_without_rank_takes_the_ray_width():

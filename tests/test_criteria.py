@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import A_RAYS, order_prefix_shellable, order_search_shelling, seed77_cones
+from conftest import A_RAYS, order_prefix_shellable, order_search_shelling, random_cone, seed77_cones
 from toricdef import (
     FORCES_LCDEF_0,
     FORCES_LCDEF_1,
@@ -90,6 +90,44 @@ def test_shelling_certificate_positive(orthant4, cube_cone):
 def test_shelling_certificate_negative(cone_a, cone_b, cone_13, glued_cone):
     for cone in (cone_a, cone_b, cone_13, glued_cone):
         assert shelling_ray_criterion(cone).verdict == INCONCLUSIVE
+
+
+def test_the_search_finds_a_new_ray_shelling_where_a_line_shelling_did(
+    cone_a, cone_b, cone_13, cube_cone, orthant4, monkeypatch
+):
+    """With every line shelling refused, the criterion's search must still
+    certify each cone on which a line shelling met the new-ray condition.
+    Of the fixtures, the rank-4 seed-77 cones and 120 random 4-cones, those
+    are the cube, the orthant and 15 others."""
+    rng = random.Random(1)
+    cones = [cone_a, cone_b, cone_13, cube_cone, orthant4]
+    cones += [c for c in seed77_cones() if c.rank == 4]
+    cones += [random_cone(rng, 4) for _ in range(120)]
+
+    def by_line(cone):
+        r = len(face_lattice(cone).faces_by_dim[3])
+        for seed in range(8):
+            try:
+                if criteria._ray_condition(line_shelling(cone, seed).order, r):
+                    return True
+            except InvalidShelling:
+                pass
+        return False
+
+    certified = [cone for cone in cones if by_line(cone)]
+    assert len(certified) == 17
+
+    def refused(cone, seed=0):
+        raise InvalidShelling("refused")
+
+    monkeypatch.setattr(criteria, "line_shelling", refused)
+    for cone in certified:
+        lat = face_lattice(cone)
+        verdict = shelling_ray_criterion(cone)
+        assert verdict.verdict == FORCES_LCDEF_0
+        order = [lat.by_key[frozenset(k)] for k in verdict.witness]
+        assert is_shelling(cone, order)
+        assert criteria._ray_condition(order, len(order))
 
 
 def test_shelling_certificate_small_budget(cube_cone, cone_a):

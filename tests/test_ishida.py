@@ -546,6 +546,19 @@ def test_representatives_keep_their_height_in_acyclic_degrees(cone_13):
     assert cx.representatives(-1).shape == cx.representatives(len(cx.terms)).shape == (0, 0)
 
 
+def test_representatives_take_no_elimination_where_cohomology_vanishes(monkeypatch):
+    """Once the ranks are known, a degree with ``h == 0``, the top degree
+    included, gets its empty basis with no elimination at all."""
+    cone = cone_from_rays(A_RAYS, 4)  # fresh: complexes are memoized
+    cxs = [ishida_cone(cone, l) for l in range(cone.dim + 1)]
+    zero = [(cx, i) for cx in cxs for i in range(len(cx.terms)) if not cx.h(i)]
+    calls = []
+    for name in ("matrix_rank", "rank_and_kernel", "pivot_columns"):
+        monkeypatch.setattr(xl, name, lambda m, name=name: calls.append(name))
+    assert [cx.representatives(i).shape for cx, i in zero] == [(cx.dims[i], 0) for cx, i in zero]
+    assert calls == [] and any(i == len(cx.diffs) for cx, i in zero)
+
+
 def test_dims_and_exterior_subsets_are_computed_once(monkeypatch):
     cx = ishida_cone(cone_from_rays(T13_RAYS, 4), 2)  # fresh: complexes are memoized
     size, calls = ishida.Block.size, []

@@ -34,6 +34,7 @@ from toricdef import (
     ValidationError,
     WrongDimension,
     cohomology,
+    cone_cohomology_table,
     cone_from_rays,
     connecting_map,
     fan_from_cones,
@@ -350,28 +351,29 @@ def test_les_defect_cone(cone_a):
     assert row.h_bottom == (0, 3, 2, 0)
 
 
-def test_each_differential_is_eliminated_at_most_once(monkeypatch):
-    """``les_theorem`` at the ray sum, and ``hodge_table`` with every
-    ``connecting_map(p, p)``, take each complex differential through at most
-    one elimination as a whole matrix.  The ``[image | kernel]``
-    concatenations are new matrices and do not count, nor does the
-    ``pivot_columns`` call inside ``matrix_rank``.  The cone and fan are
-    built here: complexes are memoized on them, and a session fixture's may
-    have been built and ranked by earlier tests."""
+def _count_eliminations(monkeypatch):
+    """Record every complex assembled from now on, and count, per
+    differential, the calls of ``matrix_rank``, ``rank_and_kernel`` and
+    ``pivot_columns`` that take it as a whole matrix.  The ``[image |
+    kernel]`` concatenations are new matrices and do not count, nor does
+    the ``pivot_columns`` call inside ``matrix_rank``.
+
+    Returns ``(diffs, calls)``: ``diffs`` maps the id of a differential to
+    ``(complex, degree)`` (the matrices are kept alive, so ids stay unique),
+    ``calls`` maps ``(name, id)`` to a count."""
     from toricdef import ishida
 
-    cone_a, p112_fan = cone_from_rays(A_RAYS, 4), make_p112()
-    assemble, diffs, eliminated, depth = ishida.assemble_complex, {}, [], [0]
+    assemble, diffs, calls, depth = ishida.assemble_complex, {}, {}, [0]
 
     def recording(*args):
         cx = assemble(*args)
-        diffs.update((id(m), m) for m in cx.diffs)  # kept alive, so ids stay unique
+        diffs.update((id(m), (cx, k)) for k, m in enumerate(cx.diffs))
         return cx
 
-    def counted(f):
+    def counted(name, f):
         def wrapper(m):
             if not depth[0] and id(m) in diffs:
-                eliminated.append(id(m))
+                calls[name, id(m)] = calls.get((name, id(m)), 0) + 1
             depth[0] += 1
             try:
                 return f(m)
@@ -382,13 +384,75 @@ def test_each_differential_is_eliminated_at_most_once(monkeypatch):
 
     monkeypatch.setattr(ishida, "assemble_complex", recording)
     for name in ("matrix_rank", "rank_and_kernel", "pivot_columns"):
-        monkeypatch.setattr(xl, name, counted(getattr(xl, name)))
+        monkeypatch.setattr(xl, name, counted(name, getattr(xl, name)))
+    return diffs, calls
+
+
+def test_each_differential_is_ranked_once_and_kernels_only_where_cohomology_is_nonzero(monkeypatch):
+    """``les_theorem`` at the ray sum, and ``hodge_table`` with every
+    ``connecting_map(p, p)``: each complex differential is ranked by
+    ``matrix_rank`` at most once, goes through ``rank_and_kernel`` at most
+    once and only where its complex has ``H^i != 0`` at its source degree
+    ``i``, and never through ``pivot_columns`` on its own.  The cone and fan
+    are built here: complexes are memoized on them, and a session
+    fixture's may have been built and ranked by earlier tests."""
+    cone_a, p112_fan = cone_from_rays(A_RAYS, 4), make_p112()
+    diffs, calls = _count_eliminations(monkeypatch)
     rep = les_theorem(cone_a, interior_vector(cone_a))
     assert rep.all_exact
     D = support_data(p112_fan, (1, 1, 1))
     assert hodge_table(p112_fan).table == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert [matrix_rank(connecting_map(p112_fan, D, p, p)) for p in range(2)] == [1, 1]
-    assert eliminated and len(set(eliminated)) == len(eliminated)
+    assert set(calls.values()) == {1}
+    ranked = [i for name, i in calls if name == "matrix_rank"]
+    kernels = [i for name, i in calls if name == "rank_and_kernel"]
+    assert (len(ranked), len(kernels)) == (21, 4) and len(calls) == 25  # none by pivot_columns
+    assert all(cx.h(k) for cx, k in map(diffs.get, kernels))
+
+
+def test_cohomology_does_not_depend_on_the_order_it_is_asked_in(monkeypatch):
+    """The complexes of ``les_theorem`` on fixture A at the ray sum and of
+    P(1,1,2) with a divisor, built twice from fresh cones and fans: one copy
+    is asked for every rank first, the other for every representative
+    first.  Both give the same representatives, class coordinates and
+    connecting maps, and take each differential through the same
+    ``matrix_rank`` and ``rank_and_kernel`` calls."""
+    from toricdef.lefschetz import _induced
+
+    def sequences():
+        cone = cone_from_rays(A_RAYS, 4)
+        fan, divisor = star_quotient(cone, interior_vector(cone))
+        p112 = make_p112()
+        D = support_data(p112, (1, 1, 1))
+        seqs = [lifted_complex(fan, divisor, p) for p in range(3)]
+        seqs += [lifted_complex(p112, D, p) for p in range(2)]
+        return seqs
+
+    def run(ranks_first):
+        with monkeypatch.context() as m:
+            diffs, calls = _count_eliminations(m)
+            seqs = sequences()
+            # in the order they were assembled, which does not depend on the copy
+            complexes = list({id(cx): cx for cx, _ in diffs.values()}.values())
+            if ranks_first:
+                for cx in complexes:
+                    for k in range(len(cx.diffs)):
+                        cx.rank(k)
+            reps = [[cx.representatives(i) for i in range(len(cx.terms))] for cx in complexes]
+            maps = [
+                (L.connecting(l), _induced(L.top, L.middle, L.include, l), _induced(L.middle, L.bottom, L.project, l))
+                for L in seqs
+                for l in range(len(L.top.terms))
+            ]
+            hs = [cohomology(cx) for cx in complexes]
+            index = {id(cx): n for n, cx in enumerate(complexes)}
+            per_diff = {(name, index[id(diffs[i][0])], diffs[i][1]): n for (name, i), n in calls.items()}
+        return reps, maps, hs, per_diff
+
+    ranks_first = run(True)
+    assert ranks_first == run(False)
+    *_, per_diff = ranks_first
+    assert set(per_diff.values()) == {1}
 
 
 @pytest.fixture
@@ -464,6 +528,21 @@ def test_equivalence_on_simplicial_cone(orthant4):
 def test_equivalence_trivial_range(orthant4):
     rep = lefschetz_equivalence_check(orthant4, 4, 1)
     assert not rep.theorem_applicable and rep.h_cone == 0
+
+
+def test_equivalence_outside_the_theorem_reports_the_cone_cohomology(cone_a):
+    # p = d - 1 has a level-d complex but no theorem to check against
+    level = cone_cohomology_table(cone_a).level(4)
+    for l in range(5):
+        rep = lefschetz_equivalence_check(cone_a, 3, l)
+        assert rep.h_cone == level[l] and rep.theorem_applicable is False
+
+
+def test_equivalence_in_degree_zero_reads_surjectivity_off_the_top(cone_a):
+    rep = lefschetz_equivalence_check(cone_a, 1, 0)
+    fan, divisor = star_quotient(cone_a, interior_vector(cone_a))
+    assert rep.theorem_applicable and rep.agree
+    assert rep.delta_out_surjective == (lifted_complex(fan, divisor, 1).top.h(0) == 0)
 
 
 @pytest.mark.parametrize("rho", [(1, 1, 1), (0, 0, 0, 1, 0)])

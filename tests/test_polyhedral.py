@@ -203,6 +203,19 @@ def test_interior_detection(square_cone):
     assert not lat.is_interior((5, 0, 1))  # outside
 
 
+def test_interior_detection_off_the_span_and_on_the_zero_face(cone_a):
+    # fixture A's rays with their coordinate sum appended: a 4-cone in rank 5
+    rays = [r + (sum(r),) for r in A_RAYS]
+    lat = face_lattice(cone_from_rays(rays, 5))
+    assert lat.cone.dim == 4
+    assert lat.is_interior(tuple(map(sum, zip(*rays))))
+    assert not lat.is_interior((0, 0, 0, 0, 1))  # off the span
+    (zero,) = face_lattice(cone_a).faces_by_dim[0]
+    zero_lat = face_lattice(face_cone(cone_a, zero))
+    assert zero_lat.is_interior((0, 0, 0, 0))
+    assert not any(zero_lat.is_interior(v) for v in ((1, 0, 0, 0), (0, 0, 0, -1), (1, 1, 1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # normal generators
 
