@@ -31,8 +31,13 @@ parent, takes its whole lattice from the parent's lower interval.  A
 faces share.  No Smith form is taken.
 
 Cone lattices, fans and divisor hat lifts are all one :class:`FacePoset`.
-:func:`fan_from_cones` validates a fan pair by pair, by a separating
-functional checked with integer dot products: built from the two cones'
+:func:`fan_from_cones` validates a complete fan by its walls: each wall's
+two cones lie on its two sides, shown by the wall's normal, checked with
+integer dot products, and exactly one cone contains an interior point of
+one of them, an exact count; the other pairs rest on these, with no
+functional of their own (the proof is in its docstring).  Any other
+collection, and any that this refuses, is validated pair by pair, by a
+separating functional checked the same way: built from the two cones'
 facet normals at their common face, or, where none of those candidates
 separates, from the facet normals of the cone that the other rays span
 modulo that face (:func:`_pair_functional`, Gordan's alternative), whose
@@ -679,10 +684,13 @@ class Fan(FacePoset):
     the faces of all maximal cones as one poset in ambient coordinates.
 
     :func:`fan_from_cones` builds a fan from its maximal cones and verifies
-    exactly, via a strict separating functional checked by integer dot
-    products, that any two of them meet in a common face; the functional
-    is made from facet normals, with no LP.  :func:`star_quotient` builds
-    the quotient fan of an interior ray from the cone's own faces, a fan by
+    exactly that any two of them meet in a common face.  A complete fan is
+    accepted by its walls: each wall's two cones get a separating functional,
+    the wall's own normal, checked by integer dot products, and one exact
+    count over an interior point of one cone proves the rest.  Any other
+    collection gets such a functional for every pair of maximal cones, made
+    from facet normals, with no LP.  :func:`star_quotient` builds the
+    quotient fan of an interior ray from the cone's own faces, a fan by
     construction.
     """
 
@@ -699,7 +707,10 @@ class Fan(FacePoset):
 
     def is_complete(self) -> bool:
         """Does the support cover the whole space?  Exact: every maximal cone
-        is full-dimensional and every wall lies in exactly two maximal cones.
+        is full-dimensional and every wall lies in exactly two maximal cones,
+        the count of :func:`_wall_pairs`.  :func:`fan_from_cones` makes that
+        count from its cones' facets and keeps the answer; a fan built
+        otherwise counts the covering pairs of its maximal faces once.
 
         These conditions suffice.  Let ``S`` be the union of the cones of
         codimension at least two; its complement is connected.  A point of
@@ -716,31 +727,94 @@ class Fan(FacePoset):
         wall in only one maximal cone has uncovered points right across it.
         """
         if self._complete is None:
-            max_keys = [frozenset(k) for k in self.maximal]
-            self._complete = all(self.by_key[k].dim == self.rank for k in max_keys) and all(
-                sum(1 for k in max_keys if wall.ray_indices <= k) == 2
-                for wall in self.faces_by_dim.get(self.rank - 1, ())
-            )
+            tops = [self.by_key[frozenset(k)] for k in self.maximal]
+            walls = [[g.ray_indices for g in self.covered_by(f)] if f.dim == self.rank else None for f in tops]
+            self._complete = _wall_pairs(walls) is not None
         return self._complete
 
 
 def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
     """Assemble a fan from shared rays and maximal cones (ray-index lists),
-    validating each cone and each pair of cones exactly.
+    validating each cone, and that any two cones meet in a common face,
+    exactly.
 
     Two cones ``σ``, ``σ'`` sharing the face ``τ`` meet only in ``τ`` iff a
     functional ``u`` vanishes on ``τ``, is positive on the other rays of
     ``σ`` and negative on those of ``σ'`` (separation lemma, Cox–Little–
-    Schenck, *Toric Varieties*, 1.2.13).  When both cones are
-    full-dimensional, :func:`_separating_functional` tries three such ``u``
-    built from their facet normals through ``τ``, which are cheap and
+    Schenck, *Toric Varieties*, 1.2.13).  Such a ``u`` is always checked by
+    :func:`_check_separation` with integer dot products.
+
+    **The wall path.**  When every maximal cone is full-dimensional and
+    every wall (a facet, as a ray set) is a facet of exactly two of them,
+    the count of :meth:`Fan.is_complete`, :func:`_walls_decide` checks each
+    wall: its normal, signed positive on one cone, is negative on the
+    other's rays off it, a ``u`` for that pair.  So the two cones share
+    exactly the wall's rays: a shared ray off it would be a ray of the first
+    cone off its facet, where ``u`` is positive.  It then takes ``p``, the
+    sum of the rays of the first maximal cone, which is interior to that
+    cone (each facet normal is positive on a ray off the facet), and counts
+    the cones whose signed wall normals are all nonnegative at ``p``, that
+    is the cones that contain ``p``.  If the count is 1, the cones are a
+    complete fan ("pseudomanifold plus one point", De Loera, Rambau &
+    Santos, *Triangulations*, 2010, ch. 4, here for cones that need not be
+    simplicial):
+
+    (i) *The interiors are disjoint and cover the space.*  Let ``X`` be the
+    space minus the faces of codimension at least two of all the cones.  It
+    holds the complement of finitely many linear subspaces of codimension at
+    least two, which is connected and dense, so it is connected.  For ``x``
+    in ``X`` let ``N(x)`` count the cones with ``x`` in their interior, plus
+    one half for each cone with ``x`` in the relative interior of a facet.
+    A cone contributes a constant near ``x`` unless ``x`` is in the relative
+    interior of one of its facets; that facet is a facet of exactly one
+    other cone, on its other side, and near ``x`` the two cones are the two
+    closed half-spaces of the facet, so together they contribute 1.  So
+    ``N`` is locally constant, hence constant on ``X``.  ``p`` lies in one
+    cone only, in its interior, so ``N(p) = 1``.  Two cones whose interiors
+    met would give ``N >= 2`` on an open set, which meets ``X`` off the
+    walls.  The cones contain the dense set of points of ``X`` off the
+    walls, where ``N = 1``, and their union is closed, so it is the space.
+
+    (ii) *Two cones meet in a common face.*  Call a finite set of
+    full-dimensional polyhedral cones, lines allowed, with disjoint
+    interiors and every facet of each a facet of another, a *tiling*; the
+    maximal cones are one, by (i).  In a tiling all cones have one
+    lineality space.  A facet of ``A`` holds the lineality space of ``A``
+    and lies in the neighbour ``B`` across it, so the lineality spaces of
+    neighbours are equal.  And the neighbour graph is connected: the
+    points of ``X`` (the tiling's own) in the cones of one component form a
+    set that is open in ``X``, as in (i), and closed, so it is ``X``, and a
+    cone outside the component would meet one of its cones in an open set.
+    Now let ``x != 0`` lie in ``A ∩ B``.  Near ``x`` every cone looks like
+    its tangent cone at ``x``, so the tangent cones of the cones through
+    ``x``, modulo ``R x``, are a tiling one dimension lower.  Their
+    lineality spaces are the spans of the minimal faces of the cones at
+    ``x``, modulo ``R x``, so the minimal faces ``F_A(x)`` and ``F_B(x)``
+    have one span.  They are then equal: else a segment from ``x`` into one
+    of them, out of the other, leaves the other at a point ``w != 0`` of the
+    first one's relative interior and of the other's relative boundary,
+    where the minimal faces differ in dimension.  So for ``x`` in the
+    relative interior of ``A ∩ B`` (or ``A ∩ B = 0``, the zero face), ``F =
+    F_A(x) = F_B(x)`` is a face of both, and ``A ∩ B = F``, since a face of
+    ``A`` that holds a relative interior point of the convex set ``A ∩ B``
+    holds all of it.  That face's rays are the shared rays, which the pair
+    loop would also find to be a face of both, with a separating ``u``.
+
+    So the wall path accepts exactly what the pair loop accepts, with the
+    same faces.  What weakens is the certificate: a pair of cones that
+    shares no wall gets no functional of its own, and rests on the wall
+    certificates and the degree count.
+
+    **The pair loop**, :func:`_check_pairs`, runs on any other collection and
+    whenever the wall path refuses, so an invalid input gets the first
+    failing pair and its message, whichever path it reached.  For each pair,
+    when both cones are full-dimensional, :func:`_separating_functional`
+    tries three ``u`` built from their facet normals through ``τ``, which
     settle most pairs.  Otherwise, or when none of the three separates,
     :func:`_pair_functional` builds one from the facet normals of the cone
-    that the other rays span modulo ``τ``, or proves that none exists.
-    Either way :func:`_check_separation` checks ``u`` with integer dot
-    products, so every accepted pair has a certificate, and each pair gets
-    the decision, and the first failing pair the message, that an LP
-    deciding the pair would give.
+    that the other rays span modulo ``τ``, or proves that none exists.  Each
+    pair gets the decision, and the first failing pair the message, that an
+    LP deciding the pair would give.
     """
     rays = tuple(_ivec(r) for r in rays)
     if not rays:
@@ -768,7 +842,21 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
     if not maximal:
         raise ValidationError("a fan needs at least one maximal cone")
 
-    # each fan face's rows are computed once, by the first cone that has it
+    by_key, cone_faces, walls = _cone_data(rays, maximal, rank)
+    pairs = _wall_pairs(walls)
+    if pairs is None or not _walls_decide(rays, maximal, walls, pairs):
+        _check_pairs(rays, maximal, by_key, cone_faces, walls)
+    fan = Fan(rank, rays, maximal, list(by_key.values()))
+    fan._complete = pairs is not None
+    return fan
+
+
+def _cone_data(rays, maximal, rank) -> tuple[dict, list, list]:
+    """``(by_key, cone_faces, walls)`` of validated rays and maximal ray-index
+    tuples: every fan face by key, in the order of the cones' lattices, with
+    its rows computed once, by the first cone that has it; each cone's face
+    keys; and each cone's :func:`_signed_walls`, None where the cone is not
+    full-dimensional."""
     known: dict[frozenset[int], Face] = {}
     by_key: dict[frozenset[int], Face] = {}
     cone_faces: list[set[frozenset[int]]] = []
@@ -783,7 +871,51 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
             by_key.setdefault(f.ray_indices, f)
         cone_faces.append({f.ray_indices for f in faces})
         walls.append(_signed_walls(faces, rays) if sub.dim == rank else None)
+    return by_key, cone_faces, walls
 
+
+def _wall_pairs(walls) -> dict[frozenset[int], list[int]] | None:
+    """``{wall: [i, j]}``, the two maximal cones that have each wall as a
+    facet, given each cone's facet keys (a :func:`_signed_walls` map, or
+    None for a cone that is not full-dimensional); None unless every cone
+    is full-dimensional and every wall lies in exactly two cones, the
+    condition of :meth:`Fan.is_complete`."""
+    on: dict[frozenset[int], list[int]] = {}
+    for i, w in enumerate(walls):
+        if w is None:
+            return None
+        for k in w:
+            on.setdefault(k, []).append(i)
+    return on if all(len(c) == 2 for c in on.values()) else None
+
+
+def _walls_decide(rays, maximal, walls, pairs) -> bool:
+    """The wall path of :func:`fan_from_cones` (the proof is there): True
+    when every wall's two cones lie on its two sides, each such pair checked
+    by :func:`_check_separation`, and exactly one cone contains the sum of
+    the first cone's rays; False sends the fan to :func:`_check_pairs`."""
+    for wall, (ia, ib) in pairs.items():
+        out_a = [rays[i] for i in maximal[ia] if i not in wall]
+        out_b = [rays[i] for i in maximal[ib] if i not in wall]
+        u = _wall_functional(walls[ia][wall], out_b)
+        if u is None:
+            return False
+        _check_separation(u, [rays[i] for i in wall], out_a, out_b)
+    p = tuple(map(sum, zip(*(rays[i] for i in maximal[0]))))
+    return sum(all(_dot(u, p) >= 0 for u in w.values()) for w in walls) == 1
+
+
+def _wall_functional(u, out_b) -> tuple[int, ...] | None:
+    """A wall's normal ``u``, signed positive on one of its two cones, if it
+    is negative on ``out_b``, the other cone's rays off the wall; else None."""
+    return u if all(_dot(u, r) < 0 for r in out_b) else None
+
+
+def _check_pairs(rays, maximal, by_key, cone_faces, walls) -> None:
+    """The pair loop of :func:`fan_from_cones`, on its :func:`_cone_data`:
+    every two maximal cones share a face of both, neither is a face of the
+    other, and a separating functional certifies that they meet only in
+    it; the first pair that fails raises VALIDATION_ERROR."""
     for (ia, sa), (ib, sb) in itertools.combinations(enumerate(maximal), 2):
         common = frozenset(sa) & frozenset(sb)
         if common not in cone_faces[ia] or common not in cone_faces[ib]:
@@ -802,8 +934,6 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
             if u is None:
                 raise ValidationError(f"cones {sa} and {sb} overlap beyond their common face")
         _check_separation(u, [rays[i] for i in common], out_a, out_b)
-
-    return Fan(rank, rays, maximal, list(by_key.values()))
 
 
 def _signed_walls(faces, rays) -> dict[frozenset[int], tuple[int, ...]]:

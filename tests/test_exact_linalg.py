@@ -1090,7 +1090,9 @@ xl.integer_kernel_rows = kernel
 # through the CLI on a fan: a pair functional from facet normals turned
 # around (the pair of the 1-dimensional cone takes that path), one that is
 # nonzero on the common face (the pair of a 2-dimensional cone sharing a
-# ray with a 3-dimensional one), and a wall certificate turned around
+# ray with a 3-dimensional one), a wall certificate of the complete P^2
+# turned around, and a wall candidate of the pair loop turned around (two
+# quadrants sharing a ray, a fan that is not complete)
 import io
 from toricdef import cli, polyhedral
 
@@ -1109,9 +1111,13 @@ fan_command(with_ray)
 polyhedral._pair_functional = lambda *a: tuple(x + (i == 0) for i, x in enumerate(pair_functional(*a)))
 fan_command(with_plane)
 polyhedral._pair_functional = pair_functional
+wall_functional = polyhedral._wall_functional
+polyhedral._wall_functional = lambda *a: tuple(-x for x in wall_functional(*a))
+fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  1 2\\n  2 0\\n")
+polyhedral._wall_functional = wall_functional
 separating = polyhedral._separating_functional
 polyhedral._separating_functional = lambda *a: tuple(-x for x in separating(*a))
-fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 -1\\ncones:\\n  0 1\\n  1 2\\n  2 0\\n")
+fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 0\\ncones:\\n  0 1\\n  1 2\\n")
 polyhedral._separating_functional = separating
 # a star quotient with a wrong inverse of its change of coordinates, one
 # whose completion of rho is not unimodular (a row of U that vanishes on rho
@@ -1185,7 +1191,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 13 + ["NOT_A_COMPLEX", "13"]
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 14 + ["NOT_A_COMPLEX", "13"]
 
 
 _CORRUPTED_PROJECTION_RUN = """

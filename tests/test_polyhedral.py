@@ -916,6 +916,17 @@ def _fan_outcome(rays, maximal, rank):
     return _outcome(lambda: dict(fan_from_cones(rays, maximal, rank).by_key))
 
 
+# five cones of 144 degrees each that wind twice round the origin, and their
+# suspension, each cone joined to either pole: every wall lies in exactly two
+# cones, on its two sides, and every point off the walls in two cones
+PENTAGRAM = (((1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)), ((0, 2), (2, 4), (4, 1), (1, 3), (3, 0)), 2)
+SUSPENDED_PENTAGRAM = (
+    tuple(r + (0,) for r in PENTAGRAM[0]) + ((0, 0, 1), (0, 0, -1)),
+    tuple(c + (pole,) for pole in (5, 6) for c in PENTAGRAM[1]),
+    3,
+)
+
+
 def _fan_oracle_cases():
     rays, maximal = stellar_fan_data(random.Random("stellar"), 4, 10)
     cases = [(rays, maximal, 4)] + [(*relabelled(rays, maximal, seed), 4) for seed in range(3)]
@@ -944,6 +955,9 @@ def _fan_oracle_cases():
         (((1, 0), (0, 1), (1, 1)), ((0, 1, 2),), 2),
         (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0), (0,)), 2),
         (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)), 2),
+        # every wall on two cones, on its two sides, but winding twice round
+        PENTAGRAM,
+        SUSPENDED_PENTAGRAM,
     ]
     return cases
 
@@ -960,7 +974,7 @@ def test_fan_from_cones_takes_integer_ray_indices(cone):
 def test_fan_from_cones_matches_the_lp_validation():
     """Pair certificates before pair LPs: the same faces and rows, or the
     same error and message, on the stellar fan under three relabellings,
-    quotient fans and adversarial fans."""
+    quotient fans and adversarial fans, the two pentagrams among them."""
     errors = []
     for rays, maximal, rank in _fan_oracle_cases():
         got = _fan_outcome(rays, maximal, rank)
@@ -974,7 +988,7 @@ def test_fan_from_cones_matches_the_lp_validation():
         "is not generated by extreme rays",
         "positively span a line",
     )
-    assert sorted(next(k for k in kinds if k in e) for e in errors) == sorted(kinds[:1] * 6 + kinds[1:2] * 2 + kinds[2:])
+    assert sorted(next(k for k in kinds if k in e) for e in errors) == sorted(kinds[:1] * 8 + kinds[1:2] * 2 + kinds[2:])
 
 
 def test_pair_certificates_are_what_the_lp_says():
@@ -1191,9 +1205,11 @@ def test_cones_and_the_cli_run_no_lp(lp_calls, tmp_path, capsys):
 
 
 def test_every_stellar_fan_pair_gets_a_certificate(monkeypatch):
-    """The wall candidates settle most pairs of the stellar fan and the
-    facet normals of the pair cone the rest; every pair's functional is
-    checked, and the library has no simplex left."""
+    """The pair loop on the stellar fan: the wall candidates settle most
+    pairs and the facet normals of the pair cone the rest; every pair's
+    functional is checked, and the library has no simplex left.
+    ``fan_from_cones`` takes the wall path there instead: one checked
+    functional per wall, and no pair candidate at all."""
     assert not hasattr(xl, "nonnegative_combination") and not hasattr(xl, "_phase_one")
     calls = {"walls": 0, "pair": 0, "checked": 0}
 
@@ -1211,9 +1227,65 @@ def test_every_stellar_fan_pair_gets_a_certificate(monkeypatch):
     monkeypatch.setattr(polyhedral, "_pair_functional", counted("pair", polyhedral._pair_functional))
     monkeypatch.setattr(polyhedral, "_check_separation", counted("checked", polyhedral._check_separation))
     rays, maximal = stellar_fan_data(random.Random("stellar"), 4, 10)
-    fan_from_cones(rays, maximal, 4)
+    polyhedral._check_pairs(rays, maximal, *polyhedral._cone_data(rays, maximal, 4))
     assert len(maximal) * (len(maximal) - 1) // 2 == 595
     assert calls == {"walls": 457, "pair": 138, "checked": 595}
+    calls.update(walls=0, pair=0, checked=0)
+    fan = fan_from_cones(rays, maximal, 4)
+    assert len(fan.faces_by_dim[3]) == 70
+    assert calls == {"walls": 0, "pair": 0, "checked": 70}
+
+
+def _subset_complete(fan):
+    """The completeness count over ray sets: every maximal cone
+    full-dimensional, every wall a subset of exactly two of them."""
+    keys = [frozenset(k) for k in fan.maximal]
+    return all(fan.by_key[k].dim == fan.rank for k in keys) and all(
+        sum(w.ray_indices <= k for k in keys) == 2 for w in fan.faces_by_dim.get(fan.rank - 1, ())
+    )
+
+
+def test_the_wall_path_decides_what_the_pair_loop_decides(monkeypatch):
+    """Walls and one degree count against the pair loop (the wall path
+    patched to refuse): the same faces in the same order, or the same error
+    and message, on every oracle fan and on seeded stellar fans of rank 3 to
+    5, relabelled.  The wall path accepts every stellar and quotient fan and
+    refuses both pentagrams and a folded fan, and completeness read off the
+    wall count is the count over ray sets, also for a fan that counts its
+    own covering pairs."""
+    accepted = []
+    walls_decide = polyhedral._walls_decide
+    monkeypatch.setattr(polyhedral, "_walls_decide", lambda *args: accepted.append(walls_decide(*args)) or accepted[-1])
+    rng = random.Random("walls")
+    # every wall on two cones, but the quadrant (0, 1) holds the other two
+    # cones, which lie on its side of each of its walls
+    folded = (((1, 0), (0, 1), (1, 1)), ((0, 2), (2, 1), (0, 1)), 2)
+    cases = _fan_oracle_cases() + [folded]
+    for rank in (3, 4, 5):
+        for _ in range(2):
+            rays, maximal = stellar_fan_data(rng, rank, rng.randrange(5, 31))
+            cases.append((*relabelled(rays, maximal, rng.randrange(1000)), rank))
+    decided = []
+    for rays, maximal, rank in cases:
+        accepted.clear()
+        got = _outcome(lambda: fan_from_cones(rays, maximal, rank))
+        decided.append(accepted[0] if accepted else None)
+        with monkeypatch.context() as m:
+            m.setattr(polyhedral, "_walls_decide", lambda *args: False)
+            ref = _outcome(lambda: fan_from_cones(rays, maximal, rank))
+        assert got[0] == ref[0], (rays, maximal)
+        if got[0] != "ok":
+            assert got == ref, (rays, maximal)
+            continue
+        fan, other = got[1], ref[1]
+        assert list(fan.by_key.items()) == list(other.by_key.items()), (rays, maximal)
+        assert fan.maximal == other.maximal
+        assert fan.is_complete() == other.is_complete() == _subset_complete(fan) == (decided[-1] is True)
+        fresh = polyhedral.Fan(fan.rank, fan.rays, fan.maximal, list(fan.by_key.values()))
+        assert fresh.is_complete() == fan.is_complete()
+    # the stellar fan relabelled and the quotient fans, then the seeded stellar fans
+    assert decided[:8] + decided[-6:] == [True] * 14
+    assert [d for c, d in zip(cases, decided) if c in (PENTAGRAM, SUSPENDED_PENTAGRAM, folded)] == [False] * 3
 
 
 def test_facets_are_found_once(monkeypatch):
