@@ -31,12 +31,16 @@ when one of its cells is first needed, and stops at the first nonzero cell.
 The cells of larger value vanish on every cone (proofs in
 :func:`_defect_scan`), so no cone's level-``d`` complex is built.
 
-Every face of a cone is taken as a cone of its own by one helper,
-:func:`_face_cone`, which :func:`lcdef_variety`, :func:`lcdef_faces` and
-:func:`graded_piece` all call: the face cone memoized on the cone, except
-that a face of a pyramid that misses the apex is the base's face cone on
-the same rays, with the same lattice data, so a pyramid builds new
-complexes only on the faces through its apex.
+A pyramid (a cone that keeps its base in ``_base``) reads its defect off
+the base: its cells are the base's cells at one dimension more, so each
+value is one lower (proved in :func:`lcdef_cone`), and the defect of the
+variety is the base's.  Every face of a cone is taken as a cone of its own
+by one helper, :func:`_face_cone`, which :func:`lcdef_variety`,
+:func:`lcdef_faces` and :func:`graded_piece` all call: the face cone
+memoized on the cone, except that a face of a pyramid that misses the apex
+is the base's face cone on the same rays, and a face through the apex is a
+pyramid over the base's face cone on the other rays.  So no defect of a
+pyramid builds a complex on any face through its apex.
 """
 
 from __future__ import annotations
@@ -367,9 +371,58 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     the answer.  When none of the cells with ``c >= 1`` is nonzero, the
     inner maximum is at most 0 and the answer is 0.  Either way the value
     is the one the formula gives.
+
+    A pyramid ``P`` over a cone ``sigma`` of dimension ``d`` (a cone with a
+    ``_base``, made by :func:`~toricdef.polyhedral.pyramid` or by
+    :func:`_face_cone`) computes no cell: its value is
+    ``max(0, lcdef_cone(sigma) - 1)``, for an apex of any height.
+    Complexes are taken over Q throughout.
+
+    *(a) The lattice does not matter.*  Let ``N`` be a sublattice of
+    finite index of the span lattice ``N'`` of a cone, and build the face
+    complexes in each.  The annihilators of a face span the same subspace
+    of the dual space in both, so the terms are the same spaces up to a
+    change of basis.  Let ``i(F) = [span F cap N' : span F cap N]``.  For a
+    covering pair ``mu < tau`` the quotient ``(span tau cap N) / (span mu
+    cap N)`` sits in ``(span tau cap N') / (span mu cap N')``, both of rank
+    one, with index ``i(tau) / i(mu)`` by multiplicativity of indices
+    (``span mu cap N`` is ``span mu cap N' cap N``).  The primitive normals
+    ``n`` in ``N`` and ``n'`` in ``N'`` both point into ``tau``, so ``n =
+    (i(tau) / i(mu)) n'`` modulo ``span mu``, which the annihilator of
+    ``mu`` kills.  So contraction with ``n`` is ``i(tau) / i(mu)`` times
+    contraction with ``n'``, and scaling each face's block of the
+    ``N'``-complex by ``i(F)`` is an isomorphism of complexes onto the
+    ``N``-complex.
+
+    *(b) The pyramid splits.*  Take for ``N`` the lattice generated by the
+    base's padded span lattice and the apex ``e``; it has finite index in
+    the pyramid's span lattice, and in it ``P`` is ``sigma x R>=0 e``.
+    Each face of ``P`` is a face ``F`` of ``sigma`` or ``F + e``, with
+    ``perp(F) = perp_sigma(F) + Z e*`` and ``perp(F + e) = perp_sigma(F)``.
+    The normal of ``F`` in ``G`` serves for ``F + e`` in ``G + e``, and
+    ``e`` is the normal of ``F`` in ``F + e``.  Splitting ``wedge(A + Q
+    e*)`` as ``wedge(A) + wedge(A) ^ e*``, the level-``l`` complex is
+    ``K(sigma, l)``, a direct summand (contraction with a normal of
+    ``sigma`` keeps it, and contraction with ``e`` kills it), plus a
+    subcomplex made of ``K(sigma, l - 1) ^ e*`` over the faces ``F`` and
+    ``K(sigma, l - 1)``, one degree up, over the faces ``F + e``.  In that
+    subcomplex the faces ``F + e`` form a subcomplex, with the faces ``F``
+    as quotient, both copies of ``K(sigma, l - 1)``, and the connecting map
+    of the pair is contraction with ``e``, which is ``+-1`` on each
+    degree: an isomorphism.  So the long exact sequence of the pair makes
+    the subcomplex acyclic, and ``H(P, l) = H(sigma, l)`` degree by degree
+    for ``l <= d``, while level ``d + 1`` is zero, as ``K(sigma, d + 1)``
+    is.
+
+    So the cells of ``P`` are those of ``sigma`` at one dimension more,
+    each of value one lower, and the value of ``P`` is ``max(0, v - 1)``
+    for the inner maximum ``v`` of ``sigma``, which is ``max(0,
+    lcdef_cone(sigma) - 1)``.
     """
     if cone.dim == 0 or (shortcut_simplicial and is_simplicial(cone)):
         return 0
+    if cone._base is not None:
+        return max(0, lcdef_cone(cone._base, shortcut_simplicial) - 1)
     return _defect_scan([cone])
 
 
@@ -443,16 +496,25 @@ def _defect_scan(cones: list[Cone]) -> int:
 
 def _face_cone(cone: Cone, face: Face) -> Cone:
     """The face ``face`` of ``cone`` as a cone of its own: its memoized
-    :func:`~toricdef.polyhedral.face_cone`, or, for a face of a pyramid
-    that misses the apex, the base's face cone on the same ray indices (and
-    so on down a pyramid over a pyramid).  That cone lives one rank lower
-    but has the same dimension, faces, keys and lattice rows, so the same
-    complexes (the proof is in :func:`~toricdef.polyhedral.pyramid`), and
-    those the base has built are not built again."""
+    :func:`~toricdef.polyhedral.face_cone`, except on a pyramid.  There a
+    face that misses the apex is the base's face cone on the same ray
+    indices (and so on down a pyramid over a pyramid), which lives one rank
+    lower but has the same dimension, faces, keys and lattice rows, so the
+    same complexes (the proof is in :func:`~toricdef.polyhedral.pyramid`).
+    A face through the apex is the pyramid over the base's face on its
+    other rays: its rays are that face's rays padded, then the apex, so its
+    face cone gets that base face cone as ``_base``, and its defect is read
+    off the base's (:func:`lcdef_cone`)."""
     base = cone._base
-    if base is not None and len(base.rays) not in face.ray_indices:
+    if base is None:
+        return face_cone(cone, face)
+    apex = len(base.rays)
+    if apex not in face.ray_indices:
         return _face_cone(base, face_lattice(base).by_key[face.ray_indices])
-    return face_cone(cone, face)
+    sub = face_cone(cone, face)
+    if sub._base is None:
+        sub._base = _face_cone(base, face_lattice(base).by_key[face.ray_indices - {apex}])
+    return sub
 
 
 def lcdef_faces(cone: Cone) -> list[tuple[Face, int]]:
@@ -482,7 +544,13 @@ def lcdef_variety(cone: Cone) -> int:
     computes no cell at or below the answer.  The level-0 check of
     :func:`lcdef_cone` runs on every non-simplicial face, in face order,
     before any other cell.
+
+    A pyramid has its base's defect: its faces are the base's faces, of
+    the same values, and the pyramids over them, of values one lower
+    (:func:`lcdef_cone`), so it scans only the base.
     """
+    if cone._base is not None:
+        return lcdef_variety(cone._base)
     faces = (_face_cone(cone, f) for f in face_lattice(cone).all_faces)
     return _defect_scan([face for face in faces if not is_simplicial(face)])
 

@@ -28,7 +28,7 @@ of the ambient ones, with no further kernel (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone`, memoized on its
 parent, takes its whole lattice from the parent's lower interval.  A
 :func:`pyramid` keeps its base, whose faces and lattice data its apex-free
-faces share.  No Smith form is taken.
+faces share, and off which its defect is read.  No Smith form is taken.
 
 Cone lattices, fans and divisor hat lifts are all one :class:`FacePoset`.
 :func:`fan_from_cones` validates a complete fan by its walls: each wall's
@@ -101,7 +101,11 @@ class Cone:
     their primitive interior ray in ``_quotients``, so a face cone, with
     its lattice and complexes, lives as long as its parent.  A cone made by
     :func:`pyramid` keeps its base in ``_base``: its apex-free faces are the
-    base's faces padded with a zero coordinate, with the same lattice data.
+    base's faces padded with a zero coordinate, with the same lattice data,
+    and its defect is read off the base's
+    (:func:`toricdef.ishida.lcdef_cone`).  A face cone of a pyramid through
+    the apex, as :mod:`toricdef.ishida` takes it, is itself a pyramid, with
+    the base's face cone on its other rays as ``_base``.
     """
 
     __slots__ = ("rank", "rays", "dim", "_hull", "_lattice", "_parent", "_base", "_faces", "_quotients")

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from conftest import (
     betti_oracle,
+    cyclic_cone,
     interior_vector,
     lift_identities,
     normal_of,
@@ -27,6 +28,7 @@ from conftest import (
 from toricdef import (
     INCONCLUSIVE,
     cohomology,
+    cone_from_rays,
     connecting_map,
     euler_criterion,
     face_lattice,
@@ -114,12 +116,32 @@ def test_long_exact_sequence_of_the_defect_cone(cone_a):
 
 
 def test_pyramids_preserve_the_defect():
+    """Checked on a cone built afresh on each pyramid's rays, with no base
+    link, so that its defect is computed and not read off the base."""
     rng = random.Random(77)
     for i in range(50):
         d = 3 + i % 3
         cone = random_cone(rng, d)
         apex = random_apex(rng, d)
-        assert lcdef_variety(pyramid(cone, apex)) == lcdef_variety(cone)
+        pyr = pyramid(cone, apex)
+        fresh = cone_from_rays(pyr.rays, pyr.rank)
+        assert fresh._base is None
+        assert lcdef_variety(fresh) == lcdef_variety(pyr) == lcdef_variety(cone), pyr.rays
+
+
+def test_iterated_pyramids_keep_the_defect_in_every_higher_dimension():
+    """The corollary: defect 3 in dimensions 6 to 9, from the cone over the
+    cyclic polytope C(9, 5) and three pyramids over it, with apexes of
+    heights 2, -1 and 3; the first pyramid is checked afresh."""
+    cone = cyclic_cone(range(9), 6)
+    chain = [cone]
+    for apex in ((1, 0, 0, 0, 0, -1, 2), (0, 1, 1, 0, 0, 0, 0, -1), (1, 0, 0, 0, 0, 0, 0, 0, 3)):
+        chain.append(pyramid(chain[-1], apex))
+    assert [c.dim for c in chain] == [6, 7, 8, 9]
+    assert [lcdef_variety(c) for c in chain] == [3] * 4
+    assert [lcdef_cone(c) for c in chain] == [3, 2, 1, 0]
+    fresh = cone_from_rays(chain[1].rays, chain[1].rank)
+    assert (lcdef_variety(fresh), lcdef_cone(fresh)) == (3, 2)
 
 
 # 6 -------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -213,10 +213,13 @@ def test_variety_defect_is_the_maximum_over_faces():
 
 
 def test_variety_scan_builds_no_cell_below_the_answer(monkeypatch):
-    # the pyramid over the first rank-5 seed-77 cone: the base face has
-    # value 2, the pyramid itself (the top face) value 1, and every other
-    # face is simplicial
-    pyr = seed77_cones()[5]
+    # a cone on the rays of the pyramid over the first rank-5 seed-77 cone,
+    # built afresh, with no base link, so that the scan reads its cells:
+    # the base face has value 2, the top face value 1, and every other face
+    # is simplicial
+    seed = seed77_cones()[5]
+    pyr = cone_from_rays(seed.rays, seed.rank)
+    assert pyr._base is None
     built, ranked, seen, assembled = {}, [], {}, []
     build, rank, assemble = ishida.ishida_cone, xl.matrix_rank, ishida.assemble_complex
 
@@ -285,13 +288,9 @@ def test_pyramid_defects_match_a_cone_with_no_base_link():
     assert checked == 43
 
 
-def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
-    """After the defect of its base, the defect of a pyramid assembles
-    complexes only on face cones through the apex: the base's complexes,
-    and those of its face cones, memoized on it, are taken as they are.
-    Over the first rank-5 seed-77 cone that is the pyramid itself; over
-    fixture A, whose proper faces are not all simplicial, the pyramids over
-    those faces as well."""
+def _record_assemblies(monkeypatch) -> list:
+    """Patch the builders so that every assembly of a cone's complex
+    appends ``(cone, label)`` to the list returned."""
     build, assemble = ishida.ishida_cone, ishida.assemble_complex
     current, assembled = [], []
 
@@ -303,28 +302,95 @@ def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
             current.pop()
 
     def count_assembly(*args):
-        assembled.append(current[-1])
+        assembled.append((current[-1], args[0]))
         return assemble(*args)
 
     monkeypatch.setattr(ishida, "ishida_cone", build_level)
     monkeypatch.setattr(ishida, "assemble_complex", count_assembly)
+    return assembled
+
+
+def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
+    """After the defect of its base, the defect of a pyramid assembles no
+    complex: it is the base's defect, whose complexes, and those of the
+    base's face cones, are memoized on the base.  Over the first rank-5
+    seed-77 cone, and over fixture A, whose proper faces are not all
+    simplicial."""
+    assembled = _record_assemblies(monkeypatch)
     cones = seed77_cones()
     base, pyr = cones[4], cones[5]
     assert pyr._base is base
     assert lcdef_variety(base) == 2
     assembled.clear()
     assert lcdef_variety(pyr) == 2
-    # the pyramid itself, the one non-simplicial face through the apex, at
-    # levels 0 and 5; its level 6 is never built
-    assert assembled == [pyr] * 2
+    assert assembled == []
     base = cone_from_rays(A_RAYS, 4)
     pyr = pyramid(base, (0, 0, 0, 0, 1))
     assembled.clear()
     assert lcdef_variety(base) == 1
-    assert any(c is not base for c in assembled)
+    assert any(c is not base for c, _ in assembled)
     assembled.clear()
     assert lcdef_variety(pyr) == 1
-    assert assembled and all(pyr.rays[-1] in c.rays for c in assembled)
+    assert assembled == []
+
+
+def test_a_pyramid_asked_first_assembles_only_its_bases_complexes(monkeypatch):
+    """The defect of a pyramid over a fresh base costs the base's defect:
+    ``lcdef_variety``, ``lcdef_cone`` and ``lcdef_faces`` of the pyramid
+    assemble only on cones of the base's rank, none of whose rays is the
+    apex, and ``lcdef_variety`` assembles what the base's own defect does
+    on a copy of the base."""
+    assembled = _record_assemblies(monkeypatch)
+    for rays, apex in ((A_RAYS, (1, 0, 0, 0, 2)), (seed77_cones()[4].rays, (0, 1, 0, 0, 1, -3))):
+        rank = len(apex) - 1
+        pyr = pyramid(cone_from_rays(rays, rank), apex)
+        want = lcdef_variety(cone_from_rays(rays, rank))
+        expected = [(c.dim, label) for c, label in assembled]
+        assembled.clear()
+        assert lcdef_variety(pyr) == want
+        assert [(c.dim, label) for c, label in assembled] == expected
+        lcdef_cone(pyr)
+        ishida.lcdef_faces(pyr)
+        assert assembled and all(c.rank == rank and pyr.rays[-1] not in c.rays for c, _ in assembled)
+        assembled.clear()
+
+
+def _primitive_apexes(rng, rank):
+    """Six apexes for a pyramid over a rank-``rank`` cone, primitive, with
+    last coordinates 1, -1, 2, -2, 3 and -3."""
+    out = []
+    for h in (1, -1, 2, -2, 3, -3):
+        head = [0] * rank
+        while gcd(h, *head) != 1:
+            head = [rng.randrange(-2, 3) for _ in range(rank)]
+        out.append(tuple(head) + (h,))
+    return out
+
+
+def test_fresh_pyramids_have_their_bases_cohomology():
+    """The pyramid theorem behind the defect of a pyramid, on cones built
+    afresh on the pyramids' rays, with no base link: levels 0..d of the
+    cohomology table are the base's, level d + 1 is zero, and the defects
+    of the full scan, of the pyramid and of its faces agree with those
+    read off the base.  Over the seed-77 bases and the cyclic cones (4, 7)
+    and (5, 8), with apexes of heights 1, 2 and 3 of either sign."""
+    rng = random.Random(31)
+    bases = seed77_cones()[::2] + [cyclic_cone(range(7), 4), cyclic_cone(range(8), 5)]
+    checked = 0
+    for base in bases:
+        table, d = cone_cohomology_table(base), base.dim
+        for apex in _primitive_apexes(rng, base.rank):
+            pyr = pyramid(base, apex)
+            assert pyr.rays[-1][-1] == apex[-1]
+            fresh = cone_from_rays(pyr.rays, pyr.rank)
+            assert fresh._base is None
+            fresh_table = cone_cohomology_table(fresh)
+            assert [fresh_table.level(l) for l in range(d + 1)] == [table.level(l) for l in range(d + 1)]
+            assert not any(fresh_table.level(d + 1)), pyr.rays
+            assert full_scan_lcdef(fresh) == lcdef_cone(pyr) == max(0, lcdef_cone(base) - 1), pyr.rays
+            assert ishida.lcdef_faces(pyr) == ishida.lcdef_faces(fresh), pyr.rays
+            checked += 1
+    assert checked == 66
 
 
 def test_the_cells_the_scan_skips_are_zero():
