@@ -20,15 +20,18 @@ row elimination), and a fan computes it once per face, however many maximal
 cones share it.  Its span lattice is the kernel of that, since the
 saturation of a set of vectors is the kernel of their kernel
 (Cox–Little–Schenck, *Toric Varieties*, 1.2).  A face is plain data and
-keeps no span: :func:`cone_from_rays` takes the top face's once and keeps
-it in the cone's hull, and :attr:`Face.span_rows` takes one kernel on each
-read, which only the face lattice of a face cone makes.
+keeps no span: :func:`cone_from_rays` and :func:`pyramid` take the top
+face's once and keep it in the cone's hull, and :attr:`Face.span_rows`
+takes one kernel on each read, which only those two and the face lattice of
+a face cone make.
 The intrinsic rows of :class:`FaceLattice` are coordinates and restrictions
 of the ambient ones, with no further kernel (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone`, memoized on its
 parent, takes its whole lattice from the parent's lower interval.  A
-:func:`pyramid` keeps its base, whose faces and lattice data its apex-free
-faces share, and off which its defect is read.  No Smith form is taken.
+:func:`pyramid` keeps its base and takes its facets and face data from it,
+with no facet search: its faces are the base's faces and their joins with
+the apex, whose annihilators are read off the base's (the proofs are in its
+docstring), and its defect is read off the base's.  No Smith form is taken.
 
 Cone lattices, fans and divisor hat lifts are all one :class:`FacePoset`.
 :func:`fan_from_cones` validates a complete fan by its walls: each wall's
@@ -88,24 +91,27 @@ def _ivec(v) -> tuple[int, ...]:
 class Cone:
     """A strongly convex rational polyhedral cone, by extreme rays.
 
-    Instances come out of :func:`cone_from_rays` and :func:`face_cone`; the
-    constructor trusts its input.  ``rays`` keeps the order in which
-    surviving input rays appeared, and all face bookkeeping refers to rays
-    by index into this tuple.  ``_hull`` holds what :func:`cone_from_rays`
+    Instances come out of :func:`cone_from_rays`, :func:`face_cone` and
+    :func:`pyramid`; the constructor trusts its input.  ``rays`` keeps the
+    order in which surviving input rays appeared, and all face bookkeeping
+    refers to rays by index into this tuple.  ``_hull`` holds what :func:`cone_from_rays`
     found on the way: the top face, the rays' coordinates in its span rows,
     the ray sets of the facets and the span rows, which :class:`FaceLattice`
-    and :func:`fan_from_cones` reuse (:func:`_hull` finds them for a cone
-    built by the constructor).  A cone made by :func:`face_cone` remembers its
+    and :func:`fan_from_cones` reuse (:func:`pyramid` reads them off the
+    base's, and :func:`_hull` finds them for a cone built by the
+    constructor).  A cone made by :func:`face_cone` remembers its
     parent and the face, so its lattice is the parent's lower interval.
     Face cones are memoized by ray set in ``_faces``, star quotients by
     their primitive interior ray in ``_quotients``, so a face cone, with
     its lattice and complexes, lives as long as its parent.  A cone made by
-    :func:`pyramid` keeps its base in ``_base``: its apex-free faces are the
-    base's faces padded with a zero coordinate, with the same lattice data,
-    and its defect is read off the base's
-    (:func:`toricdef.ishida.lcdef_cone`).  A face cone of a pyramid through
-    the apex, as :mod:`toricdef.ishida` takes it, is itself a pyramid, with
-    the base's face cone on its other rays as ``_base``.
+    :func:`pyramid` keeps its base in ``_base``, and its hull and face
+    lattice come from the base's, with no facet search: its apex-free faces
+    are the base's faces padded with a zero coordinate, with the same
+    lattice data, the others their joins with the apex, and its defect is
+    read off the base's (:func:`toricdef.ishida.lcdef_cone`).  A face cone
+    of a pyramid through the apex, as :mod:`toricdef.ishida` takes it, is
+    itself a pyramid, with the base's face cone on its other rays as
+    ``_base``.
     """
 
     __slots__ = ("rank", "rays", "dim", "_hull", "_lattice", "_parent", "_base", "_faces", "_quotients")
@@ -226,8 +232,9 @@ class Face:
     ``span_rows`` is the canonical Hermite basis of the sublattice
     ``span(face) cap Z^n``, the integer kernel of ``perp_rows`` (the
     saturation of a set of vectors is the kernel of their kernel), taken on
-    each read and not kept.  Only the face lattice of a face cone reads it;
-    a cone's own top span is kept in its :func:`_hull`.
+    each read and not kept.  Only the hull of a cone or of a pyramid, for
+    its top face, and the face lattice of a face cone read it; a cone's own
+    top span is kept in its :func:`_hull`.
     """
 
     ray_indices: frozenset[int]
@@ -530,6 +537,11 @@ class FaceLattice(FacePoset):
       cone made by :func:`face_cone` takes its faces from its parent's
       faces below it and its span from ``Face.span_rows`` of its own top
       face, one integer kernel.
+    * A cone made by :func:`pyramid` takes two faces from each face of its
+      base's lattice, the padded face and its join with the apex, whose
+      rows are read off the base face's (:func:`_pyramid_faces`), and its
+      span from the hull that :func:`pyramid` made: no facet search and no
+      integer kernel of rays.
     * ``rays`` are the rays' coordinates in ``span_rows``.
     * ``perps`` are Hermite bases of each face's ``perp_rows`` restricted
       to ``span_rows``.  Restriction ``Hom(Z^n, Z) -> Hom(L, Z)`` is onto
@@ -548,7 +560,10 @@ class FaceLattice(FacePoset):
         d = cone.dim
         if cone._parent is None:
             _, ray_coords, _, span_rows = _hull(cone)
-            faces = _cone_faces(cone, range(len(cone.rays)), {})
+            if cone._base is None:
+                faces = _cone_faces(cone, range(len(cone.rays)), {})
+            else:
+                faces = _pyramid_faces(cone)
         else:
             parent, key = cone._parent
             span_rows, faces = _lower_interval(face_lattice(parent), key)
@@ -632,19 +647,69 @@ def pyramid(cone: Cone, apex) -> Cone:
     ray; the apex must leave the original hyperplane.
 
     The result's rays are the base's rays padded with a zero coordinate, in
-    their order, then the primitive apex (else INVARIANT_VIOLATION), and it
-    keeps the base as ``_base``.  A face of the pyramid that misses the
-    apex then has the same face lattice data as the base's face on the same
-    ray indices, so its complexes can be taken from the base:
+    their order, then the primitive apex, and it keeps the base as
+    ``_base``.  Its hull and its face lattice come from the base's, with no
+    facet search and no integer kernel of rays: the hull here, whose top
+    span is one integer kernel, and the faces in :func:`_pyramid_faces`.
+    Let the base ``sigma`` have dimension ``d`` in ``Z^n`` and ``m`` rays
+    ``v_i``, and let the apex, of index ``m``, be ``a = (a', c)``, ``c !=
+    0``.
 
-    * The faces missing the apex are the padded faces of the base, on the
-      same ray indices.  A supporting functional ``u`` of a base face ``F``
-      gives ``(u, t)``, with ``t`` chosen to make it positive on the apex
-      (whose last coordinate is nonzero), and its zero set on the pyramid
-      is the padded ``F``.  Conversely a face missing the apex is spanned
-      by padded base rays, so it is a face of the pyramid inside the padded
-      base, itself a face (the zero set of ``(0, t)``), and so a face of
-      the padded base.
+    * *The rays.*  ``e``, the last unit row times ``c``, is ``>= 0`` on the
+      pyramid ``P`` and vanishes exactly on the padded base.  If ``x`` and
+      ``-x`` lie in ``P``, ``x = (y, 0) + s a`` and ``-x = (y', 0) + s' a``
+      with ``s, s' >= 0`` and ``y, y'`` in ``sigma``; the last coordinates
+      give ``(s + s') c = 0``, so ``s = s' = 0`` and ``y = -y'`` lies in
+      ``sigma ∩ -sigma = 0``: ``P`` is strongly convex.  The padded base is
+      the face cut out by ``e``, so its extreme rays, the padded ``v_i``,
+      are extreme in ``P``.  A ``w`` positive on every ``v_i`` exists
+      (``sigma`` is strongly convex), and ``(w, -w . a' / c)`` is positive
+      on each padded ray and zero on ``a``, so the apex is extreme too.  The
+      rays are primitive and distinct, so they are exactly the extreme
+      rays, and ``dim P = d + 1``, since ``a`` leaves the span of the
+      padded base.
+    * *The faces.*  A functional ``u >= 0`` on ``sigma`` that vanishes
+      exactly on a face ``F`` gives ``(u, t)``, zero exactly on the padded
+      ``F'`` when ``u . a' + t c = 1`` and on ``F ∨ a``, the join of ``F``
+      with the apex, when ``u . a' + t c = 0``.  Conversely a face ``G`` of ``P``
+      meets the padded base in a face of it, the padded ``F`` on the rays of
+      ``G`` but the apex, and ``G`` is spanned by its rays, so it is ``F'``
+      or ``F ∨ a``.  So the faces are the ``F'`` and ``F ∨ a`` over the
+      faces ``F`` of the base, of dimensions ``dim F`` and ``dim F + 1``
+      (Ziegler, *Lectures on Polytopes*, 2.4), and the facets are the padded
+      base and the ``F ∨ a`` over the base's facets.  ``P`` is simplicial
+      iff the base is (``m + 1 = d + 1``), and the facets keep the order of
+      :func:`_facets`: the canonical one of the ``d``-subsets then, else by
+      :func:`_least_basis`.
+    * *The annihilators.*  That of ``F'`` in ``Z^(n+1)`` is ``{(u, t) : u
+      . F = 0}``: the Hermite rows ``p_j`` of ``F``'s padded with 0, then
+      the last unit row, which is a Hermite basis as it stands (the last
+      column is a new pivot, with zeros above it).  That of ``F ∨ a`` is
+      ``{(u, t) : u . F = 0, u . a' + t c = 0}``.  Writing ``u = sum l_j
+      p_j``, over a basis of the saturated annihilator of ``F``, these are
+      the images of the ``(l, t)`` in the kernel of the one functional
+      ``(p_1 . a', ..., p_k . a', c)`` on ``Z^(k+1)`` under ``(l, t) ->
+      (sum l_j p_j, t)``, which is injective and onto the annihilator, a
+      saturated lattice.  When ``c`` divides every ``p_j . a'`` (always for
+      ``c = ±1``), the kernel has the basis ``(e_j, -p_j . a' / c)``, so the
+      rows ``(p_j, -p_j . a' / c)`` are a basis, and a Hermite one: their
+      pivots, and every entry in a pivot column, are the ``p_j``'s, and the
+      last column holds no pivot.  Otherwise the kernel is one integer
+      kernel of one row, followed by
+      :func:`~toricdef.exact_linalg.hermite_rows`.
+      The top face is ``sigma ∨ a``, whose span rows are one integer kernel
+      of its rows and in which the rays' coordinates are solved once.
+
+    Each derived face is checked where :func:`_pyramid_faces` builds it:
+    every row of an ``F ∨ a`` vanishes on its rays, every facet has a row
+    that is ``>= 0`` (or ``<= 0``) on the rays and zero exactly on its own,
+    as :func:`_facets` certifies its normals, and the facets are those of
+    the hull; a failure raises INVARIANT_VIOLATION.
+
+    A face of the pyramid that misses the apex has the same face lattice
+    data as the base's face on the same ray indices, so its complexes can
+    be taken from the base:
+
     * The span lattice of a padded face ``F'`` is that of ``F`` padded,
       ``{(x, 0) : x in span(F) cap Z^n}``.  Appending a zero column to a
       Hermite basis keeps it a Hermite basis, with the same pivots and
@@ -653,9 +718,8 @@ def pyramid(cone: Cone, apex) -> Cone:
       same coordinates in them.
     * The faces below ``F'`` are the padded faces below ``F``, on the same
       ray sets, so the same local keys.  The annihilator of a padded face
-      ``G'`` in ``Z^(n+1)`` is ``{(u, t) : u . G = 0}``, and its rows paired
-      with the padded span rows ``(b, 0)`` give the ``u . b`` of ``G``'s
-      annihilator paired with ``b``: the same restricted rows, so the same
+      ``G'`` pairs with the padded span rows ``(b, 0)`` of ``F'`` as that
+      of ``G`` pairs with ``b``: the same restricted rows, so the same
       Hermite basis ``perps``.  (Where ``F`` is a full-dimensional base, its
       ``perps`` are its Hermite ``perp_rows``, the restrictions to the
       standard basis.)
@@ -670,13 +734,68 @@ def pyramid(cone: Cone, apex) -> Cone:
     if apex[-1] == 0:
         raise ApexInHyperplane("apex lies in the original hyperplane")
     rays = tuple(r + (0,) for r in cone.rays) + (xl.primitive_vector(apex),)
-    out = cone_from_rays(rays, cone.rank + 1)
-    if out.rays != rays:
-        raise InvariantViolation("the pyramid's rays are not the padded base rays and the apex")
-    if out.dim != cone.dim + 1:
-        raise InvariantViolation("the apex does not raise the dimension")
+    base_top, _, base_facets, _ = _hull(cone)
+    top = _apex_face(base_top, rays)
+    span = top.span_rows
+    coords = _ray_coords(span, rays)
+    m, d = len(cone.rays), top.dim
+    if m + 1 == d:
+        facets = [frozenset(range(m + 1)) - {i} for i in range(m + 1)]
+    else:
+        facets = [frozenset(range(m))] + [k | {m} for k in base_facets]
+        facets.sort(key=lambda k: _least_basis(k, coords, d))
+    out = Cone(cone.rank + 1, rays, d)
+    out._hull = (top, coords, tuple(facets), span)
     out._base = cone
     return out
+
+
+def _apex_face(face: Face, rays) -> Face:
+    """``F ∨ a``, the join of a base face ``F`` with the apex ``a``, the last
+    of the pyramid's ``rays``: its annihilator read off ``F``'s (the proof
+    is in :func:`pyramid`), each row checked to vanish on its rays."""
+    *head, c = rays[-1]
+    values = [_dot(p, head) for p in face.perp_rows]
+    if all(s % c == 0 for s in values):
+        perp = tuple(p + (-(s // c),) for p, s in zip(face.perp_rows, values))
+    else:
+        padded = [p + (0,) for p in face.perp_rows] + [(0,) * len(head) + (1,)]
+        kernel = xl.integer_kernel_rows([values + [c]], len(padded))
+        perp = tuple(xl.hermite_rows([[_dot(k, col) for col in zip(*padded)] for k in kernel], len(head) + 1))
+    key = face.ray_indices | {len(rays) - 1}
+    if any(_dot(p, rays[i]) for p in perp for i in key):
+        raise InvariantViolation("an apex face row does not vanish on the face's rays")
+    return Face(key, face.dim + 1, perp)
+
+
+def _pyramid_faces(pyr: Cone) -> list[Face]:
+    """The faces of a pyramid from its base's face lattice, with no integer
+    kernel of rays: each base face ``F`` gives the padded ``F'``, its rows
+    padded with 0 and then the last unit row, and ``F ∨ a``
+    (:func:`_apex_face`; the base's top gives the hull's top).  The facets
+    among them are certified as :func:`_facets` certifies its normals and
+    must be the hull's (the proofs are in :func:`pyramid`)."""
+    top, _, facets, _ = _hull(pyr)
+    rays = pyr.rays
+    unit = ((0,) * (pyr.rank - 1) + (1,),)
+    faces = []
+    for f in face_lattice(pyr._base).all_faces:
+        faces.append(Face(f.ray_indices, f.dim, tuple(p + (0,) for p in f.perp_rows) + unit))
+        faces.append(top if len(f.ray_indices) + 1 == len(rays) else _apex_face(f, rays))
+    derived = [f for f in faces if f.dim == pyr.dim - 1]
+    for f in derived:
+        if not any(_supports(p, rays, f.ray_indices) for p in f.perp_rows):
+            raise InvariantViolation(f"no row of the pyramid's facet {f.key} supports it")
+    if {f.ray_indices for f in derived} != set(facets):
+        raise InvariantViolation("the pyramid's faces of codimension one are not its hull's facets")
+    return faces
+
+
+def _supports(u, rays, key) -> bool:
+    """Is ``u`` ``>= 0`` (or ``<= 0``) on the ``rays`` and zero exactly on
+    those in ``key``?"""
+    values = [_dot(u, r) for r in rays]
+    return (min(values) >= 0 or max(values) <= 0) and {i for i, v in enumerate(values) if v == 0} == key
 
 
 # ---------------------------------------------------------------------------

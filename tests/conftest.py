@@ -165,6 +165,18 @@ def random_apex(rng: random.Random, rank: int):
     return tuple(head) + (rng.choice((-2, -1, 1, 2)),)
 
 
+def primitive_apexes(rng, rank):
+    """Six apexes for a pyramid over a rank-``rank`` cone, primitive, with
+    last coordinates 1, -1, 2, -2, 3 and -3."""
+    out = []
+    for h in (1, -1, 2, -2, 3, -3):
+        head = [0] * rank
+        while math.gcd(h, *head) != 1:
+            head = [rng.randrange(-2, 3) for _ in range(rank)]
+        out.append(tuple(head) + (h,))
+    return out
+
+
 def seed77_cones():
     """The first nine cones of the acceptance test's seed-77 pyramid family
     and their pyramids."""

@@ -1167,6 +1167,19 @@ try:
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
 ishida.LabeledComplex.h = h
+# a pyramid over a base face whose annihilator row is moved off it: the rows
+# of the face's join with the apex, read off that row, miss the face's rays
+from toricdef import pyramid
+
+cone = cone_from_rays(square, 3)
+lat = face_lattice(cone)
+ray, *rest = lat.faces_by_dim[1]
+((a, *b), *others) = ray.perp_rows
+lat.faces_by_dim[1] = (polyhedral.Face(ray.ray_indices, 1, ((a + 1, *b), *others)), *rest)
+try:
+    face_lattice(pyramid(cone, (0, 0, 1, 1)))
+except InvariantViolation as exc:
+    print(exc.ident, exc.exit_code)
 # a top-degree contraction block whose determinant is off by one
 from toricdef import NotAComplex, ishida_cone
 
@@ -1191,7 +1204,7 @@ def test_kernel_and_invariants_under_python_O():
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 14 + ["NOT_A_COMPLEX", "13"]
+    assert run.stdout.split() == ["INVARIANT_VIOLATION", "20"] * 15 + ["NOT_A_COMPLEX", "13"]
 
 
 _CORRUPTED_PROJECTION_RUN = """

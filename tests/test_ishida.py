@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from conftest import (
     make_p112,
     normal_of,
     pairing_of_normal,
+    primitive_apexes,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
@@ -355,18 +356,6 @@ def test_a_pyramid_asked_first_assembles_only_its_bases_complexes(monkeypatch):
         assembled.clear()
 
 
-def _primitive_apexes(rng, rank):
-    """Six apexes for a pyramid over a rank-``rank`` cone, primitive, with
-    last coordinates 1, -1, 2, -2, 3 and -3."""
-    out = []
-    for h in (1, -1, 2, -2, 3, -3):
-        head = [0] * rank
-        while gcd(h, *head) != 1:
-            head = [rng.randrange(-2, 3) for _ in range(rank)]
-        out.append(tuple(head) + (h,))
-    return out
-
-
 def test_fresh_pyramids_have_their_bases_cohomology():
     """The pyramid theorem behind the defect of a pyramid, on cones built
     afresh on the pyramids' rays, with no base link: levels 0..d of the
@@ -379,7 +368,7 @@ def test_fresh_pyramids_have_their_bases_cohomology():
     checked = 0
     for base in bases:
         table, d = cone_cohomology_table(base), base.dim
-        for apex in _primitive_apexes(rng, base.rank):
+        for apex in primitive_apexes(rng, base.rank):
             pyr = pyramid(base, apex)
             assert pyr.rays[-1][-1] == apex[-1]
             fresh = cone_from_rays(pyr.rays, pyr.rank)

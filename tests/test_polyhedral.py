@@ -27,6 +27,7 @@ from conftest import (
     nonnegative_combination,
     normal_generator,
     oracle_faces,
+    primitive_apexes,
     random_apex,
     random_complete_simplicial_fan,
     random_cone,
@@ -456,18 +457,121 @@ def test_apex_free_faces_of_a_pyramid_have_the_base_lattice_data():
     assert checked == 3 * sum(len(face_lattice(c).by_key) for c in seed77_cones()) == 2484
 
 
-def test_a_pyramid_whose_rays_move_is_refused(square_cone, monkeypatch):
-    """A pyramid whose rays are not the padded base rays and the apex, in
-    that order, could not hand its apex-free faces to the base: it raises
-    INVARIANT_VIOLATION, and no base is recorded."""
-    build = polyhedral.cone_from_rays
+SQUARE_RAYS = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
 
-    def reordered(rays, rank):
-        return build(list(rays[1:]) + [rays[0]], rank)
 
-    monkeypatch.setattr(polyhedral, "cone_from_rays", reordered)
-    with pytest.raises(toricdef.InvariantViolation, match="padded base rays"):
-        pyramid(square_cone, (0, 0, 0, 1))
+def test_a_pyramid_whose_derived_faces_are_corrupted_is_refused():
+    """The checks on a pyramid's faces read off its base each raise
+    INVARIANT_VIOLATION when the pyramid's lattice is built: a base facet
+    key handed to the hull that is not a facet, with the base's lattice
+    built before (the hull's facets are not the lattice's) or after (the
+    base's lattice has the false facet, and no row of its join with the
+    apex supports the join), and a base annihilator row moved off its
+    face, which moves the rows of its join with the apex off that join.
+    On fresh square cones."""
+    for lattice_first, match in ((True, "hull's facets"), (False, "supports it")):
+        base = cone_from_rays(SQUARE_RAYS, 3)
+        if lattice_first:
+            face_lattice(base)
+        top, coords, facets, span = polyhedral._hull(base)
+        assert frozenset({0, 2}) not in facets
+        base._hull = (top, coords, (frozenset({0, 2}),) + facets[1:], span)
+        face_lattice(base)
+        with pytest.raises(toricdef.InvariantViolation, match=match):
+            face_lattice(pyramid(base, (0, 0, 0, 1)))
+    base = cone_from_rays(SQUARE_RAYS, 3)
+    lat = face_lattice(base)
+    ray, *rest = lat.faces_by_dim[1]
+    ((a, *b), *others) = ray.perp_rows
+    lat.faces_by_dim[1] = (Face(ray.ray_indices, 1, ((a + 1, *b), *others)), *rest)
+    for height in (1, 2):
+        with pytest.raises(toricdef.InvariantViolation, match="apex face row"):
+            face_lattice(pyramid(base, (0, 0, 1, height)))
+
+
+# (-2, 0, -1, 1) is not extreme, and the facets found with it come out of
+# the renumbering in another order than that of their least bases
+REDUNDANT_GENERATORS = (
+    (-2, 0, -1, 1), (-1, -2, 0, 1), (-2, -2, 0, 1), (0, -1, 1, 1),
+    (2, 0, -1, 1), (-2, 2, -2, 1), (2, -1, 2, 1), (1, -1, 2, 1),
+)
+
+
+def _assert_same_pyramid(pyr):
+    """``pyr``'s hull and face lattice, read off its base, are those of a
+    cone built afresh on its rays by the facet search, field by field."""
+    fresh = cone_from_rays(pyr.rays, pyr.rank)
+    assert fresh._base is None and fresh.rays == pyr.rays
+    ours, theirs = polyhedral._hull(pyr), polyhedral._hull(fresh)
+    assert ours[0] == theirs[0] and ours[1] == theirs[1] and ours[3] == theirs[3], pyr.rays
+    assert ours[2] == theirs[2], pyr.rays  # the facet keys, in order
+    lat, want = face_lattice(pyr), face_lattice(fresh)
+    assert [(f.ray_indices, f.dim, f.perp_rows) for f in lat.by_key.values()] == [
+        (f.ray_indices, f.dim, f.perp_rows) for f in want.by_key.values()
+    ], pyr.rays
+    assert lat.perps == want.perps and lat.facet_normals == want.facet_normals, pyr.rays
+    assert (lat.span_rows, lat.rays, lat.face_counts()) == (want.span_rows, want.rays, want.face_counts())
+
+
+def test_pyramids_have_the_hull_and_lattice_of_a_fresh_cone():
+    """The oracle of a pyramid's hull and faces read off its base: a cone
+    built on the same rays by the facet search, with no base link, has the
+    same top face, coordinates, facet keys in order and span, the same
+    faces with the same rows, and the same intrinsic rows.  Over the seed-77
+    bases, the same sheared into one rank more (not full-dimensional),
+    cyclic (4, 7) and (5, 8), and a cone on generators that are not all
+    extreme, whose facets, renumbered, are not in the order of their least
+    bases; with apexes of heights 1, 2 and 3 of either sign, each base's
+    lattice built before or after the pyramid, and a pyramid over each
+    pyramid."""
+    rng = random.Random(32)
+    bases = [(c.rays, c.rank) for c in seed77_cones()[::2]]
+    bases += [([r + (sum(r),) for r in rays], rank + 1) for rays, rank in bases]
+    bases += [(cyclic_rays(range(7), 4), 4), (cyclic_rays(range(8), 5), 5), (REDUNDANT_GENERATORS, 4)]
+    checked = 0
+    for i, (gens, rank) in enumerate(bases):
+        for j, apex in enumerate(primitive_apexes(rng, rank)):
+            base = cone_from_rays(gens, rank)  # a fresh memo, its lattice built first for odd j
+            if j % 2:
+                face_lattice(base)
+            pyr = pyramid(base, apex)
+            _assert_same_pyramid(pyr)
+            top = pyramid(pyr, primitive_apexes(rng, pyr.rank)[(i + j) % 6])
+            _assert_same_pyramid(top)
+            checked += 2
+    assert checked == 252
+
+
+def test_a_pyramid_over_a_built_base_takes_only_its_top_span(kernel_calls, monkeypatch):
+    """A pyramid and its face lattice over a base whose lattice is built
+    run no facet search and no double description: with an apex of last
+    coordinate ±1 they take one integer kernel, the top span, and with a
+    larger one every kernel they take is of one row.  Over seed-77 cone 4,
+    sheared into one rank more so that its top has one annihilator row, and
+    over fixture A for the unit apexes."""
+    searched = []
+    facets, build = polyhedral._facets, polyhedral.cone_from_rays
+    monkeypatch.setattr(polyhedral, "_facets", lambda *a: searched.append(a) or facets(*a))
+    monkeypatch.setattr(polyhedral, "cone_from_rays", lambda *a: searched.append(a) or build(*a))
+    seed = seed77_cones()[4]
+    sheared = build([r + (sum(r),) for r in seed.rays], seed.rank + 1)
+    kernel = xl.integer_kernel_rows
+    rows = []
+    monkeypatch.setattr(xl, "integer_kernel_rows", lambda r, width: rows.append(len(r)) or kernel(r, width))
+    for base, apexes in ((sheared, [(1, 0, 0, 0, 0, 0, 1), (0, 1, 2, 0, 0, 1, -1), (1, 0, 0, 0, 0, 0, 2), (1, 1, 0, -1, 0, 0, -3)]),
+                         (build(A_RAYS, 4), [(0, 0, 0, 0, 1), (1, 2, 0, 0, -1)])):
+        face_lattice(base)
+        searched.clear()
+        for apex in apexes:
+            rows.clear()
+            kernel_calls.clear()
+            pyr = pyramid(base, apex)
+            face_lattice(pyr)
+            assert searched == []
+            if abs(apex[-1]) == 1:
+                assert kernel_calls == [pyr.rank] and rows == [len(pyr._hull[0].perp_rows)], apex
+            else:
+                assert len(rows) > 1 and set(rows) == {1}, apex  # the span and the apex faces' kernels
 
 
 def test_face_cones_are_memoized_on_their_parent(kernel_calls):
