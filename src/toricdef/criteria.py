@@ -180,7 +180,10 @@ def _slice_complex(cx: LabeledComplex, keep, label: str) -> LabeledComplex:
     """The complex spanned by the blocks whose face key satisfies ``keep``,
     with the induced differentials."""
     layers = [[(b.face_key, b.basis) for b in layer if keep(b.face_key)] for layer in cx.terms]
-    blocks = ((i, s, t, cx.block_matrix(i, s, t)) for i, s, t in cx.pairs if keep(s) and keep(t))
+
+    def blocks(k):
+        return ((s, t, cx.block_matrix(i, s, t)) for i, s, t in cx.pairs if i == k and keep(s) and keep(t))
+
     return assemble_complex(label, layers, blocks)
 
 

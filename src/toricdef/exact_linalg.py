@@ -273,8 +273,13 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def matrix_rank(m: Matrix) -> int:
-    """Exact rank over Q, by fraction-free elimination."""
-    return len(pivot_columns(m))
+    """Exact rank over Q, by fraction-free elimination of the transpose,
+    which has the same rank."""
+    cols: list[dict] = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return len(_eliminate(_int_rows(cols), len(m.rows), False)[0])
 
 
 # ---------------------------------------------------------------------------

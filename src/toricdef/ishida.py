@@ -11,8 +11,12 @@ ambiguity (an element of the smaller face's span lattice), so the poset
 hands over those pairings, read off one ray of the bigger face, and no
 normal is built; the anticommutation of the two paths
 through any 2-step interval of the face lattice makes the square of the
-differential vanish, and the builder verifies this on every assembly by an
-exact product of the differentials it assembles.
+differential vanish.  Each differential is built on first read and squared
+against its built neighbours: a complex assembles the differential out of a
+degree the first time anything reads it, and multiplies it exactly with
+each consecutive differential already built, so every differential read has
+been checked against the ones beside it, and a reader of the whole complex
+checks every product.
 
 One builder, :func:`face_complex`, makes every such complex from a
 :class:`~toricdef.polyhedral.FacePoset`: the complexes of a cone (intrinsic
@@ -21,13 +25,16 @@ of a divisor's hat lift, each once per poset and level (memoized on the
 poset, so the lifted sequences of every divisor on a fan share the fan's
 complexes, which are their outer terms).  It hands
 :func:`assemble_complex` one contraction block per covering pair and
-nothing else; the complex records those pairs, and graded pieces and the
-stages of a filtration are re-assembled from them.
+nothing else, degree by degree, as each differential is first read; the
+complex records those pairs, and graded pieces and the stages of a
+filtration are re-assembled from them.
 
 :func:`lcdef_cone` and :func:`lcdef_variety` compute only the cohomology
 the defect needs: one scan tries the candidate values from ``d - 3`` down,
 over the cells of every non-simplicial face at each value, builds a level
 when one of its cells is first needed, and stops at the first nonzero cell.
+A cell ``H^i`` reads only the differentials into and out of degree ``i``,
+so only those two of its level are built.
 The cells of larger value vanish on every cone (proofs in
 :func:`_defect_scan`), so no cone's level-``d`` complex is built.
 
@@ -48,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
+from typing import Callable
 
 from . import exact_linalg as xl
 from .errors import InvariantViolation, NotAComplex, ValidationError
@@ -71,6 +79,16 @@ class Block:
 class LabeledComplex:
     """A cochain complex in nonnegative degrees with block-labeled terms.
 
+    The differential out of degree ``k`` is assembled the first time
+    anything reads it (:meth:`diff`, and through it :meth:`rank`,
+    :meth:`h`, :meth:`representatives`, :meth:`class_coordinates`,
+    :meth:`block_matrix`, :attr:`diffs` and :attr:`pairs`), by the
+    ``_assemble`` that :func:`assemble_complex` hands over, and kept.  As
+    soon as two consecutive differentials are both built, their product is
+    taken exactly, and a nonzero product raises NOT_A_COMPLEX: every
+    differential read has been squared against each built neighbour, and a
+    reader of the whole complex builds, and squares, them all.
+
     ``pairs`` lists the ``(degree, src_key, dst_key)`` block pairs the
     differentials were assembled from; every entry outside them is zero.
 
@@ -82,10 +100,37 @@ class LabeledComplex:
 
     label: str
     terms: tuple[tuple[Block, ...], ...]
-    diffs: tuple[xl.Matrix, ...]
-    pairs: tuple[tuple, ...]
+    _assemble: Callable[[int], tuple[xl.Matrix, tuple]] = field(repr=False, compare=False)
+    _diffs: dict = field(default_factory=dict, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, repr=False, compare=False)
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
     _reps: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def diff(self, k: int) -> xl.Matrix:
+        """The differential out of degree ``k``, ``0 <= k < len(terms) - 1``,
+        assembled on its first read and multiplied exactly with each
+        consecutive differential already built; NOT_A_COMPLEX when a
+        product is nonzero."""
+        if k not in self._diffs:
+            if not 0 <= k < len(self.terms) - 1:
+                raise IndexError(f"{self.label}: no differential out of degree {k}")
+            m, pairs = self._assemble(k)
+            for i, lo, hi in ((k - 1, self._diffs.get(k - 1), m), (k, m, self._diffs.get(k + 1))):
+                if lo is not None and hi is not None and any(xl._sparse_product(hi, lo).rows):
+                    raise NotAComplex(f"{self.label}: differential does not square to zero at degree {i}")
+            self._diffs[k], self._pairs[k] = m, pairs
+        return self._diffs[k]
+
+    @property
+    def diffs(self) -> tuple[xl.Matrix, ...]:
+        """Every differential, in degree order, all of them built."""
+        return tuple(self.diff(k) for k in range(len(self.terms) - 1))
+
+    @property
+    def pairs(self) -> tuple[tuple, ...]:
+        """Every ``(degree, src_key, dst_key)`` block pair, in degree order,
+        all differentials built."""
+        return tuple(p for k, _ in enumerate(self.diffs) for p in self._pairs[k])
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
@@ -111,16 +156,16 @@ class LabeledComplex:
         if s is None or t is None:
             raise ValidationError(f"{self.label}: no blocks {src_key!r} -> {dst_key!r} out of degree {degree}")
         lo, hi = s.offset, s.offset + s.size
-        rows = self.diffs[degree].rows[t.offset : t.offset + t.size]
+        rows = self.diff(degree).rows[t.offset : t.offset + t.size]
         return xl.Matrix([{c - lo: x for c, x in row.items() if lo <= c < hi} for row in rows], s.size)
 
     def rank(self, k: int) -> int:
         """Rank of the differential out of degree ``k`` (0 outside the
         complex), by :func:`~toricdef.exact_linalg.matrix_rank`, once."""
-        if not 0 <= k < len(self.diffs):
+        if not 0 <= k < len(self.terms) - 1:
             return 0
         if k not in self._ranks:
-            self._ranks[k] = xl.matrix_rank(self.diffs[k])
+            self._ranks[k] = xl.matrix_rank(self.diff(k))
         return self._ranks[k]
 
     def h(self, i: int) -> int:
@@ -137,7 +182,7 @@ class LabeledComplex:
     def _image(self, i: int) -> xl.Matrix:
         """The incoming differential of degree ``i``, whose columns span the
         coboundaries."""
-        return self.diffs[i - 1] if i else xl.Matrix([{}] * self.dims[0], 0)
+        return self.diff(i - 1) if i else xl.Matrix([{}] * self.dims[0], 0)
 
     def representatives(self, i: int) -> xl.Matrix:
         """Cocycles, as columns, whose classes are a basis of ``H^i``
@@ -157,8 +202,8 @@ class LabeledComplex:
             if not self.h(i):
                 self._reps[i] = xl.Matrix([{}] * self.dims[i], 0)
                 return self._reps[i]
-            if i < len(self.diffs):
-                kern = xl.rank_and_kernel(self.diffs[i])[1]
+            if i < len(self.terms) - 1:
+                kern = xl.rank_and_kernel(self.diff(i))[1]
             else:
                 kern = xl.Matrix([{j: 1} for j in range(self.dims[i])], self.dims[i])
             img = self._image(i)
@@ -207,17 +252,17 @@ class CohomologyTable:
 
 
 def assemble_complex(label: str, layers, blocks) -> LabeledComplex:
-    """Assemble a labeled complex from per-degree ``(face_key, basis)`` lists
-    and its nonzero blocks.
+    """A labeled complex on per-degree ``(face_key, basis)`` lists whose
+    differential out of degree ``k`` is assembled from ``blocks(k)`` when
+    it is first read (:meth:`LabeledComplex.diff`).
 
-    ``blocks`` yields ``(degree, src_key, dst_key, matrix)``: the block of
-    the differential out of ``degree`` from the block ``src_key`` to the
-    block ``dst_key`` of the next degree.  A key that names no block of its
+    ``blocks(k)`` yields ``(src_key, dst_key, matrix)``: the block of the
+    differential out of degree ``k`` from the block ``src_key`` to the block
+    ``dst_key`` of the next degree.  A key that names no block of its
     degree, or a matrix of the wrong shape, raises INVARIANT_VIOLATION.  The
     blocks' nonzeros go into the ``{column: entry}`` rows of the
-    differentials; every other entry is zero, and the result records the
-    given pairs as ``pairs``.  Every pair of consecutive differentials is
-    multiplied exactly, and a nonzero product raises NOT_A_COMPLEX.
+    differential; every other entry is zero, and the complex records the
+    given pairs as ``pairs``.
     """
     terms: list[tuple[Block, ...]] = []
     for layer in layers:
@@ -229,24 +274,24 @@ def assemble_complex(label: str, layers, blocks) -> LabeledComplex:
             off += b.size
         terms.append(tuple(row))
     index = [{b.face_key: b for b in layer} for layer in terms]
-    sparse = [[{} for _ in range(sum(b.size for b in layer))] for layer in terms[1:]]
-    pairs = []
-    for i, src, dst, m in blocks:
-        sb = index[i].get(src) if 0 <= i < len(sparse) else None
-        tb = index[i + 1].get(dst) if sb is not None else None
-        if tb is None:
-            raise InvariantViolation(f"{label}: no blocks {src!r} -> {dst!r} out of degree {i}")
-        if m.shape != (tb.size, sb.size):
-            raise InvariantViolation(
-                f"{label}: block of shape {m.shape} between blocks of sizes {sb.size} and {tb.size}"
-            )
-        xl._write_block(sparse[i], tb.offset, sb.offset, m)
-        pairs.append((i, src, dst))
-    diffs = tuple(xl.Matrix(rows, sum(b.size for b in terms[i])) for i, rows in enumerate(sparse))
-    for i in range(len(diffs) - 1):
-        if any(xl._sparse_product(diffs[i + 1], diffs[i]).rows):
-            raise NotAComplex(f"{label}: differential does not square to zero at degree {i}")
-    return LabeledComplex(label, tuple(terms), diffs, tuple(pairs))
+
+    def assemble(i: int) -> tuple[xl.Matrix, tuple]:
+        rows = [{} for _ in range(sum(b.size for b in terms[i + 1]))]
+        pairs = []
+        for src, dst, m in blocks(i):
+            sb = index[i].get(src)
+            tb = index[i + 1].get(dst) if sb is not None else None
+            if tb is None:
+                raise InvariantViolation(f"{label}: no blocks {src!r} -> {dst!r} out of degree {i}")
+            if m.shape != (tb.size, sb.size):
+                raise InvariantViolation(
+                    f"{label}: block of shape {m.shape} between blocks of sizes {sb.size} and {tb.size}"
+                )
+            xl._write_block(rows, tb.offset, sb.offset, m)
+            pairs.append((i, src, dst))
+        return xl.Matrix(rows, sum(b.size for b in terms[i])), tuple(pairs)
+
+    return LabeledComplex(label, tuple(terms), assemble)
 
 
 def cohomology(cx: LabeledComplex) -> tuple[int, ...]:
@@ -278,6 +323,11 @@ def face_complex(label: str, poset: FacePoset, level: int) -> LabeledComplex:
     ``poset.covering_pairing(mu, tau)``; every level shares the bases and
     the pairings.  A pair with a zero-size block has no block, and no
     contraction is computed for it.
+
+    Each differential is built on first read and squared against its built
+    neighbours (:meth:`LabeledComplex.diff`): the contraction blocks of the
+    differential out of degree ``m`` are computed only when something reads
+    it, so a cell ``H^i`` costs the blocks into and out of degree ``i``.
     """
     if level in poset._complexes:
         return poset._complexes[level]
@@ -289,18 +339,17 @@ def face_complex(label: str, poset: FacePoset, level: int) -> LabeledComplex:
         for f in layer
     }
 
-    def blocks():
-        for m in range(depth - 1):
-            for tau in faces[m + 1]:
-                dst = bases[tau.ray_indices]
-                for mu in poset.covered_by(tau):
-                    src = bases[mu.ray_indices]
-                    if src.size and dst.size:
-                        pairing = poset.covering_pairing(mu, tau)
-                        yield m, mu.key, tau.key, xl.contraction_matrix(pairing, src, dst)
+    def blocks(m):
+        for tau in faces[m + 1]:
+            dst = bases[tau.ray_indices]
+            for mu in poset.covered_by(tau):
+                src = bases[mu.ray_indices]
+                if src.size and dst.size:
+                    pairing = poset.covering_pairing(mu, tau)
+                    yield mu.key, tau.key, xl.contraction_matrix(pairing, src, dst)
 
     layers = [[(f.key, bases[f.ray_indices]) for f in layer] for layer in faces]
-    poset._complexes[level] = assemble_complex(label, layers, blocks())
+    poset._complexes[level] = assemble_complex(label, layers, blocks)
     return poset._complexes[level]
 
 
@@ -363,9 +412,11 @@ def lcdef_cone(cone: Cone, shortcut_simplicial: bool = True) -> int:
     ``c >= max(1, d - 2)``, so the value is at most ``max(0, d - 3)``.  The
     candidates
     ``c = d - 3, d - 4, ..., 1`` are tried in turn, each over its cells
-    from ``l = d - 1`` down; a level's complex is built when one of its
-    cells is first needed, level ``d`` never, and each differential is
-    ranked at most once (:meth:`LabeledComplex.rank`).  The first cell with
+    from ``l = d - 1`` down; a level's complex is made when one of its
+    cells is first needed, level ``d`` never, and of it only the
+    differentials the cells read are built, each on first read and squared
+    against its built neighbours, and each ranked at most once
+    (:meth:`LabeledComplex.rank`).  The first cell with
     nonzero cohomology has the largest value of all nonzero cells, since
     every cell of a larger value is zero, found so or proved so, and it is
     the answer.  When none of the cells with ``c >= 1`` is nonzero, the
@@ -436,6 +487,10 @@ def _defect_scan(cones: list[Cone]) -> int:
     cone of dimension ``d >= c + 3`` in the given order is read over its
     cells ``(l, c + d - l)`` from ``l = d - 1`` down.  The first nonzero
     cell has the value returned, and 0 is returned when there is none.
+    Cell ``(l, i)`` reads ``h(i)``, which takes the ranks of the two
+    differentials into and out of degree ``i``: those two are built, each
+    on first read and squared against its built neighbours, and the rest of
+    the level is not.
 
     The cells skipped are zero on every cone ``sigma`` of dimension ``d``,
     by two facts about its complexes (M.-N. Ishida, "Torus embeddings and
@@ -606,11 +661,12 @@ def graded_piece(cone: Cone, l: int, tau) -> LabeledComplex:
                     layer.append(((j, copy, b.face_key), b.basis))
         layers.append(layer)
 
-    blocks = (
-        (i, (j, copy, s), (j, copy, t), inner.block_matrix(i, s, t))
-        for j, copy, inner in pieces
-        for i, s, t in inner.pairs
-    )
+    def blocks(k):
+        for j, copy, inner in pieces:
+            for i, s, t in inner.pairs:
+                if i == k:
+                    yield (j, copy, s), (j, copy, t), inner.block_matrix(i, s, t)
+
     return assemble_complex(f"graded piece level {l} at {face.key}", layers, blocks)
 
 

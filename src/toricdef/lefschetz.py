@@ -153,7 +153,7 @@ class LiftedComplexes:
         lift = xl.solve_matrix(self.project[l], reps_b)
         if lift is None:
             raise InvariantViolation("projection is not surjective")
-        dz = xl._sparse_product(self.middle.diffs[l], lift)
+        dz = xl._sparse_product(self.middle.diff(l), lift)
         pre = xl.solve_matrix(self.include[l + 1], dz)
         if pre is None:
             raise InvariantViolation("snake step left the image of the inclusion")
@@ -251,12 +251,12 @@ def _verify_ses(L: LiftedComplexes) -> None:
         if L.middle.dims[m] != L.top.dims[m] + L.bottom.dim(m):
             raise InvariantViolation(f"term dims do not add up in degree {m}")
         if m + 1 < depth:
-            lhs = xl._sparse_product(L.include[m + 1], L.top.diffs[m])
-            if lhs != xl._sparse_product(L.middle.diffs[m], inc):
+            lhs = xl._sparse_product(L.include[m + 1], L.top.diff(m))
+            if lhs != xl._sparse_product(L.middle.diff(m), inc):
                 raise InvariantViolation(f"inclusion is not a chain map in degree {m}")
         if m + 1 < len(L.bottom.terms):  # past the bottom's depth the projection is into 0
-            lhs = xl._sparse_product(L.project[m + 1], L.middle.diffs[m])
-            if lhs != xl._sparse_product(L.bottom.diffs[m], prj):
+            lhs = xl._sparse_product(L.project[m + 1], L.middle.diff(m))
+            if lhs != xl._sparse_product(L.bottom.diff(m), prj):
                 raise InvariantViolation(f"projection is not a chain map in degree {m}")
 
 

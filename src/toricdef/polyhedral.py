@@ -694,9 +694,15 @@ def pyramid(cone: Cone, apex) -> Cone:
       ``c = ±1``), the kernel has the basis ``(e_j, -p_j . a' / c)``, so the
       rows ``(p_j, -p_j . a' / c)`` are a basis, and a Hermite one: their
       pivots, and every entry in a pivot column, are the ``p_j``'s, and the
-      last column holds no pivot.  Otherwise the kernel is one integer
-      kernel of one row, followed by
-      :func:`~toricdef.exact_linalg.hermite_rows`.
+      last column holds no pivot.  Otherwise let ``w`` be the functional
+      divided by the gcd of its entries, which has the same kernel, and
+      ``U`` the unimodular matrix with ``U w = e_1`` of
+      :func:`~toricdef.exact_linalg._unit_column`.  Row ``j`` of ``U``
+      pairs with ``w`` to the ``j``-th entry of ``e_1``, so the rows after
+      the first lie in the kernel, and they are a basis of it: the rows of
+      ``U`` are a basis of ``Z^(k+1)``, and an ``x = sum y_j U_j`` in the
+      kernel has ``y_1 = w . x = 0``.  Their images are put in Hermite form
+      once, by :func:`~toricdef.exact_linalg.hermite_rows`.
       The top face is ``sigma ∨ a``, whose span rows are one integer kernel
       of its rows and in which the rays' coordinates are solved once.
 
@@ -760,7 +766,7 @@ def _apex_face(face: Face, rays) -> Face:
         perp = tuple(p + (-(s // c),) for p, s in zip(face.perp_rows, values))
     else:
         padded = [p + (0,) for p in face.perp_rows] + [(0,) * len(head) + (1,)]
-        kernel = xl.integer_kernel_rows([values + [c]], len(padded))
+        kernel = xl._unit_column(xl.primitive_vector(values + [c]))[1:]
         perp = tuple(xl.hermite_rows([[_dot(k, col) for col in zip(*padded)] for k in kernel], len(head) + 1))
     key = face.ray_indices | {len(rays) - 1}
     if any(_dot(p, rays[i]) for p in perp for i in key):

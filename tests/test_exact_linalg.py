@@ -1050,12 +1050,14 @@ for check, seeds in ((t.contraction_mismatch, range(21)), (t.expansion_mismatch,
 if t.lattice_mismatches():
     sys.exit(f"lattice_mismatches: {{t.lattice_mismatches()}}")
 # a 2x1 block between blocks of sizes 1 and 1, and a block naming a key
-# that has no block, are broken invariants
+# that has no block, are broken invariants, met where the cell H^0 first
+# reads the differential they are in
 base = xl.ExteriorBasis(xl.SubspaceBasis(1, ((1,),)), 1)
 layers = [[("a", base)], [("b", base)]]
-for block in ((0, "a", "b", xl.Matrix([{{}}] * 2, 1)), (0, "a", "c", xl.Matrix([{{}}], 1))):
+for block in (("a", "b", xl.Matrix([{{}}] * 2, 1)), ("a", "c", xl.Matrix([{{}}], 1))):
+    cx = assemble_complex("bad", layers, lambda k, block=block: [block])
     try:
-        assemble_complex("bad", layers, [block])
+        cx.h(0)
     except InvariantViolation as exc:
         print(exc.ident, exc.exit_code)
 # a kernel elimination that leaves a row nonzero on a pivot column, and one
@@ -1180,7 +1182,8 @@ try:
     face_lattice(pyramid(cone, (0, 0, 1, 1)))
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
-# a top-degree contraction block whose determinant is off by one
+# top-degree contraction blocks whose determinants are off by one, met
+# where the cell H^1 of level 3 reads the two differentials they are in
 from toricdef import NotAComplex, ishida_cone
 
 cone = cone_from_rays(square, 3)
@@ -1188,7 +1191,7 @@ face_lattice(cone)
 det = xl.integer_det
 xl.integer_det = lambda m: det(m) + 1
 try:
-    ishida_cone(cone, 3)
+    ishida_cone(cone, 3).h(1)
 except NotAComplex as exc:
     print(exc.ident, exc.exit_code)
 xl.integer_det = det
@@ -1266,7 +1269,9 @@ def flipped(pairing, source, target):
 
 xl.contraction_matrix = flipped
 try:
-    ishida_cone(cone_from_rays(((1, 0), (0, 1)), 2), 2)
+    # the cell H^1 reads both differentials: the first one built, d_1, has
+    # the flipped block, and squaring it with d_0 fails
+    ishida_cone(cone_from_rays(((1, 0), (0, 1)), 2), 2).h(1)
 except NotAComplex as exc:
     print(exc.ident, exc.exit_code)
 """
@@ -1282,6 +1287,49 @@ def test_flipped_block_fails_under_python_O():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["NOT_A_COMPLEX", "13"]
+
+
+_FLIPPED_SCAN_BLOCK_RUN = """
+import sys
+sys.path[:0] = [{tests!r}]
+from conftest import cyclic_rays
+from toricdef import NotAComplex, cone_from_rays, lcdef_variety
+from toricdef import exact_linalg as xl
+
+if __debug__:
+    sys.exit("not running under -O")
+contraction = xl.contraction_matrix
+calls = []
+
+
+def flipped(pairing, source, target):
+    block = contraction(pairing, source, target)
+    calls.append(pairing)
+    if len(calls) > 1:
+        return block
+    return xl.Matrix([{{j: -x for j, x in row.items()}} for row in block.rows], block.ncols)
+
+
+# the scan reads one cell of the cone over the cyclic polytope (6, 9), (5, 4):
+# the first block built is in d_4 of level 5, and squaring it with d_3 fails
+xl.contraction_matrix = flipped
+try:
+    lcdef_variety(cone_from_rays(cyclic_rays(range(9), 6), 6))
+except NotAComplex as exc:
+    print(exc.ident, exc.exit_code, len(calls))
+"""
+
+
+def test_flipped_block_read_by_the_scan_fails_under_python_O():
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(tests).parent / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _FLIPPED_SCAN_BLOCK_RUN.format(tests=tests)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["NOT_A_COMPLEX", "13", "450"]
 
 
 _CORRUPTED_QUOTIENT_RUN = """

@@ -16,6 +16,7 @@ from conftest import (
     GLUED_RAYS,
     T13_RAYS,
     cyclic_cone,
+    cyclic_rays,
     make_p112,
     normal_of,
     pairing_of_normal,
@@ -185,6 +186,29 @@ def test_defect_scan_builds_and_ranks_only_what_it_needs(monkeypatch):
     assert ranked and len(set(ranked)) == len(ranked)
 
 
+def test_scan_builds_only_the_differentials_its_cell_reads(monkeypatch):
+    """On the cone over the cyclic polytope (6, 9), whose proper faces are
+    all simplicial, the scan reads one cell, (5, 4): it builds d_3 and d_4
+    of level 5, 450 of the level's 753 contraction blocks, and squares them
+    once.  The cohomology of that level afterwards builds d_0, d_1 and d_2
+    and squares every consecutive pair."""
+    cone = cone_from_rays(cyclic_rays(range(9), 6), 6)  # fresh: complexes are memoized
+    contraction, blocks = xl.contraction_matrix, []
+    product, products = xl._sparse_product, []
+    monkeypatch.setattr(xl, "contraction_matrix", lambda *a: blocks.append(a) or contraction(*a))
+    monkeypatch.setattr(xl, "_sparse_product", lambda a, b: products.append((a, b)) or product(a, b))
+    assert lcdef_variety(cone) == 3
+    cx = ishida_cone(cone, 5)
+    assert sorted(cx._diffs) == [3, 4]
+    assert len(blocks) == len(cx._pairs[3]) + len(cx._pairs[4]) == 450
+    assert [(id(a), id(b)) for a, b in products] == [(id(cx.diff(4)), id(cx.diff(3)))]
+    assert cohomology(cx) == (0, 0, 0, 0, 3, 0)
+    assert len(blocks) == len(cx.pairs) == 753
+    squared = {(id(a), id(b)) for a, b in products}
+    assert len(products) == len(squared) == 4
+    assert squared == {(id(cx.diff(k + 1)), id(cx.diff(k))) for k in range(4)}
+
+
 def _variety_cases():
     """Fixtures, the seed-77 cones, a seeded pyramid of each, seeded random
     cones with their pyramids, cones embedded in a larger lattice, and cones
@@ -227,7 +251,7 @@ def test_variety_scan_builds_no_cell_below_the_answer(monkeypatch):
     def build_level(c, l):
         cx = build(c, l)
         if id(cx) not in seen:  # a complex the memo hands out again is no new build
-            seen[id(cx)] = cx
+            seen[id(cx)] = (c, l, cx)
             built.setdefault(c.dim, []).append(l)
         return cx
 
@@ -253,6 +277,11 @@ def test_variety_scan_builds_no_cell_below_the_answer(monkeypatch):
     assert all(d not in levels for d, levels in built.items())
     assert len(set(ranked)) == len(ranked)
     assert (len(assembled), len(ranked)) == (4, 4)
+    # each cell reads two differentials, and only those are built: d_2 and
+    # d_3 for (4, 3), d_3 and d_4 for (5, 4); level 0 has none
+    assert {(c.dim, l): sorted(cx._diffs) for c, l, cx in seen.values()} == {
+        (5, 0): [], (5, 4): [2, 3], (6, 0): [], (6, 5): [3, 4]
+    }
 
 
 def test_variety_scan_reads_no_face_of_dimension_below_c_plus_3(monkeypatch):
@@ -289,11 +318,13 @@ def test_pyramid_defects_match_a_cone_with_no_base_link():
     assert checked == 43
 
 
-def _record_assemblies(monkeypatch) -> list:
+def _record_assemblies(monkeypatch) -> tuple[list, list]:
     """Patch the builders so that every assembly of a cone's complex
-    appends ``(cone, label)`` to the list returned."""
+    appends ``(cone, label)`` to the first list returned, and every
+    differential built, when it is first read, ``(cone, label, degree)`` to
+    the second."""
     build, assemble = ishida.ishida_cone, ishida.assemble_complex
-    current, assembled = [], []
+    current, assembled, built = [], [], []
 
     def build_level(c, l):
         current.append(c)
@@ -302,13 +333,14 @@ def _record_assemblies(monkeypatch) -> list:
         finally:
             current.pop()
 
-    def count_assembly(*args):
-        assembled.append((current[-1], args[0]))
-        return assemble(*args)
+    def count_assembly(label, layers, blocks):
+        cone = current[-1]
+        assembled.append((cone, label))
+        return assemble(label, layers, lambda k: built.append((cone, label, k)) or blocks(k))
 
     monkeypatch.setattr(ishida, "ishida_cone", build_level)
     monkeypatch.setattr(ishida, "assemble_complex", count_assembly)
-    return assembled
+    return assembled, built
 
 
 def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
@@ -317,22 +349,27 @@ def test_a_pyramid_after_its_base_assembles_only_apex_faces(monkeypatch):
     base's face cones, are memoized on the base.  Over the first rank-5
     seed-77 cone, and over fixture A, whose proper faces are not all
     simplicial."""
-    assembled = _record_assemblies(monkeypatch)
+    assembled, built = _record_assemblies(monkeypatch)
     cones = seed77_cones()
     base, pyr = cones[4], cones[5]
     assert pyr._base is base
     assert lcdef_variety(base) == 2
+    assert built
     assembled.clear()
+    built.clear()
     assert lcdef_variety(pyr) == 2
-    assert assembled == []
+    assert assembled == [] and built == []
     base = cone_from_rays(A_RAYS, 4)
     pyr = pyramid(base, (0, 0, 0, 0, 1))
     assembled.clear()
     assert lcdef_variety(base) == 1
     assert any(c is not base for c, _ in assembled)
+    # the top face reads its cell (3, 2), so it builds d_1 and d_2 of level 3
+    assert [(label, k) for c, label, k in built if c is base] == [("cone level 3", 2), ("cone level 3", 1)]
     assembled.clear()
+    built.clear()
     assert lcdef_variety(pyr) == 1
-    assert assembled == []
+    assert assembled == [] and built == []
 
 
 def test_a_pyramid_asked_first_assembles_only_its_bases_complexes(monkeypatch):
@@ -341,19 +378,24 @@ def test_a_pyramid_asked_first_assembles_only_its_bases_complexes(monkeypatch):
     assemble only on cones of the base's rank, none of whose rays is the
     apex, and ``lcdef_variety`` assembles what the base's own defect does
     on a copy of the base."""
-    assembled = _record_assemblies(monkeypatch)
+    assembled, built = _record_assemblies(monkeypatch)
     for rays, apex in ((A_RAYS, (1, 0, 0, 0, 2)), (seed77_cones()[4].rays, (0, 1, 0, 0, 1, -3))):
         rank = len(apex) - 1
         pyr = pyramid(cone_from_rays(rays, rank), apex)
         want = lcdef_variety(cone_from_rays(rays, rank))
         expected = [(c.dim, label) for c, label in assembled]
+        expected_built = [(c.dim, label, k) for c, label, k in built]
         assembled.clear()
+        built.clear()
         assert lcdef_variety(pyr) == want
         assert [(c.dim, label) for c, label in assembled] == expected
+        assert [(c.dim, label, k) for c, label, k in built] == expected_built
         lcdef_cone(pyr)
         ishida.lcdef_faces(pyr)
         assert assembled and all(c.rank == rank and pyr.rays[-1] not in c.rays for c, _ in assembled)
+        assert built and all(c.rank == rank and pyr.rays[-1] not in c.rays for c, _, _ in built)
         assembled.clear()
+        built.clear()
 
 
 def test_fresh_pyramids_have_their_bases_cohomology():
@@ -434,9 +476,11 @@ def test_normal_shift_leaves_matrices_unchanged(monkeypatch):
         return tuple(a + 2 * b for a, b in zip(n, rows[0]))
 
     plain = ishida_cone(plain_cone, 2)
+    plain_diffs = plain.diffs  # every differential built, every pairing taken
     pairings = {key: p.values for key, p in face_lattice(plain_cone)._pairings.items()}
     override_normals(monkeypatch, lat, shift)
     shifted = ishida_cone(cone, 2)
+    shifted_diffs = shifted.diffs
     assert moved
     # the shifted normal gives the same pairing as the one read off a ray
     for tau in lat.all_faces:
@@ -445,7 +489,7 @@ def test_normal_shift_leaves_matrices_unchanged(monkeypatch):
             if key in pairings:
                 assert lat.covering_pairing(mu, tau).values == pairings[key]
     assert plain.dims == shifted.dims
-    assert mats_equal(plain.diffs, shifted.diffs)
+    assert mats_equal(plain_diffs, shifted_diffs)
 
 
 def test_fan_normal_shift_leaves_matrices_unchanged(monkeypatch):
@@ -461,13 +505,15 @@ def test_fan_normal_shift_leaves_matrices_unchanged(monkeypatch):
         return tuple(a - 3 * b for a, b in zip(n, rows[0]))
 
     plain = ishida_fan(plain_fan, 2)
+    plain_diffs = plain.diffs  # every differential built, every pairing taken
     pairings = {key: p.values for key, p in plain_fan._pairings.items()}
     override_normals(monkeypatch, fan, shift)
     shifted = ishida_fan(fan, 2)
+    shifted_diffs = shifted.diffs
     assert moved
     for (mu, tau), values in pairings.items():
         assert fan.covering_pairing(fan.by_key[mu], fan.by_key[tau]).values == values
-    assert mats_equal(plain.diffs, shifted.diffs)
+    assert mats_equal(plain_diffs, shifted_diffs)
 
 
 def test_invalid_normals_are_rejected(monkeypatch):
@@ -484,8 +530,11 @@ def test_invalid_normals_are_rejected(monkeypatch):
         return good
 
     monkeypatch.setattr(lat, "covering_pairing", corrupt)
+    cx = ishida_cone(c, 2)
+    # the scaled block is in d_0; the cell H^1 reads d_1, then d_0, and
+    # squaring the two fails
     with pytest.raises(NotAComplex):
-        ishida_cone(c, 2)
+        cx.h(1)
     assert scaled
 
 
@@ -507,6 +556,8 @@ def test_cone_complex_has_one_block_per_covering_pair(monkeypatch):
     for l in range(d + 1):
         calls.clear()
         cx = ishida_cone(cone, l)
+        assert calls == []  # no differential is built before it is read
+        pairs = cx.pairs
         # sizes of the exterior powers of the annihilators, dimension d - m
         expected = {
             (mu.dim, mu.key, tau.key)
@@ -517,7 +568,7 @@ def test_cone_complex_has_one_block_per_covering_pair(monkeypatch):
             and comb(d - mu.dim, l - mu.dim) and comb(d - tau.dim, l - tau.dim)
         }
         assert len(calls) == len(expected)
-        assert len(cx.pairs) == len(expected) and set(cx.pairs) == expected
+        assert len(pairs) == len(expected) and set(pairs) == expected
         assert all(s.size and t.size for s, t in calls)
 
 
@@ -574,8 +625,9 @@ def test_top_degree_blocks_take_one_determinant_each(monkeypatch):
     monkeypatch.setattr(xl, "integer_det", lambda m: dets.append(len(m)) or det(m))
     monkeypatch.setattr(xl, "_compound_minors", lambda *a: minors.append(a) or compound(*a))
     cx = ishida_cone(cone, cone.dim)
+    pairs = cx.pairs  # builds every differential
     assert minors == []
-    assert sorted(dets) == sorted(cone.dim - 1 - m for m, _, _ in cx.pairs if m < cone.dim - 1)
+    assert sorted(dets) == sorted(cone.dim - 1 - m for m, _, _ in pairs if m < cone.dim - 1)
     assert {1, 2, 3} <= set(dets)
 
 
@@ -637,9 +689,9 @@ def test_cone_complex_proves_bases_independent_without_ranks(monkeypatch):
 
     monkeypatch.setattr(xl, "matrix_rank", counted)
     for l in range(cone_13.dim + 1):
-        ishida_cone(cone_13, l)
+        ishida_cone(cone_13, l).diffs
     for l in range(p112_fan.rank + 1):
-        ishida_fan(p112_fan, l)
+        ishida_fan(p112_fan, l).diffs
     assert ranked == []
 
 
@@ -656,12 +708,12 @@ def test_every_level_of_a_fresh_cone_pivots_each_face_once(monkeypatch):
         lat = face_lattice(cone)
         calls.clear()
         for l in range(cone.dim + 1):
-            ishida_cone(cone, l)
+            ishida_cone(cone, l).diffs
         assert len(calls) == len(lat.all_faces) == 52
         assert lat._bases.keys() == lat.by_key.keys()
         assert all(lat.basis(k).vectors == lat.perps[k] for k in lat.by_key)
         facet = lat.faces_by_dim[cone.dim - 1][0]
-        restricted_complex(cone, 2, facet)
+        restricted_complex(cone, 2, facet).diffs
         assert len(calls) == 52
 
 

@@ -355,8 +355,8 @@ def _count_eliminations(monkeypatch):
     """Record every complex assembled from now on, and count, per
     differential, the calls of ``matrix_rank``, ``rank_and_kernel`` and
     ``pivot_columns`` that take it as a whole matrix.  The ``[image |
-    kernel]`` concatenations are new matrices and do not count, nor does
-    the ``pivot_columns`` call inside ``matrix_rank``.
+    kernel]`` concatenations are new matrices and do not count, nor does a
+    call that one of the three makes inside another.
 
     Returns ``(diffs, calls)``: ``diffs`` maps the id of a differential to
     ``(complex, degree)`` (the matrices are kept alive, so ids stay unique),
