@@ -7,15 +7,15 @@ nonzero, so the whole package, from the contraction blocks to the
 connecting maps, keeps its matrices in that form: :func:`_write_block`
 puts a block into such rows, for the differentials and the chain maps
 alike; :func:`_sparse_product` is their one product (the ``d^2 = 0`` check
-among its uses), beside the dense :func:`_mul` of the star quotient's basis
-change.  The lattice kernel runs on plain ``int`` lists: Hermite forms,
-integer kernels by one unimodular row elimination, the unimodular
-completion of a primitive column by the Euclidean algorithm, coordinates
-by back-substitution in echelon bases (one exact ``divmod`` per pivot),
-and Bareiss determinants.  Rows whose entries are all ``int`` go in as
-they are; only numpy or ``Fraction`` entries pass through :func:`_as_int`.
-One fraction-free elimination
-(:func:`_eliminate`) is behind :func:`rank_and_kernel`,
+among its uses).  The lattice kernel runs on plain ``int`` lists: Hermite
+forms, the cut of a saturated lattice's Hermite basis by one more
+functional in closed form (:func:`_cut`), integer kernels as the fold of
+that cut over their rows, the unimodular completion of a primitive column
+by the Euclidean algorithm, coordinates by back-substitution in echelon
+bases (one exact ``divmod`` per pivot), and Bareiss determinants.  Rows
+whose entries are all ``int`` go in as they are; only numpy or
+``Fraction`` entries pass through :func:`_as_int`.  One fraction-free
+elimination (:func:`_eliminate`) is behind :func:`rank_and_kernel`,
 :func:`solve_matrix`, :func:`matrix_rank` and :func:`pivot_columns`.  A
 rational matrix enters it with each row scaled by its common denominator,
 which changes neither the row space nor the pivots, and an entry is
@@ -286,12 +286,6 @@ def matrix_rank(m: Matrix) -> int:
 # integer lattice computations
 
 
-def _mul(x: list[list], y: list[list], ncols: int) -> list[list]:
-    """Product of two list matrices; ``ncols`` is the width of ``y``."""
-    cols = [[row[j] for row in y] for j in range(ncols)]
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
 def _unit_column(rho) -> list[list[int]]:
     """A unimodular ``U`` with ``U rho = (1, 0, ..., 0)`` for a primitive
     integer vector ``rho``, by the Euclidean algorithm on the column: the
@@ -352,33 +346,82 @@ def hermite_rows(rows, width: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in basis]
 
 
+def _cut(basis, v) -> list[tuple[int, ...]]:
+    """Canonical Hermite basis of ``{y in L : y . v = 0}``, given the
+    canonical Hermite basis ``b_1, ..., b_k`` (``basis``, int tuples) of a
+    saturated lattice ``L`` and an int vector ``v``, in closed form
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4).
+
+    Let ``w_j = b_j . v`` and ``t`` the last index with ``w_t != 0``; with
+    none, ``L`` is the answer.  ``y = sum c_j b_j`` lies in the cut iff
+    ``c . w = 0``, which leaves ``c_j`` free for ``j > t``.  Let ``g_j >
+    0`` be the gcd of ``w_j, ..., w_t`` and ``s_j`` its Bézout combination
+    of ``b_j, ..., b_t``, so ``s_j . v = g_j``.  Row ``t`` is dropped, the
+    rows after it are kept, and row ``j < t`` becomes ``x_j b_j + m_j
+    s_(j+1)``, with ``x_j = g_(j+1) / h`` and ``m_j = -w_j / h`` for ``h =
+    gcd(w_j, g_(j+1))``; it pairs with ``v`` to ``(g_(j+1) w_j - w_j
+    g_(j+1)) / h = 0``.  These coefficient vectors ``x_j e_j + m_j
+    s_(j+1)`` and the ``e_j``, ``j > t``, are a basis of ``{c : c . w =
+    0}``: a ``c`` in it whose first nonzero entry is at ``j < t`` has ``c_j
+    w_j`` in ``g_(j+1) Z``, so ``x_j`` divides ``c_j``, and taking ``c_j /
+    x_j`` times the ``j``-th vector away moves the first nonzero entry
+    right; at ``t``, ``c_t w_t = 0`` leaves ``c_t = 0``.  The coefficient
+    basis is echelon with positive leading entries ``x_j``, and an echelon
+    combination of an echelon basis with positive pivots stays echelon: row
+    ``j`` starts at the pivot of ``b_j``, with the positive entry ``x_j``
+    times it.  So only the entries above each pivot are left to reduce into
+    ``[0, pivot)``.  A row kept as it was (``j > t``, or ``w_j = 0``) has
+    them there already: each pivot below it is the one it was reduced
+    against, or ``x_j >= 1`` times it.  So each changed row is reduced,
+    bottom up, by the final rows below it, top first, and the result is the
+    unique Hermite basis of the cut, as :func:`hermite_rows` would give it.
+    The cut is saturated because ``L`` is: an integer ``y`` with a multiple
+    in it lies in ``L`` and pairs with ``v`` to 0."""
+    rows = list(basis)
+    w = [sum(map(mul, b, v)) for b in rows]
+    t = len(w) - 1
+    while t >= 0 and not w[t]:
+        t -= 1
+    if t < 0:
+        return rows
+    g, s = abs(w[t]), rows[t] if w[t] > 0 else [-x for x in rows[t]]
+    out = rows[:t] + rows[t + 1:]
+    changed = [j for j in range(t - 1, -1, -1) if w[j]]
+    for j in changed:
+        if w[j] % g == 0:  # x_j = 1, and g_j = g_(j+1) keeps s_(j+1)
+            m = w[j] // g
+            out[j] = [p - m * q for p, q in zip(rows[j], s)]
+        else:  # s_j = a b_j + c s_(j+1), where a w_j + c g_(j+1) = h = g_j
+            h = gcd(w[j], g)
+            x, m = g // h, w[j] // h
+            a = pow(m, -1, x)
+            out[j] = [x * p - m * q for p, q in zip(rows[j], s)]
+            g, s = h, [a * p + (1 - a * m) // x * q for p, q in zip(rows[j], s)]
+    first = changed[-1] + 1 if changed else len(out)
+    pivots = {i: _pivot(out[i]) for i in range(first, len(out))}
+    for j in changed:
+        row = out[j]
+        for i in range(j + 1, len(out)):
+            below, col = out[i], pivots[i]
+            q = row[col] // below[col]
+            if q:
+                row[col:] = [y - q * z for y, z in zip(row[col:], below[col:])]
+        out[j] = tuple(row)
+    return out
+
+
 def integer_kernel_rows(rows, width: int) -> list[tuple[int, ...]]:
     """Canonical basis of the saturated lattice {x in Z^width : A x = 0},
-    ``A`` having the integer ``rows`` (Cohen, *A Course in Computational
-    Algebraic Number Theory*, 2.4.3).
-
-    One unimodular row elimination of the ``width x (m + width)`` matrix
-    ``[A^T | I]``, by :func:`_gcd_pivot` on the left ``m`` columns, turns it
-    into ``[H | U]`` with ``U`` unimodular, ``U A^T = H`` and ``H`` in echelon
-    form.  The rows of ``U`` beside the zero rows of ``H`` are a Z-basis of
-    the kernel: they lie in it, and an integer ``x`` with ``x^T A^T = 0`` is
-    ``y^T U`` for an integer ``y`` (``U`` is unimodular) with ``y^T H = 0``,
-    so ``y`` vanishes on the independent nonzero rows of ``H``.  Being part
-    of a basis of ``Z^width``, they span a saturated lattice.  The result is
-    their Hermite basis.  Checked: the left part of every row outside the
-    pivots is zero, and ``A k = 0`` for every returned ``k``.
+    ``A`` having the integer ``rows``: the fold of :func:`_cut` over the
+    rows, starting from the standard basis of ``Z^width``.  Each cut takes
+    the Hermite basis of a saturated lattice to that of its sublattice
+    killing one more row, saturated again, so the fold ends at the Hermite
+    basis of the kernel.  Checked: ``A k = 0`` for every returned ``k``.
     """
     a = [r if all(type(x) is int for x in r) else [_as_int(x) for x in r] for r in map(tuple, rows)]
-    m = len(a)
-    work = [[row[j] for row in a] + [int(i == j) for i in range(width)] for j in range(width)]
-    for col in range(m):
-        live = [r for r in work if r[col] != 0]
-        if live:
-            pivot_row = _gcd_pivot(live, col)
-            work = [r for r in work if r is not pivot_row]
-    if any(r[i] for r in work for i in range(m)):
-        raise InvariantViolation("integer kernel: a row outside the pivots has a nonzero left part")
-    kernel = hermite_rows([r[m:] for r in work], width)
+    kernel = [tuple(int(i == j) for j in range(width)) for i in range(width)]
+    for row in a:
+        kernel = _cut(kernel, row)
     if any(sum(map(mul, row, k)) for row in a for k in kernel):
         raise InvariantViolation("integer kernel: a basis row is not in the kernel")
     return kernel

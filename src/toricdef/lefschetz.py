@@ -33,7 +33,7 @@ from .errors import (
 )
 from .ishida import LabeledComplex, _checked_level, cohomology, face_complex
 from .ishida import fan_cohomology_table, ishida_cone, ishida_fan
-from .polyhedral import Cone, Face, FacePoset, Fan, _dot, star_quotient
+from .polyhedral import Cone, Face, FacePoset, Fan, _annihilators, _dot, star_quotient
 
 
 @dataclass(eq=False)
@@ -70,11 +70,13 @@ def support_data(fan: Fan, alpha) -> DivisorData:
     and compute all lift data.  Raises NOT_Q_CARTIER when some maximal cone
     admits no linear form matching the prescribed ray values.
 
-    Each fan face costs one integer kernel of its hat rays, its hat
-    annihilator, the face's ``hat.perps`` rows.  (The quotient fan of
-    :func:`~toricdef.polyhedral.star_quotient` comes with these rows, read
-    off the cone's own annihilators with no kernel, and shares the rest of
-    this function, :func:`_support_data`.)  The vertical index is the gcd of
+    Each fan face's hat annihilator, its ``hat.perps`` rows, is the fold of
+    its hat rays through one prefix memo
+    (:func:`~toricdef.polyhedral._annihilators`), so a simplicial face costs
+    one cut and no integer kernel is taken.  (The quotient fan of
+    :func:`~toricdef.polyhedral.star_quotient` comes with these rows, folded
+    there the same way, and shares the rest of this function,
+    :func:`_support_data`.)  The vertical index is the gcd of
     the last coordinates of these rows.  Proof: let ``H`` be the
     saturated span of the hat rays and ``T = H + Q e`` (``e`` the vertical
     ray) meet ``Z^{n+1}`` in the tilde lattice.  ``T / H`` is a saturated
@@ -114,10 +116,10 @@ def _support_data(fan: Fan, alpha, hat_perps) -> DivisorData:
     denom = lcm(1, *(x.denominator for f in u.values() for x in f))
 
     hats = tuple(tuple(v.denominator * c for c in r) + (v.numerator,) for v, r in zip(values, fan.rays))
+    perp = _annihilators(hats, n + 1) if hat_perps is None else hat_perps.__getitem__
     perps, vertical = {}, {}
     for key in fan.by_key:
-        rays = [hats[i] for i in sorted(key)]
-        perps[key] = tuple(xl.integer_kernel_rows(rays, n + 1)) if hat_perps is None else hat_perps[key]
+        perps[key] = perp(key)
         vertical[key] = gcd(*(p[-1] for p in perps[key]))
         if vertical[key] == 0:
             raise InvariantViolation(f"the lifts of face {sorted(key)} differ in rank")

@@ -14,16 +14,18 @@ intersection (the proofs are in its docstring).  The remaining faces are
 intersections of facets.
 
 Lattice data is computed once per face, and only when read.  A face's
-annihilator is one integer kernel of its rays
-(:func:`toricdef.exact_linalg.integer_kernel_rows`, a one-sided unimodular
-row elimination), and a fan computes it once per face, however many maximal
-cones share it.  Its span lattice is the kernel of that, since the
-saturation of a set of vectors is the kernel of their kernel
-(Cox–Little–Schenck, *Toric Varieties*, 1.2).  A face is plain data and
-keeps no span: :func:`cone_from_rays` and :func:`pyramid` take the top
-face's once and keep it in the cone's hull, and :attr:`Face.span_rows`
-takes one kernel on each read, which only those two and the face lattice of
-a face cone make.
+annihilator is one cut of a shared prefix's Hermite basis by one ray
+(:func:`_annihilators`, over :func:`toricdef.exact_linalg._cut`): its
+sorted rays are folded through a prefix memo that lives for one build, so
+a simplicial face costs exactly one cut, and a fan computes it once per
+face, however many maximal cones share it or its prefixes.  Only a cone's
+top face takes an integer kernel of its rays.  Its span lattice is the
+kernel of the annihilator, since the saturation of a set of vectors is the
+kernel of their kernel (Cox–Little–Schenck, *Toric Varieties*, 1.2).  A
+face is plain data and keeps no span: :func:`cone_from_rays` and
+:func:`pyramid` take the top face's once and keep it in the cone's hull,
+and :attr:`Face.span_rows` takes one kernel on each read, which only those
+two and the face lattice of a face cone make.
 The intrinsic rows of :class:`FaceLattice` are coordinates and restrictions
 of the ambient ones, with no further kernel (the two saturation facts are in
 its docstring), and a cone made by :func:`face_cone`, memoized on its
@@ -46,8 +48,9 @@ separates, from the facet normals of the cone that the other rays span
 modulo that face (:func:`_pair_functional`, Gordan's alternative), whose
 normals of rank below its dimension prove the overlap.  No LP runs
 anywhere; :func:`star_quotient` reads the quotient fan of an interior ray
-off the cone's faces, and its rows off the cone's annihilators, with no
-integer kernel.
+off the cone's faces, with no integer kernel: each face's hat rows are the
+fold of its rays in the new coordinates, and its quotient rows one more
+cut of those by the last unit vector.
 """
 
 from __future__ import annotations
@@ -354,10 +357,42 @@ def _face_keys(facets, m: int) -> set[frozenset[int]]:
     return keys
 
 
+def _annihilators(rays, n: int):
+    """The annihilators of sets of ``rays`` in ``Z^n``, for one build: a
+    function of a ray set (indices into ``rays``) that returns the
+    canonical Hermite basis of ``{u : u . r = 0 for its rays r}``.
+
+    Its sorted rays are folded through a prefix memo that lives as long as
+    the function: the basis of a prefix ``i_1 < ... < i_k`` is cut
+    (:func:`~toricdef.exact_linalg._cut`) once, from the basis of ``i_1 <
+    ... < i_(k-1)`` by ray ``i_k``, and the empty prefix is the standard
+    basis.  Every subset of a simplicial face's rays is a face,
+    so a poset whose faces are simplicial takes exactly one cut per face;
+    a face with more rays than its dimension takes one per prefix of its
+    rays that no other face has met.  Each returned row is checked to vanish
+    on every ray of the set (INVARIANT_VIOLATION)."""
+    memo: dict[tuple[int, ...], tuple] = {(): tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+
+    def perp(key) -> tuple:
+        idx = tuple(sorted(key))
+        k = len(idx)
+        while idx[:k] not in memo:
+            k -= 1
+        rows = memo[idx[:k]]
+        for j in range(k, len(idx)):
+            rows = memo[idx[:j + 1]] = tuple(xl._cut(rows, rays[idx[j]]))
+        if any(sum(map(mul, p, rays[i])) for i in idx for p in rows):
+            raise InvariantViolation(f"an annihilator row of {list(idx)} misses one of its rays")
+        return rows
+
+    return perp
+
+
 def _lattice_face(key: frozenset[int], gens, n: int) -> Face:
     """The face ``key`` spanned by ``gens`` in ``Z^n``: its annihilator is one
-    integer kernel of the rays, of rank ``n - dim``; its span lattice, the
-    kernel of that, is taken only where ``Face.span_rows`` is read."""
+    integer kernel of the rays, of rank ``n - dim``.  Only a cone's top face
+    is made so, once, in its hull; every other face of a cone or a fan
+    takes one cut of a shared prefix's basis (:func:`_annihilators`)."""
     perp = tuple(xl.integer_kernel_rows(gens, n))
     return Face(key, n - len(perp), perp)
 
@@ -384,22 +419,23 @@ def _hull(cone: Cone) -> tuple:
     return cone._hull
 
 
-def _cone_faces(cone: Cone, labels, known: dict) -> list[Face]:
+def _cone_faces(cone: Cone, labels, known: dict, perp) -> list[Face]:
     """The faces of ``cone`` from its :func:`_hull`, with no facet search.
     A face is keyed by the ``labels`` of its rays and looked up in, or
-    added to, ``known``; the top face's rows are the hull's."""
+    added to, ``known``; its rows are ``perp`` of that key
+    (:func:`_annihilators`), and the top face's are the hull's."""
     top, _, facets, _ = _hull(cone)
-    rays = cone.rays
 
     def face(local) -> Face:
         key = frozenset(labels[i] for i in local)
         if key not in known:
-            known[key] = _lattice_face(key, [rays[i] for i in sorted(local)], cone.rank)
+            rows = perp(key)
+            known[key] = Face(key, cone.rank - len(rows), rows)
         return known[key]
 
     whole = frozenset(labels)
     known.setdefault(whole, replace(top, ray_indices=whole))
-    return [face(k) for k in _face_keys(facets, len(rays))]
+    return [face(k) for k in _face_keys(facets, len(cone.rays))]
 
 
 def _lower_interval(parent: "FaceLattice", key: frozenset[int]) -> tuple:
@@ -531,7 +567,9 @@ class FaceLattice(FacePoset):
     * The faces are the intersections of the facets that
       :func:`cone_from_rays` found and kept on the cone; no facet search
       runs here.
-    * ``Face.perp_rows`` is one integer kernel of the face's rays.
+    * ``Face.perp_rows`` is one cut of a prefix of the face's sorted rays
+      (:func:`_annihilators`, one memo per lattice); the top face's is the
+      integer kernel that :func:`cone_from_rays` took for its hull.
       ``span_rows`` of the lattice, the top face's span, is the one that
       :func:`cone_from_rays` took and kept in the cone's :func:`_hull`.  A
       cone made by :func:`face_cone` takes its faces from its parent's
@@ -561,7 +599,7 @@ class FaceLattice(FacePoset):
         if cone._parent is None:
             _, ray_coords, _, span_rows = _hull(cone)
             if cone._base is None:
-                faces = _cone_faces(cone, range(len(cone.rays)), {})
+                faces = _cone_faces(cone, range(len(cone.rays)), {}, _annihilators(cone.rays, cone.rank))
             else:
                 faces = _pyramid_faces(cone)
         else:
@@ -983,10 +1021,12 @@ def fan_from_cones(rays, maximal_sets, rank: int | None = None) -> Fan:
 def _cone_data(rays, maximal, rank) -> tuple[dict, list, list]:
     """``(by_key, cone_faces, walls)`` of validated rays and maximal ray-index
     tuples: every fan face by key, in the order of the cones' lattices, with
-    its rows computed once, by the first cone that has it; each cone's face
-    keys; and each cone's :func:`_signed_walls`, None where the cone is not
-    full-dimensional."""
+    its rows computed once, by the first cone that has it, through one
+    prefix memo keyed by fan ray index that all the cones share
+    (:func:`_annihilators`); each cone's face keys; and each cone's
+    :func:`_signed_walls`, None where the cone is not full-dimensional."""
     known: dict[frozenset[int], Face] = {}
+    perp = _annihilators(rays, rank)
     by_key: dict[frozenset[int], Face] = {}
     cone_faces: list[set[frozenset[int]]] = []
     walls: list[dict | None] = []
@@ -994,7 +1034,7 @@ def _cone_data(rays, maximal, rank) -> tuple[dict, list, list]:
         sub = cone_from_rays([rays[i] for i in s], rank)
         if len(sub.rays) != len(s):
             raise ValidationError(f"cone {s} is not generated by extreme rays")
-        faces = _cone_faces(sub, s, known)
+        faces = _cone_faces(sub, s, known, perp)
         faces.sort(key=lambda f: (f.dim, f.key))  # by_key keeps the order of the cones' lattices
         for f in faces:
             by_key.setdefault(f.ray_indices, f)
@@ -1188,9 +1228,12 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     their intersection, and the images cover the space: the proper faces
     make a complete fan with distinct rays.
 
-    Its rows come from ``T`` and the cone's own annihilators, with no
-    integer kernel (:func:`_quotient_rows`), and go to the divisor's lift
-    data as they are.
+    Its rows come from the rays in the coordinates of ``T``, with no
+    integer kernel and no inverse of ``T``: each face's hat rows are one cut
+    of a shared prefix's basis, and its quotient rows one cut of those
+    (:func:`_quotient_rows`).  They go to the divisor's lift data as they
+    are.  ``T`` is checked to take ``rho`` to the last basis vector and to
+    have determinant ±1.
     """
     n = cone.rank
     if cone.dim != n:
@@ -1209,11 +1252,13 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
 
     # U rho = (1, 0, ..., 0) for the Euclidean completion U of the primitive
     # column rho; the rows of U with the first moved last take rho to the
-    # last basis vector.  _quotient_rows checks that T is unimodular.
+    # last basis vector.
     u = xl._unit_column(rho)
     t_rows = u[1:] + u[:1]
     if [_dot(t, rho) for t in t_rows] != [0] * (n - 1) + [1]:
         raise InvariantViolation("the change of coordinates does not take rho to the last basis vector")
+    if abs(xl.integer_det(t_rows)) != 1:
+        raise InvariantViolation("the change of coordinates is not unimodular")
 
     hats = [tuple(_dot(t, r) for t in t_rows) for r in cone.rays]
     projected = []
@@ -1226,7 +1271,7 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
         projected.append(p)
         alphas.append(Fraction(h, g))
 
-    hat_perps, faces = _quotient_rows(lat.all_faces[:-1], t_rows, hats, projected)
+    hat_perps, faces = _quotient_rows(lat.all_faces[:-1], hats, projected)
     fan = Fan(n - 1, tuple(projected), tuple(f.key for f in lat.faces_by_dim[n - 1]), faces)
     if not fan.is_complete():
         raise InvariantViolation("the quotient fan of an interior ray is not complete")
@@ -1242,64 +1287,46 @@ def star_quotient(cone: Cone, rho) -> tuple[Fan, "object"]:
     return cone._quotients[rho]
 
 
-def _unimodular_inverse(t_rows) -> list[tuple[int, ...]]:
-    """The inverse of a unimodular integer matrix ``T`` (rows ``t_rows``).
-
-    The rows of ``[T | I]`` generate ``{(y T, y)}``, which is ``{(x, x
-    T^-1)}`` for ``T`` unimodular, so the rows of ``[I | T^-1]`` are a basis
-    in Hermite form; the Hermite form being unique, it is what
-    :func:`~toricdef.exact_linalg.hermite_rows` returns."""
-    n = len(t_rows)
-    rows = [tuple(t) + tuple(int(i == j) for j in range(n)) for i, t in enumerate(t_rows)]
-    return [r[n:] for r in xl.hermite_rows(rows, 2 * n)]
-
-
-def _quotient_rows(faces, t_rows, hats, projected) -> tuple[dict, list[Face]]:
+def _quotient_rows(faces, hats, projected) -> tuple[dict, list[Face]]:
     """``(hat_perps, quotient faces)`` of the proper ``faces`` of a cone in
-    ``Z^n`` under the unimodular ``T`` (``t_rows``) that takes an interior
-    ray to the last basis vector: each face's hat annihilator in ``Z^n``,
-    and the face of the quotient fan in ``Z^(n-1)`` with its annihilator.
-    No integer kernel is taken, and every row is checked.
+    ``Z^n`` under the unimodular ``T`` that takes an interior ray to the
+    last basis vector: each face's hat annihilator in ``Z^n``, and the face
+    of the quotient fan in ``Z^(n-1)`` with its annihilator.  Each face
+    takes one cut for its hat rows and one for its quotient rows, and every
+    row is checked.
 
-    * ``T^-1`` is computed once, by :func:`_unimodular_inverse`, and checked:
-      ``T T^-1 = I``.
     * The hat rays are the rays in the new coordinates, ``hats = T r``.  The
       divisor's value on a ray with ``T r = (b, h)`` is ``h / g`` for ``g``
       the gcd of ``b``, whose projected ray is ``b / g``; ``T r`` is
       primitive (``T`` is unimodular and ``r`` primitive), so ``gcd(h, g) =
       1`` and the hat ray ``(g (b / g), h)`` that the divisor builds is
       ``T r`` again (checked by the caller).
-    * A face ``τ``'s hat annihilator is the Hermite form of ``perp(τ)
-      T^-1``.  A functional ``y`` kills every ``T r`` iff ``y T`` kills every
-      ``r``, iff ``y T`` is in the saturated annihilator of ``τ``, whose
-      basis is ``perp(τ)``; so the rows of ``perp(τ) T^-1``, its image under
-      the unimodular ``T^-1``, are a basis of the saturated hat annihilator.
+    * A face ``τ``'s hat annihilator is the annihilator of its hat rays,
+      folded through one prefix memo (:func:`_annihilators`).
     * The quotient face's annihilator is the sublattice of the hat
       annihilator with last coordinate 0, that coordinate dropped: ``(z, 0)``
-      kills ``T r = (g p, h)`` iff ``z`` kills the projected ray ``p``.
-      In the Hermite form with the last column moved first, at most the
-      first row is nonzero there, and the other rows, whose coefficient of
-      the first row is forced to 0, are the Hermite form of that sublattice.
+      kills ``T r = (g p, h)`` iff ``z`` kills the projected ray ``p``.  It
+      is one :func:`~toricdef.exact_linalg._cut` of the hat basis by the
+      last unit vector, a Hermite basis whose last column is zero, so
+      dropping that column leaves a Hermite basis.
 
     Hermite forms are canonical, so the rows are those that integer kernels
     of the hat and projected rays give.  A row that misses a ray, or a
     count other than ``n - dim τ`` hat rows and ``n - 1 - dim τ`` quotient
     rows, is an INVARIANT_VIOLATION.
     """
-    n = len(t_rows)
-    t_inv = _unimodular_inverse(t_rows)
-    if xl._mul(t_rows, t_inv, n) != [[int(i == j) for j in range(n)] for i in range(n)]:
-        raise InvariantViolation("the inverse of the change of coordinates is wrong")
+    n = len(hats[0])
+    perp = _annihilators(hats, n)
+    unit = (0,) * (n - 1) + (1,)
     hat_perps: dict[frozenset[int], tuple] = {}
     out = []
     for f in faces:
-        hat = tuple(xl.hermite_rows(xl._mul(f.perp_rows, t_inv, n), n))
-        moved = xl.hermite_rows([r[-1:] + r[:-1] for r in hat], n)
-        perp = tuple(r[1:] for r in moved if r[0] == 0)
-        _check_annihilator(hat, [hats[i] for i in f.ray_indices], n - f.dim, "hat")
-        _check_annihilator(perp, [projected[i] for i in f.ray_indices], n - 1 - f.dim, "quotient")
+        hat = perp(f.ray_indices)
+        quotient = tuple(r[:-1] for r in xl._cut(hat, unit))
+        _check_annihilator(hat, (), n - f.dim, "hat")  # perp has checked that its rows kill the hats
+        _check_annihilator(quotient, [projected[i] for i in f.ray_indices], n - 1 - f.dim, "quotient")
         hat_perps[f.ray_indices] = hat
-        out.append(Face(f.ray_indices, f.dim, perp))
+        out.append(Face(f.ray_indices, f.dim, quotient))
     return hat_perps, out
 
 

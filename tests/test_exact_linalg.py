@@ -393,6 +393,44 @@ def test_integer_kernel_matches_smith_and_sympy_on_edge_cases(seed):
         assert kernel_mismatch(rows, width) is None, (rows, width)
 
 
+def _cut_cases(seed):
+    """``(rows, v, width)``: seeded rows ``R``, none to more than the
+    width, and a vector ``v`` that is random, zero, a combination of ``R``
+    (so it kills the kernel) or with large entries, so that the cut meets
+    both of its gcd branches."""
+    rng = random.Random(1300 + seed)
+    cases = []
+    for _ in range(12):
+        width = rng.randrange(1, 7)
+        rows = _random_int_matrix(rng, rng.randrange(0, width + 2), width, rng.choice((1, 3, 6)))
+        kind = rng.randrange(4)
+        if kind == 0 or not rows:
+            v = _random_int_matrix(rng, 1, width)[0]
+        elif kind == 1:
+            v = [0] * width
+        elif kind == 2:
+            coeffs = _random_int_matrix(rng, 1, len(rows))[0]
+            v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)]
+        else:
+            v = _random_int_matrix(rng, 1, width, 40)[0]
+        cases.append((rows, v, width))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cut_is_the_smith_kernel_of_one_more_row(seed):
+    """The cut of the Smith-form kernel of ``R`` by ``v`` is the Smith-form
+    kernel of ``R`` and ``v``, in Hermite form as it stands, and it drops
+    exactly one row iff ``v`` is nonzero on the kernel of ``R``."""
+    for rows, v, width in _cut_cases(seed):
+        basis = smith_kernel_rows(rows, width)
+        got = xl._cut(basis, v)
+        assert tuple(got) == smith_kernel_rows(rows + [v], width), (rows, v)
+        assert xl.hermite_rows(got, width) == list(got)
+        nonzero = any(sum(map(mul, b, v)) for b in basis)
+        assert len(got) == len(basis) - nonzero
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_hermite_rows_is_the_same_on_int_fraction_and_numpy_rows(seed):
     """Rows of plain ints are taken as they are, without a copy through
@@ -1060,35 +1098,33 @@ for block in (("a", "b", xl.Matrix([{{}}] * 2, 1)), ("a", "c", xl.Matrix([{{}}],
         cx.h(0)
     except InvariantViolation as exc:
         print(exc.ident, exc.exit_code)
-# a kernel elimination that leaves a row nonzero on a pivot column, and one
-# that moves a row off the kernel
-pivot = xl._gcd_pivot
+# a kernel whose cut keeps the row t that it should drop, and one whose cut
+# moves its rows off the kernel
+from operator import mul
+
+cut = xl._cut
 
 
-def shifted(live, col):
-    row = pivot(live, col)
-    for r in live:
-        if r is not row:
-            r[-1] += 1
-    return row
+def keeps_row_t(basis, v):
+    return cut(basis, v) + [b for b in basis if sum(map(mul, b, v))][-1:]
 
 
-for corrupted in (lambda live, col: live[0], shifted):
-    xl._gcd_pivot = corrupted
+for corrupted in (keeps_row_t, lambda basis, v: [r[:-1] + (r[-1] + 1,) for r in cut(basis, v)]):
+    xl._cut = corrupted
     try:
         xl.integer_kernel_rows([[1, 1]], 2)
     except InvariantViolation as exc:
         print(exc.ident, exc.exit_code)
-xl._gcd_pivot = pivot
-# hat annihilator rows whose last coordinates are all 0
+xl._cut = cut
+# hat annihilator rows whose last coordinates are all 0, from cuts of the
+# hat rays that zero them
 fan = fan_from_cones(((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (2, 0)), 2)
-kernel = xl.integer_kernel_rows
-xl.integer_kernel_rows = lambda rows, width: [r[:-1] + (0,) for r in kernel(rows, width)]
+xl._cut = lambda basis, v: [r[:-1] + (0,) for r in cut(basis, v)]
 try:
     support_data(fan, (0, 0, 1))
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
-xl.integer_kernel_rows = kernel
+xl._cut = cut
 # through the CLI on a fan: a pair functional from facet normals turned
 # around (the pair of the 1-dimensional cone takes that path), one that is
 # nonzero on the common face (the pair of a 2-dimensional cone sharing a
@@ -1121,20 +1157,19 @@ separating = polyhedral._separating_functional
 polyhedral._separating_functional = lambda *a: tuple(-x for x in separating(*a))
 fan_command("rank: 2\\nrays:\\n  1 0\\n  0 1\\n  -1 0\\ncones:\\n  0 1\\n  1 2\\n")
 polyhedral._separating_functional = separating
-# a star quotient with a wrong inverse of its change of coordinates, one
-# whose completion of rho is not unimodular (a row of U that vanishes on rho
-# doubled), and one whose facet annihilator gives a hat row that misses a
-# ray of the facet
+# a star quotient whose quotient rows skip their cut by the last unit vector
+# (one row too many), one whose completion of rho is not unimodular (a row
+# of U that vanishes on rho doubled), and one whose facet is listed one
+# dimension too low (one hat row too many)
 from toricdef import cone_from_rays, face_lattice, star_quotient
 
 square = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
-inverse = polyhedral._unimodular_inverse
-polyhedral._unimodular_inverse = lambda t: [r[:-1] + (r[-1] + 1,) for r in inverse(t)]
+xl._cut = lambda basis, v: list(basis) if tuple(v) == (0, 0, 1) else cut(basis, v)
 try:
     star_quotient(cone_from_rays(square, 3), (0, 0, 1))
 except InvariantViolation as exc:
     print(exc.ident, exc.exit_code)
-polyhedral._unimodular_inverse = inverse
+xl._cut = cut
 unit_column = xl._unit_column
 xl._unit_column = lambda rho: [[2 * x for x in r] if i == 1 else r for i, r in enumerate(unit_column(rho))]
 try:
@@ -1145,8 +1180,7 @@ xl._unit_column = unit_column
 cone = cone_from_rays(square, 3)
 lat = face_lattice(cone)
 facet, *rest = lat.faces_by_dim[2]
-((a, *b),) = facet.perp_rows
-lat.faces_by_dim[2] = (polyhedral.Face(facet.ray_indices, 2, ((a + 1, *b),)), *rest)
+lat.faces_by_dim[2] = (polyhedral.Face(facet.ray_indices, 1, facet.perp_rows), *rest)
 try:
     star_quotient(cone, (0, 0, 1))
 except InvariantViolation as exc:

@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -545,11 +547,14 @@ def test_pyramids_have_the_hull_and_lattice_of_a_fresh_cone():
 def test_a_pyramid_over_a_built_base_takes_only_its_top_span(kernel_calls, monkeypatch):
     """A pyramid and its face lattice over a base whose lattice is built
     run no facet search and no double description, and take one integer
-    kernel, the top span.  With an apex of last coordinate ±1 that is all;
-    with a larger one, the apex faces whose values it does not divide each
-    take the unimodular completion of one row.  Over seed-77 cone 4,
-    sheared into one rank more so that its top has one annihilator row, and
-    over fixture A for the unit apexes."""
+    kernel, the top span, and no cut but that kernel's.  With an apex of
+    last coordinate ±1 that is all; with a larger one, the apex faces whose
+    values it does not divide each take the unimodular completion of one
+    row and one Hermite form of its image.  Over seed-77 cone 4, sheared
+    into one rank more so that its top has one annihilator row, and over
+    fixture A for the unit apexes.  (The sheared pyramids are not
+    full-dimensional, so their lattices restrict each face's rows to the
+    span, one Hermite form per face.)"""
     searched = []
     facets, build = polyhedral._facets, polyhedral.cone_from_rays
     monkeypatch.setattr(polyhedral, "_facets", lambda *a: searched.append(a) or facets(*a))
@@ -561,6 +566,10 @@ def test_a_pyramid_over_a_built_base_takes_only_its_top_span(kernel_calls, monke
     rows, completed = [], []
     monkeypatch.setattr(xl, "integer_kernel_rows", lambda r, width: rows.append(len(r)) or kernel(r, width))
     monkeypatch.setattr(xl, "_unit_column", lambda rho: completed.append(len(rho)) or unit(rho))
+    cut, hermite = xl._cut, xl.hermite_rows
+    cuts, hermites = [], []
+    monkeypatch.setattr(xl, "_cut", lambda *a: cuts.append(sys._getframe(1).f_code.co_name) or cut(*a))
+    monkeypatch.setattr(xl, "hermite_rows", lambda *a: hermites.append(sys._getframe(1).f_code.co_name) or hermite(*a))
     for base, apexes in ((sheared, [(1, 0, 0, 0, 0, 0, 1), (0, 1, 2, 0, 0, 1, -1), (1, 0, 0, 0, 0, 0, 2), (1, 1, 0, -1, 0, 0, -3)]),
                          (build(A_RAYS, 4), [(0, 0, 0, 0, 1), (1, 2, 0, 0, -1)])):
         face_lattice(base)
@@ -569,10 +578,15 @@ def test_a_pyramid_over_a_built_base_takes_only_its_top_span(kernel_calls, monke
             rows.clear()
             completed.clear()
             kernel_calls.clear()
+            cuts.clear()
+            hermites.clear()
             pyr = pyramid(base, apex)
-            face_lattice(pyr)
+            lat = face_lattice(pyr)
             assert searched == []
             assert kernel_calls == [pyr.rank] and rows == [len(pyr._hull[0].perp_rows)], apex
+            assert cuts == ["integer_kernel_rows"] * rows[0], apex  # the top span's, one per row
+            restricted = len(lat.by_key) if pyr.dim < pyr.rank else 0
+            assert Counter(hermites) == Counter({"_apex_face": len(completed), "__init__": restricted}), apex
             if abs(apex[-1]) == 1:
                 assert completed == [], apex
             else:
@@ -827,8 +841,8 @@ def _oracle_quotients():
 
 
 def test_star_quotient_rows_are_the_kernels_of_the_hat_and_projected_rays():
-    """The rows star_quotient reads off the change of coordinates are the
-    integer kernels of the hat rays and of the projected rays, and every
+    """The hat rows and the quotient rows of every star quotient are the
+    Smith-form kernels of the hat rays and of the projected rays, and every
     span read on demand is the Smith-form kernel of the face's
     annihilator."""
     for cone, rhos in _oracle_quotients():
@@ -839,9 +853,26 @@ def test_star_quotient_rows_are_the_kernels_of_the_hat_and_projected_rays():
             fan, divisor = star_quotient(cone, rho)
             for key, hat_perp in divisor.hat.perps.items():
                 f = fan.by_key[key]
-                assert hat_perp == tuple(xl.integer_kernel_rows([divisor.hat.rays[i] for i in sorted(key)], n))
-                assert f.perp_rows == tuple(xl.integer_kernel_rows([fan.rays[i] for i in f.key], n - 1))
+                assert hat_perp == smith_kernel_rows([divisor.hat.rays[i] for i in sorted(key)], n)
+                assert f.perp_rows == smith_kernel_rows([fan.rays[i] for i in f.key], n - 1)
                 assert f.span_rows == smith_kernel_rows(f.perp_rows, n - 1)
+
+
+def test_every_face_annihilator_is_the_smith_kernel_of_its_rays():
+    """Each face's rows, one cut of a shared prefix's basis, are the
+    Smith-form kernel of its rays: on fixtures A, B and 13, the nine seed-77
+    cones, cyclic (5, 9) and (6, 9), and two stellar fans, of rank 4 and 5."""
+    cones = [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + seed77_cones()
+    cones += [cyclic_cone(range(9), 5), cyclic_cone(range(9), 6)]
+    fans = [_stellar_fan(), random_complete_simplicial_fan(random.Random("stellar"), 5, 20)]
+    checked = 0
+    for rays, faces, n in [(c.rays, face_lattice(c).all_faces, c.rank) for c in cones] + [
+        (fan.rays, fan.all_faces, fan.rank) for fan in fans
+    ]:
+        for f in faces:
+            assert f.perp_rows == smith_kernel_rows([rays[i] for i in f.key], n), f.key
+            checked += 1
+    assert checked > 1000
 
 
 def test_star_quotient_takes_no_integer_kernel(kernel_calls):
@@ -857,9 +888,9 @@ def test_spans_are_read_only_where_needed(kernel_calls):
     """A face keeps no span: ``lcdef_variety`` takes one integer kernel for
     the span of each non-simplicial proper face, whose face cone it builds
     (the top face's span is kept by ``cone_from_rays``), so none on a cyclic
-    cone, and building a fan takes one per face and one span per maximal
-    cone.  A face equals one built afresh from its three fields, and its
-    span is the Smith kernel of its annihilator."""
+    cone, and building a fan takes two per maximal cone, its top and its
+    span, and none per face.  A face equals one built afresh from its three
+    fields, and its span is the Smith kernel of its annihilator."""
     cyclic = cyclic_cone(range(9), 5)
     face_lattice(cyclic)
     kernel_calls.clear()
@@ -874,7 +905,7 @@ def test_spans_are_read_only_where_needed(kernel_calls):
     stellar = _stellar_fan()
     kernel_calls.clear()
     built = fan_from_cones(stellar.rays, stellar.maximal, 4)
-    assert len(kernel_calls) == len(built.by_key) + len(built.maximal)
+    assert len(kernel_calls) == 2 * len(built.maximal)
     for f in built.all_faces:
         assert f == Face(f.ray_indices, f.dim, f.perp_rows)
         assert f.span_rows == smith_kernel_rows(f.perp_rows, 4)
@@ -884,7 +915,9 @@ def test_support_data_rows_match_saturations():
     stellar = _stellar_fan()
     rng = random.Random(3)
     values = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in stellar.rays]
-    for fan, divisor in _star_quotients() + [(stellar, support_data(stellar, values))]:
+    p112 = make_p112()
+    lifts = [(stellar, support_data(stellar, values)), (p112, support_data(p112, (0, 0, 1)))]
+    for fan, divisor in _star_quotients() + lifts:
         n = fan.rank
         vertical = (0,) * n + (1,)
         for key, hat_perp in divisor.hat.perps.items():
@@ -921,26 +954,66 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_lattice_data_takes_no_smith_form_and_one_kernel_per_fan_face(no_smith_form, kernel_calls):
-    """Face lattices take at most one integer kernel per face, fans at most
-    two, and neither a Smith form; support data takes exactly one kernel
-    per fan face."""
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    """``(routine, caller)`` of every integer kernel, cut and Hermite form
+    taken, in order, the caller being the function that asked for it."""
+    calls = []
+    for name in ("integer_kernel_rows", "_cut", "hermite_rows"):
+        real = getattr(xl, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+
+        monkeypatch.setattr(xl, name, counted)
+    return calls
+
+
+def _prefixes(keys) -> int:
+    """The number of distinct nonempty prefixes of the sorted ray sets
+    ``keys``: the cuts that folding them through one prefix memo takes."""
+    return len({tuple(sorted(k))[:j] for k in keys for j in range(1, len(k) + 1)})
+
+
+def test_lattice_data_takes_no_smith_form_and_one_cut_per_face(no_smith_form, lattice_calls):
+    """Face lattices, fans, star quotients and support data fold each face's
+    sorted rays through one prefix memo per build: one cut per distinct
+    prefix, which is exactly one cut per face where the faces are
+    simplicial, and no integer kernel or Hermite form per face.  The zero
+    face is the standard basis, with no cut, and the top face of a cone
+    takes its rows from the hull's one integer kernel, taken with its span
+    when the cone is built.  A star quotient takes one more cut per face,
+    for its quotient rows.  No Smith form anywhere."""
     for cone in [cone_from_rays(r, 4) for r in (A_RAYS, B_RAYS, T13_RAYS)] + [cyclic_cone(range(-4, 5), 5)]:
-        kernel_calls.clear()
+        lattice_calls.clear()
         lat = face_lattice(cone)
-        assert 0 < len(kernel_calls) <= len(lat.by_key)
+        inner = [f.ray_indices for f in lat.all_faces if f != lat.top()]
+        assert lattice_calls == [("_cut", "perp")] * _prefixes(inner)
+    assert _prefixes(inner) == len(lat.by_key) - 2  # the cyclic cone's proper faces are simplicial
+    rho = tuple(map(sum, zip(*cone.rays)))
+    lattice_calls.clear()
+    star_quotient(cone, rho)
+    proper = len(lat.by_key) - 1
+    assert Counter(lattice_calls) == {("_cut", "perp"): proper - 1, ("_cut", "_quotient_rows"): proper}
     stellar = _stellar_fan()
-    kernel_calls.clear()
+    lattice_calls.clear()
     built = fan_from_cones(stellar.rays, stellar.maximal, 4)
-    assert 0 < len(kernel_calls) <= 2 * len(built.by_key)
+    cones = len(built.maximal)
+    assert Counter(lattice_calls) == {
+        ("integer_kernel_rows", "_lattice_face"): cones,  # each maximal cone's top
+        ("_cut", "integer_kernel_rows"): 4 * cones,  # which folds its four rays
+        ("integer_kernel_rows", "span_rows"): cones,  # and its span, of no rows
+        ("_cut", "perp"): len(built.by_key) - cones - 1,
+    }
     rng = random.Random(3)
     for fan, values in [
         (built, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in built.rays]),
         (make_p112(), (0, 0, 1)),
     ]:
-        kernel_calls.clear()
+        lattice_calls.clear()
         support_data(fan, values)
-        assert kernel_calls == [fan.rank + 1] * len(fan.by_key)
+        assert lattice_calls == [("_cut", "perp")] * (len(fan.by_key) - 1)
 
 
 # ---------------------------------------------------------------------------
